@@ -79,7 +79,6 @@ runMode(perf::BackendKind backend,
         config.replicas.push_back(replicaConfig(backend, tokens));
     }
     config.policy = serving::RoutingPolicy::kJoinShortestQueue;
-    config.execution = serving::ClusterExecution::kEventLoop;
     serving::ServingCluster cluster(std::move(config));
 
     serving::OnlineOptions options;

@@ -1,8 +1,6 @@
 #include "serving/cluster.hh"
 
 #include <algorithm>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
@@ -15,8 +13,6 @@ const char *
 toString(ClusterExecution mode)
 {
     switch (mode) {
-      case ClusterExecution::kAuto: return "auto";
-      case ClusterExecution::kThreads: return "threads";
       case ClusterExecution::kEventLoop: return "event_loop";
     }
     return "?";
@@ -118,178 +114,21 @@ ServingCluster::estimateFor(const Request &request, int replica) const
     return Router::Estimate{service, kv_bytes};
 }
 
-std::vector<int>
-ServingCluster::routeTrace(const std::vector<Request> &trace) const
-{
-    std::vector<Router::Replica> replicas;
-    replicas.reserve(engines_.size());
-    for (const auto &engine : engines_) {
-        replicas.push_back(
-            Router::Replica{engine->backend().budgetBytes()});
-    }
-    Router router(config_.policy, std::move(replicas));
-
-    // Route on the shared arrival timeline: time order, ties in trace
-    // order (the same tie-break Engine::run uses for admission).
-    std::vector<std::size_t> order(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&trace](std::size_t a, std::size_t b) {
-                         return trace[a].arrival_ns < trace[b].arrival_ns;
-                     });
-
-    std::vector<int> assignment(trace.size(), 0);
-    for (std::size_t i : order) {
-        assignment[i] = router.route(
-            trace[i].arrival_ns, [this, &trace, i](int replica) {
-                return estimateFor(trace[i], replica);
-            });
-    }
-    return assignment;
-}
-
-ServingCluster::Progress
-ServingCluster::progress() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return progress_;
-}
-
-void
-ServingCluster::recordReplicaDone(const RunReport &report)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++progress_.replicas_finished;
-    progress_.requests_finished += report.num_requests;
-    progress_.tokens_served += report.prompt_tokens +
-                               report.decode_tokens;
-}
-
-ClusterExecution
-ServingCluster::resolvedExecution() const
-{
-    if (config_.execution != ClusterExecution::kAuto) {
-        return config_.execution;
-    }
-    // Past the core count, extra threads only add creation and
-    // context-switch overhead on top of the same serialized work.
-    const unsigned cores = std::thread::hardware_concurrency();
-    return engines_.size() > static_cast<std::size_t>(
-                                 cores > 0 ? cores : 1)
-               ? ClusterExecution::kEventLoop
-               : ClusterExecution::kThreads;
-}
-
-void
-ServingCluster::runThreads(std::vector<std::vector<Request>> &shares,
-                           ClusterReport &report)
-{
-    const std::size_t n = engines_.size();
-    // Failures are rethrown in replica order so the outcome does not
-    // depend on thread scheduling.
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<std::thread> workers;
-    workers.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        workers.emplace_back([this, r, &shares, &report, &errors] {
-            try {
-                report.replicas[r] =
-                    engines_[r]->run(std::move(shares[r]));
-                recordReplicaDone(report.replicas[r]);
-            } catch (...) {
-                errors[r] = std::current_exception();
-            }
-        });
-    }
-    for (std::thread &worker : workers) {
-        worker.join();
-    }
-    for (const std::exception_ptr &error : errors) {
-        if (error) {
-            std::rethrow_exception(error);
-        }
-    }
-}
-
-void
-ServingCluster::runEventLoop(
-    std::vector<std::vector<Request>> &shares, ClusterReport &report)
-{
-    const std::size_t n = engines_.size();
-    // Discrete-event coordination over the replicas' virtual clocks:
-    // the heap always surfaces the replica with the earliest pending
-    // event (arrival or runnable work). Replicas are independent, so
-    // this ordering is about efficiency — each pop lets the replica
-    // run ahead until the next other-replica event, batching many
-    // scheduling steps per heap operation — not about correctness;
-    // any interleaving yields the same per-replica reports.
-    sim::EventQueue<std::size_t> ready;
-    ready.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (shares[r].empty()) {
-            continue; // matches Engine::run on an empty trace
-        }
-        engines_[r]->beginRun(std::move(shares[r]));
-        ready.push(engines_[r]->nextEventNs(), r);
-    }
-    while (!ready.empty()) {
-        const std::size_t r = ready.pop();
-        Engine &engine = *engines_[r];
-        const TimeNs horizon =
-            ready.empty() ? sim::kNoEventNs : ready.nextTimeNs();
-        while (engine.runActive() && engine.nextEventNs() <= horizon) {
-            engine.stepRun();
-        }
-        if (engine.runActive()) {
-            ready.push(engine.nextEventNs(), r);
-            continue;
-        }
-        report.replicas[r] = engine.endRun();
-        recordReplicaDone(report.replicas[r]);
-    }
-}
-
 ClusterReport
 ServingCluster::run(std::vector<Request> trace)
 {
-    const std::size_t n = engines_.size();
-    {
-        // Thread-safe single-shot guard: engine virtual clocks carry
-        // across runs, which would shift every arrival into the past
-        // on a second trace — one cluster, one run.
-        std::lock_guard<std::mutex> lock(mutex_);
-        panic_if(run_started_,
-                 "ServingCluster::run is single-shot; construct a "
-                 "fresh cluster per trace");
-        run_started_ = true;
+    // Submit on the shared arrival timeline: time order, ties in trace
+    // order (the order the replicas' arrival queues pop them in).
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ns < b.arrival_ns;
+                     });
+    start(OnlineOptions{RoutingMode::kStatic, /*migration=*/false,
+                        /*expected_requests=*/trace.size()});
+    for (Request &request : trace) {
+        submit(std::move(request)).expectOk("ServingCluster::run submit");
     }
-    ClusterReport report;
-    report.replicas.resize(n);
-    report.assigned.assign(n, 0);
-
-    const std::vector<int> assignment = routeTrace(trace);
-    std::vector<std::vector<Request>> shares(n);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        shares[static_cast<std::size_t>(assignment[i])].push_back(
-            std::move(trace[i]));
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-        report.assigned[r] = static_cast<i64>(shares[r].size());
-    }
-
-    // Replicas are independent once routed, so both drivers produce
-    // the identical per-replica reports (pinned by the equivalence
-    // tests); the merge below is deterministic either way.
-    if (resolvedExecution() == ClusterExecution::kEventLoop) {
-        runEventLoop(shares, report);
-    } else {
-        runThreads(shares, report);
-    }
-
-    mergeReports(report);
-    return report;
+    return shutdown();
 }
 
 void
@@ -407,52 +246,11 @@ ServingCluster::mergeReports(ClusterReport &report)
 void
 ServingCluster::advanceAllTo(TimeNs horizon_ns)
 {
-    const std::size_t n = engines_.size();
-    const auto pump = [horizon_ns](Engine &engine) {
-        while (engine.runActive() &&
-               engine.nextEventNs() < horizon_ns) {
-            engine.stepRun();
-        }
-    };
-    // Replicas with no event before the horizon have nothing to do;
-    // skipping them keeps the threads mode from spawning workers for
-    // idle replicas on every submission.
-    std::vector<std::size_t> pending;
-    pending.reserve(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        if (engines_[r]->runActive() &&
-            engines_[r]->nextEventNs() < horizon_ns) {
-            pending.push_back(r);
-        }
-    }
-    if (pending.size() <= 1 ||
-        resolvedExecution() != ClusterExecution::kThreads) {
-        // Replicas are independent within the window, so sequential
-        // order is irrelevant (the event-loop mode and the one-worker
-        // degenerate case share this path).
-        for (const std::size_t r : pending) {
-            pump(*engines_[r]);
-        }
-        return;
-    }
-    std::vector<std::exception_ptr> errors(pending.size());
-    std::vector<std::thread> workers;
-    workers.reserve(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        workers.emplace_back([&, i] {
-            try {
-                pump(*engines_[pending[i]]);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    for (std::thread &worker : workers) {
-        worker.join();
-    }
-    for (const std::exception_ptr &error : errors) {
-        if (error) {
-            std::rethrow_exception(error);
+    // Replicas are independent within the window, so stepping them
+    // one after another is as good as any interleaving.
+    for (const auto &engine : engines_) {
+        while (engine->runActive() && engine->nextEventNs() < horizon_ns) {
+            engine->stepRun();
         }
     }
 }
@@ -529,10 +327,12 @@ void
 ServingCluster::start(const OnlineOptions &options)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    panic_if(run_started_,
+    // Engine virtual clocks carry across sessions, which would shift
+    // every arrival of a second one into the past: one cluster, one
+    // session.
+    panic_if(online_started_,
              "ServingCluster::start: the cluster already served a "
              "trace or session (single-shot; construct a fresh one)");
-    run_started_ = true;
     online_started_ = true;
     online_options_ = options;
     online_assigned_.assign(engines_.size(), 0);
@@ -614,10 +414,6 @@ ServingCluster::shutdown()
     for (std::size_t r = 0; r < n; ++r) {
         engines_[r]->closeOnline();
         report.replicas[r] = engines_[r]->endRun();
-        ++progress_.replicas_finished;
-        progress_.requests_finished += report.replicas[r].num_requests;
-        progress_.tokens_served += report.replicas[r].prompt_tokens +
-                                   report.replicas[r].decode_tokens;
     }
     mergeReports(report);
     return report;

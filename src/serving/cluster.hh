@@ -1,18 +1,16 @@
 /**
  * @file
  * Multi-replica serving: a ServingCluster owns N independently
- * configured Engine replicas behind a Router. Requests are routed up
- * front on the shared virtual arrival timeline (see router.hh), then
- * every replica simulates its share — either on its own std::thread
- * worker or cooperatively on one event-driven coordinator that always
- * steps the replica with the earliest pending virtual-time event
- * (ClusterExecution picks; the event loop wins once replicas
- * outnumber hardware threads). The per-replica RunReports merge —
- * iteration records k-way by timestamp, latency samples in replica
- * order — into one ClusterReport. The whole pipeline is
- * deterministic: the same configuration and trace produce an
- * identical merged report no matter which execution mode ran it or
- * how threads interleave.
+ * configured Engine replicas behind a Router. Requests arrive one at a
+ * time on the shared virtual timeline (start / submit / shutdown;
+ * run() is a wrapper that submits a whole trace): before each arrival
+ * is routed, every replica is stepped on one thread up to the arrival
+ * instant, so routing and migration see the cluster as it stands at
+ * that virtual time. The per-replica RunReports merge — iteration
+ * records k-way by timestamp, latency samples in replica order — into
+ * one ClusterReport. The whole pipeline is deterministic: the same
+ * configuration and submission sequence produce an identical merged
+ * report.
  */
 
 #ifndef VATTN_SERVING_CLUSTER_HH
@@ -31,18 +29,13 @@
 namespace vattn::serving
 {
 
-/** How a cluster run drives its replicas. */
+/** How a cluster drives its replicas. There is one driver; the enum
+ *  remains so reports can name it (ServingCluster::resolvedExecution). */
 enum class ClusterExecution : u8
 {
-    /** Event loop once replicas outnumber hardware threads (where
-     *  thread churn costs more than it buys), threads otherwise. */
-    kAuto,
-    /** One std::thread per replica (the historical behaviour). */
-    kThreads,
-    /** Single-threaded cooperative coordinator: repeatedly steps the
-     *  replica with the earliest next virtual-time event. No thread
-     *  creation, no context switches — the scalable path for
-     *  replica counts far beyond the core count. */
+    /** Single-threaded event loop: every replica is stepped up to each
+     *  arrival instant, then drained at shutdown. No thread creation,
+     *  no context switches, at any replica count. */
     kEventLoop,
 };
 
@@ -51,9 +44,9 @@ const char *toString(ClusterExecution mode);
 /** How the online serving path places each arrival on a replica. */
 enum class RoutingMode : u8
 {
-    /** The offline pre-pass policy (Config::policy) applied at
-     *  dispatch time, fed by the router's own estimate model — it
-     *  never observes the replicas. */
+    /** The configured policy (Config::policy) applied at dispatch
+     *  time, fed by the router's own estimate model — it never
+     *  observes the replicas. run() routes this way. */
     kStatic,
     /** Router::routeLive over each replica's actual state (queue
      *  depth, KV pressure, comm share, prefill debt) sampled at the
@@ -108,8 +101,6 @@ class ServingCluster
          *  backend, KV budget — "replica skew" scenarios). */
         std::vector<EngineConfig> replicas;
         RoutingPolicy policy = RoutingPolicy::kJoinShortestQueue;
-        /** Replica driver (identical reports either way). */
-        ClusterExecution execution = ClusterExecution::kAuto;
     };
 
     /** Convenience: @p n identical replicas of @p engine. */
@@ -118,14 +109,19 @@ class ServingCluster
 
     explicit ServingCluster(Config config);
 
-    /** Route @p trace across the replicas and serve it (threads or
-     *  event loop per the config). Single-shot: the replicas' virtual
+    /** Serve a whole trace: an online session with static routing
+     *  that submits every request in arrival order (ties in trace
+     *  order) and shuts down. Single-shot: the replicas' virtual
      *  clocks are consumed, so construct a fresh cluster per trace (a
      *  second call panics). */
     ClusterReport run(std::vector<Request> trace);
 
-    /** The driver run() will use (kAuto resolved). */
-    ClusterExecution resolvedExecution() const;
+    /** The replica driver (always the event loop; kept so reports can
+     *  name it). */
+    ClusterExecution resolvedExecution() const
+    {
+        return ClusterExecution::kEventLoop;
+    }
 
     // ---- Online serving (start / submit / shutdown) ------------------
     //
@@ -134,15 +130,12 @@ class ServingCluster
     // replica the moment it is submitted — after every replica has
     // simulated up to the arrival instant, so live routing and
     // migration decisions see the cluster as it actually stands at
-    // that virtual time. Deterministic like run(): the same submission
-    // sequence produces the same merged report in either execution
-    // mode (threads and event loop pump identical per-replica work
-    // between arrivals; replicas are independent within a window).
+    // that virtual time. Deterministic: the same submission sequence
+    // produces the same merged report, whichever threads submit it.
 
     /**
-     * Open an online session. Single-shot like run() (and mutually
-     * exclusive with it): a cluster serves one trace or one online
-     * session in its lifetime.
+     * Open an online session. Single-shot: a cluster serves one
+     * session (or one run(), which opens one) in its lifetime.
      */
     void start(const OnlineOptions &options = {}) EXCLUDES(mutex_);
 
@@ -162,77 +155,35 @@ class ServingCluster
      */
     ClusterReport shutdown() EXCLUDES(mutex_);
 
-    /**
-     * The deterministic routing pre-pass used by run(): the replica
-     * index chosen for each request of @p trace, in trace order.
-     * Exposed so tests and tools can inspect decisions without
-     * simulating.
-     */
-    std::vector<int> routeTrace(const std::vector<Request> &trace) const;
-
     int numReplicas() const { return static_cast<int>(engines_.size()); }
     Engine &replica(int i) { return *engines_[static_cast<std::size_t>(i)]; }
     const Config &config() const { return config_; }
-
-    /**
-     * Live cross-thread run progress, accumulated by the replica
-     * worker threads as each finishes its share. Integer sums only, so
-     * the totals are identical no matter which order the threads
-     * complete in; after run() returns they must equal the merged
-     * report's counts (the cross-layer audit checks this).
-     */
-    struct Progress
-    {
-        int replicas_finished = 0;
-        i64 requests_finished = 0;
-        i64 tokens_served = 0; ///< prompt + decode tokens
-    };
-
-    /** Snapshot of the shared progress accumulator. Safe to call from
-     *  any thread while run() executes on another. */
-    Progress progress() const EXCLUDES(mutex_);
 
   private:
     /** This request's footprint on @p replica's load model. */
     Router::Estimate estimateFor(const Request &request,
                                  int replica) const;
 
-    /** Worker-thread side of the accumulator. */
-    void recordReplicaDone(const RunReport &report) EXCLUDES(mutex_);
-
-    /** Simulate every replica's share, one std::thread each. */
-    void runThreads(std::vector<std::vector<Request>> &shares,
-                    ClusterReport &report);
-    /** Simulate every replica's share on one cooperative
-     *  event-driven coordinator (earliest virtual event first). */
-    void runEventLoop(std::vector<std::vector<Request>> &shares,
-                      ClusterReport &report);
-
     /** Step every replica until its next event is at or past
      *  @p horizon_ns (kNoEventNs drains them completely). Replicas
-     *  are independent within the window, so the threads and
-     *  event-loop modes produce identical per-replica state. */
+     *  are independent within the window, so the order they are
+     *  stepped in does not matter. */
     void advanceAllTo(TimeNs horizon_ns) REQUIRES(mutex_);
     /** One rebalance step at an arrival instant: migrate at most one
      *  request from the most- to the least-loaded replica when the
      *  gap warrants it (deterministic, pure function of live state). */
     void maybeMigrate() REQUIRES(mutex_);
-    /** Merge per-replica reports into report.merged + imbalance stats
-     *  (shared by run() and shutdown()). */
+    /** Merge per-replica reports into report.merged + imbalance stats. */
     static void mergeReports(ClusterReport &report);
 
     Config config_;
     std::vector<std::unique_ptr<Engine>> engines_;
 
-    /** Guards the cross-thread run state below: the single-shot flag
-     *  (run() may race itself from different threads), the merge
-     *  progress the worker threads write, and the whole online
-     *  session (submit serializes replica pumping behind it). */
-    mutable std::mutex mutex_;
-    bool run_started_ GUARDED_BY(mutex_) = false;
-    Progress progress_ GUARDED_BY(mutex_);
+    /** Guards the whole session: submit() may be called from any
+     *  thread and serializes replica pumping behind it. */
+    std::mutex mutex_;
 
-    // ---- Online-session state (all behind mutex_) --------------------
+    // ---- Session state (all behind mutex_) ---------------------------
     bool online_started_ GUARDED_BY(mutex_) = false;
     bool online_shutdown_ GUARDED_BY(mutex_) = false;
     OnlineOptions online_options_ GUARDED_BY(mutex_);

@@ -725,41 +725,6 @@ Engine::auditFinal() const
 }
 #endif
 
-void
-Engine::beginRun(std::vector<Request> trace)
-{
-    panic_if(runActive() || online_open_,
-             "beginRun while a run is active");
-#if VATTN_AUDIT
-    audit_last_state_.clear();
-    audit_iter_ = 0;
-#endif
-    trace_ = std::move(trace);
-    run_report_ = RunReport{};
-    run_total_ = trace_.size();
-    run_finished_ = 0;
-
-    // Feed the arrival event queue in trace order: the heap pops in
-    // (arrival_ns, push-order) order, which is exactly the historical
-    // stable_sort-by-arrival admission sequence.
-    arrivals_.clear();
-    arrivals_.reserve(trace_.size());
-    i64 total_new_tokens = 0;
-    for (Request &request : trace_) {
-        arrivals_.push(request.arrival_ns, &request);
-        total_new_tokens += request.max_new_tokens;
-    }
-
-    // Reserve every sample store for the whole run up front, so the
-    // per-iteration hot path adds samples without reallocating.
-    const std::size_t n = trace_.size();
-    run_report_.latency_s.reserve(n);
-    run_report_.ttft_s.reserve(n);
-    run_report_.normalized_latency_s.reserve(n);
-    run_report_.tbt_s.reserve(
-        static_cast<std::size_t>(std::max<i64>(total_new_tokens, 0)));
-}
-
 TimeNs
 Engine::nextEventNs() const
 {
@@ -840,7 +805,7 @@ Engine::endRun()
     last_submit_ns_ = 0;
     online_tbt_target_ = 0;
     if (run_total_ == 0) {
-        return RunReport{}; // run() never even starts the clock
+        return RunReport{}; // an empty session never starts the clock
     }
 #if VATTN_AUDIT
     auditFinal();
@@ -851,7 +816,6 @@ Engine::endRun()
     run_report_.prefix_copied_bytes = prefix_stats.copied_bytes;
     run_total_ = 0;
     run_finished_ = 0;
-    trace_.clear();
     return std::move(run_report_);
 }
 
@@ -864,7 +828,6 @@ Engine::beginOnline(std::size_t expected_requests)
     audit_last_state_.clear();
     audit_iter_ = 0;
 #endif
-    trace_.clear();
     owned_.clear();
     arrivals_.clear();
     run_report_ = RunReport{};
@@ -967,8 +930,7 @@ Engine::reserveOnlineSamples(const Request &request)
     // Per-request samples: one latency/TTFT/normalized each, up to
     // max_new_tokens TBT gaps. Growth is geometric (doubling), so the
     // amortized cost per submission is O(1) and stepRun's adds stay
-    // reallocation-free — the open-ended-session analogue of
-    // beginRun's whole-trace reservation.
+    // reallocation-free.
     const auto grow = [](Percentiles &samples, std::size_t target) {
         if (samples.capacity() < target) {
             // alloc-ok: geometric sample-store growth at submission
@@ -1069,10 +1031,17 @@ Engine::migrateSwappedTo(Engine &target)
 RunReport
 Engine::run(std::vector<Request> trace)
 {
-    if (trace.empty()) {
-        return RunReport{};
+    // Submit in time order, ties in trace order: the arrival queue then
+    // pops same-instant arrivals in trace order.
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ns < b.arrival_ns;
+                     });
+    beginOnline(trace.size());
+    for (Request &request : trace) {
+        submitOnline(std::move(request)).expectOk("Engine::run submit");
     }
-    beginRun(std::move(trace));
+    closeOnline();
     while (runActive()) {
         stepRun();
     }

@@ -143,21 +143,20 @@ class Engine
   public:
     explicit Engine(EngineConfig config);
 
-    /** Serve a whole trace (offline or online per arrival times). */
+    /** Serve a whole trace (offline or online per arrival times): a
+     *  thin wrapper that opens an online session, submits the trace in
+     *  arrival order (ties in trace order), closes it and steps the
+     *  engine until every request terminated. */
     RunReport run(std::vector<Request> trace);
 
-    // ---- Incremental run API (event-driven drivers) -------------------
+    // ---- Step API (event-driven drivers) ------------------------------
     //
-    // run() is a thin wrapper over these three calls, so both entry
-    // points execute the identical loop body: beginRun() feeds the
-    // trace into the arrival event queue, stepRun() performs exactly
-    // one scheduling step (pending admissions + one iteration, or an
-    // idle jump to the next arrival), endRun() finalizes the report.
-    // A cluster coordinator interleaves many replicas by repeatedly
-    // stepping whichever one has the earliest nextEventNs().
+    // Requests enter through an online session (below); stepRun()
+    // performs exactly one scheduling step (pending admissions + one
+    // iteration, or an idle jump to the next arrival) and endRun()
+    // finalizes the report. A cluster interleaves many replicas by
+    // stepping each one up to the next arrival instant.
 
-    /** Start an incremental run (the engine takes the trace). */
-    void beginRun(std::vector<Request> trace);
     /** Requests still in flight (stepRun may be called)? */
     bool runActive() const { return run_finished_ < run_total_; }
     /**
@@ -171,17 +170,17 @@ class Engine
     /** Finish the run and return the report. */
     RunReport endRun();
 
-    // ---- Online submission (streaming serving path) -------------------
+    // ---- Online submission (the one way requests enter) ---------------
     //
-    // The offline API hands over a whole trace up front; the online
-    // API feeds requests mid-flight: beginOnline() opens a session,
-    // submitOnline() adds one request (arrival times must be
-    // non-decreasing — the driver dispatches arrivals in virtual-time
-    // order), closeOnline() ends the stream. The session is driven by
-    // the same nextEventNs()/stepRun() loop and finalized by endRun()
-    // once every submitted request terminated. Terminal requests are
-    // garbage-collected off the front of the ownership deque, so live
-    // memory is bounded by the in-flight set, not the session length.
+    // beginOnline() opens a session, submitOnline() adds one request
+    // (arrival times must be non-decreasing — the driver dispatches
+    // arrivals in virtual-time order), closeOnline() ends the stream.
+    // Requests may be submitted mid-flight, between steps. The session
+    // is driven by the nextEventNs()/stepRun() loop above and finalized
+    // by endRun() once every submitted request terminated. Terminal
+    // requests are garbage-collected off the front of the ownership
+    // deque, so live memory is bounded by the in-flight set, not the
+    // session length.
 
     /** Open an online session. @p expected_requests pre-sizes the
      *  report's sample stores (0 = grow on demand). */
@@ -325,8 +324,7 @@ class Engine
     /** Pop terminal requests off the front of the ownership deque. */
     void gcOnline();
     /** Grow the report's sample stores geometrically at submission
-     *  time so stepRun's sample adds never reallocate (the online
-     *  analogue of beginRun's whole-trace reservation). */
+     *  time so stepRun's sample adds never reallocate. */
     void reserveOnlineSamples(const Request &request);
     /** Take ownership of a migrated-in request and queue it. */
     void adoptMigrant(Request request, bool swapped);
@@ -369,8 +367,7 @@ class Engine
     std::vector<Request *> running_; ///< admission order
     i64 block_size_ = 0;             ///< paged back-ends only
 
-    // ---- Incremental-run state (beginRun/stepRun/endRun) -------------
-    std::vector<Request> trace_; ///< requests owned for the active run
+    // ---- Run state (stepRun/endRun) ----------------------------------
     sim::EventQueue<Request *> arrivals_;
     RunReport run_report_;
     std::size_t run_total_ = 0;

@@ -2,16 +2,15 @@
  * @file
  * Discrete-event scaffolding over the virtual TimeNs timeline: a
  * deterministic binary min-heap of timestamped events. This is the
- * core of the event-driven simulation paths — the engine schedules
- * request arrivals on it, and the cluster's event-loop driver steps
- * whichever replica has the earliest next event instead of burning one
- * std::thread per replica.
+ * core of the event-driven simulation path — the engine schedules
+ * request arrivals on it, and an idle engine jumps its virtual clock
+ * straight to the next one instead of spinning.
  *
  * Determinism contract: events pop in non-decreasing time order, and
  * events carrying the same timestamp pop in push (FIFO) order. That
  * makes every consumer reproducible: the engine admits same-instant
- * arrivals in trace order (exactly what the historical stable_sort
- * did), and the cluster coordinator breaks replica ties by push order.
+ * arrivals in submission order (exactly what a stable sort by arrival
+ * time gives).
  */
 
 #ifndef VATTN_SIM_EVENT_QUEUE_HH

@@ -1,21 +1,21 @@
 /**
  * @file
- * Execution-mode equivalence: the event-driven paths must reproduce
- * the historical drivers bit for bit.
+ * Event-driven equivalence: the single-threaded cluster driver and the
+ * engine step API must reproduce a standalone Engine::run bit for bit.
  *
- *  - ServingCluster under ClusterExecution::kEventLoop vs kThreads on
- *    a Figure-10-style online trace: identical merged and per-replica
- *    reports, down to the full latency sample vectors and the
- *    timestamp-merged iteration records.
- *  - Engine::beginRun/stepRun/endRun driven externally vs run() on a
- *    sparse-arrival trace: identical RunReport, identical iteration
- *    records, and the idle steps jump the clock instead of spinning.
+ *  - Each replica of a round-robin cluster reports exactly what a
+ *    standalone engine serving the same share reports, down to the
+ *    full latency sample vectors and the iteration records, although
+ *    the cluster steps its replicas interleaved between arrivals.
+ *  - An online session stepped externally (nextEventNs/stepRun) vs
+ *    run() on a sparse-arrival trace: identical RunReport, identical
+ *    iteration records, and the idle steps jump the clock instead of
+ *    spinning.
  *  - The k-way iteration merge is pinned against its specification,
  *    a stable sort of the concatenated per-replica streams.
  */
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,75 +112,44 @@ onlineTrace(int n)
 }
 
 ClusterReport
-runCluster(ClusterExecution execution, const std::vector<Request> &trace)
+runCluster(const std::vector<Request> &trace)
 {
-    auto config = ServingCluster::uniform(
-        replicaConfig(), 3, RoutingPolicy::kJoinShortestQueue);
-    config.execution = execution;
-    ServingCluster cluster(std::move(config));
-    EXPECT_EQ(cluster.resolvedExecution(), execution);
+    ServingCluster cluster(ServingCluster::uniform(
+        replicaConfig(), 3, RoutingPolicy::kJoinShortestQueue));
     return cluster.run(trace);
-}
-
-TEST(EventLoopEquivalence, ClusterEventLoopMatchesThreadsBitForBit)
-{
-    const auto trace = onlineTrace(18);
-    const auto threads = runCluster(ClusterExecution::kThreads, trace);
-    const auto events = runCluster(ClusterExecution::kEventLoop, trace);
-
-    ASSERT_EQ(threads.replicas.size(), events.replicas.size());
-    for (std::size_t r = 0; r < threads.replicas.size(); ++r) {
-        expectSameReport(threads.replicas[r], events.replicas[r]);
-    }
-    expectSameReport(threads.merged, events.merged);
-    EXPECT_EQ(threads.assigned, events.assigned);
-    EXPECT_DOUBLE_EQ(threads.request_imbalance, events.request_imbalance);
-    EXPECT_DOUBLE_EQ(threads.token_imbalance, events.token_imbalance);
-    EXPECT_DOUBLE_EQ(threads.busy_imbalance, events.busy_imbalance);
-    EXPECT_DOUBLE_EQ(threads.jain_fairness, events.jain_fairness);
 }
 
 TEST(EventLoopEquivalence, ClusterEquivalenceUnderPrefillPrioritized)
 {
-    // The other composer policy exercises monolithic prefill
-    // iterations and different preemption timing.
-    auto trace = onlineTrace(12);
-    ClusterReport reports[2];
-    const ClusterExecution modes[] = {ClusterExecution::kThreads,
-                                      ClusterExecution::kEventLoop};
-    for (int i = 0; i < 2; ++i) {
-        auto config = ServingCluster::uniform(
-            replicaConfig(SchedulingMode::kPrefillPrioritized), 2,
-            RoutingPolicy::kRoundRobin);
-        config.execution = modes[i];
-        ServingCluster cluster(std::move(config));
-        reports[i] = cluster.run(trace);
+    // The cluster steps its replicas interleaved, up to each arrival
+    // instant; replicas are independent, so each must end exactly
+    // where a standalone engine serving the same share ends. The
+    // prefill-prioritized composer exercises monolithic prefill
+    // iterations and preemption timing.
+    const auto trace = onlineTrace(12);
+    const auto config = replicaConfig(SchedulingMode::kPrefillPrioritized);
+    ServingCluster cluster(
+        ServingCluster::uniform(config, 2, RoutingPolicy::kRoundRobin));
+    EXPECT_EQ(cluster.resolvedExecution(), ClusterExecution::kEventLoop);
+    EXPECT_STREQ(toString(cluster.resolvedExecution()), "event_loop");
+    const auto report = cluster.run(trace);
+
+    // Round-robin deals the arrival-ordered trace out alternately.
+    std::vector<Request> sorted = trace;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ns < b.arrival_ns;
+                     });
+    std::vector<Request> shares[2];
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        shares[i % 2].push_back(sorted[i]);
     }
-    expectSameReport(reports[0].merged, reports[1].merged);
-}
-
-TEST(EventLoopEquivalence, AutoResolvesByCoreCount)
-{
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    auto config = ServingCluster::uniform(
-        replicaConfig(), 2, RoutingPolicy::kRoundRobin);
-    ServingCluster small(std::move(config));
-    EXPECT_EQ(small.resolvedExecution(),
-              2 > cores ? ClusterExecution::kEventLoop
-                        : ClusterExecution::kThreads);
-
-    // More replicas than any host has cores: must pick the event loop
-    // (this is the regime the coordinator exists for).
-    auto big_config = ServingCluster::uniform(
-        replicaConfig(), static_cast<int>(cores) + 1,
-        RoutingPolicy::kRoundRobin);
-    ServingCluster big(std::move(big_config));
-    EXPECT_EQ(big.resolvedExecution(), ClusterExecution::kEventLoop);
-
-    EXPECT_STREQ(toString(ClusterExecution::kAuto), "auto");
-    EXPECT_STREQ(toString(ClusterExecution::kThreads), "threads");
-    EXPECT_STREQ(toString(ClusterExecution::kEventLoop), "event_loop");
+    ASSERT_EQ(report.replicas.size(), 2u);
+    for (std::size_t r = 0; r < 2; ++r) {
+        Engine standalone(config);
+        expectSameReport(report.replicas[r],
+                         standalone.run(std::move(shares[r])));
+    }
 }
 
 TEST(EventLoopEquivalence, MergedIterationsMatchStableSortSpec)
@@ -188,8 +157,7 @@ TEST(EventLoopEquivalence, MergedIterationsMatchStableSortSpec)
     // Pin the k-way merge against its specification: a stable sort of
     // the concatenated per-replica streams by start time, replicas in
     // index order. Any tie-break change shows up here.
-    const auto report =
-        runCluster(ClusterExecution::kEventLoop, onlineTrace(18));
+    const auto report = runCluster(onlineTrace(18));
     std::vector<std::pair<std::size_t, const IterationRecord *>> spec;
     for (std::size_t r = 0; r < report.replicas.size(); ++r) {
         for (const auto &record : report.replicas[r].iterations) {
@@ -213,6 +181,18 @@ TEST(EventLoopEquivalence, MergedIterationsMatchStableSortSpec)
 
 // ---- Engine step API ------------------------------------------------
 
+/** Open an online session on @p engine, submit @p trace (time-ordered)
+ *  and close it: the engine is then ready to be stepped. */
+void
+submitAll(Engine &engine, const std::vector<Request> &trace)
+{
+    engine.beginOnline(trace.size());
+    for (const Request &request : trace) {
+        ASSERT_TRUE(engine.submitOnline(request).isOk());
+    }
+    engine.closeOnline();
+}
+
 /** Sparse arrivals: long idle gaps between chat requests, the trace
  *  shape where the idle-skip path does all the work. */
 std::vector<Request>
@@ -232,7 +212,7 @@ TEST(EventLoopEquivalence, StepApiMatchesRunOnSparseTrace)
 
     Engine stepped(replicaConfig());
     EXPECT_EQ(stepped.nextEventNs(), sim::kNoEventNs); // no active run
-    stepped.beginRun(trace);
+    submitAll(stepped, trace);
     while (stepped.runActive()) {
         // The engine's next event never precedes its clock, and while
         // active it is always a real timestamp.
@@ -257,7 +237,7 @@ TEST(EventLoopEquivalence, IdleEngineJumpsToNextArrival)
     trace[0].arrival_ns = 0;
     trace[1].arrival_ns = kHourNs; // an hour of virtual time later
     Engine engine(replicaConfig());
-    engine.beginRun(std::move(trace));
+    submitAll(engine, trace);
 
     // Serve the first request to completion.
     while (engine.runActive() &&
@@ -284,19 +264,21 @@ TEST(EventLoopEquivalence, StepApiGuardsMisuse)
     Engine engine(replicaConfig());
     EXPECT_THROW(engine.stepRun(), SimError); // no active run
 
-    engine.beginRun(sparseTrace(4));
-    EXPECT_THROW(engine.beginRun(sparseTrace(4)), SimError); // nested
-    EXPECT_THROW(engine.endRun(), SimError); // requests in flight
+    submitAll(engine, sparseTrace(4));
+    EXPECT_THROW(engine.beginOnline(), SimError); // nested
+    EXPECT_THROW(engine.endRun(), SimError);      // requests in flight
     while (engine.runActive()) {
         engine.stepRun();
     }
     EXPECT_EQ(engine.endRun().num_requests, 4);
 
-    // A drained engine reports no pending events and an empty begin/
-    // end cycle yields the zero report.
+    // A session must be closed before it is finalized, and an empty
+    // one yields the zero report.
     Engine fresh(replicaConfig());
-    fresh.beginRun({});
+    fresh.beginOnline();
     EXPECT_FALSE(fresh.runActive());
+    EXPECT_THROW(fresh.endRun(), SimError); // session still open
+    fresh.closeOnline();
     EXPECT_EQ(fresh.endRun().num_requests, 0);
 }
 

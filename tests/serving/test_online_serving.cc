@@ -4,12 +4,14 @@
  * live engine, per-token streaming callbacks, SLO accounting and
  * deadline-aware shedding, the Router's live-state scoring, and the
  * ServingCluster start/submit/shutdown session — including its
- * equivalence with the offline run() driver and across execution
- * modes.
+ * equivalence with the offline run() wrapper, its determinism under
+ * live routing with migration, and submission from several threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "serving/cluster.hh"
@@ -414,18 +416,16 @@ TEST(RouterLiveTest, ScoreOrderingMatchesLoadOrdering)
 // ---- Cluster session ------------------------------------------------
 
 ServingCluster::Config
-clusterConfig(ClusterExecution execution)
+clusterConfig()
 {
-    auto config = ServingCluster::uniform(
+    return ServingCluster::uniform(
         onlineConfig(perf::BackendKind::kFa2VAttention), 3,
         RoutingPolicy::kJoinShortestQueue);
-    config.execution = execution;
-    return config;
 }
 
 TEST(ClusterOnlineTest, SubmitBeforeStartReportsError)
 {
-    ServingCluster cluster(clusterConfig(ClusterExecution::kEventLoop));
+    ServingCluster cluster(clusterConfig());
     Request request;
     request.prompt_tokens = 16;
     request.max_new_tokens = 2;
@@ -443,7 +443,7 @@ TEST(ClusterOnlineTest, SubmitBeforeStartReportsError)
 
 TEST(ClusterOnlineTest, SubmitAfterShutdownReportsError)
 {
-    ServingCluster cluster(clusterConfig(ClusterExecution::kEventLoop));
+    ServingCluster cluster(clusterConfig());
     Request request;
     request.prompt_tokens = 16;
     request.max_new_tokens = 2;
@@ -460,7 +460,7 @@ TEST(ClusterOnlineTest, SubmitAfterShutdownReportsError)
 
 TEST(ClusterOnlineTest, OutOfOrderSubmissionIsInvalid)
 {
-    ServingCluster cluster(clusterConfig(ClusterExecution::kEventLoop));
+    ServingCluster cluster(clusterConfig());
     cluster.start();
     Request request;
     request.prompt_tokens = 16;
@@ -476,10 +476,10 @@ TEST(ClusterOnlineTest, OutOfOrderSubmissionIsInvalid)
 TEST(ClusterOnlineTest, StaticRoutingMatchesRunBitForBit)
 {
     auto trace = onlineTrace(24);
-    ServingCluster offline(clusterConfig(ClusterExecution::kEventLoop));
+    ServingCluster offline(clusterConfig());
     auto offline_report = offline.run(trace);
 
-    ServingCluster online(clusterConfig(ClusterExecution::kEventLoop));
+    ServingCluster online(clusterConfig());
     OnlineOptions options;
     options.routing = RoutingMode::kStatic;
     options.expected_requests = trace.size();
@@ -499,19 +499,19 @@ TEST(ClusterOnlineTest, StaticRoutingMatchesRunBitForBit)
                      online_report.jain_fairness);
 }
 
-TEST(ClusterOnlineTest, ThreadsAndEventLoopAgreeBitForBit)
+TEST(ClusterOnlineTest, LiveMigrationSessionIsDeterministic)
 {
-    // The execution-mode equivalence the offline driver guarantees
-    // extends to the online session with live routing and migration:
-    // same goodput, bit-identical merged iteration stream.
+    // Live routing and migration decide from replica state sampled at
+    // each arrival instant; the same submission sequence must still
+    // produce the same goodput and a bit-identical merged report.
     auto trace = skewedTenantOnlineTrace(40);
     for (auto &request : trace) {
         request.ttft_deadline_ns = 2'000'000'000;
         request.tbt_deadline_ns = 500'000'000;
     }
 
-    auto runMode = [&](ClusterExecution execution) {
-        ServingCluster cluster(clusterConfig(execution));
+    auto runSession = [&] {
+        ServingCluster cluster(clusterConfig());
         OnlineOptions options;
         options.routing = RoutingMode::kLive;
         options.migration = true;
@@ -523,16 +523,56 @@ TEST(ClusterOnlineTest, ThreadsAndEventLoopAgreeBitForBit)
         return cluster.shutdown();
     };
 
-    auto threads = runMode(ClusterExecution::kThreads);
-    auto event_loop = runMode(ClusterExecution::kEventLoop);
+    auto first = runSession();
+    auto second = runSession();
 
-    EXPECT_DOUBLE_EQ(threads.merged.goodput(),
-                     event_loop.merged.goodput());
-    ASSERT_EQ(threads.assigned, event_loop.assigned);
-    expectSameReport(threads.merged, event_loop.merged);
-    for (std::size_t i = 0; i < threads.replicas.size(); ++i) {
-        expectSameReport(threads.replicas[i], event_loop.replicas[i]);
+    EXPECT_DOUBLE_EQ(first.merged.goodput(), second.merged.goodput());
+    ASSERT_EQ(first.assigned, second.assigned);
+    expectSameReport(first.merged, second.merged);
+    for (std::size_t i = 0; i < first.replicas.size(); ++i) {
+        expectSameReport(first.replicas[i], second.replicas[i]);
     }
+}
+
+TEST(ClusterOnlineTest, ConcurrentSubmitIsSerialized)
+{
+    // submit() is the one cross-thread edge of the cluster: two client
+    // threads race their submissions (equal arrival times, so any
+    // interleaving is time-ordered) and every one must land exactly
+    // once. A data-race probe under the TSan preset.
+    constexpr int kPerThread = 24;
+    ServingCluster cluster(clusterConfig());
+    cluster.start();
+
+    std::vector<Status> statuses[2];
+    auto client = [&cluster](u64 first_id, std::vector<Status> &out) {
+        for (int i = 0; i < kPerThread; ++i) {
+            Request request;
+            request.id = first_id + static_cast<u64>(i);
+            request.prompt_tokens = 16;
+            request.max_new_tokens = 2;
+            request.arrival_ns = 1000;
+            out.push_back(cluster.submit(request));
+        }
+    };
+    std::thread a(client, 0, std::ref(statuses[0]));
+    std::thread b(client, kPerThread, std::ref(statuses[1]));
+    a.join();
+    b.join();
+
+    for (const auto &thread_statuses : statuses) {
+        ASSERT_EQ(thread_statuses.size(), std::size_t{kPerThread});
+        for (const Status &status : thread_statuses) {
+            EXPECT_TRUE(status.isOk()) << status.message();
+        }
+    }
+    const auto report = cluster.shutdown();
+    EXPECT_EQ(report.merged.num_requests, 2 * kPerThread);
+    i64 assigned = 0;
+    for (const i64 count : report.assigned) {
+        assigned += count;
+    }
+    EXPECT_EQ(assigned, 2 * kPerThread);
 }
 
 } // namespace

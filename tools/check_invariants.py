@@ -31,7 +31,11 @@ Machine-checks the conventions the simulator's correctness leans on:
                 naming why it is off the per-iteration path. The
                 allocation-regression tests enforce the steady state
                 at runtime; the annotation keeps new call sites
-                deliberate at review time.
+                deliberate at review time. src/serving/ and src/sim/
+                never create threads (`std::thread`/`std::jthread`):
+                replicas run on the one single-threaded event loop,
+                and core::BackgroundWorker is the only thread owner in
+                src/.
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -106,6 +110,11 @@ NAKED_NEW_RE = re.compile(r"\bnew\b\s*(?:\(|[A-Za-z_:])")
 # over on the virtual clock).
 THIS_THREAD_RE = re.compile(r"std::this_thread")
 
+# Thread creation in the serving and simulation layers: every replica
+# is stepped on the caller's thread (ServingCluster's event loop), so
+# a worker thread there is a second driver creeping back in.
+THREAD_RE = re.compile(r"\bstd::j?thread\b")
+
 # Heap allocation in the serving layer: fine at construction, a perf
 # bug inside the per-iteration hot path. Call sites declare which with
 # an `alloc-ok` comment.
@@ -135,6 +144,7 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     problems: list[str] = []
     raw_lines = raw.splitlines()
     in_serving = rel.parts[:2] == ("src", "serving")
+    threadless = in_serving or rel.parts[:2] == ("src", "sim")
 
     for lineno, line in enumerate(code.splitlines(), start=1):
         where = f"{rel}:{lineno}"
@@ -202,6 +212,12 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                 f"{where}: std::this_thread in simulation code —"
                 " never wait on the wall clock; jump virtual time on"
                 " the event queue instead"
+            )
+        if threadless and THREAD_RE.search(line):
+            problems.append(
+                f"{where}: std::thread in src/{rel.parts[1]}/ — replicas"
+                " are stepped on the single-threaded event loop; only"
+                " core::BackgroundWorker owns threads"
             )
         if in_serving and ALLOC_CALL_RE.search(line):
             annotated = any(
