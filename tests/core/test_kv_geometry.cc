@@ -94,6 +94,17 @@ struct Table8Case
     i64 expect_tokens;
 };
 
+/**
+ * Print a case by its fields. Without this gtest dumps the raw bytes,
+ * which hold the address of `model` and padding, so the test names that
+ * ctest derives from the printed value differ from build to build.
+ */
+void
+PrintTo(const Table8Case &c, std::ostream *os)
+{
+    *os << c.model << " TP-" << c.tp << " " << toString(c.group);
+}
+
 class Table8Test : public ::testing::TestWithParam<Table8Case>
 {
 };
