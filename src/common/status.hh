@@ -109,6 +109,13 @@ class Result
         return isOk() ? *value_ : std::move(fallback);
     }
 
+    /** Same error code and, when OK, equal values. */
+    bool
+    operator==(const Result &o) const
+    {
+        return code() == o.code() && (!isOk() || *value_ == *o.value_);
+    }
+
   private:
     std::optional<T> value_;
     Status status_;

@@ -34,17 +34,6 @@ Config::layerSpec(int layer) const
 }
 
 bool
-Config::hasWindowLayers() const
-{
-    for (const LayerKvSpec &spec : layers) {
-        if (spec.kind == AttentionKind::kSlidingWindow) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 Config::uniformLayers() const
 {
     for (const LayerKvSpec &spec : layers) {

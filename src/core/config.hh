@@ -114,9 +114,6 @@ struct Config
      *  the global scalars, uniform default when layers is empty. */
     LayerKvSpec layerSpec(int layer) const;
 
-    /** Any sliding-window layer present? */
-    bool hasWindowLayers() const;
-
     /** Every layer full-attention with the global shape (the
      *  historical uniform model)? */
     bool uniformLayers() const;

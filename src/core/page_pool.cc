@@ -105,19 +105,6 @@ PagePool::acquire()
     return handle;
 }
 
-i64
-PagePool::sharedExtraRefs() const
-{
-    i64 extra = 0;
-    for (const auto &[handle, count] : refs_) {
-        (void)handle;
-        if (count > 0) {
-            extra += count - 1;
-        }
-    }
-    return extra;
-}
-
 void
 PagePool::auditInto(audit::AuditReport &report) const
 {

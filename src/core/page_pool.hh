@@ -92,9 +92,6 @@ class PagePool
     i64 totalGroups() const { return total_groups_; }
     /** Device handles created so far (== free + in-use). */
     i64 createdGroups() const { return created_; }
-    /** References beyond the first across all handed-out handles
-     *  (each one corresponds to an aliased mapping, §8.1). */
-    i64 sharedExtraRefs() const;
 
     /**
      * Self-audit: handle conservation (free + in-use == created <=

@@ -521,27 +521,6 @@ VAttention::stealOneCachedGroup()
 }
 
 Status
-VAttention::ensureGroups(int slot, i64 target, i64 *stolen)
-{
-    while (true) {
-        auto status = allocator_.growTo(slot, target);
-        if (status.isOk()) {
-            return status;
-        }
-        if (status.code() != ErrorCode::kOutOfMemory) {
-            return status;
-        }
-        const i64 freed = stealOneCachedGroup();
-        if (freed == 0) {
-            return status; // genuinely out of memory
-        }
-        if (stolen) {
-            *stolen += freed;
-        }
-    }
-}
-
-Status
 VAttention::ensureTokensSteal(int slot, i64 tokens, i64 *stolen)
 {
     while (true) {

@@ -46,6 +46,8 @@ struct StepStats
     i64 handles_mapped = 0; ///< page-groups mapped synchronously
     i64 handles_stolen = 0; ///< groups reclaimed from cached slots
     TimeNs critical_ns = 0; ///< driver latency on the critical path
+
+    bool operator==(const StepStats &) const = default;
 };
 
 /** Outcome of one swapOutReq / swapInReq call. */
@@ -55,6 +57,8 @@ struct SwapStats
     i64 handles = 0;        ///< page-group copies performed (all buffers)
     u64 bytes = 0;          ///< KV bytes moved over PCIe
     TimeNs critical_ns = 0; ///< copy + map/unmap latency (synchronous)
+
+    bool operator==(const SwapStats &) const = default;
 };
 
 /** Lifetime counters for the ablation studies. */
@@ -233,6 +237,8 @@ class VAttention
         i64 groups = 0;                ///< device group frontier
         i64 handles = 0;               ///< Σ buffer_sizes
         u64 bytes = 0;                 ///< handles * groupBytes
+
+        bool operator==(const HostKvImage &) const = default;
     };
 
     /** Detach @p req_id's stash (the slot must be swapped out) and
@@ -319,10 +325,6 @@ class VAttention
     }
 
   private:
-    /** Grow @p slot to @p target groups, stealing cached groups on
-     *  pool exhaustion. */
-    Status ensureGroups(int slot, i64 target, i64 *stolen);
-
     /** Bring @p slot to the canonical layout for @p tokens (window
      *  trims + growth), stealing cached groups on pool exhaustion. */
     Status ensureTokensSteal(int slot, i64 tokens, i64 *stolen);

@@ -6,7 +6,9 @@
  * workers behave the same" — this class makes that property explicit
  * and checkable: because every control input (reqIds, sequence
  * lengths, windows) is identical and the runtime is deterministic,
- * workers must remain in identical states; the group verifies it.
+ * workers must remain in identical states. Every mutation goes through
+ * Lockstep<Worker> (common/lockstep.hh), which panics on a diverging
+ * result; auditInto() checks the resulting states.
  *
  * Workers allocate physical memory in parallel, so the group's
  * aggregate allocation bandwidth scales with TP (Table 9) while the
@@ -19,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/lockstep.hh"
 #include "core/vattention.hh"
 #include "cuvmm/driver.hh"
 #include "gpu/device.hh"
@@ -39,7 +42,7 @@ class WorkerGroup
     WorkerGroup(int num_workers, const Config &config,
                 u64 device_mem_bytes);
 
-    int numWorkers() const { return static_cast<int>(workers_.size()); }
+    int numWorkers() const { return workers_.size(); }
     VAttention &worker(int index);
     const VAttention &worker(int index) const;
     cuvmm::Driver &driver(int index);
@@ -68,19 +71,28 @@ class WorkerGroup
     // Lockstep makes every worker's answer identical by construction;
     // auditInto verifies that construction, so reads stay O(1) in TP.
 
-    bool canAllocate(i64 prompt_tokens) const;
-    PrefixHit matchPrefix(const PrefixQuery &query) const;
-    TimeNs lastPrefixAllocNs() const;
-    bool canSwapOut(int req_id) const;
-    bool canSwapIn(int req_id) const;
-    u64 hostSwapBudgetBytes() const;
-    const KvGeometry &geometry() const;
-    const RuntimeStats &stats() const;
+    bool canAllocate(i64 prompt_tokens) const
+    {
+        return lead().canAllocate(prompt_tokens);
+    }
+    PrefixHit matchPrefix(const PrefixQuery &query) const
+    {
+        return lead().matchPrefix(query);
+    }
+    TimeNs lastPrefixAllocNs() const { return lead().lastPrefixAllocNs(); }
+    bool canSwapOut(int req_id) const { return lead().canSwapOut(req_id); }
+    bool canSwapIn(int req_id) const { return lead().canSwapIn(req_id); }
+    u64 hostSwapBudgetBytes() const { return lead().hostSwapBudgetBytes(); }
+    const KvGeometry &geometry() const { return lead().geometry(); }
+    const RuntimeStats &stats() const { return lead().stats(); }
     /** Physical KV bytes mapped on ONE worker (each worker holds a
      *  1/tp shard; see physBytesMappedTotal for the group sum). */
-    u64 physBytesMappedPerWorker() const;
-    u64 budgetBytesPerWorker() const;
-    i64 mappedHandles(int req_id) const;
+    u64 physBytesMappedPerWorker() const { return lead().physBytesMapped(); }
+    u64 budgetBytesPerWorker() const { return lead().budgetBytes(); }
+    i64 mappedHandles(int req_id) const
+    {
+        return lead().mappedHandles(req_id);
+    }
 
     /**
      * Step every worker with the same lengths. The returned stats are
@@ -112,7 +124,10 @@ class WorkerGroup
     Result<VAttention::HostKvImage> exportSwapped(int req_id);
 
     /** Could every worker import an image of @p handles page-groups? */
-    bool canImportSwapped(i64 handles) const;
+    bool canImportSwapped(i64 handles) const
+    {
+        return lead().canImportSwapped(handles);
+    }
 
     /** Adopt the image into the same fresh reqId on every worker. */
     Result<int> importSwapped(const VAttention::HostKvImage &image);
@@ -123,10 +138,12 @@ class WorkerGroup
     /**
      * Are all workers in identical states (slot states, group counts,
      * pool levels)? True by construction; a false return indicates a
-     * determinism bug.
+     * determinism bug. The cross-worker half of auditInto, reporting
+     * nothing.
      */
     bool inLockstep() const;
 
+    /** auditInto reports nothing. */
     bool checkInvariants() const;
 
     /**
@@ -147,7 +164,13 @@ class WorkerGroup
         std::unique_ptr<VAttention> runtime;
     };
 
-    std::vector<Worker> workers_;
+    const VAttention &lead() const { return *workers_.lead().runtime; }
+    static std::vector<Worker> makeWorkers(int num_workers,
+                                           const Config &config,
+                                           u64 device_mem_bytes);
+    void auditLockstepInto(audit::AuditReport &report) const;
+
+    Lockstep<Worker> workers_;
 };
 
 } // namespace vattn::core

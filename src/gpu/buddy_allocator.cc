@@ -155,16 +155,6 @@ BuddyAllocator::largestFreeBlock() const
     return 0;
 }
 
-std::size_t
-BuddyAllocator::freeBlocksOfSize(u64 size) const
-{
-    const unsigned order = log2Exact(std::max(size, min_block_) / min_block_);
-    if (order >= num_orders_) {
-        return 0;
-    }
-    return free_lists_[order].size();
-}
-
 bool
 BuddyAllocator::checkInvariants() const
 {

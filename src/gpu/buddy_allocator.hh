@@ -48,9 +48,6 @@ class BuddyAllocator
     /** Largest block that could currently be allocated. */
     u64 largestFreeBlock() const;
 
-    /** Number of free blocks at the order holding @p size blocks. */
-    std::size_t freeBlocksOfSize(u64 size) const;
-
     u64 minBlock() const { return min_block_; }
     u64 maxBlock() const { return max_block_; }
 

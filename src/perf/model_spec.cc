@@ -48,15 +48,6 @@ ModelSpec::gpt3_175B()
     };
 }
 
-const std::vector<ModelSpec> &
-ModelSpec::evaluationModels()
-{
-    static const std::vector<ModelSpec> models = {
-        yi6B(), llama3_8B(), yi34B(),
-    };
-    return models;
-}
-
 ModelSpec
 ModelSpec::withSlidingWindowInterleave(i64 window_tokens,
                                        int period) const

@@ -36,9 +36,10 @@ struct ModelSpec
      * Empty means every layer is full attention — the Table-5 models.
      * Mistral/Gemma-style architectures interleave full and
      * sliding-window layers; the memory manager and roofline model
-     * both consult this list.
+     * both consult this list. (The empty default initializer lets the
+     * presets' aggregate initializers omit it warning-free.)
      */
-    std::vector<i64> layer_window_tokens;
+    std::vector<i64> layer_window_tokens{};
 
     // ---- Presets (Table 5) -------------------------------------------
     static ModelSpec yi6B();      ///< 32L, 32Q/4KV heads, 200K ctx
@@ -47,8 +48,6 @@ struct ModelSpec
     /** Large models referenced by the §7.6.3 page-size study. */
     static ModelSpec llama3_70B();
     static ModelSpec gpt3_175B();
-
-    static const std::vector<ModelSpec> &evaluationModels();
 
     /**
      * Copy of this spec with a Mistral-style attention interleave:

@@ -14,17 +14,6 @@ PcieSpec::gen4x16()
     };
 }
 
-PcieSpec
-PcieSpec::gen5x16()
-{
-    return PcieSpec{
-        "PCIe5.0-x16",
-        52e9,
-        48e9,
-        8 * kUsec,
-    };
-}
-
 namespace
 {
 

@@ -34,8 +34,6 @@ struct PcieSpec
 
     /** PCIe 4.0 x16 (the A100 platform, ~26/24 GB/s effective). */
     static PcieSpec gen4x16();
-    /** PCIe 5.0 x16 (the H100 platform, ~52/48 GB/s effective). */
-    static PcieSpec gen5x16();
 
     /** Device -> host copy time for @p bytes. */
     TimeNs dtohNs(u64 bytes) const;

@@ -989,8 +989,7 @@ Engine::migrateQueuedTo(Engine &target)
 bool
 Engine::migrateSwappedTo(Engine &target)
 {
-    if (!backend_->supportsKvExport() ||
-        !target.backend_->supportsKvExport()) {
+    if (!backend_->hasHostTier() || !target.backend_->hasHostTier()) {
         return false;
     }
     Request *victim = scheduler_.backSwapped();

@@ -1,7 +1,8 @@
 /**
  * @file
- * The memory-management interface the serving engine programs against.
- * Two implementations reproduce the paper's comparison:
+ * The memory-management interface the serving engine programs against:
+ * a pure contract with exactly two implementations, which reproduce
+ * the paper's comparison:
  *
  *  - PagedBackend     : user-space block management (vLLM model; the
  *    whole KV region is committed up-front, blocks are CPU-side
@@ -9,6 +10,13 @@
  *  - VAttentionBackend: the paper's system — physical memory is
  *    committed page-group by page-group through the (simulated) CUDA
  *    VMM driver, with latency hidden by the §6.1 optimizations.
+ *
+ * Both implement every method: slot lifecycle and per-iteration
+ * ensure(), prefix caching (§8.1, a no-op unless enabled), the host
+ * swap tier and cross-replica migration of swapped KV (refused unless
+ * a host tier is configured, see hasHostTier()), and the invariant
+ * audit. Both hold one lockstep replica of their state per TP worker
+ * (common/lockstep.hh); sizes and bytes below are per worker.
  */
 
 #ifndef VATTN_SERVING_MEMORY_BACKEND_HH
@@ -38,6 +46,8 @@ struct SlotLease
     /** Critical-path latency of establishing the reuse (aliasing
      *  driver calls; 0 for CPU-side block sharing). */
     TimeNs alloc_ns = 0;
+
+    bool operator==(const SlotLease &) const = default;
 };
 
 /** Cumulative prefix-cache counters of one backend. */
@@ -93,6 +103,8 @@ struct SwappedKvImage
     std::vector<i64> group_leads;
 
     bool empty() const { return bytes == 0; }
+
+    bool operator==(const SwappedKvImage &) const = default;
 };
 
 /** KV memory manager abstraction used by the engine. */
@@ -109,106 +121,38 @@ class MemoryBackend
     /** Lease a slot for a new request. */
     virtual Result<int> allocSlot() = 0;
 
-    // ---- Prefix caching (optional capability, §8.1) -----------------
+    // ---- Prefix caching (§8.1) ---------------------------------------
 
-    /** Does this backend run with prefix caching enabled? */
-    virtual bool prefixCachingEnabled() const { return false; }
+    /** Does this backend run with prefix caching enabled? Without it
+     *  the prefix methods below cache and match nothing. */
+    virtual bool prefixCachingEnabled() const = 0;
 
     /** Longest cached prefix (in tokens) matching @p key. */
-    virtual i64
-    matchPrefix(const PrefixKey &key) const
-    {
-        (void)key;
-        return 0;
-    }
+    virtual i64 matchPrefix(const PrefixKey &key) const = 0;
 
-    /**
-     * Prefix-aware allocSlot: reuse up to @p max_cached tokens of a
-     * cached matching prefix. Backends without the capability fall
-     * back to a plain allocSlot with nothing cached.
-     */
-    virtual Result<SlotLease>
-    allocSlot(const PrefixKey &key, i64 max_cached)
-    {
-        (void)key;
-        (void)max_cached;
-        auto slot = allocSlot();
-        if (!slot.isOk()) {
-            return Result<SlotLease>(slot.status());
-        }
-        return SlotLease{slot.value(), 0, 0};
-    }
+    /** Prefix-aware allocSlot: reuse up to @p max_cached tokens of a
+     *  cached matching prefix. */
+    virtual Result<SlotLease> allocSlot(const PrefixKey &key,
+                                        i64 max_cached) = 0;
 
     /**
      * Record that @p slot now holds the KV of the first @p tokens
      * tokens of @p key (called as prefill chunks complete, so
      * concurrent requests can share as early as possible).
      */
-    virtual void
-    registerPrefix(int slot, const PrefixKey &key, i64 tokens)
-    {
-        (void)slot;
-        (void)key;
-        (void)tokens;
-    }
+    virtual void registerPrefix(int slot, const PrefixKey &key,
+                                i64 tokens) = 0;
 
     /** Cumulative sharing counters (reports/benches). */
-    virtual BackendPrefixStats prefixStats() const { return {}; }
+    virtual BackendPrefixStats prefixStats() const = 0;
 
-    // ---- Host-memory swap tier (optional capability) ----------------
+    // ---- Host tier: swap and cross-replica migration ------------------
     //
     // Preemption-by-swap: a victim's KV moves to host memory and back
     // instead of being recomputed. The slot stays leased for the whole
     // cycle (vAttention keeps the virtual layout mapped-out-but-intact;
     // paged keeps the slot's bookkeeping with CPU block ids), so
     // swap-in resumes the request exactly where it stopped.
-
-    /** Does this backend have a host tier to swap to? */
-    virtual bool supportsSwap() const { return false; }
-
-    /** Could swapOut(slot) succeed right now? False in particular
-     *  while any of the slot's pages/blocks are shared with another
-     *  request (prefix aliasing) — those must stay resident. */
-    virtual bool canSwapOut(int slot) const
-    {
-        (void)slot;
-        return false;
-    }
-
-    /** Could swapIn(slot) succeed right now (device capacity)? */
-    virtual bool canSwapIn(int slot) const
-    {
-        (void)slot;
-        return false;
-    }
-
-    /** Move the slot's KV to the host tier, freeing device memory. */
-    virtual Result<SwapResult>
-    swapOut(int slot)
-    {
-        (void)slot;
-        return Result<SwapResult>(ErrorCode::kUnimplemented,
-                                  "backend has no swap tier");
-    }
-
-    /** Bring a swapped-out slot's KV back to the device. */
-    virtual Result<SwapResult>
-    swapIn(int slot)
-    {
-        (void)slot;
-        return Result<SwapResult>(ErrorCode::kUnimplemented,
-                                  "backend has no swap tier");
-    }
-
-    /** Physical KV bytes a live slot currently occupies on the device
-     *  (the cost model's estimate of what a swap would move). */
-    virtual u64 slotPhysBytes(int slot) const
-    {
-        (void)slot;
-        return 0;
-    }
-
-    // ---- Cross-replica migration (optional capability) --------------
     //
     // A swapped-out slot's host-tier KV image can be exported —
     // detaching it from this backend and freeing the slot — and
@@ -216,34 +160,38 @@ class MemoryBackend
     // leases a fresh slot holding the image in swapped state. The
     // regular swapIn() then resumes the request on the adopter.
 
-    /** Can this backend export/import swapped KV images? */
-    virtual bool supportsKvExport() const { return false; }
+    /** Is a host tier configured? Without one, swaps and imports are
+     *  refused. */
+    virtual bool hasHostTier() const = 0;
+
+    /** Could swapOut(slot) succeed right now? False in particular
+     *  while any of the slot's pages/blocks are shared with another
+     *  request (prefix aliasing) — those must stay resident. */
+    virtual bool canSwapOut(int slot) const = 0;
+
+    /** Could swapIn(slot) succeed right now (device capacity)? */
+    virtual bool canSwapIn(int slot) const = 0;
+
+    /** Move the slot's KV to the host tier, freeing device memory. */
+    virtual Result<SwapResult> swapOut(int slot) = 0;
+
+    /** Bring a swapped-out slot's KV back to the device. */
+    virtual Result<SwapResult> swapIn(int slot) = 0;
+
+    /** Physical KV bytes a live slot currently occupies on the device
+     *  (the cost model's estimate of what a swap would move). */
+    virtual u64 slotPhysBytes(int slot) const = 0;
 
     /** Detach a swapped-out slot's host image and free the slot. */
-    virtual Result<SwappedKvImage>
-    exportSwapped(int slot)
-    {
-        (void)slot;
-        return Result<SwappedKvImage>(ErrorCode::kUnimplemented,
-                                      "backend cannot export KV");
-    }
+    virtual Result<SwappedKvImage> exportSwapped(int slot) = 0;
 
-    /** Could importSwapped(@p image) succeed right now (free slot +
-     *  host-tier capacity on every worker)? */
-    virtual bool canImportSwapped(const SwappedKvImage &image) const
-    {
-        (void)image;
-        return false;
-    }
+    /** Could importSwapped(@p image) succeed right now (host tier,
+     *  matching geometry, free slot + host capacity on every
+     *  worker)? */
+    virtual bool canImportSwapped(const SwappedKvImage &image) const = 0;
 
     /** Adopt an exported image into a fresh slot (swapped state). */
-    virtual Result<int>
-    importSwapped(const SwappedKvImage &image)
-    {
-        (void)image;
-        return Result<int>(ErrorCode::kUnimplemented,
-                           "backend cannot import KV");
-    }
+    virtual Result<int> importSwapped(const SwappedKvImage &image) = 0;
 
     /** Release a slot (completion or preemption). */
     virtual void freeSlot(int slot) = 0;
@@ -268,12 +216,9 @@ class MemoryBackend
      * Re-derive the backend's memory-accounting invariants from first
      * principles and record every violation (common/audit.hh). The
      * engine's VATTN_AUDIT builds call this once per iteration; tests
-     * call it after injecting corruption. Default: nothing to audit.
+     * call it after injecting corruption.
      */
-    virtual void auditInto(audit::AuditReport &report) const
-    {
-        (void)report;
-    }
+    virtual void auditInto(audit::AuditReport &report) const = 0;
 };
 
 } // namespace vattn::serving

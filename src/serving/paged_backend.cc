@@ -12,7 +12,17 @@ PagedBackend::PagedBackend(const perf::ModelSpec &model, int tp,
                            i64 block_size, u64 budget_bytes,
                            bool enable_prefix_caching,
                            u64 host_swap_bytes, perf::PcieSpec pcie)
-    : budget_bytes_(budget_bytes), pcie_(std::move(pcie))
+    : budget_bytes_(budget_bytes), pcie_(std::move(pcie)),
+      workers_(makeWorkers(model, tp, block_size, budget_bytes,
+                           enable_prefix_caching, host_swap_bytes))
+{
+}
+
+std::vector<PagedBackend::WorkerPool>
+PagedBackend::makeWorkers(const perf::ModelSpec &model, int tp,
+                          i64 block_size, u64 budget_bytes,
+                          bool enable_prefix_caching,
+                          u64 host_swap_bytes)
 {
     fatal_if(tp <= 0, "PagedBackend needs tp >= 1");
     fatal_if(model.hasSlidingLayers() && enable_prefix_caching,
@@ -21,8 +31,8 @@ PagedBackend::PagedBackend(const perf::ModelSpec &model, int tp,
              "hash-block scheme has the same restriction); disable "
              "one of the two");
     const auto classes = model.windowClasses();
-    workers_.resize(static_cast<std::size_t>(tp));
-    for (WorkerPool &pool : workers_) {
+    std::vector<WorkerPool> workers(static_cast<std::size_t>(tp));
+    for (WorkerPool &pool : workers) {
         pool.groups.reserve(classes.size());
         for (const perf::ModelSpec::WindowClass &cls : classes) {
             // Per-token bytes of this class's layers on one worker;
@@ -51,6 +61,31 @@ PagedBackend::PagedBackend(const perf::ModelSpec &model, int tp,
                     static_cast<i64>(host_share / bytes_per_block))});
         }
     }
+    return workers;
+}
+
+PagedBackend::Slot *
+PagedBackend::WorkerPool::find(int slot)
+{
+    if (slot < 0 || slot >= static_cast<int>(slots.size()) ||
+        !slots[static_cast<std::size_t>(slot)].live) {
+        return nullptr;
+    }
+    return &slots[static_cast<std::size_t>(slot)];
+}
+
+const PagedBackend::Slot *
+PagedBackend::WorkerPool::find(int slot) const
+{
+    return const_cast<WorkerPool *>(this)->find(slot);
+}
+
+PagedBackend::Slot &
+PagedBackend::WorkerPool::at(int slot, const char *op)
+{
+    Slot *state = find(slot);
+    panic_if(state == nullptr, op, " on unknown slot ", slot);
+    return *state;
 }
 
 i64
@@ -76,7 +111,7 @@ PagedBackend::WorkerPool::canAdmit(i64 uncached_tokens) const
     for (const LayerGroup &group : groups) {
         const i64 need = group.manager.blocksFor(uncached_tokens) -
                          deadLeadBlocks(group, uncached_tokens) +
-                         static_cast<i64>(slots.size());
+                         live_slots;
         if (group.manager.numAllocatable() < need) {
             return false;
         }
@@ -87,15 +122,24 @@ PagedBackend::WorkerPool::canAdmit(i64 uncached_tokens) const
 int
 PagedBackend::WorkerPool::allocSlot()
 {
-    const int slot = next_slot++;
-    Slot state;
-    state.blocks.reserve(groups.size());
-    for (LayerGroup &group : groups) {
-        state.blocks.emplace_back(&group.manager);
+    // Freed slots keep their (emptied) per-group lists, so reusing an
+    // id allocates nothing.
+    int slot;
+    if (!free_ids.empty()) {
+        slot = free_ids.back();
+        free_ids.pop_back();
+    } else {
+        slot = static_cast<int>(slots.size());
+        Slot &state = slots.emplace_back();
+        state.blocks.reserve(groups.size());
+        for (LayerGroup &group : groups) {
+            state.blocks.emplace_back(&group.manager);
+        }
+        state.cpu_blocks.resize(groups.size());
+        state.swap_leads.assign(groups.size(), 0);
     }
-    state.cpu_blocks.resize(groups.size());
-    state.swap_leads.assign(groups.size(), 0);
-    slots.emplace(slot, std::move(state));
+    slots[static_cast<std::size_t>(slot)].live = true;
+    ++live_slots;
     return slot;
 }
 
@@ -126,7 +170,7 @@ PagedBackend::WorkerPool::adoptPrefix(int slot, const PrefixKey &key,
     if (!manager.prefixCacheEnabled() || key.empty()) {
         return lease;
     }
-    Slot &state = slots.at(slot);
+    Slot &state = at(slot, "adoptPrefix");
     const i64 bs = manager.blockSize();
     auto hashes = key.chunkHashes(bs);
     const auto shareable = static_cast<std::size_t>(
@@ -156,10 +200,7 @@ PagedBackend::WorkerPool::registerPrefix(int slot, const PrefixKey &key,
     if (!manager.prefixCacheEnabled() || key.empty()) {
         return;
     }
-    auto it = slots.find(slot);
-    panic_if(it == slots.end(), "registerPrefix on unknown slot ",
-             slot);
-    Slot &state = it->second;
+    Slot &state = at(slot, "registerPrefix");
     const auto &blocks = state.blocks[0].blocks();
     const i64 bs = manager.blockSize();
     const i64 full = std::min(tokens, key.size) / bs;
@@ -180,34 +221,41 @@ PagedBackend::WorkerPool::registerPrefix(int slot, const PrefixKey &key,
 void
 PagedBackend::WorkerPool::freeSlot(int slot)
 {
-    auto it = slots.find(slot);
-    panic_if(it == slots.end(), "freeSlot on unknown slot ", slot);
+    Slot &state = at(slot, "freeSlot");
     // A slot freed while swapped out abandons its CPU blocks.
+    swapped_slots -= state.swapped() ? 1 : 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        for (const i32 cpu_block : it->second.cpu_blocks[g]) {
+        for (const i32 cpu_block : state.cpu_blocks[g]) {
             groups[g].manager.freeCpuBlock(cpu_block).expectOk(
                 "free CPU block");
         }
+        state.cpu_blocks[g].clear();
+        state.swap_leads[g] = 0;
     }
-    // RequestBlocks dtor drops the references; hashed refcount-0
-    // blocks park on the evictable LRU (the prefix cache), the rest
-    // return to the free list.
-    slots.erase(it);
+    // Dropping the references parks hashed refcount-0 blocks on the
+    // evictable LRU (the prefix cache); the rest return to the free
+    // list.
+    for (paged::RequestBlocks &list : state.blocks) {
+        list.releaseAll();
+    }
+    state.hashes.clear();
+    state.chain = 0;
+    state.live = false;
+    --live_slots;
+    free_ids.push_back(slot);
 }
 
 Status
 PagedBackend::WorkerPool::ensureSlot(int slot, i64 len)
 {
-    auto it = slots.find(slot);
-    panic_if(it == slots.end(), "ensure on unknown slot ", slot);
+    Slot &state = at(slot, "ensure");
     for (std::size_t g = 0; g < groups.size(); ++g) {
         // Free dead leading blocks before growing so a tight pool
         // benefits from the reclaimed blocks in the same call.
         if (groups[g].window_tokens > 0) {
-            it->second.blocks[g].advanceLeadTo(
-                deadLeadBlocks(groups[g], len));
+            state.blocks[g].advanceLeadTo(deadLeadBlocks(groups[g], len));
         }
-        auto status = it->second.blocks[g].ensureTokens(len);
+        auto status = state.blocks[g].ensureTokens(len);
         if (!status.isOk()) {
             return status;
         }
@@ -218,13 +266,13 @@ PagedBackend::WorkerPool::ensureSlot(int slot, i64 len)
 bool
 PagedBackend::WorkerPool::canSwapOut(int slot) const
 {
-    auto it = slots.find(slot);
-    if (it == slots.end() || it->second.swapped()) {
+    const Slot *state = find(slot);
+    if (state == nullptr || state->swapped()) {
         return false;
     }
     i64 live_total = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        const auto &list = it->second.blocks[g];
+        const auto &list = state->blocks[g];
         live_total += list.liveBlockCount();
         if (list.liveBlockCount() > groups[g].manager.numCpuFree()) {
             return false;
@@ -244,20 +292,16 @@ PagedBackend::WorkerPool::canSwapOut(int slot) const
 bool
 PagedBackend::WorkerPool::canSwapIn(int slot) const
 {
-    auto it = slots.find(slot);
-    if (it == slots.end() || !it->second.swapped()) {
+    const Slot *state = find(slot);
+    if (state == nullptr || !state->swapped()) {
         return false;
     }
     // Mirror canAdmit's watermark: keep one block of headroom per
     // resident request so the next decode iteration cannot OOM.
-    i64 resident = 0;
-    for (const auto &[id, state] : slots) {
-        resident += state.swapped() ? 0 : 1;
-    }
+    const i64 resident = live_slots - swapped_slots;
     for (std::size_t g = 0; g < groups.size(); ++g) {
         if (groups[g].manager.numAllocatable() <
-            static_cast<i64>(it->second.cpu_blocks[g].size()) +
-                resident) {
+            static_cast<i64>(state->cpu_blocks[g].size()) + resident) {
             return false;
         }
     }
@@ -267,12 +311,12 @@ PagedBackend::WorkerPool::canSwapIn(int slot) const
 Result<u64>
 PagedBackend::WorkerPool::swapOutSlot(int slot)
 {
-    auto it = slots.find(slot);
-    if (it == slots.end()) {
+    Slot *found = find(slot);
+    if (found == nullptr) {
         return Result<u64>(ErrorCode::kInvalidArgument,
                            "unknown slot");
     }
-    Slot &state = it->second;
+    Slot &state = *found;
     if (state.swapped()) {
         return Result<u64>(ErrorCode::kFailedPrecondition,
                            "slot already swapped out");
@@ -322,18 +366,19 @@ PagedBackend::WorkerPool::swapOutSlot(int slot)
     // scratch if the request is ever re-run through registerPrefix.
     state.hashes.clear();
     state.chain = 0;
+    ++swapped_slots;
     return swapped_bytes;
 }
 
 Result<u64>
 PagedBackend::WorkerPool::swapInSlot(int slot)
 {
-    auto it = slots.find(slot);
-    if (it == slots.end()) {
+    Slot *found = find(slot);
+    if (found == nullptr) {
         return Result<u64>(ErrorCode::kInvalidArgument,
                            "unknown slot");
     }
-    Slot &state = it->second;
+    Slot &state = *found;
     if (!state.swapped()) {
         return Result<u64>(ErrorCode::kFailedPrecondition,
                            "slot not swapped out");
@@ -360,41 +405,41 @@ PagedBackend::WorkerPool::swapInSlot(int slot)
         state.cpu_blocks[g].clear();
         state.swap_leads[g] = 0;
     }
+    --swapped_slots;
     return swapped_bytes;
 }
 
-Result<u64>
-PagedBackend::WorkerPool::exportSlot(int slot, SwappedKvImage &image)
+Result<SwappedKvImage>
+PagedBackend::WorkerPool::exportSlot(int slot)
 {
-    auto it = slots.find(slot);
-    if (it == slots.end()) {
-        return Result<u64>(ErrorCode::kInvalidArgument,
-                           "unknown slot");
+    const Slot *state = find(slot);
+    if (state == nullptr) {
+        return Result<SwappedKvImage>(ErrorCode::kInvalidArgument,
+                                      "unknown slot");
     }
-    Slot &state = it->second;
-    if (!state.swapped()) {
-        return Result<u64>(ErrorCode::kFailedPrecondition,
-                           "only swapped-out slots can export");
+    if (!state->swapped()) {
+        return Result<SwappedKvImage>(
+            ErrorCode::kFailedPrecondition,
+            "only swapped-out slots can export");
     }
     // The image carries the per-group block counts and dead-lead
     // boundaries; the CPU blocks themselves return to this worker's
     // pool — logically their payload moves to the adopter's host pool
     // (same node, modeled zero-copy).
+    SwappedKvImage image;
     image.group_blocks.assign(groups.size(), 0);
     image.group_leads.assign(groups.size(), 0);
-    u64 bytes = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
         image.group_blocks[g] =
-            static_cast<i64>(state.cpu_blocks[g].size());
-        image.group_leads[g] = state.swap_leads[g];
-        bytes += static_cast<u64>(state.cpu_blocks[g].size()) *
-                 groups[g].bytes_per_block;
+            static_cast<i64>(state->cpu_blocks[g].size());
+        image.group_leads[g] = state->swap_leads[g];
+        image.bytes += static_cast<u64>(state->cpu_blocks[g].size()) *
+                       groups[g].bytes_per_block;
     }
     // freeSlot releases the CPU blocks and drops the (empty, already
     // released at swap-out) device block lists.
     freeSlot(slot);
-    image.bytes = bytes;
-    return bytes;
+    return image;
 }
 
 bool
@@ -420,7 +465,7 @@ PagedBackend::WorkerPool::importImage(const SwappedKvImage &image)
                            "host pool cannot hold the imported image");
     }
     const int slot = allocSlot();
-    Slot &state = slots.at(slot);
+    Slot &state = slots[static_cast<std::size_t>(slot)];
     for (std::size_t g = 0; g < groups.size(); ++g) {
         state.swap_leads[g] = image.group_leads[g];
         state.cpu_blocks[g].reserve(
@@ -435,19 +480,20 @@ PagedBackend::WorkerPool::importImage(const SwappedKvImage &image)
     // The slot is born swapped-out: the regular swapIn path revives
     // it (advanceLeadTo restores the window boundary, adoptBlock the
     // device residency).
+    swapped_slots += state.swapped() ? 1 : 0;
     return slot;
 }
 
 u64
 PagedBackend::WorkerPool::slotPhysBytes(int slot) const
 {
-    auto it = slots.find(slot);
-    if (it == slots.end()) {
+    const Slot *state = find(slot);
+    if (state == nullptr) {
         return 0;
     }
     u64 bytes = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        bytes += static_cast<u64>(it->second.blocks[g].liveBlockCount()) *
+        bytes += static_cast<u64>(state->blocks[g].liveBlockCount()) *
                  groups[g].bytes_per_block;
     }
     return bytes;
@@ -468,10 +514,10 @@ PagedBackend::WorkerPool::bytesInUse() const
 i64
 PagedBackend::WorkerPool::blocksHeld(int slot) const
 {
-    auto it = slots.find(slot);
-    panic_if(it == slots.end(), "blocksHeld on unknown slot ", slot);
+    const Slot *state = find(slot);
+    panic_if(state == nullptr, "blocksHeld on unknown slot ", slot);
     i64 held = 0;
-    for (const auto &list : it->second.blocks) {
+    for (const auto &list : state->blocks) {
         held += list.liveBlockCount();
     }
     return held;
@@ -490,7 +536,15 @@ PagedBackend::WorkerPool::auditInto(audit::AuditReport &report,
     // every CPU block in use.
     std::vector<i64> held(groups.size(), 0);
     std::vector<i64> cpu_held(groups.size(), 0);
-    for (const auto &[slot, state] : slots) {
+    i64 live = 0;
+    i64 swapped = 0;
+    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+        const Slot &state = slots[slot];
+        if (!state.live) {
+            continue;
+        }
+        ++live;
+        swapped += state.swapped() ? 1 : 0;
         i64 live_total = 0;
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const auto &list = state.blocks[g];
@@ -533,6 +587,13 @@ PagedBackend::WorkerPool::auditInto(audit::AuditReport &report,
                         live_total, " device blocks");
         }
     }
+    report.check(live == live_slots && swapped == swapped_slots &&
+                     live + static_cast<i64>(free_ids.size()) ==
+                         static_cast<i64>(slots.size()),
+                 "paged_backend: worker ", worker, " has ", live,
+                 " live slots (", swapped, " swapped) but counts ",
+                 live_slots, " (", swapped_slots, " swapped) with ",
+                 free_ids.size(), " free ids of ", slots.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
         report.check(held[g] == groups[g].manager.totalRefCount(),
                      "paged_backend: worker ", worker, " group ", g,
@@ -549,119 +610,61 @@ PagedBackend::WorkerPool::auditInto(audit::AuditReport &report,
     }
 }
 
-bool
-PagedBackend::canAdmit(i64 uncached_tokens) const
-{
-    return workers_[0].canAdmit(uncached_tokens);
-}
-
 Result<int>
 PagedBackend::allocSlot()
 {
-    const int first = workers_[0].allocSlot();
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        const int other = workers_[w].allocSlot();
-        panic_if(other != first, "TP workers diverged in allocSlot");
-    }
-    return first;
-}
-
-i64
-PagedBackend::matchPrefix(const PrefixKey &key) const
-{
-    return workers_[0].matchPrefix(key);
+    return workers_.apply("allocSlot",
+                          [](WorkerPool &pool) { return pool.allocSlot(); });
 }
 
 Result<SlotLease>
 PagedBackend::allocSlot(const PrefixKey &key, i64 max_cached)
 {
-    auto slot = allocSlot();
-    if (!slot.isOk()) {
-        return Result<SlotLease>(slot.status());
-    }
-    SlotLease first =
-        workers_[0].adoptPrefix(slot.value(), key, max_cached);
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        const SlotLease other =
-            workers_[w].adoptPrefix(slot.value(), key, max_cached);
-        panic_if(other.cached_tokens != first.cached_tokens,
-                 "TP workers diverged in prefix adoption");
-    }
-    return first;
+    const int slot = allocSlot().value();
+    return workers_.apply("adoptPrefix", [&](WorkerPool &pool) {
+        return pool.adoptPrefix(slot, key, max_cached);
+    });
 }
 
 void
 PagedBackend::registerPrefix(int slot, const PrefixKey &key, i64 tokens)
 {
-    for (WorkerPool &pool : workers_) {
+    workers_.apply("registerPrefix", [&](WorkerPool &pool) {
         pool.registerPrefix(slot, key, tokens);
-    }
+    });
 }
 
 void
 PagedBackend::freeSlot(int slot)
 {
-    for (WorkerPool &pool : workers_) {
-        pool.freeSlot(slot);
-    }
-}
-
-bool
-PagedBackend::supportsSwap() const
-{
-    return workers_[0].groups[0].manager.numCpuBlocks() > 0;
-}
-
-bool
-PagedBackend::canSwapOut(int slot) const
-{
-    return workers_[0].canSwapOut(slot);
-}
-
-bool
-PagedBackend::canSwapIn(int slot) const
-{
-    return workers_[0].canSwapIn(slot);
+    workers_.apply("freeSlot",
+                   [&](WorkerPool &pool) { pool.freeSlot(slot); });
 }
 
 Result<SwapResult>
 PagedBackend::swapOut(int slot)
 {
-    auto first = workers_[0].swapOutSlot(slot);
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        auto other = workers_[w].swapOutSlot(slot);
-        panic_if(other.isOk() != first.isOk() ||
-                     (first.isOk() && other.value() != first.value()),
-                 "TP workers diverged in swapOut");
-    }
-    if (!first.isOk()) {
-        return Result<SwapResult>(first.status());
+    auto bytes = workers_.apply("swapOut", [&](WorkerPool &pool) {
+        return pool.swapOutSlot(slot);
+    });
+    if (!bytes.isOk()) {
+        return Result<SwapResult>(bytes.status());
     }
     // Each worker copies its own shard concurrently, so the group's
     // swap latency is one worker's.
-    return SwapResult{first.value(), pcie_.dtohNs(first.value())};
+    return SwapResult{bytes.value(), pcie_.dtohNs(bytes.value())};
 }
 
 Result<SwapResult>
 PagedBackend::swapIn(int slot)
 {
-    auto first = workers_[0].swapInSlot(slot);
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        auto other = workers_[w].swapInSlot(slot);
-        panic_if(other.isOk() != first.isOk() ||
-                     (first.isOk() && other.value() != first.value()),
-                 "TP workers diverged in swapIn");
+    auto bytes = workers_.apply("swapIn", [&](WorkerPool &pool) {
+        return pool.swapInSlot(slot);
+    });
+    if (!bytes.isOk()) {
+        return Result<SwapResult>(bytes.status());
     }
-    if (!first.isOk()) {
-        return Result<SwapResult>(first.status());
-    }
-    return SwapResult{first.value(), pcie_.htodNs(first.value())};
-}
-
-u64
-PagedBackend::slotPhysBytes(int slot) const
-{
-    return workers_[0].slotPhysBytes(slot);
+    return SwapResult{bytes.value(), pcie_.htodNs(bytes.value())};
 }
 
 Result<SwappedKvImage>
@@ -670,26 +673,16 @@ PagedBackend::exportSwapped(int slot)
     // Per-worker shards export in lockstep; the image records one
     // worker's counts and per-worker bytes (the shards are identical
     // — the same convention SwapResult::bytes uses).
-    SwappedKvImage image;
-    auto first = workers_[0].exportSlot(slot, image);
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        SwappedKvImage other_image;
-        auto other = workers_[w].exportSlot(slot, other_image);
-        panic_if(other.isOk() != first.isOk() ||
-                     (first.isOk() && other.value() != first.value()),
-                 "TP workers diverged in exportSwapped");
-    }
-    if (!first.isOk()) {
-        return Result<SwappedKvImage>(first.status());
-    }
-    return image;
+    return workers_.apply("exportSwapped", [&](WorkerPool &pool) {
+        return pool.exportSlot(slot);
+    });
 }
 
 bool
 PagedBackend::canImportSwapped(const SwappedKvImage &image) const
 {
-    return supportsSwap() && !image.group_blocks.empty() &&
-           workers_[0].canImportImage(image);
+    return hasHostTier() && !image.group_blocks.empty() &&
+           workers_.lead().canImportImage(image);
 }
 
 Result<int>
@@ -699,28 +692,20 @@ PagedBackend::importSwapped(const SwappedKvImage &image)
         return Result<int>(ErrorCode::kInvalidArgument,
                            "not a paged-backend image");
     }
-    auto first = workers_[0].importImage(image);
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        auto other = workers_[w].importImage(image);
-        panic_if(other.isOk() != first.isOk() ||
-                     (first.isOk() && other.value() != first.value()),
-                 "TP workers diverged in importSwapped");
-    }
-    return first;
+    return workers_.apply("importSwapped", [&](WorkerPool &pool) {
+        return pool.importImage(image);
+    });
 }
 
 Result<TimeNs>
 PagedBackend::ensure(const ActiveLens &active)
 {
     for (const auto &[slot, len] : active) {
-        Status first = workers_[0].ensureSlot(slot, len);
-        for (std::size_t w = 1; w < workers_.size(); ++w) {
-            Status other = workers_[w].ensureSlot(slot, len);
-            panic_if(!(other == first),
-                     "TP workers diverged in ensure");
-        }
-        if (!first.isOk()) {
-            return Result<TimeNs>(first);
+        Status status = workers_.apply("ensure", [&](WorkerPool &pool) {
+            return pool.ensureSlot(slot, len);
+        });
+        if (!status.isOk()) {
+            return Result<TimeNs>(status);
         }
     }
     // Block allocation is CPU-side list manipulation over memory that
@@ -729,32 +714,27 @@ PagedBackend::ensure(const ActiveLens &active)
 }
 
 void
-PagedBackend::computeWindow(TimeNs window_ns)
-{
-    (void)window_ns; // nothing to overlap
-}
-
-void
 PagedBackend::auditInto(audit::AuditReport &report) const
 {
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-        workers_[w].auditInto(report, w);
+    for (int w = 0; w < workers_.size(); ++w) {
+        workers_.worker(w).auditInto(report,
+                                     static_cast<std::size_t>(w));
     }
-    const WorkerPool &reference = workers_[0];
-    report.check(reference.bytesInUse() <= budgetBytes(),
-                 "paged_backend: ", reference.bytesInUse(),
+    const WorkerPool &lead = workers_.lead();
+    report.check(lead.bytesInUse() <= budgetBytes(),
+                 "paged_backend: ", lead.bytesInUse(),
                  " bytes in use exceed the ", budgetBytes(),
                  "-byte budget");
     // Cross-worker state equality: every control input was identical
     // and the pool logic is deterministic, so any divergence means one
     // worker's bookkeeping drifted — localize it by worker, group and
     // slot so the failure is actionable.
-    for (std::size_t w = 1; w < workers_.size(); ++w) {
-        const WorkerPool &other = workers_[w];
-        report.check(other.slots.size() == reference.slots.size(),
+    workers_.forEachFollower([&](std::size_t w, const WorkerPool &other,
+                                 const WorkerPool &reference) {
+        report.check(other.live_slots == reference.live_slots,
                      "paged_backend: worker ", w, " tracks ",
-                     other.slots.size(), " slots but worker 0 tracks ",
-                     reference.slots.size(), " (lockstep divergence)");
+                     other.live_slots, " slots but worker 0 tracks ",
+                     reference.live_slots, " (lockstep divergence)");
         for (std::size_t g = 0; g < reference.groups.size(); ++g) {
             report.check(other.groups[g].manager.numLive() ==
                              reference.groups[g].manager.numLive(),
@@ -772,9 +752,14 @@ PagedBackend::auditInto(audit::AuditReport &report) const
                          reference.groups[g].manager.numCpuInUse(),
                          " (lockstep divergence)");
         }
-        for (const auto &[slot, state] : reference.slots) {
-            auto it = other.slots.find(slot);
-            if (it == other.slots.end()) {
+        for (int slot = 0; slot < static_cast<int>(reference.slots.size());
+             ++slot) {
+            const Slot *state = reference.find(slot);
+            if (state == nullptr) {
+                continue;
+            }
+            const Slot *mirror = other.find(slot);
+            if (mirror == nullptr) {
                 report.fail("paged_backend: worker ", w,
                             " is missing slot ", slot,
                             " that worker 0 tracks — a worker's "
@@ -787,32 +772,12 @@ PagedBackend::auditInto(audit::AuditReport &report) const
                 other.blocksHeld(slot), " blocks but worker 0 holds ",
                 reference.blocksHeld(slot),
                 " — a worker's sequence state desynced from the group");
-            report.check(it->second.swapped() == state.swapped(),
+            report.check(mirror->swapped() == state->swapped(),
                          "paged_backend: worker ", w, " slot ", slot,
                          " disagrees with worker 0 on swap residency "
                          "(lockstep divergence)");
         }
-    }
-}
-
-u64
-PagedBackend::bytesInUse() const
-{
-    // Per-worker shard bytes (workers are symmetric): the engine's
-    // budget and admission math are per worker throughout.
-    return workers_[0].bytesInUse();
-}
-
-u64
-PagedBackend::budgetBytes() const
-{
-    return budget_bytes_;
-}
-
-i64
-PagedBackend::blocksHeld(int slot) const
-{
-    return workers_[0].blocksHeld(slot);
+    });
 }
 
 } // namespace vattn::serving

@@ -21,19 +21,21 @@
  * bit-identical arithmetic.
  *
  * Tensor parallelism: one block pool per TP worker, each sized for a
- * num_kv_heads/tp KV shard and driven in lockstep — every mutation is
- * applied to all workers and must produce identical results (the pool
- * logic is deterministic, so divergence is a bug and panics).
- * Symmetric queries are answered by worker 0; auditInto() verifies the
- * cross-worker state equality that makes worker 0 representative.
+ * num_kv_heads/tp KV shard and held in a Lockstep<WorkerPool>
+ * (common/lockstep.hh), the same helper core::WorkerGroup uses: every
+ * mutation is applied to all workers and must produce identical
+ * results (the pool logic is deterministic, so divergence is a bug and
+ * panics naming the op and the worker). Symmetric queries are answered
+ * by worker 0; auditInto() verifies the cross-worker state equality
+ * that makes worker 0 representative.
  */
 
 #ifndef VATTN_SERVING_PAGED_BACKEND_HH
 #define VATTN_SERVING_PAGED_BACKEND_HH
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/lockstep.hh"
 #include "paged/block_manager.hh"
 #include "perf/model_spec.hh"
 #include "perf/pcie_spec.hh"
@@ -45,6 +47,8 @@ namespace vattn::serving
 /** Block-managed KV backend (the baseline systems). */
 class PagedBackend : public MemoryBackend
 {
+    struct WorkerPool; // one TP worker's block pools (below)
+
   public:
     /**
      * @param model model architecture (for per-token KV bytes)
@@ -64,82 +68,106 @@ class PagedBackend : public MemoryBackend
                  u64 host_swap_bytes = 0,
                  perf::PcieSpec pcie = perf::PcieSpec::gen4x16());
 
-    bool canAdmit(i64 uncached_tokens) const override;
+    bool canAdmit(i64 uncached_tokens) const override
+    {
+        return workers_.lead().canAdmit(uncached_tokens);
+    }
     Result<int> allocSlot() override;
     bool prefixCachingEnabled() const override
     {
-        return workers_[0].groups[0].manager.prefixCacheEnabled();
+        return workers_.lead().groups[0].manager.prefixCacheEnabled();
     }
-    i64 matchPrefix(const PrefixKey &key) const override;
+    i64 matchPrefix(const PrefixKey &key) const override
+    {
+        return workers_.lead().matchPrefix(key);
+    }
     Result<SlotLease> allocSlot(const PrefixKey &key,
                                 i64 max_cached) override;
     void registerPrefix(int slot, const PrefixKey &key,
                         i64 tokens) override;
     BackendPrefixStats prefixStats() const override
     {
-        return workers_[0].prefix;
+        return workers_.lead().prefix;
     }
     void freeSlot(int slot) override;
     Result<TimeNs> ensure(const ActiveLens &active) override;
-    void computeWindow(TimeNs window_ns) override;
-    u64 bytesInUse() const override;
-    u64 budgetBytes() const override;
+    /** Nothing to overlap: blocks are CPU-side bookkeeping. */
+    void computeWindow(TimeNs) override {}
+    /** Per-worker shard bytes (workers are symmetric): the engine's
+     *  budget and admission math are per worker throughout. */
+    u64 bytesInUse() const override { return workers_.lead().bytesInUse(); }
+    u64 budgetBytes() const override { return budget_bytes_; }
     /** Per-worker block-manager self-audits + slot/manager
      *  cross-checks + the cross-worker lockstep-equality check. */
     void auditInto(audit::AuditReport &report) const override;
 
-    bool supportsSwap() const override;
-    bool canSwapOut(int slot) const override;
-    bool canSwapIn(int slot) const override;
+    bool hasHostTier() const override
+    {
+        return workers_.lead().groups[0].manager.numCpuBlocks() > 0;
+    }
+    bool canSwapOut(int slot) const override
+    {
+        return workers_.lead().canSwapOut(slot);
+    }
+    bool canSwapIn(int slot) const override
+    {
+        return workers_.lead().canSwapIn(slot);
+    }
     Result<SwapResult> swapOut(int slot) override;
     Result<SwapResult> swapIn(int slot) override;
-    u64 slotPhysBytes(int slot) const override;
+    u64 slotPhysBytes(int slot) const override
+    {
+        return workers_.lead().slotPhysBytes(slot);
+    }
 
-    bool supportsKvExport() const override { return supportsSwap(); }
     Result<SwappedKvImage> exportSwapped(int slot) override;
     bool canImportSwapped(const SwappedKvImage &image) const override;
     Result<int> importSwapped(const SwappedKvImage &image) override;
 
     /** Number of lockstep TP workers (block-pool replicas). */
-    int numWorkers() const
-    {
-        return static_cast<int>(workers_.size());
-    }
+    int numWorkers() const { return workers_.size(); }
 
     /** Worker 0's full-attention manager (the only group on uniform
      *  models — the historical accessor for tests and benches). */
     paged::BlockManager &blockManager()
     {
-        return workers_[0].groups[0].manager;
+        return workers_.lead().groups[0].manager;
     }
     i64 blockSize() const
     {
-        return workers_[0].groups[0].manager.blockSize();
+        return workers_.lead().groups[0].manager.blockSize();
     }
 
     /** Number of window classes (1 for uniform models). */
     int numLayerGroups() const
     {
-        return static_cast<int>(workers_[0].groups.size());
+        return static_cast<int>(workers_.lead().groups.size());
     }
     /** Worker 0's manager of window class @p group. */
     paged::BlockManager &groupManager(int group)
     {
-        return workers_[0]
+        return workers_.lead()
             .groups[static_cast<std::size_t>(group)]
             .manager;
     }
     /** Window width of class @p group (0 = full attention). */
     i64 groupWindowTokens(int group) const
     {
-        return workers_[0]
+        return workers_.lead()
             .groups[static_cast<std::size_t>(group)]
             .window_tokens;
     }
 
     /** Blocks held by one slot across all groups, per worker
      *  (overhead-model inputs; dead window leads excluded). */
-    i64 blocksHeld(int slot) const;
+    i64 blocksHeld(int slot) const
+    {
+        return workers_.lead().blocksHeld(slot);
+    }
+
+    /** The lockstep block pools, one per TP worker (fault-injection
+     *  tests reach a single worker through worker(w)). */
+    Lockstep<WorkerPool> &workers() { return workers_; }
 
   private:
     /** One window class: the layers sharing an attention window and
@@ -154,6 +182,8 @@ class PagedBackend : public MemoryBackend
 
     struct Slot
     {
+        /** Leased (false: the id waits on WorkerPool::free_ids). */
+        bool live = false;
         /** One block list per layer group, parallel to groups. */
         std::vector<paged::RequestBlocks> blocks;
         /** Chained hash per full prompt block already registered
@@ -185,10 +215,19 @@ class PagedBackend : public MemoryBackend
     struct WorkerPool
     {
         std::vector<LayerGroup> groups;
-        std::unordered_map<int, Slot> slots;
-        int next_slot = 0;
+        /** Dense slot table indexed by slot id, as core::ReqSlots;
+         *  freed ids wait on free_ids and are reused first. */
+        std::vector<Slot> slots;
+        std::vector<int> free_ids;
+        i64 live_slots = 0;
+        i64 swapped_slots = 0;
         BackendPrefixStats prefix;
 
+        /** The live slot @p slot, or nullptr. */
+        Slot *find(int slot);
+        const Slot *find(int slot) const;
+        /** The live slot @p slot; panics naming @p op otherwise. */
+        Slot &at(int slot, const char *op);
         i64 deadLeadBlocks(const LayerGroup &group, i64 tokens) const;
         bool canAdmit(i64 uncached_tokens) const;
         int allocSlot();
@@ -203,7 +242,7 @@ class PagedBackend : public MemoryBackend
         bool canSwapIn(int slot) const;
         Result<u64> swapOutSlot(int slot);
         Result<u64> swapInSlot(int slot);
-        Result<u64> exportSlot(int slot, SwappedKvImage &image);
+        Result<SwappedKvImage> exportSlot(int slot);
         bool canImportImage(const SwappedKvImage &image) const;
         Result<int> importImage(const SwappedKvImage &image);
         u64 slotPhysBytes(int slot) const;
@@ -213,9 +252,14 @@ class PagedBackend : public MemoryBackend
                        std::size_t worker) const;
     };
 
+    static std::vector<WorkerPool>
+    makeWorkers(const perf::ModelSpec &model, int tp, i64 block_size,
+                u64 budget_bytes, bool enable_prefix_caching,
+                u64 host_swap_bytes);
+
     u64 budget_bytes_;
     perf::PcieSpec pcie_;
-    std::vector<WorkerPool> workers_;
+    Lockstep<WorkerPool> workers_;
 };
 
 } // namespace vattn::serving

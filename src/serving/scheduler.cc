@@ -20,16 +20,6 @@ toString(SchedulingMode mode)
 }
 
 i64
-IterationPlan::prefillTokens() const
-{
-    i64 tokens = 0;
-    for (const PrefillChunk &chunk : prefills) {
-        tokens += chunk.tokens;
-    }
-    return tokens;
-}
-
-i64
 Scheduler::Config::iterationTokenBudget() const
 {
     if (mode == SchedulingMode::kStallFreeChunked && chunk_tokens > 0) {

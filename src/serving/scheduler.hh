@@ -68,8 +68,6 @@ struct IterationPlan
 
     bool empty() const { return prefills.empty() && decodes.empty(); }
     bool mixed() const { return !prefills.empty() && !decodes.empty(); }
-    /** Total prefill query tokens across all chunks. */
-    i64 prefillTokens() const;
 
     /** Empty the plan keeping vector capacity: the engine reuses one
      *  plan across iterations, so composition is allocation-free once

@@ -182,7 +182,7 @@ VAttentionBackend::computeWindow(TimeNs window_ns)
 }
 
 bool
-VAttentionBackend::supportsSwap() const
+VAttentionBackend::hasHostTier() const
 {
     return group_->hostSwapBudgetBytes() > 0;
 }
@@ -247,7 +247,7 @@ VAttentionBackend::exportSwapped(int slot)
 bool
 VAttentionBackend::canImportSwapped(const SwappedKvImage &image) const
 {
-    if (!supportsSwap() || image.buffer_leads.empty() ||
+    if (!hasHostTier() || image.buffer_leads.empty() ||
         image.buffer_sizes.size() != image.buffer_leads.size()) {
         return false;
     }

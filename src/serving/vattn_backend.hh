@@ -81,14 +81,13 @@ class VAttentionBackend : public MemoryBackend
         group_->auditInto(report);
     }
 
-    bool supportsSwap() const override;
+    bool hasHostTier() const override;
     bool canSwapOut(int slot) const override;
     bool canSwapIn(int slot) const override;
     Result<SwapResult> swapOut(int slot) override;
     Result<SwapResult> swapIn(int slot) override;
     u64 slotPhysBytes(int slot) const override;
 
-    bool supportsKvExport() const override { return supportsSwap(); }
     Result<SwappedKvImage> exportSwapped(int slot) override;
     bool canImportSwapped(const SwappedKvImage &image) const override;
     Result<int> importSwapped(const SwappedKvImage &image) override;

@@ -1,0 +1,318 @@
+/**
+ * @file
+ * The MemoryBackend contract, checked once on both implementations at
+ * TP 1 and TP 2: a swap-out -> export -> import -> swap-in round trip
+ * moves equal bytes, a backend without a host tier refuses swaps and
+ * imports, and a prefix-shared slot never swaps out. Every case ends
+ * with a clean audit, so the TP-2 cases also check the cross-worker
+ * lockstep state. The paged fault-injection tests at the end corrupt
+ * one TP worker and check that the audit localizes it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "serving/paged_backend.hh"
+#include "serving/vattn_backend.hh"
+
+namespace vattn::serving::contract
+{
+
+/** vLLM-style block pools (16-token blocks). */
+struct Paged
+{
+    using Backend = PagedBackend;
+    /** Context of the round-trip request. */
+    static constexpr i64 kTokens = 1000;
+
+    static std::unique_ptr<Backend>
+    make(int tp, u64 host_swap_bytes, bool prefix_caching)
+    {
+        return std::make_unique<Backend>(perf::ModelSpec::yi6B(), tp, 16,
+                                         64 * MiB, prefix_caching,
+                                         host_swap_bytes);
+    }
+
+    /** Four whole blocks: every one of them shareable. */
+    static i64 sharedPromptTokens(const Backend &) { return 64; }
+    /** Freeing one sharer drops its block references at once. */
+    static constexpr bool kFreedSharerUnpins = true;
+
+    static void
+    expectOwnImage(const SwappedKvImage &image)
+    {
+        EXPECT_FALSE(image.group_blocks.empty());
+        EXPECT_TRUE(image.buffer_leads.empty());
+    }
+};
+
+/** vAttention with 64KB page-groups and no background allocation, so
+ *  every mapping the test sees was asked for. */
+struct VAttn
+{
+    using Backend = VAttentionBackend;
+    static constexpr i64 kTokens = 4096;
+
+    static std::unique_ptr<Backend>
+    make(int tp, u64 host_swap_bytes, bool prefix_caching)
+    {
+        VAttentionBackend::Options options;
+        options.max_batch_size = 4;
+        options.page_group = PageGroup::k64KB;
+        options.eager_allocation = false;
+        options.overlap_allocation = false;
+        options.enable_prefix_caching = prefix_caching;
+        options.host_swap_bytes = host_swap_bytes;
+        return std::make_unique<Backend>(perf::ModelSpec::yi6B(), tp,
+                                         512 * MiB, options);
+    }
+
+    /** One fully written page-group plus change. */
+    static i64
+    sharedPromptTokens(const Backend &backend)
+    {
+        return backend.runtime().geometry().tokensPerGroup() + 8;
+    }
+    /** Deferred reclamation parks a freed sharer's slot with its
+     *  page-groups still mapped, so the alias outlives the request. */
+    static constexpr bool kFreedSharerUnpins = false;
+
+    static void
+    expectOwnImage(const SwappedKvImage &image)
+    {
+        EXPECT_FALSE(image.buffer_leads.empty());
+        EXPECT_TRUE(image.group_blocks.empty());
+    }
+};
+
+template <typename FamilyT, int kTp>
+struct Case
+{
+    using Family = FamilyT;
+    static constexpr int tp = kTp;
+};
+
+} // namespace vattn::serving::contract
+
+// The cases live in the global namespace because CTest names each
+// typed test after its type: BackendContract.<Test><PagedTp1>.
+struct PagedTp1 : vattn::serving::contract::Case<
+                      vattn::serving::contract::Paged, 1> {};
+struct PagedTp2 : vattn::serving::contract::Case<
+                      vattn::serving::contract::Paged, 2> {};
+struct VAttentionTp1 : vattn::serving::contract::Case<
+                           vattn::serving::contract::VAttn, 1> {};
+struct VAttentionTp2 : vattn::serving::contract::Case<
+                           vattn::serving::contract::VAttn, 2> {};
+
+namespace vattn::serving::contract
+{
+
+void
+expectAuditClean(const MemoryBackend &backend)
+{
+    audit::AuditReport report;
+    backend.auditInto(report);
+    EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+template <typename T>
+class BackendContract : public ::testing::Test
+{
+};
+
+using Cases = ::testing::Types<PagedTp1, PagedTp2, VAttentionTp1,
+                               VAttentionTp2>;
+TYPED_TEST_SUITE(BackendContract, Cases);
+
+TYPED_TEST(BackendContract, SwapExportImportRoundTripMovesEqualBytes)
+{
+    using Family = typename TypeParam::Family;
+    auto donor = Family::make(TypeParam::tp, 1 * GiB, false);
+    auto target = Family::make(TypeParam::tp, 1 * GiB, false);
+    ASSERT_TRUE(donor->hasHostTier());
+    ASSERT_TRUE(target->hasHostTier());
+
+    auto slot = donor->allocSlot();
+    ASSERT_TRUE(slot.isOk());
+    ASSERT_TRUE(donor->ensure({{slot.value(), Family::kTokens}}).isOk());
+    const u64 device_bytes = donor->bytesInUse();
+    EXPECT_GT(device_bytes, 0u);
+    EXPECT_EQ(donor->slotPhysBytes(slot.value()), device_bytes);
+
+    auto out = donor->swapOut(slot.value());
+    ASSERT_TRUE(out.isOk());
+    EXPECT_EQ(out.value().bytes, device_bytes);
+    EXPECT_GT(out.value().stall_ns, 0);
+    EXPECT_EQ(donor->bytesInUse(), 0u);
+
+    auto image = donor->exportSwapped(slot.value());
+    ASSERT_TRUE(image.isOk());
+    EXPECT_EQ(image.value().bytes, out.value().bytes);
+    EXPECT_FALSE(image.value().empty());
+    Family::expectOwnImage(image.value());
+    expectAuditClean(*donor);
+
+    ASSERT_TRUE(target->canImportSwapped(image.value()));
+    auto imported = target->importSwapped(image.value());
+    ASSERT_TRUE(imported.isOk());
+    ASSERT_TRUE(target->canSwapIn(imported.value()));
+    auto in = target->swapIn(imported.value());
+    ASSERT_TRUE(in.isOk());
+    EXPECT_EQ(in.value().bytes, out.value().bytes);
+    // The same live ranges are resident on the target as the donor held.
+    EXPECT_EQ(target->bytesInUse(), device_bytes);
+    expectAuditClean(*target);
+    target->freeSlot(imported.value());
+    expectAuditClean(*target);
+}
+
+TYPED_TEST(BackendContract, NoHostTierRefusesSwapAndImport)
+{
+    using Family = typename TypeParam::Family;
+    auto no_tier = Family::make(TypeParam::tp, 0, false);
+    EXPECT_FALSE(no_tier->hasHostTier());
+    auto slot = no_tier->allocSlot();
+    ASSERT_TRUE(slot.isOk());
+    ASSERT_TRUE(
+        no_tier->ensure({{slot.value(), Family::kTokens}}).isOk());
+    EXPECT_FALSE(no_tier->canSwapOut(slot.value()));
+    EXPECT_FALSE(no_tier->swapOut(slot.value()).isOk());
+    EXPECT_FALSE(no_tier->exportSwapped(slot.value()).isOk());
+
+    // A valid image from a donor with a tier is still refused.
+    auto donor = Family::make(TypeParam::tp, 1 * GiB, false);
+    auto donor_slot = donor->allocSlot();
+    ASSERT_TRUE(donor_slot.isOk());
+    ASSERT_TRUE(
+        donor->ensure({{donor_slot.value(), Family::kTokens}}).isOk());
+    ASSERT_TRUE(donor->swapOut(donor_slot.value()).isOk());
+    auto image = donor->exportSwapped(donor_slot.value());
+    ASSERT_TRUE(image.isOk());
+    EXPECT_FALSE(no_tier->canImportSwapped(image.value()));
+    EXPECT_FALSE(no_tier->importSwapped(image.value()).isOk());
+    expectAuditClean(*no_tier);
+}
+
+TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
+{
+    using Family = typename TypeParam::Family;
+    auto backend = Family::make(TypeParam::tp, 64 * MiB, true);
+    ASSERT_TRUE(backend->hasHostTier());
+    ASSERT_TRUE(backend->prefixCachingEnabled());
+    const i64 tokens = Family::sharedPromptTokens(*backend);
+    std::vector<i32> prompt(static_cast<std::size_t>(tokens));
+    std::iota(prompt.begin(), prompt.end(), 7);
+
+    // Request a computes and registers the prompt; b then adopts it.
+    PrefixHashCache cache_a;
+    PrefixKey key_a{prompt.data(), tokens, &cache_a};
+    auto a = backend->allocSlot(key_a, 0);
+    ASSERT_TRUE(a.isOk());
+    ASSERT_TRUE(backend->ensure({{a.value().slot, tokens}}).isOk());
+    backend->registerPrefix(a.value().slot, key_a, tokens);
+    PrefixHashCache cache_b;
+    PrefixKey key_b{prompt.data(), tokens, &cache_b};
+    EXPECT_GT(backend->matchPrefix(key_b), 0);
+    auto b = backend->allocSlot(key_b, tokens - 1);
+    ASSERT_TRUE(b.isOk());
+    ASSERT_GT(b.value().cached_tokens, 0);
+    EXPECT_GT(backend->prefixStats().aliased_bytes, 0u);
+
+    // Both ends of the share are pinned to the device.
+    EXPECT_FALSE(backend->canSwapOut(a.value().slot));
+    EXPECT_FALSE(backend->canSwapOut(b.value().slot));
+    EXPECT_EQ(backend->swapOut(a.value().slot).code(),
+              ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(backend->swapOut(b.value().slot).code(),
+              ErrorCode::kFailedPrecondition);
+    expectAuditClean(*backend);
+
+    backend->freeSlot(b.value().slot);
+    if constexpr (Family::kFreedSharerUnpins) {
+        // Releasing one side unpins the other.
+        EXPECT_TRUE(backend->canSwapOut(a.value().slot));
+        auto out = backend->swapOut(a.value().slot);
+        ASSERT_TRUE(out.isOk());
+        EXPECT_GT(out.value().bytes, 0u);
+        EXPECT_GT(out.value().stall_ns, 0);
+    } else {
+        EXPECT_FALSE(backend->canSwapOut(a.value().slot));
+    }
+    expectAuditClean(*backend);
+}
+
+// ---- Paged TP-2 audit: corruption of a single worker ---------------
+
+class PagedBackendAudit : public ::testing::Test
+{
+  protected:
+    PagedBackendAudit()
+        : backend_(perf::ModelSpec::yi6B(), 2, 16, 64 * MiB)
+    {
+        slot_ = backend_.allocSlot().value();
+        backend_.ensure({{slot_, 100}}).status().expectOk("ensure");
+        audit::AuditReport report;
+        backend_.auditInto(report);
+        EXPECT_TRUE(report.ok()) << report.toString();
+    }
+
+    std::string
+    auditText() const
+    {
+        audit::AuditReport report;
+        backend_.auditInto(report);
+        EXPECT_FALSE(report.ok());
+        return report.toString();
+    }
+
+    PagedBackend backend_;
+    int slot_ = -1;
+};
+
+TEST_F(PagedBackendAudit, LocalizesInjectedWorkerDesync)
+{
+    // Worker 1 alone grows the slot past the group-agreed length.
+    ASSERT_TRUE(backend_.workers().worker(1).ensureSlot(slot_, 500).isOk());
+    const std::string text = auditText();
+    EXPECT_NE(text.find("worker 1 group 0 has"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("worker 1 slot " + std::to_string(slot_)),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("desynced"), std::string::npos) << text;
+    EXPECT_EQ(text.find("worker 0 group"), std::string::npos) << text;
+}
+
+TEST_F(PagedBackendAudit, CatchesPerWorkerRefcountLeak)
+{
+    // A block reference taken outside every slot on worker 1: its
+    // manager counts one more reference than the slots hold.
+    auto &manager = backend_.workers().worker(1).groups[0].manager;
+    ASSERT_TRUE(manager.allocBlock().isOk());
+    const std::string text = auditText();
+    EXPECT_NE(text.find("worker 1 group 0 slots hold"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("leaked outside the slots"), std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("worker 0 group"), std::string::npos) << text;
+}
+
+TEST_F(PagedBackendAudit, CatchesLifecycleDesync)
+{
+    // Worker 1 frees the request while worker 0 keeps it live.
+    backend_.workers().worker(1).freeSlot(slot_);
+    const std::string text = auditText();
+    EXPECT_NE(text.find("worker 1 is missing slot " +
+                        std::to_string(slot_)),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("lockstep divergence"), std::string::npos)
+        << text;
+}
+
+} // namespace vattn::serving::contract

@@ -40,76 +40,8 @@ swapOptions(u64 host_swap_bytes)
 
 // ---- Backend level: export / import of swapped KV images ------------
 
-TEST(KvExportImportTest, VAttentionRoundTrip)
-{
-    VAttentionBackend donor(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                            swapOptions(1 * GiB));
-    VAttentionBackend target(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                             swapOptions(1 * GiB));
-    ASSERT_TRUE(donor.supportsKvExport());
-    ASSERT_TRUE(target.supportsKvExport());
-
-    auto slot = donor.allocSlot();
-    ASSERT_TRUE(slot.isOk());
-    ASSERT_TRUE(donor.ensure({{slot.value(), 4096}}).isOk());
-    const u64 device_bytes = donor.bytesInUse();
-    EXPECT_GT(device_bytes, 0u);
-
-    auto out = donor.swapOut(slot.value());
-    ASSERT_TRUE(out.isOk());
-    EXPECT_EQ(donor.bytesInUse(), 0u);
-
-    auto image = donor.exportSwapped(slot.value());
-    ASSERT_TRUE(image.isOk());
-    EXPECT_EQ(image.value().bytes, out.value().bytes);
-    EXPECT_FALSE(image.value().empty());
-    EXPECT_FALSE(image.value().buffer_leads.empty());
-    EXPECT_TRUE(image.value().group_blocks.empty());
-
-    ASSERT_TRUE(target.canImportSwapped(image.value()));
-    auto imported = target.importSwapped(image.value());
-    ASSERT_TRUE(imported.isOk());
-    ASSERT_TRUE(target.canSwapIn(imported.value()));
-    auto in = target.swapIn(imported.value());
-    ASSERT_TRUE(in.isOk());
-    EXPECT_EQ(in.value().bytes, out.value().bytes);
-    // Same live ranges mapped on the target as the donor held.
-    EXPECT_EQ(target.bytesInUse(), device_bytes);
-    target.freeSlot(imported.value());
-}
-
-TEST(KvExportImportTest, PagedRoundTrip)
-{
-    PagedBackend donor(perf::ModelSpec::yi6B(), 1, 16, 64 * MiB,
-                       /*enable_prefix_caching=*/false,
-                       /*host_swap_bytes=*/1 * GiB);
-    PagedBackend target(perf::ModelSpec::yi6B(), 1, 16, 64 * MiB,
-                        /*enable_prefix_caching=*/false,
-                        /*host_swap_bytes=*/1 * GiB);
-    ASSERT_TRUE(donor.supportsKvExport());
-
-    auto slot = donor.allocSlot();
-    ASSERT_TRUE(slot.isOk());
-    ASSERT_TRUE(donor.ensure({{slot.value(), 1000}}).isOk());
-    const u64 device_bytes = donor.bytesInUse();
-
-    auto out = donor.swapOut(slot.value());
-    ASSERT_TRUE(out.isOk());
-    auto image = donor.exportSwapped(slot.value());
-    ASSERT_TRUE(image.isOk());
-    EXPECT_EQ(image.value().bytes, out.value().bytes);
-    EXPECT_FALSE(image.value().group_blocks.empty());
-    EXPECT_TRUE(image.value().buffer_leads.empty());
-
-    ASSERT_TRUE(target.canImportSwapped(image.value()));
-    auto imported = target.importSwapped(image.value());
-    ASSERT_TRUE(imported.isOk());
-    auto in = target.swapIn(imported.value());
-    ASSERT_TRUE(in.isOk());
-    EXPECT_EQ(in.value().bytes, out.value().bytes);
-    EXPECT_EQ(target.bytesInUse(), device_bytes);
-    target.freeSlot(imported.value());
-}
+// The swap -> export -> import -> swap-in round trip of both backend
+// families at TP 1 and 2 lives in test_backend_contract.cc.
 
 TEST(KvExportImportTest, DonorCanAlwaysReimportOwnExport)
 {
@@ -144,10 +76,10 @@ TEST(KvExportImportTest, RefusalsAndGeometryMismatch)
     auto image = donor.exportSwapped(slot.value());
     ASSERT_TRUE(image.isOk());
 
-    // No swap tier at all: export unsupported, import refused.
+    // No swap tier at all: no host tier, import refused.
     VAttentionBackend no_tier(perf::ModelSpec::yi6B(), 1, 512 * MiB,
                               swapOptions(0));
-    EXPECT_FALSE(no_tier.supportsKvExport());
+    EXPECT_FALSE(no_tier.hasHostTier());
     EXPECT_FALSE(no_tier.canImportSwapped(image.value()));
 
     // Host tier too small for the image: refused, not an error.
