@@ -524,16 +524,19 @@ KvAllocator::handleAt(int slot, int buffer, i64 group) const
 }
 
 bool
-KvAllocator::hasSharedGroups(int slot) const
+KvAllocator::sharesGroupsWith(int slot, int other) const
 {
     if (aliased_mappings_ == 0) {
         return false; // nothing anywhere is shared
     }
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
-    for (const BufferMappings &buffer : mappings.buffers) {
-        for (i64 group = buffer.lead; group < buffer.end(); ++group) {
-            if (pool_.refCount(buffer.handles[static_cast<std::size_t>(
-                    group)]) > 1) {
+    const auto &mine = slots_[static_cast<std::size_t>(slot)].buffers;
+    const auto &theirs = slots_[static_cast<std::size_t>(other)].buffers;
+    for (std::size_t b = 0; b < mine.size(); ++b) {
+        const i64 lo = std::max(mine[b].lead, theirs[b].lead);
+        const i64 hi = std::min(mine[b].end(), theirs[b].end());
+        for (i64 group = lo; group < hi; ++group) {
+            const auto g = static_cast<std::size_t>(group);
+            if (mine[b].handles[g] == theirs[b].handles[g]) {
                 return true;
             }
         }

@@ -159,12 +159,13 @@ class KvAllocator
     cuvmm::MemHandle handleAt(int slot, int buffer, i64 group) const;
 
     /**
-     * Does any of the slot's mapped groups share its physical handle
-     * with another slot (pool refcount > 1)? Such a slot must not be
-     * swapped out: unmapping would not free the memory, and the
-     * sharer's KV must stay resident.
+     * Does @p other map any of @p slot's physical page-groups (an
+     * aliased group sits at the same index in both slots)? A slot
+     * shared with a live request must not be swapped out: unmapping
+     * would not free the memory, and the sharer's KV must stay
+     * resident.
      */
-    bool hasSharedGroups(int slot) const;
+    bool sharesGroupsWith(int slot, int other) const;
 
     /**
      * Make the slot's groups from @p from_group onward private: any

@@ -186,35 +186,58 @@ VAttention::clampChainToMapped(int slot)
     }
 }
 
-bool
-VAttention::canSwapOut(int req_id) const
+Status
+VAttention::checkSwapped(int req_id, bool swapped) const
 {
-    if (req_id < 0 || req_id >= config_.max_batch_size ||
-        slots_.state(req_id) != SlotState::kActive) {
-        return false;
+    if (req_id < 0 || req_id >= config_.max_batch_size) {
+        return errorStatus(ErrorCode::kInvalidArgument, "bad reqId");
+    }
+    if (slots_.state(req_id) != SlotState::kActive) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           "reqId not active");
+    }
+    if (stashes_[static_cast<std::size_t>(req_id)].empty() == swapped) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           swapped ? "reqId not swapped out"
+                                   : "reqId already swapped out");
+    }
+    return Status::ok();
+}
+
+Status
+VAttention::swapOutRefusal(int req_id) const
+{
+    if (Status status = checkSwapped(req_id, false); !status.isOk()) {
+        return status;
     }
     const i64 handles = allocator_.mappedHandles(req_id);
-    if (handles <= 0 ||
-        !stashes_[static_cast<std::size_t>(req_id)].empty()) {
-        return false;
+    if (handles <= 0) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           "no resident page-groups");
     }
-    if (allocator_.hasSharedGroups(req_id)) {
-        return false; // another slot maps these physical pages
+    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
+        // Prefix-aliased pages never leave the device while a live
+        // request maps them; the caller should recompute instead.
+        if (slot != req_id && slots_.state(slot) == SlotState::kActive &&
+            allocator_.sharesGroupsWith(req_id, slot)) {
+            return errorStatus(ErrorCode::kFailedPrecondition,
+                               "page-groups shared with another request");
+        }
     }
-    return pool_.hostGroupsAvailable() >= handles;
+    if (pool_.hostGroupsAvailable() < handles) {
+        return errorStatus(ErrorCode::kOutOfMemory,
+                           "host swap tier full");
+    }
+    return Status::ok();
 }
 
 bool
 VAttention::canSwapIn(int req_id) const
 {
-    if (req_id < 0 || req_id >= config_.max_batch_size ||
-        slots_.state(req_id) != SlotState::kActive) {
+    if (!checkSwapped(req_id, true).isOk()) {
         return false;
     }
     const auto &stash = stashes_[static_cast<std::size_t>(req_id)];
-    if (stash.empty()) {
-        return false;
-    }
     const i64 need =
         stash.handles - allocator_.mappedHandles(req_id);
     // Cached slots are stealable supply, exactly as in step() — minus
@@ -240,44 +263,27 @@ SwapStats
 VAttention::swapOutReq(int req_id)
 {
     SwapStats out;
-    if (req_id < 0 || req_id >= config_.max_batch_size) {
-        out.status = errorStatus(ErrorCode::kInvalidArgument,
-                                 "bad reqId");
-        return out;
-    }
-    if (slots_.state(req_id) != SlotState::kActive) {
-        out.status = errorStatus(ErrorCode::kFailedPrecondition,
-                                 "reqId not active");
+    out.status = swapOutRefusal(req_id);
+    if (!out.status.isOk()) {
         return out;
     }
     auto &stash = stashes_[static_cast<std::size_t>(req_id)];
-    if (!stash.empty()) {
-        out.status = errorStatus(ErrorCode::kFailedPrecondition,
-                                 "reqId already swapped out");
-        return out;
-    }
     const i64 handles = allocator_.mappedHandles(req_id);
-    if (handles <= 0) {
-        out.status = errorStatus(ErrorCode::kFailedPrecondition,
-                                 "no resident page-groups");
-        return out;
-    }
-    if (allocator_.hasSharedGroups(req_id)) {
-        // Prefix-aliased pages never leave the device while another
-        // slot maps them; the caller should recompute instead.
-        out.status = errorStatus(
-            ErrorCode::kFailedPrecondition,
-            "page-groups shared with another request");
-        return out;
-    }
     const i64 nbuf = allocator_.geometry().numBuffers();
-    if (pool_.hostGroupsAvailable() < handles) {
-        out.status = errorStatus(ErrorCode::kOutOfMemory,
-                                 "host swap tier full");
-        return out;
-    }
 
     driver_.consumeElapsedNs(); // open a fresh accounting window
+    // Only cached slots can still alias these groups. They are prefix
+    // store entries of finished requests: drop them rather than pin
+    // the victim's pages (the paged backend likewise forgets swapped
+    // blocks' prefix hashes).
+    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
+        if (slot != req_id && slots_.state(slot) == SlotState::kCached &&
+            allocator_.sharesGroupsWith(req_id, slot)) {
+            allocator_.releaseAll(slot);
+            chains_[static_cast<std::size_t>(slot)].clear();
+            slots_.moveToFree(slot).expectOk("unpin cached sharer");
+        }
+    }
     // Stash exactly the live window of every buffer, remembering each
     // buffer's lead so swap-in restores the same [lead, end) layout.
     stash.pages.resize(static_cast<std::size_t>(nbuf));
@@ -324,22 +330,11 @@ SwapStats
 VAttention::swapInReq(int req_id)
 {
     SwapStats in;
-    if (req_id < 0 || req_id >= config_.max_batch_size) {
-        in.status = errorStatus(ErrorCode::kInvalidArgument,
-                                "bad reqId");
-        return in;
-    }
-    if (slots_.state(req_id) != SlotState::kActive) {
-        in.status = errorStatus(ErrorCode::kFailedPrecondition,
-                                "reqId not active");
+    in.status = checkSwapped(req_id, true);
+    if (!in.status.isOk()) {
         return in;
     }
     auto &stash = stashes_[static_cast<std::size_t>(req_id)];
-    if (stash.empty()) {
-        in.status = errorStatus(ErrorCode::kFailedPrecondition,
-                                "reqId not swapped out");
-        return in;
-    }
 
     driver_.consumeElapsedNs(); // open a fresh accounting window
     const i64 nbuf = allocator_.geometry().numBuffers();
@@ -350,7 +345,9 @@ VAttention::swapInReq(int req_id)
             static_cast<i64>(
                 stash.pages[static_cast<std::size_t>(b)].size());
     }
-    auto status = growToLayoutSteal(req_id, stash.leads, ends);
+    auto status = growStealing([&] {
+        return allocator_.growToLayout(req_id, stash.leads, ends);
+    });
     if (!status.isOk()) {
         // Roll the partial growth back: a swapped slot is outside the
         // framework's preemption reach, so letting it hoard device
@@ -392,19 +389,10 @@ VAttention::swapInReq(int req_id)
 Result<VAttention::HostKvImage>
 VAttention::exportSwapped(int req_id)
 {
-    if (req_id < 0 || req_id >= config_.max_batch_size) {
-        return Result<HostKvImage>(ErrorCode::kInvalidArgument,
-                                   "bad reqId");
-    }
-    if (slots_.state(req_id) != SlotState::kActive) {
-        return Result<HostKvImage>(ErrorCode::kFailedPrecondition,
-                                   "reqId not active");
+    if (Status status = checkSwapped(req_id, true); !status.isOk()) {
+        return Result<HostKvImage>(status);
     }
     auto &stash = stashes_[static_cast<std::size_t>(req_id)];
-    if (stash.empty()) {
-        return Result<HostKvImage>(ErrorCode::kFailedPrecondition,
-                                   "reqId not swapped out");
-    }
 
     driver_.consumeElapsedNs(); // open a fresh accounting window
     HostKvImage image;
@@ -418,17 +406,11 @@ VAttention::exportSwapped(int req_id)
     image.handles = stash.handles;
     image.bytes = static_cast<u64>(stash.handles) *
                   allocator_.geometry().groupBytes();
-    // The payload stays put in node-shared host memory: the donor's
-    // host pages return to its pool without any copy.
-    for (const auto &buffer_pages : stash.pages) {
-        for (cuvmm::MemHandle page : buffer_pages) {
-            pool_.releaseHost(page);
-        }
-    }
-    stash.clear();
-    // Post-swap-out the slot holds no device mappings, so this frees
-    // the reqId outright (no cached-slot detour even with deferred
-    // reclamation).
+    // The payload stays put in node-shared host memory: freeing the
+    // reqId returns the donor's host pages to its pool without any
+    // copy. Post-swap-out the slot holds no device mappings, so the
+    // reqId is freed outright (no cached-slot detour even with
+    // deferred reclamation).
     freeReqId(req_id).expectOk("free exported reqId");
     stats_.critical_ns += driver_.consumeElapsedNs();
     return image;
@@ -520,14 +502,12 @@ VAttention::stealOneCachedGroup()
     return 0;
 }
 
+template <typename Grow>
 Status
-VAttention::ensureTokensSteal(int slot, i64 tokens, i64 *stolen)
+VAttention::growStealing(Grow grow, i64 *stolen)
 {
     while (true) {
-        auto status = allocator_.ensureTokens(slot, tokens);
-        if (status.isOk()) {
-            return status;
-        }
+        Status status = grow();
         if (status.code() != ErrorCode::kOutOfMemory) {
             return status;
         }
@@ -537,24 +517,6 @@ VAttention::ensureTokensSteal(int slot, i64 tokens, i64 *stolen)
         }
         if (stolen) {
             *stolen += freed;
-        }
-    }
-}
-
-Status
-VAttention::growToLayoutSteal(int slot, const std::vector<i64> &leads,
-                              const std::vector<i64> &ends)
-{
-    while (true) {
-        auto status = allocator_.growToLayout(slot, leads, ends);
-        if (status.isOk()) {
-            return status;
-        }
-        if (status.code() != ErrorCode::kOutOfMemory) {
-            return status;
-        }
-        if (stealOneCachedGroup() == 0) {
-            return status; // genuinely out of memory
         }
     }
 }
@@ -806,8 +768,9 @@ VAttention::step(const std::vector<i64> &seq_lens)
             return result;
         }
         if (allocator_.needsEnsureTokens(slot, len)) {
-            auto status = ensureTokensSteal(slot, len,
-                                            &result.handles_stolen);
+            auto status = growStealing(
+                [&] { return allocator_.ensureTokens(slot, len); },
+                &result.handles_stolen);
             if (!status.isOk()) {
                 result.status = status;
                 result.critical_ns = driver_.consumeElapsedNs();
@@ -870,20 +833,10 @@ VAttention::computePhase(TimeNs window_ns)
                     window_open = false;
                     break;
                 }
-                bool grew = false;
-                while (true) {
-                    auto status =
-                        allocator_.growOneRowForTokens(slot, len + 1);
-                    if (status.isOk()) {
-                        grew = true;
-                        break;
-                    }
-                    if (status.code() != ErrorCode::kOutOfMemory ||
-                        stealOneCachedGroup() == 0) {
-                        break;
-                    }
-                }
-                if (!grew) {
+                const Status grew = growStealing([&] {
+                    return allocator_.growOneRowForTokens(slot, len + 1);
+                });
+                if (!grew.isOk()) {
                     window_open = false;
                     break;
                 }
@@ -991,9 +944,6 @@ VAttention::canAllocate(i64 prompt_tokens) const
             cached_total += handles;
             best_cached = std::max(best_cached, handles);
         }
-    }
-    if (slots_.numFree() == 0 && slots_.numCached() == 0) {
-        return false;
     }
     const i64 extra_needed = std::max<i64>(0, need - best_cached);
     // Alias-pinned mappings are not real supply: stealing such a

@@ -194,9 +194,10 @@ class VAttention
     /**
      * Copy every resident page-group of @p req_id to host pages, then
      * unmap the device groups (returning them to the pool). Refuses
-     * slots whose groups are prefix-aliased by another slot
+     * slots whose groups are prefix-aliased by another active slot
      * (kFailedPrecondition — the sharer's KV must stay resident), and
      * fails with kOutOfMemory when the host tier cannot hold the slot.
+     * Cached slots aliasing the groups are freed first.
      */
     SwapStats swapOutReq(int req_id);
 
@@ -210,7 +211,10 @@ class VAttention
     SwapStats swapInReq(int req_id);
 
     /** Could swapOutReq succeed right now? */
-    bool canSwapOut(int req_id) const;
+    bool canSwapOut(int req_id) const
+    {
+        return swapOutRefusal(req_id).isOk();
+    }
     /** Could swapInReq succeed right now (device supply check)? */
     bool canSwapIn(int req_id) const;
     /** Page-groups (per buffer) stashed on host for the slot. */
@@ -325,14 +329,17 @@ class VAttention
     }
 
   private:
-    /** Bring @p slot to the canonical layout for @p tokens (window
-     *  trims + growth), stealing cached groups on pool exhaustion. */
-    Status ensureTokensSteal(int slot, i64 tokens, i64 *stolen);
+    /** OK iff @p req_id is an active slot whose KV is (@p swapped) or
+     *  is not on the host tier. */
+    Status checkSwapped(int req_id, bool swapped) const;
+    /** Why swapOutReq(@p req_id) would fail right now, or OK. */
+    Status swapOutRefusal(int req_id) const;
 
-    /** Rebuild an empty slot to an explicit per-buffer layout
-     *  (swap-in), stealing cached groups on pool exhaustion. */
-    Status growToLayoutSteal(int slot, const std::vector<i64> &leads,
-                             const std::vector<i64> &ends);
+    /** Run the allocator step @p grow, stealing one cached group and
+     *  retrying while it fails with kOutOfMemory; mappings stolen are
+     *  added to @p stolen. */
+    template <typename Grow>
+    Status growStealing(Grow grow, i64 *stolen = nullptr);
 
     /** Reclaim one group-row from the oldest cached slot; returns the
      *  number of handle mappings freed (0 = nothing left to steal). */

@@ -251,7 +251,7 @@ KernelModel::chunkedPrefillAttentionWindowed(BackendKind kind,
 
 TimeNs
 KernelModel::decodeAttentionWindowed(BackendKind kind,
-                                     const std::vector<i64> &kv_lens,
+                                     std::span<const i64> kv_lens,
                                      int block_size) const
 {
     i64 total = 0;

@@ -14,6 +14,8 @@
 #ifndef VATTN_PERF_KERNEL_MODEL_HH
 #define VATTN_PERF_KERNEL_MODEL_HH
 
+#include <span>
+
 #include "common/types.hh"
 #include "perf/backend_kind.hh"
 #include "perf/gpu_spec.hh"
@@ -90,7 +92,7 @@ class KernelModel
      * min(kv, window) tokens.
      */
     TimeNs decodeAttentionWindowed(BackendKind kind,
-                                   const std::vector<i64> &kv_lens,
+                                   std::span<const i64> kv_lens,
                                    int block_size = 0) const;
 
     /** Attended key-token units of one window class for a chunk

@@ -55,14 +55,4 @@ OverheadModel::prefillCpu(BackendKind kind, i64 num_prompts,
     return t;
 }
 
-TimeNs
-OverheadModel::hybridCpu(BackendKind kind, i64 num_prompts,
-                         i64 new_blocks, i64 decode_batch,
-                         i64 max_blocks, i64 total_blocks) const
-{
-    return prefillCpu(kind, num_prompts, new_blocks) +
-           decodeCpu(kind, decode_batch, max_blocks, total_blocks) -
-           kBaseIterNs;
-}
-
 } // namespace vattn::perf

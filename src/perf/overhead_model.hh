@@ -41,15 +41,6 @@ class OverheadModel
     TimeNs prefillCpu(BackendKind kind, i64 num_prompts,
                       i64 new_blocks) const;
 
-    /**
-     * CPU time of one hybrid (chunked-prefill + decode) iteration:
-     * both sides' per-request work, with the per-iteration scheduler
-     * base charged once.
-     */
-    TimeNs hybridCpu(BackendKind kind, i64 num_prompts, i64 new_blocks,
-                     i64 decode_batch, i64 max_blocks,
-                     i64 total_blocks) const;
-
     // Calibration constants (exposed for tests).
     static constexpr TimeNs kBaseIterNs = 4 * kMsec;   ///< scheduler+python
     static constexpr TimeNs kPerRequestNs = 30 * kUsec; ///< sample/detok

@@ -97,7 +97,9 @@ ServingCluster::estimateFor(const Request &request, int replica) const
     // Occupancy estimate: prefill plus one batch-1 iteration per
     // output token at mid-generation context. Crude (ignores batching
     // and queueing) but deterministic and monotone in the request's
-    // size, which is all the load model needs.
+    // size, which is all the load model needs. It is the one pricing
+    // site outside perf::priceIteration (allow-listed in
+    // tools/check_invariants.py): a load model, not an iteration.
     TimeNs service =
         kernel.prefillAttention(config.backend, request.prompt_tokens) +
         kernel.prefillLinear(request.prompt_tokens) +

@@ -9,22 +9,6 @@
 namespace vattn::serving
 {
 
-namespace
-{
-
-/** KV blocks consumed by a context of @p tokens. */
-i64
-blocksFor(i64 tokens, i64 block_size)
-{
-    if (block_size <= 0 || tokens <= 0) {
-        return 0;
-    }
-    return static_cast<i64>(ceilDiv(static_cast<u64>(tokens),
-                                    static_cast<u64>(block_size)));
-}
-
-} // namespace
-
 const char *
 toString(PreemptionPolicy policy)
 {
@@ -159,19 +143,18 @@ Engine::activeLens(const IterationPlan &plan)
 }
 
 TimeNs
-Engine::recomputeCostNs(const Request *request) const
+Engine::promptComputeNs(i64 tokens) const
 {
-    const i64 ctx = request->contextLen();
-    if (ctx <= 0) {
+    if (tokens <= 0) {
         return 0;
     }
-    // What evicting this request throws away: the prefill FLOPs of
-    // every token already in its KV cache (decoded tokens included —
-    // recomputation replays them as prompt). Sliding-window layers
-    // recompute only their banded score matrix.
-    return kernel_.chunkedPrefillAttentionWindowed(config_.backend,
-                                                   ctx, ctx) +
-           kernel_.prefillLinear(ctx) + kernel_.commTime(ctx);
+    // Sliding-window layers compute only their banded score matrix.
+    // The all-reduce counts in full, hidden or not.
+    const perf::ChunkShape prompt{tokens, 0};
+    const perf::IterationCost cost = perf::priceIteration(
+        kernel_, overhead_, config_.backend, block_size_,
+        config_.overlap_comm, {{&prompt, 1}, {}, 1, 0});
+    return cost.attention_ns + cost.linear_ns + cost.commNs();
 }
 
 Request *
@@ -185,10 +168,10 @@ Engine::pickVictim()
     // Smallest recompute cost, scanning newest-first so ties keep the
     // LIFO choice.
     Request *best = running_.back();
-    TimeNs best_cost = recomputeCostNs(best);
+    TimeNs best_cost = promptComputeNs(best->contextLen());
     for (auto it = std::next(running_.rbegin());
          it != running_.rend(); ++it) {
-        const TimeNs cost = recomputeCostNs(*it);
+        const TimeNs cost = promptComputeNs((*it)->contextLen());
         if (cost < best_cost) {
             best = *it;
             best_cost = cost;
@@ -210,10 +193,13 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
         break;
       case PreemptionPolicy::kAuto: {
         // Swap iff the PCIe round trip undercuts replaying the
-        // victim's prefill.
+        // victim's prefill: every token already in its KV cache,
+        // decoded tokens included (recomputation replays them as
+        // prompt).
         const u64 bytes = backend_->slotPhysBytes(victim->slot);
-        try_swap = bytes > 0 && config_.pcie.roundTripNs(bytes) <
-                                    recomputeCostNs(victim);
+        try_swap = bytes > 0 &&
+                   config_.pcie.roundTripNs(bytes) <
+                       promptComputeNs(victim->contextLen());
         break;
       }
     }
@@ -224,27 +210,25 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
     // from token 0 through the waiting queue instead.
     if (try_swap && victim->prefillComplete() &&
         backend_->canSwapOut(victim->slot)) {
-        auto result = backend_->swapOut(victim->slot);
-        if (result.isOk()) {
-            running_.erase(
-                std::find(running_.begin(), running_.end(), victim));
-            ++victim->preemptions;
-            // Computed state survives: the victim resumes where it
-            // stopped, recomputing nothing. The TBT chain restarts
-            // like recompute preemption's does, so the parked wait is
-            // charged to swap_stall_ns/latency — not sampled as one
-            // giant inter-token gap that the recompute policy's
-            // resetComputedState would have hidden.
-            victim->last_token_ns = 0;
-            scheduler_.pushSwapped(victim);
-            ++report.swap_outs;
-            report.swap_out_bytes += result.value().bytes;
-            report.swap_stall_ns += result.value().stall_ns;
-            if (swap_stall_ns) {
-                *swap_stall_ns += result.value().stall_ns;
-            }
-            return;
+        // canSwapOut is exact: the swap cannot be refused now.
+        const SwapResult swap = backend_->swapOut(victim->slot).value();
+        std::erase(running_, victim);
+        ++victim->preemptions;
+        // Computed state survives: the victim resumes where it
+        // stopped, recomputing nothing. The TBT chain restarts like
+        // recompute preemption's does, so the parked wait is charged
+        // to swap_stall_ns/latency — not sampled as one giant
+        // inter-token gap that the recompute policy's
+        // resetComputedState would have hidden.
+        victim->last_token_ns = 0;
+        scheduler_.pushSwapped(victim);
+        ++report.swap_outs;
+        report.swap_out_bytes += swap.bytes;
+        report.swap_stall_ns += swap.stall_ns;
+        if (swap_stall_ns) {
+            *swap_stall_ns += swap.stall_ns;
         }
+        return;
     }
     // Recompute (also the fallback when the victim cannot be swapped:
     // prefix-aliased pages, host tier full): free the KV and restart
@@ -259,10 +243,7 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
 void
 Engine::dropRequest(Request *request, RunReport &report)
 {
-    auto it = std::find(running_.begin(), running_.end(), request);
-    if (it != running_.end()) {
-        running_.erase(it);
-    }
+    std::erase(running_, request);
     if (request->slot >= 0) {
         backend_->freeSlot(request->slot);
     }
@@ -274,18 +255,6 @@ Engine::dropRequest(Request *request, RunReport &report)
     if (request->stream != nullptr && request->stream->on_finish) {
         request->stream->on_finish(*request);
     }
-}
-
-TimeNs
-Engine::prefillCostNs(const Request *request) const
-{
-    const i64 tokens = request->remainingPromptTokens();
-    if (tokens <= 0) {
-        return 0;
-    }
-    return kernel_.chunkedPrefillAttentionWindowed(config_.backend,
-                                                   tokens, tokens) +
-           kernel_.prefillLinear(tokens) + kernel_.commTime(tokens);
 }
 
 void
@@ -319,7 +288,8 @@ Engine::shedHopeless(RunReport &report)
         }
         const TimeNs deadline =
             head->arrival_ns + head->ttft_deadline_ns;
-        if (clock_.now() + prefillCostNs(head) <= deadline) {
+        if (clock_.now() + promptComputeNs(head->remainingPromptTokens()) <=
+            deadline) {
             break;
         }
         scheduler_.popFrontWaiting();
@@ -430,29 +400,6 @@ Engine::recordToken(Request *request, RunReport &report)
     }
 }
 
-i64
-Engine::maxBlocksIn(const std::vector<Request *> &requests,
-                    i64 block_size)
-{
-    i64 max_blocks = 0;
-    for (const Request *request : requests) {
-        max_blocks = std::max(
-            max_blocks, blocksFor(request->contextLen(), block_size));
-    }
-    return max_blocks;
-}
-
-i64
-Engine::totalBlocksIn(const std::vector<Request *> &requests,
-                      i64 block_size)
-{
-    i64 total = 0;
-    for (const Request *request : requests) {
-        total += blocksFor(request->contextLen(), block_size);
-    }
-    return total;
-}
-
 const IterationPlan &
 Engine::decodePlan()
 {
@@ -467,11 +414,22 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
     if (plan.empty()) {
         return; // nothing to run (drained decodeOnly batch)
     }
+    TimeNs mem_ns = admit(plan, report);
+    mem_ns += ensureWithPreemption(plan, report);
+    const perf::IterationCost cost = price(plan);
+    if (plan.prefills.empty() && iter_decodes_.empty()) {
+        return; // everything got preempted (pathological budget)
+    }
+    account(plan, cost, mem_ns, report);
+    emit(report);
+}
 
-    // ---- Admission: first chunks lease a backend slot --------------
+TimeNs
+Engine::admit(const IterationPlan &plan, RunReport &report)
+{
     // Prefix-aware: a cached prefix match starts the request's prefill
     // at the matched offset (the backend aliased or shared the KV).
-    TimeNs prefix_alloc_ns = 0;
+    TimeNs alloc_ns = 0;
     for (const PrefillChunk &chunk : plan.prefills) {
         if (!chunk.first_chunk) {
             continue;
@@ -495,104 +453,57 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
             // if the matched entry was sacrificed meanwhile).
             request->prefix_hint = lease.value().cached_tokens;
         }
-        prefix_alloc_ns += lease.value().alloc_ns;
+        alloc_ns += lease.value().alloc_ns;
         request->state = Request::State::kRunning;
         if (request->first_scheduled_ns == 0) {
             request->first_scheduled_ns = clock_.now();
         }
         running_.push_back(request);
     }
+    return alloc_ns;
+}
 
-    const TimeNs mem_ns =
-        prefix_alloc_ns + ensureWithPreemption(plan, report);
-
-    // ---- Survivors (ensure may have preempted plan members) --------
-    std::vector<const PrefillChunk *> &prefills = iter_prefills_;
-    prefills.clear();
+perf::IterationCost
+Engine::price(const IterationPlan &plan)
+{
+    // Only survivors run: ensure may have preempted plan members.
+    iter_prefills_.clear();
+    iter_chunks_.clear();
     for (const PrefillChunk &chunk : plan.prefills) {
         if (chunk.request->state == Request::State::kRunning) {
-            prefills.push_back(&chunk);
+            iter_prefills_.push_back(&chunk);
+            iter_chunks_.push_back(
+                {chunk.tokens, chunk.request->prefilled_tokens});
         }
     }
-    std::vector<Request *> &decodes = iter_decodes_;
-    decodes.clear();
+    iter_decodes_.clear();
+    iter_kv_lens_.clear();
     for (Request *request : plan.decodes) {
         if (request->state == Request::State::kRunning) {
-            decodes.push_back(request);
+            iter_decodes_.push_back(request);
+            iter_kv_lens_.push_back(request->contextLen());
         }
     }
-    const i64 decode_batch = static_cast<i64>(decodes.size());
-    if (plan.prefills.empty() && decode_batch == 0) {
-        return; // everything got preempted (pathological budget)
-    }
+    return perf::priceIteration(
+        kernel_, overhead_, config_.backend, block_size_,
+        config_.overlap_comm,
+        {iter_chunks_, iter_kv_lens_,
+         static_cast<i64>(plan.prefills.size()),
+         static_cast<i64>(plan.decodes.size())});
+}
 
-    // ---- GPU time --------------------------------------------------
-    i64 prefill_tokens = 0;
-    TimeNs attn_ns = 0;
-    i64 new_blocks = 0;
-    for (const PrefillChunk *chunk : prefills) {
-        const Request *request = chunk->request;
-        const i64 kv_len = request->prefilled_tokens + chunk->tokens;
-        prefill_tokens += chunk->tokens;
-        attn_ns += kernel_.chunkedPrefillAttentionWindowed(
-            config_.backend, chunk->tokens, kv_len);
-        new_blocks += blocksFor(kv_len, block_size_) -
-                      blocksFor(request->prefilled_tokens, block_size_);
-    }
-    // Per-request KV lengths: sliding-window layers stream only
-    // min(kv, window) tokens each (the sum is enough for uniform
-    // models, where decodeAttentionWindowed degenerates to the
-    // historical total-token path).
-    std::vector<i64> &decode_kv_lens = iter_kv_lens_;
-    decode_kv_lens.clear();
-    for (const Request *request : decodes) {
-        decode_kv_lens.push_back(request->contextLen());
-    }
-    attn_ns += kernel_.decodeAttentionWindowed(config_.backend,
-                                               decode_kv_lens);
-
-    // The linear operators and the all-reduce see one flat token
-    // batch: chunk tokens plus one token per decode.
-    const i64 token_units = prefill_tokens + decode_batch;
-    const TimeNs linear_ns = prefill_tokens > 0
-                                 ? kernel_.prefillLinear(token_units)
-                                 : kernel_.decodeLinear(decode_batch);
-    // All-reduce cost of the flat token batch. With overlap enabled,
-    // comm hides behind attention + linear and only the exposed
-    // remainder lengthens the iteration (the accounting below reports
-    // that exposed portion — what the replica actually paid).
-    TimeNs comm_ns = kernel_.commTime(token_units);
-    if (config_.overlap_comm) {
-        const TimeNs hideable = attn_ns + linear_ns;
-        comm_ns = comm_ns > hideable ? comm_ns - hideable : 0;
-    }
-    const TimeNs gpu_ns = attn_ns + linear_ns + comm_ns;
-
-    // ---- CPU time --------------------------------------------------
-    TimeNs cpu_ns = 0;
-    if (plan.decodes.empty()) {
-        cpu_ns = overhead_.prefillCpu(
-            config_.backend, static_cast<i64>(plan.prefills.size()),
-            new_blocks);
-    } else if (plan.prefills.empty()) {
-        cpu_ns = overhead_.decodeCpu(config_.backend, decode_batch,
-                                     maxBlocksIn(decodes, block_size_),
-                                     totalBlocksIn(decodes, block_size_));
-    } else {
-        cpu_ns = overhead_.hybridCpu(
-            config_.backend, static_cast<i64>(plan.prefills.size()),
-            new_blocks, decode_batch,
-            maxBlocksIn(decodes, block_size_),
-            totalBlocksIn(decodes, block_size_));
-    }
-
+void
+Engine::account(const IterationPlan &plan,
+                const perf::IterationCost &cost, TimeNs mem_ns,
+                RunReport &report)
+{
+    const TimeNs gpu_ns = cost.gpuNs();
     backend_->computeWindow(gpu_ns);
 
-    // ---- Advance the clock and account the iteration ---------------
     const TimeNs start = clock_.now();
-    clock_.advance(mem_ns + gpu_ns + cpu_ns);
-    report.busy_ns += mem_ns + gpu_ns + cpu_ns;
-    report.comm_ns += comm_ns;
+    clock_.advance(mem_ns + gpu_ns + cost.cpu_ns);
+    report.busy_ns += mem_ns + gpu_ns + cost.cpu_ns;
+    report.comm_ns += cost.comm_exposed_ns;
     const bool pure_prefill = plan.decodes.empty();
     if (pure_prefill) {
         ++report.prefill_iterations;
@@ -603,25 +514,37 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
     }
     report.peak_batch =
         std::max(report.peak_batch, static_cast<i64>(running_.size()));
-    if (config_.record_iterations) {
-        i64 groups = 0;
-        if (vattn_backend_ && !pure_prefill) {
-            groups = vattn_backend_->lastStep().handles_mapped;
-        }
-        const i64 batch =
-            pure_prefill ? static_cast<i64>(plan.prefills.size())
-                         : decode_batch +
-                               static_cast<i64>(prefills.size());
-        report.iterations.push_back(IterationRecord{
-            start, clock_.now() - start, pure_prefill, batch, mem_ns,
-            groups, prefill_tokens, static_cast<i64>(prefills.size()),
-            decode_batch, comm_ns});
+    if (!config_.record_iterations) {
+        return;
     }
+    const i64 groups = vattn_backend_ && !pure_prefill
+                           ? vattn_backend_->lastStep().handles_mapped
+                           : 0;
+    i64 prefill_tokens = 0;
+    for (const perf::ChunkShape &chunk : iter_chunks_) {
+        prefill_tokens += chunk.tokens;
+    }
+    const i64 num_chunks = static_cast<i64>(iter_chunks_.size());
+    const i64 decode_batch = static_cast<i64>(iter_decodes_.size());
+    const i64 batch = pure_prefill
+                          ? static_cast<i64>(plan.prefills.size())
+                          : decode_batch + num_chunks;
+    report.iterations.push_back(IterationRecord{
+        start, clock_.now() - start, pure_prefill, batch, mem_ns, groups,
+        prefill_tokens, num_chunks, decode_batch,
+        cost.comm_exposed_ns});
+}
 
-    // ---- Token emission --------------------------------------------
+void
+Engine::emit(RunReport &report)
+{
+    const auto complete = [this](const Request *request) {
+        return request->done() ||
+               request->contextLen() >= config_.model.max_context_len;
+    };
     // A chunk advances prefill progress; the chunk that completes the
     // prompt emits the request's first output token.
-    for (const PrefillChunk *chunk : prefills) {
+    for (const PrefillChunk *chunk : iter_prefills_) {
         Request *request = chunk->request;
         // min(): a prefix-cache hit at allocation may already have
         // advanced prefilled_tokens past what the plan assumed.
@@ -641,19 +564,17 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
         request->prefill_done_ns = clock_.now();
         request->generated = 1;
         recordToken(request, report);
-        if (request->done() ||
-            request->contextLen() >= config_.model.max_context_len) {
+        if (complete(request)) {
             finishRequest(request, report);
         }
     }
     // Each decode request produced one token.
     std::vector<Request *> &finished = iter_finished_;
     finished.clear();
-    for (Request *request : decodes) {
+    for (Request *request : iter_decodes_) {
         ++request->generated;
         recordToken(request, report);
-        if (request->done() ||
-            request->contextLen() >= config_.model.max_context_len) {
+        if (complete(request)) {
             finished.push_back(request);
         }
     }
@@ -1149,13 +1070,16 @@ Engine::prefillOnce(i64 ctx)
     auto mem = backend_->ensure(active);
     panic_if(!mem.isOk(), "prefillOnce: prompt does not fit");
     result.mem_ns = mem.value();
-    result.attention_ns =
-        kernel_.chunkedPrefillAttentionWindowed(config_.backend, ctx,
-                                                ctx);
-    result.linear_ns = kernel_.prefillLinear(ctx);
-    result.comm_ns = kernel_.commTime(ctx);
-    const i64 new_blocks = blocksFor(ctx, block_size_);
-    result.cpu_ns = overhead_.prefillCpu(config_.backend, 1, new_blocks);
+    // The microbenchmark serializes the all-reduce whatever
+    // overlap_comm says.
+    const perf::ChunkShape prompt{ctx, 0};
+    const perf::IterationCost cost = perf::priceIteration(
+        kernel_, overhead_, config_.backend, block_size_,
+        /*overlap_comm=*/false, {{&prompt, 1}, {}, 1, 0});
+    result.attention_ns = cost.attention_ns;
+    result.linear_ns = cost.linear_ns;
+    result.comm_ns = cost.commNs();
+    result.cpu_ns = cost.cpu_ns;
     result.total_ns = result.mem_ns + result.attention_ns +
                       result.linear_ns + result.comm_ns + result.cpu_ns;
 

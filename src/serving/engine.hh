@@ -10,10 +10,14 @@
  * Iteration composition lives outside the engine: every loop step
  * asks the scheduler layer's BatchComposer for an IterationPlan (a
  * set of decode requests plus prefill chunks) and executes it with
- * runIteration(). The composer's SchedulingMode decides whether
- * prefills run as monolithic prioritized iterations (vLLM v0.2.7) or
- * as stall-free chunks riding along with decodes (Sarathi-style
- * hybrid batching, the paper's §7 serving harness).
+ * runIteration(), which runs five phases: admit (slot leases and
+ * prefix hits), ensure (KV backing, preempting on OOM), price
+ * (perf::priceIteration over the survivors), account (clock, report,
+ * iteration record) and emit (tokens and finishes). The composer's
+ * SchedulingMode decides whether prefills run as monolithic
+ * prioritized iterations (vLLM v0.2.7) or as stall-free chunks riding
+ * along with decodes (Sarathi-style hybrid batching, the paper's §7
+ * serving harness).
  */
 
 #ifndef VATTN_SERVING_ENGINE_HH
@@ -29,6 +33,7 @@
 #include "sim/event_queue.hh"
 #include "perf/backend_kind.hh"
 #include "perf/gpu_spec.hh"
+#include "perf/iteration_cost.hh"
 #include "perf/kernel_model.hh"
 #include "perf/model_spec.hh"
 #include "perf/nccl_spec.hh"
@@ -272,7 +277,6 @@ class Engine
 
     const EngineConfig &config() const { return config_; }
     const perf::KernelModel &kernelModel() const { return kernel_; }
-    const perf::OverheadModel &overheadModel() const { return overhead_; }
     MemoryBackend &backend() { return *backend_; }
     /** Non-null when the backend is vAttention. */
     VAttentionBackend *vattnBackend() { return vattn_backend_; }
@@ -302,8 +306,9 @@ class Engine
                                 RunReport &report);
     /** The running request the configured victim policy selects. */
     Request *pickVictim();
-    /** Modeled cost of re-prefilling the request's computed tokens. */
-    TimeNs recomputeCostNs(const Request *request) const;
+    /** Modeled GPU time of prefilling @p tokens from scratch, comm
+     *  included (recompute cost; shedding's first-token estimate). */
+    TimeNs promptComputeNs(i64 tokens) const;
     /** Preempt one victim per the configured policy: swap it to host
      *  (stall added to @p swap_stall_ns) or free-and-requeue it for
      *  recomputation. */
@@ -314,9 +319,6 @@ class Engine
     /** Permanently reject a request whose KV demand can never be met
      *  (graceful per-request failure; keeps serving). */
     void dropRequest(Request *request, RunReport &report);
-    /** Modeled prefill time of the request's remaining prompt (the
-     *  shedding check's earliest-possible-first-token estimate). */
-    TimeNs prefillCostNs(const Request *request) const;
     /** Shed queue heads whose TTFT deadline is already impossible
      *  (no-op unless EngineConfig::shed_on_ttft). */
     void shedHopeless(RunReport &report);
@@ -333,13 +335,19 @@ class Engine
     void recordToken(Request *request, RunReport &report);
     /** Execute one composed iteration (decodes + prefill chunks). */
     void runIteration(const IterationPlan &plan, RunReport &report);
+    /** Lease slots for first chunks; returns their allocation ns. */
+    TimeNs admit(const IterationPlan &plan, RunReport &report);
+    /** Gather the survivors into the iter_* scratch and price them. */
+    perf::IterationCost price(const IterationPlan &plan);
+    /** Advance the clock; account the iteration in @p report. */
+    void account(const IterationPlan &plan,
+                 const perf::IterationCost &cost, TimeNs mem_ns,
+                 RunReport &report);
+    /** Emit the survivors' tokens and finish completed requests. */
+    void emit(RunReport &report);
     /** Decode-only plan over the whole running set (microbenches);
      *  rebuilt into the reusable plan_ scratch. */
     const IterationPlan &decodePlan();
-    static i64 maxBlocksIn(const std::vector<Request *> &requests,
-                           i64 block_size);
-    static i64 totalBlocksIn(const std::vector<Request *> &requests,
-                             i64 block_size);
 
 #if VATTN_AUDIT
     /** Per-iteration hook: serving-layer audit + state-machine
@@ -395,6 +403,7 @@ class Engine
     IterationPlan plan_;
     ActiveLens active_lens_;
     std::vector<const PrefillChunk *> iter_prefills_;
+    std::vector<perf::ChunkShape> iter_chunks_; ///< iter_prefills_' shapes
     std::vector<Request *> iter_decodes_;
     std::vector<i64> iter_kv_lens_;
     std::vector<Request *> iter_finished_;

@@ -263,30 +263,40 @@ PagedBackend::WorkerPool::ensureSlot(int slot, i64 len)
     return Status::ok();
 }
 
-bool
-PagedBackend::WorkerPool::canSwapOut(int slot) const
+Status
+PagedBackend::WorkerPool::swapOutRefusal(int slot) const
 {
     const Slot *state = find(slot);
-    if (state == nullptr || state->swapped()) {
-        return false;
+    if (state == nullptr) {
+        return errorStatus(ErrorCode::kInvalidArgument, "unknown slot");
+    }
+    if (state->swapped()) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           "slot already swapped out");
     }
     i64 live_total = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
         const auto &list = state->blocks[g];
         live_total += list.liveBlockCount();
-        if (list.liveBlockCount() > groups[g].manager.numCpuFree()) {
-            return false;
-        }
         for (const i32 block : list.blocks()) {
             if (block == paged::RequestBlocks::kNoBlock) {
                 continue;
             }
             if (groups[g].manager.refCount(block) != 1) {
-                return false; // shared: stays resident
+                return errorStatus(ErrorCode::kFailedPrecondition,
+                                   "block shared with another request");
             }
         }
+        if (list.liveBlockCount() > groups[g].manager.numCpuFree()) {
+            return errorStatus(ErrorCode::kOutOfMemory,
+                               "CPU block pool full");
+        }
     }
-    return live_total > 0;
+    if (live_total == 0) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           "slot holds no blocks");
+    }
+    return Status::ok();
 }
 
 bool
@@ -311,39 +321,11 @@ PagedBackend::WorkerPool::canSwapIn(int slot) const
 Result<u64>
 PagedBackend::WorkerPool::swapOutSlot(int slot)
 {
-    Slot *found = find(slot);
-    if (found == nullptr) {
-        return Result<u64>(ErrorCode::kInvalidArgument,
-                           "unknown slot");
+    const Status refusal = swapOutRefusal(slot);
+    if (!refusal.isOk()) {
+        return Result<u64>(refusal);
     }
-    Slot &state = *found;
-    if (state.swapped()) {
-        return Result<u64>(ErrorCode::kFailedPrecondition,
-                           "slot already swapped out");
-    }
-    i64 live_total = 0;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        live_total += state.blocks[g].liveBlockCount();
-        for (const i32 block : state.blocks[g].blocks()) {
-            if (block == paged::RequestBlocks::kNoBlock) {
-                continue;
-            }
-            if (groups[g].manager.refCount(block) != 1) {
-                return Result<u64>(
-                    ErrorCode::kFailedPrecondition,
-                    "block shared with another request");
-            }
-        }
-        if (state.blocks[g].liveBlockCount() >
-            groups[g].manager.numCpuFree()) {
-            return Result<u64>(ErrorCode::kOutOfMemory,
-                               "CPU block pool full");
-        }
-    }
-    if (live_total == 0) {
-        return Result<u64>(ErrorCode::kFailedPrecondition,
-                           "slot holds no blocks");
-    }
+    Slot &state = *find(slot);
     u64 swapped_bytes = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
         state.swap_leads[g] = state.blocks[g].lead();

@@ -238,7 +238,12 @@ class PagedBackend : public MemoryBackend
                             i64 tokens);
         void freeSlot(int slot);
         Status ensureSlot(int slot, i64 len);
-        bool canSwapOut(int slot) const;
+        /** Why swapOutSlot(@p slot) would fail right now, or OK. */
+        Status swapOutRefusal(int slot) const;
+        bool canSwapOut(int slot) const
+        {
+            return swapOutRefusal(slot).isOk();
+        }
         bool canSwapIn(int slot) const;
         Result<u64> swapOutSlot(int slot);
         Result<u64> swapInSlot(int slot);

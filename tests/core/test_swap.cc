@@ -165,11 +165,15 @@ TEST_F(CoreSwapTest, RefusesWhileAnotherSlotMapsThePages)
               ErrorCode::kFailedPrecondition);
     EXPECT_EQ(driver_.counters().copy_dtoh, 0u);
 
-    // Freeing r2 parks its slot as a cached prefix entry that STILL
-    // aliases r1's group, so r1 remains unswappable — the refusal
-    // tracks the physical sharing, not request liveness.
+    // Freeing r2 parks its slot as a cached prefix entry that still
+    // aliases r1's group. Only a live sharer pins r1: swap-out frees
+    // the cached entry, and r1's pages leave the device.
     ASSERT_TRUE(vattn.freeReqId(r2.value()).isOk());
-    EXPECT_FALSE(vattn.canSwapOut(r1));
+    EXPECT_TRUE(vattn.canSwapOut(r1));
+    EXPECT_TRUE(vattn.swapOutReq(r1).status.isOk());
+    EXPECT_EQ(vattn.slots().state(r2.value()), SlotState::kFree);
+    EXPECT_EQ(vattn.aliasedBytes(), 0u);
+    EXPECT_EQ(vattn.physBytesMapped(), 0u);
     EXPECT_TRUE(vattn.checkInvariants());
 }
 

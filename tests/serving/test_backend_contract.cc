@@ -3,7 +3,8 @@
  * The MemoryBackend contract, checked once on both implementations at
  * TP 1 and TP 2: a swap-out -> export -> import -> swap-in round trip
  * moves equal bytes, a backend without a host tier refuses swaps and
- * imports, and a prefix-shared slot never swaps out. Every case ends
+ * imports, a prefix-shared slot never swaps out while its sharer
+ * runs, and canSwapOut predicts every swapOut refusal. Every case ends
  * with a clean audit, so the TP-2 cases also check the cross-worker
  * lockstep state. The paged fault-injection tests at the end corrupt
  * one TP worker and check that the audit localizes it.
@@ -39,8 +40,6 @@ struct Paged
 
     /** Four whole blocks: every one of them shareable. */
     static i64 sharedPromptTokens(const Backend &) { return 64; }
-    /** Freeing one sharer drops its block references at once. */
-    static constexpr bool kFreedSharerUnpins = true;
 
     static void
     expectOwnImage(const SwappedKvImage &image)
@@ -77,9 +76,6 @@ struct VAttn
     {
         return backend.runtime().geometry().tokensPerGroup() + 8;
     }
-    /** Deferred reclamation parks a freed sharer's slot with its
-     *  page-groups still mapped, so the alias outlives the request. */
-    static constexpr bool kFreedSharerUnpins = false;
 
     static void
     expectOwnImage(const SwappedKvImage &image)
@@ -232,17 +228,79 @@ TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
               ErrorCode::kFailedPrecondition);
     expectAuditClean(*backend);
 
+    // Releasing one side unpins the other: a finished sharer's KV is
+    // only a prefix-cache entry, which the swap-out gives up.
     backend->freeSlot(b.value().slot);
-    if constexpr (Family::kFreedSharerUnpins) {
-        // Releasing one side unpins the other.
-        EXPECT_TRUE(backend->canSwapOut(a.value().slot));
-        auto out = backend->swapOut(a.value().slot);
-        ASSERT_TRUE(out.isOk());
-        EXPECT_GT(out.value().bytes, 0u);
-        EXPECT_GT(out.value().stall_ns, 0);
-    } else {
-        EXPECT_FALSE(backend->canSwapOut(a.value().slot));
+    EXPECT_TRUE(backend->canSwapOut(a.value().slot));
+    auto out = backend->swapOut(a.value().slot);
+    ASSERT_TRUE(out.isOk());
+    EXPECT_GT(out.value().bytes, 0u);
+    EXPECT_GT(out.value().stall_ns, 0);
+    EXPECT_EQ(backend->bytesInUse(), 0u);
+    expectAuditClean(*backend);
+}
+
+/** canSwapOut(@p slot) must say exactly whether swapOut(@p slot)
+ *  succeeds; @p expected is the outcome the case sets up. */
+void
+expectSwapOutPredicted(MemoryBackend &backend, int slot, bool expected)
+{
+    const bool predicted = backend.canSwapOut(slot);
+    EXPECT_EQ(predicted, expected) << "slot " << slot;
+    const auto out = backend.swapOut(slot);
+    EXPECT_EQ(out.isOk(), predicted)
+        << "slot " << slot << ": " << out.status().message();
+}
+
+TYPED_TEST(BackendContract, CanSwapOutPredictsEverySwapOutRefusal)
+{
+    using Family = typename TypeParam::Family;
+    // Size the host tier to hold one request's KV and not two.
+    u64 slot_bytes = 0;
+    {
+        auto probe = Family::make(TypeParam::tp, 1 * GiB, false);
+        const int slot = probe->allocSlot().value();
+        ASSERT_TRUE(probe->ensure({{slot, Family::kTokens}}).isOk());
+        slot_bytes = probe->slotPhysBytes(slot);
+        ASSERT_GT(slot_bytes, 0u);
     }
+    auto backend =
+        Family::make(TypeParam::tp, slot_bytes + slot_bytes / 2, true);
+    ASSERT_TRUE(backend->hasHostTier());
+
+    // Unknown slot, and a leased slot that holds no KV yet.
+    expectSwapOutPredicted(*backend, 3, false);
+    const int empty = backend->allocSlot().value();
+    expectSwapOutPredicted(*backend, empty, false);
+
+    // The first request swaps out; a second attempt finds it swapped.
+    ASSERT_TRUE(backend->ensure({{empty, Family::kTokens}}).isOk());
+    expectSwapOutPredicted(*backend, empty, true);
+    expectSwapOutPredicted(*backend, empty, false);
+
+    // The host tier now lacks room for a second request's KV.
+    const int second = backend->allocSlot().value();
+    ASSERT_TRUE(backend->ensure({{second, Family::kTokens}}).isOk());
+    expectSwapOutPredicted(*backend, second, false);
+    backend->freeSlot(second);
+    backend->freeSlot(empty);
+
+    // Two live requests sharing a prefix: neither side may leave.
+    const i64 tokens = Family::sharedPromptTokens(*backend);
+    std::vector<i32> prompt(static_cast<std::size_t>(tokens));
+    std::iota(prompt.begin(), prompt.end(), 11);
+    PrefixHashCache cache_a;
+    PrefixKey key_a{prompt.data(), tokens, &cache_a};
+    const int a = backend->allocSlot(key_a, 0).value().slot;
+    ASSERT_TRUE(backend->ensure({{a, tokens}}).isOk());
+    backend->registerPrefix(a, key_a, tokens);
+    PrefixHashCache cache_b;
+    PrefixKey key_b{prompt.data(), tokens, &cache_b};
+    auto b = backend->allocSlot(key_b, tokens - 1);
+    ASSERT_TRUE(b.isOk());
+    ASSERT_GT(b.value().cached_tokens, 0);
+    expectSwapOutPredicted(*backend, a, false);
+    expectSwapOutPredicted(*backend, b.value().slot, false);
     expectAuditClean(*backend);
 }
 

@@ -36,6 +36,14 @@ Machine-checks the conventions the simulator's correctness leans on:
                 replicas run on the one single-threaded event loop,
                 and core::BackgroundWorker is the only thread owner in
                 src/.
+  5. pricing  — src/serving/ never calls the KernelModel /
+                OverheadModel pricing methods itself: an iteration's
+                time is composed in one place, perf::priceIteration
+                (src/perf/iteration_cost.cc), so every path through the
+                engine is priced alike. The router's occupancy estimate
+                (ServingCluster::estimateFor) is the one allow-listed
+                site: it is a deliberately cruder load model (batch-1
+                decode, no queueing), not an iteration's cost.
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -120,6 +128,20 @@ THREAD_RE = re.compile(r"\bstd::j?thread\b")
 # an `alloc-ok` comment.
 ALLOC_CALL_RE = re.compile(r"\bmake_(?:unique|shared)\s*<")
 
+# Kernel / CPU-overhead model pricing calls, composed only by
+# perf::priceIteration.
+PRICING_CALL_RE = re.compile(
+    r"(?:\.|->)\s*(?:prefillAttention|chunkedPrefillAttention(?:Windowed)?"
+    r"|decodeAttention(?:Windowed)?|prefillLinear|decodeLinear|commTime"
+    r"|prefillCpu|decodeCpu|hybridCpu)\s*\("
+)
+
+# Functions in src/serving/ allowed to price on their own: the
+# router's occupancy estimate is a cruder load model on purpose.
+PRICING_ALLOWED = {
+    ("src", "serving", "cluster.cc"): "ServingCluster::estimateFor",
+}
+
 BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 LINE_COMMENT_RE = re.compile(r"//[^\n]*")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -137,6 +159,18 @@ def strip_comments_and_strings(text: str) -> str:
     return LINE_COMMENT_RE.sub(blank, text)
 
 
+def function_lines(lines: list[str], name: str) -> range:
+    """Lines (1-based) of the out-of-line definition of @p name: from
+    the line starting with ``name(`` to the first closing brace in
+    column 0."""
+    for start, line in enumerate(lines, start=1):
+        if line.startswith(name + "("):
+            for end in range(start, len(lines) + 1):
+                if lines[end - 1].startswith("}"):
+                    return range(start, end + 1)
+    return range(0)
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -145,6 +179,9 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     raw_lines = raw.splitlines()
     in_serving = rel.parts[:2] == ("src", "serving")
     threadless = in_serving or rel.parts[:2] == ("src", "sim")
+    allowed = PRICING_ALLOWED.get(rel.parts)
+    pricing_ok = (function_lines(raw_lines, allowed) if allowed
+                  else range(0))
 
     for lineno, line in enumerate(code.splitlines(), start=1):
         where = f"{rel}:{lineno}"
@@ -218,6 +255,13 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                 f"{where}: std::thread in src/{rel.parts[1]}/ — replicas"
                 " are stepped on the single-threaded event loop; only"
                 " core::BackgroundWorker owns threads"
+            )
+        if (in_serving and PRICING_CALL_RE.search(line)
+                and lineno not in pricing_ok):
+            problems.append(
+                f"{where}: kernel/overhead model pricing in"
+                " src/serving/ — compose iteration time through"
+                " perf::priceIteration (perf/iteration_cost.hh)"
             )
         if in_serving and ALLOC_CALL_RE.search(line):
             annotated = any(
