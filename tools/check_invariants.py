@@ -133,7 +133,7 @@ ALLOC_CALL_RE = re.compile(r"\bmake_(?:unique|shared)\s*<")
 PRICING_CALL_RE = re.compile(
     r"(?:\.|->)\s*(?:prefillAttention|chunkedPrefillAttention(?:Windowed)?"
     r"|decodeAttention(?:Windowed)?|prefillLinear|decodeLinear|commTime"
-    r"|prefillCpu|decodeCpu|hybridCpu)\s*\("
+    r"|prefillCpu|decodeCpu)\s*\("
 )
 
 # Functions in src/serving/ allowed to price on their own: the
