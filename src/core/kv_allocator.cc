@@ -337,6 +337,7 @@ KvAllocator::growTo(int slot, i64 target_groups)
 {
     panic_if(slot < 0 || slot >= config_.max_batch_size,
              "slot out of range");
+    const HorizonRefresh refresh(*this, slot);
     targets_scratch_.assign(
         static_cast<std::size_t>(geom_.numBuffers()), target_groups);
     return growRows(slot, targets_scratch_, -1);
@@ -370,6 +371,7 @@ KvAllocator::ensureTokens(int slot, i64 tokens)
 {
     panic_if(slot < 0 || slot >= config_.max_batch_size,
              "slot out of range");
+    const HorizonRefresh refresh(*this, slot);
     const int nbuf = geom_.numBuffers();
     std::vector<i64> &targets = targets_scratch_;
     targets.assign(static_cast<std::size_t>(nbuf), 0);
@@ -385,39 +387,50 @@ KvAllocator::ensureTokens(int slot, i64 tokens)
 bool
 KvAllocator::needsEnsureTokens(int slot, i64 tokens) const
 {
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
-    for (int b = 0; b < geom_.numBuffers(); ++b) {
-        const BufferMappings &buffer =
-            mappings.buffers[static_cast<std::size_t>(b)];
-        const int layer = geom_.layerOfBuffer(b);
-        if (buffer.end() < geom_.groupsForTokens(layer, tokens)) {
-            return true;
-        }
-        const i64 target_lead = geom_.deadLeadGroups(layer, tokens);
-        if (buffer.lead < std::min(target_lead, buffer.end())) {
-            return true;
-        }
-    }
-    return false;
+    const Horizon &horizon =
+        slots_[static_cast<std::size_t>(slot)].horizon;
+    return tokens > horizon.grow || tokens >= horizon.trim;
 }
 
 bool
 KvAllocator::needsGrowthForTokens(int slot, i64 tokens) const
 {
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
+    return tokens > slots_[static_cast<std::size_t>(slot)].horizon.grow;
+}
+
+KvAllocator::Horizon
+KvAllocator::horizonOf(const SlotMappings &mappings) const
+{
+    Horizon horizon;
+    horizon.grow = std::numeric_limits<i64>::max();
     for (int b = 0; b < geom_.numBuffers(); ++b) {
+        const BufferMappings &buffer =
+            mappings.buffers[static_cast<std::size_t>(b)];
         const int layer = geom_.layerOfBuffer(b);
-        if (mappings.buffers[static_cast<std::size_t>(b)].end() <
-            geom_.groupsForTokens(layer, tokens)) {
-            return true;
+        // end < ceil(t * token_bytes / G)  <=>  t > floor(end * G /
+        // token_bytes).
+        horizon.grow = std::min(
+            horizon.grow,
+            static_cast<i64>(static_cast<u64>(buffer.end()) *
+                             geom_.groupBytes() /
+                             geom_.tokenBytesPerBuffer(layer)));
+        // lead < floor((t - window) / tokens_per_group)  <=>
+        // t >= window + (lead + 1) * tokens_per_group; a buffer with
+        // nothing mapped (lead >= end) never trims.
+        const i64 window = geom_.windowTokens(layer);
+        if (window > 0 && buffer.lead < buffer.end()) {
+            horizon.trim = std::min(
+                horizon.trim,
+                window + (buffer.lead + 1) * geom_.tokensPerGroup(layer));
         }
     }
-    return false;
+    return horizon;
 }
 
 Status
 KvAllocator::growOneRowForTokens(int slot, i64 tokens)
 {
+    const HorizonRefresh refresh(*this, slot);
     const int nbuf = geom_.numBuffers();
     std::vector<i64> &targets = targets_scratch_;
     targets.assign(static_cast<std::size_t>(nbuf), 0);
@@ -434,6 +447,7 @@ KvAllocator::growToLayout(int slot, const std::vector<i64> &leads,
 {
     panic_if(slot < 0 || slot >= config_.max_batch_size,
              "slot out of range");
+    const HorizonRefresh refresh(*this, slot);
     auto &mappings = slots_[static_cast<std::size_t>(slot)];
     const int nbuf = geom_.numBuffers();
     if (mappedHandles(slot) == 0 && groupsMapped(slot) == 0) {
@@ -461,6 +475,7 @@ KvAllocator::growToLayout(int slot, const std::vector<i64> &leads,
 void
 KvAllocator::resetWindowTrimmed(int slot)
 {
+    const HorizonRefresh refresh(*this, slot);
     auto &mappings = slots_[static_cast<std::size_t>(slot)];
     for (int b = 0; b < geom_.numBuffers(); ++b) {
         BufferMappings &buffer =
@@ -487,6 +502,7 @@ KvAllocator::aliasFrom(int dst, int src, i64 groups)
         return errorStatus(ErrorCode::kInvalidArgument,
                            "aliasFrom onto the source slot");
     }
+    const HorizonRefresh refresh(*this, dst);
     auto &dst_map = slots_[static_cast<std::size_t>(dst)];
     const auto &src_map = slots_[static_cast<std::size_t>(src)];
     if (mappedHandles(dst) != 0 || groupsMapped(dst) != 0) {
@@ -595,6 +611,7 @@ KvAllocator::privatizeFrom(int slot, i64 from_group)
 Status
 KvAllocator::shrinkTail(int slot)
 {
+    const HorizonRefresh refresh(*this, slot);
     auto &mappings = slots_[static_cast<std::size_t>(slot)];
     if (mappedHandles(slot) == 0) {
         return errorStatus(ErrorCode::kFailedPrecondition,
@@ -622,6 +639,7 @@ KvAllocator::shrinkTail(int slot)
 void
 KvAllocator::releaseAll(int slot)
 {
+    const HorizonRefresh refresh(*this, slot);
     while (mappedHandles(slot) > 0) {
         shrinkTail(slot).expectOk("releaseAll");
     }
@@ -654,12 +672,25 @@ void
 KvAllocator::auditInto(audit::AuditReport &report) const
 {
     const int nbuf = geom_.numBuffers();
-    const bool uniform = !geom_.hasWindows();
+    // Lockstep only binds buffers of one shape: windows trim leads and
+    // per-layer footprints put each buffer's frontier elsewhere.
+    const bool uniform = !geom_.hasWindows() && geom_.uniformFootprint();
     /** Times each physical handle appears across all slot tables. */
     std::unordered_map<cuvmm::MemHandle, i64> mapping_counts;
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
         const auto &mappings = slots_[static_cast<std::size_t>(slot)];
         const i64 frontier = groupsMapped(slot);
+        const Horizon fresh = horizonOf(mappings);
+        report.check(mappings.horizon.grow == fresh.grow,
+                     "kv_allocator: slot ", slot,
+                     " caches grow horizon ", mappings.horizon.grow,
+                     " but its buffers give ", fresh.grow,
+                     " — a range changed without a horizon refresh");
+        report.check(mappings.horizon.trim == fresh.trim,
+                     "kv_allocator: slot ", slot,
+                     " caches trim horizon ", mappings.horizon.trim,
+                     " but its buffers give ", fresh.trim,
+                     " — a range changed without a horizon refresh");
         for (int b = 0; b < nbuf; ++b) {
             const BufferMappings &buffer =
                 mappings.buffers[static_cast<std::size_t>(b)];

@@ -21,6 +21,7 @@
 #ifndef VATTN_CORE_KV_ALLOCATOR_HH
 #define VATTN_CORE_KV_ALLOCATOR_HH
 
+#include <limits>
 #include <vector>
 
 #include "attn/kv_view.hh"
@@ -104,12 +105,33 @@ class KvAllocator
      */
     Status ensureTokens(int slot, i64 tokens);
 
-    /** Would ensureTokens(slot, tokens) perform any work? */
+    /**
+     * Would ensureTokens(slot, tokens) perform any work? O(1): every
+     * slot caches two token horizons, recomputed from its buffers
+     * after each change to a [lead, end) range.
+     *
+     * - Grow horizon H_g = min over buffers b of
+     *   floor(end_b * groupBytes / tokenBytesPerBuffer(layer_b)), the
+     *   largest context the current mappings back. Any buffer is below
+     *   its frontier (end_b < groupsForTokens(layer_b, t)) exactly
+     *   when t > H_g.
+     * - Trim horizon H_t = min over sliding-window buffers with
+     *   lead_b < end_b of window + (lead_b + 1) * tokensPerGroup, the
+     *   smallest context at which a mapped group falls wholly behind
+     *   the window (lead_b < min(deadLeadGroups(layer_b, t), end_b));
+     *   +inf without such a buffer.
+     *
+     * So this is t > H_g || t >= H_t, and both checks are exact for
+     * every per-layer geometry (windows, heterogeneous footprints,
+     * tensor slicing). A decode request crosses H_g once per
+     * page-group (2,048 tokens for Yi-6B TP-1 with 2MB groups,
+     * Table 8), so growth work stays proportional to growth events.
+     */
     bool needsEnsureTokens(int slot, i64 tokens) const;
 
-    /** Any buffer below its frontier for @p tokens? (Growth only —
-     *  ignores pending trims; the overlap prefetcher must never trim
-     *  groups the current iteration still reads.) */
+    /** Any buffer below its frontier for @p tokens? t > H_g, O(1).
+     *  (Growth only — ignores pending trims; the overlap prefetcher
+     *  must never trim groups the current iteration still reads.) */
     bool needsGrowthForTokens(int slot, i64 tokens) const;
 
     /** Map the single lowest missing group row toward the frontier
@@ -195,12 +217,14 @@ class KvAllocator
      * Self- and cross-layer audit: per-slot mapping tables are
      * contiguous [lead, end) ranges that are RW-accessible, trimmed
      * lead regions are NOT mapped (a rogue window-tail mapping is
-     * caught here by name), uniform configs additionally keep every
-     * buffer in lockstep with lead 0; every physical handle's mapping
-     * count here equals its pool refcount AND its driver mapping
-     * count (a leaked pool reference or a mapping created behind the
-     * allocator breaks the equality); the aliased-mappings ledger
-     * matches the per-handle excess.
+     * caught here by name), uniform configs (one footprint, no
+     * windows) additionally keep every buffer in lockstep with lead
+     * 0; every physical handle's mapping count here equals its pool
+     * refcount AND its driver mapping count (a leaked pool reference
+     * or a mapping created behind the allocator breaks the
+     * equality); the aliased-mappings ledger
+     * matches the per-handle excess; every slot's cached grow and
+     * trim horizons equal a recomputation from its buffers.
      */
     void auditInto(audit::AuditReport &report) const;
 
@@ -209,6 +233,10 @@ class KvAllocator
     bool checkInvariants() const;
 
   private:
+    /** Corruption-injection tests reach the horizon cache through
+     *  this. */
+    friend struct KvAllocatorTestPeer;
+
     int kBuffer(int layer) const;
     int vBuffer(int layer) const;
     Addr groupVa(int buffer, int slot, i64 group) const;
@@ -232,9 +260,45 @@ class KvAllocator
         i64 mapped() const { return end() - lead; }
     };
 
+    /** A slot's cached token horizons (see needsEnsureTokens). */
+    struct Horizon
+    {
+        i64 grow = 0;
+        i64 trim = std::numeric_limits<i64>::max();
+    };
+
     struct SlotMappings
     {
         std::vector<BufferMappings> buffers;
+        Horizon horizon;
+    };
+
+    /** Both horizons of @p mappings, recomputed in O(buffers). */
+    Horizon horizonOf(const SlotMappings &mappings) const;
+
+    /** Recomputes the slot's horizon when it goes out of scope: every
+     *  public method that changes a [lead, end) range holds one, so
+     *  all of its return paths (kOutOfMemory rollbacks included)
+     *  leave the cache fresh. */
+    class HorizonRefresh
+    {
+      public:
+        HorizonRefresh(KvAllocator &allocator, int slot)
+            : allocator_(allocator), slot_(slot)
+        {
+        }
+        ~HorizonRefresh()
+        {
+            auto &mappings =
+                allocator_.slots_[static_cast<std::size_t>(slot_)];
+            mappings.horizon = allocator_.horizonOf(mappings);
+        }
+        HorizonRefresh(const HorizonRefresh &) = delete;
+        HorizonRefresh &operator=(const HorizonRefresh &) = delete;
+
+      private:
+        KvAllocator &allocator_;
+        int slot_;
     };
 
     /** Map group rows until every buffer reaches its target end

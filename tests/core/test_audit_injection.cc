@@ -4,11 +4,14 @@
  * each test drives the stack into a healthy state, injects one class
  * of corruption through public APIs (a leaked pool reference, a
  * driver mapping created behind the allocator, a request parked in
- * two scheduler queues, a physical allocation bypassing the pool) and
+ * two scheduler queues, a physical allocation bypassing the pool, a
+ * stale KV horizon cache) and
  * asserts the audit reports it with an actionable message.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "common/audit.hh"
 #include "core/vattention.hh"
@@ -18,6 +21,21 @@
 
 namespace vattn
 {
+namespace core
+{
+
+/** Reaches KvAllocator's private horizon cache to inject staleness. */
+struct KvAllocatorTestPeer
+{
+    static KvAllocator::Horizon &
+    horizon(KvAllocator &allocator, int slot)
+    {
+        return allocator.slots_[static_cast<std::size_t>(slot)].horizon;
+    }
+};
+
+} // namespace core
+
 namespace
 {
 
@@ -152,6 +170,65 @@ TEST_F(AuditInjectionTest, DanglingAliasMappingIsReported)
     driver_.auditInto(clean);
     allocator.auditInto(clean);
     EXPECT_TRUE(clean.ok()) << clean.toString();
+}
+
+TEST_F(AuditInjectionTest, StaleGrowHorizonIsReported)
+{
+    auto config = smallConfig();
+    PagePool pool(driver_, config.page_group, 8 * MiB);
+    KvAllocator allocator(driver_, config, pool);
+    ASSERT_TRUE(allocator.growTo(1, 2).isOk());
+    EXPECT_FALSE(allocator.needsGrowthForTokens(1, 4096));
+
+    // Injection: a growth that skipped the refresh would leave the
+    // cache one group behind; the O(1) check then reports growth that
+    // the buffers do not need.
+    auto &horizon = core::KvAllocatorTestPeer::horizon(allocator, 1);
+    const i64 fresh = horizon.grow;
+    horizon.grow = 2048;
+    EXPECT_TRUE(allocator.needsGrowthForTokens(1, 4096));
+
+    audit::AuditReport report;
+    allocator.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains("slot 1 caches grow horizon 2048 but "
+                                "its buffers give 4096"))
+        << report.toString();
+
+    horizon.grow = fresh;
+    EXPECT_TRUE(allocator.checkInvariants());
+}
+
+TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
+{
+    auto config = smallConfig();
+    config.layers.assign(2, core::LayerKvSpec{});
+    config.layers[1].kind = core::AttentionKind::kSlidingWindow;
+    config.layers[1].window_tokens = 3000;
+    PagePool pool(driver_, config.page_group, 8 * MiB);
+    KvAllocator allocator(driver_, config, pool);
+    // Four groups per buffer back 8,192 tokens; the first
+    // window-layer group dies earlier, at 3000 + 2048 tokens.
+    ASSERT_TRUE(allocator.growTo(0, 4).isOk());
+    EXPECT_FALSE(allocator.needsEnsureTokens(0, 4096));
+    EXPECT_TRUE(allocator.needsEnsureTokens(0, 5048));
+
+    // Injection: a trim horizon left at "never" hides the due trim.
+    auto &horizon = core::KvAllocatorTestPeer::horizon(allocator, 0);
+    const i64 fresh = horizon.trim;
+    horizon.trim = std::numeric_limits<i64>::max();
+    EXPECT_FALSE(allocator.needsEnsureTokens(0, 5048));
+
+    audit::AuditReport report;
+    allocator.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains("slot 0 caches trim horizon"))
+        << report.toString();
+    EXPECT_TRUE(report.contains("its buffers give 5048"))
+        << report.toString();
+
+    horizon.trim = fresh;
+    EXPECT_TRUE(allocator.checkInvariants());
 }
 
 TEST_F(AuditInjectionTest, PhysBytesDriftBehindThePoolIsReported)

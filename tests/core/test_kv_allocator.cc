@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/kv_allocator.hh"
 #include "test_util.hh"
 
@@ -244,6 +250,288 @@ TEST_F(KvAllocatorTest, SlicedLayerViewsInterleaveInMemory)
     auto k_layer1 = allocator.kView(1, 0);
     EXPECT_EQ(k_layer1.elemVa({0, 0, 0}) - t0, 2u * 8 * 2); // H*D*P
 }
+
+// ---- Horizon differential: cached O(1) checks vs a per-buffer scan --
+
+/** The per-buffer definition of needsGrowthForTokens: some buffer is
+ *  below its frontier groupsForTokens(layer, tokens). */
+bool
+scanNeedsGrowth(const KvAllocator &allocator, int slot, i64 tokens)
+{
+    const KvGeometry &geom = allocator.geometry();
+    for (int b = 0; b < geom.numBuffers(); ++b) {
+        if (allocator.bufferEnd(slot, b) <
+            geom.groupsForTokens(geom.layerOfBuffer(b), tokens)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/** The per-buffer definition of needsEnsureTokens: growth, or a
+ *  mapped lead group wholly behind its layer's window. */
+bool
+scanNeedsEnsure(const KvAllocator &allocator, int slot, i64 tokens)
+{
+    const KvGeometry &geom = allocator.geometry();
+    for (int b = 0; b < geom.numBuffers(); ++b) {
+        const int layer = geom.layerOfBuffer(b);
+        const i64 end = allocator.bufferEnd(slot, b);
+        if (end < geom.groupsForTokens(layer, tokens) ||
+            allocator.bufferLead(slot, b) <
+                std::min(geom.deadLeadGroups(layer, tokens), end)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+struct HorizonCase
+{
+    std::string name;
+    Config config;
+    i64 pool_groups; ///< page-groups the pool may hand out
+};
+
+/** 64KB groups, 128B/token/buffer (8 heads x dim 8 x fp16): 512
+ *  tokens per group, 16 groups per buffer at 8K context. */
+Config
+horizonBase()
+{
+    Config config = smallConfig(PageGroup::k64KB);
+    config.num_kv_heads = 8;
+    return config;
+}
+
+std::vector<HorizonCase>
+horizonCases()
+{
+    std::vector<HorizonCase> cases;
+
+    // 1KB/token/buffer: 2,048 tokens per 2MB group, 8 per buffer.
+    Config uniform_2mb = smallConfig(PageGroup::k2MB);
+    uniform_2mb.num_kv_heads = 8;
+    uniform_2mb.head_dim = 64;
+    uniform_2mb.max_context_len = 16384;
+    cases.push_back({"Uniform2MB", uniform_2mb, 48});
+
+    cases.push_back({"Uniform64KB", horizonBase(), 80});
+
+    // Mistral-style 1:1 full/sliding interleave; the 1,000-token
+    // window is deliberately not group-aligned.
+    Config mistral = horizonBase();
+    mistral.num_layers = 4;
+    mistral.layers.assign(4, LayerKvSpec{});
+    for (int layer = 1; layer < 4; layer += 2) {
+        mistral.layers[static_cast<std::size_t>(layer)].kind =
+            AttentionKind::kSlidingWindow;
+        mistral.layers[static_cast<std::size_t>(layer)].window_tokens =
+            1000;
+    }
+    cases.push_back({"MistralInterleave", mistral, 160});
+
+    // Every layer windowed (Mistral-7B v0.1 style): no full layer
+    // pins the grow horizon at the slot's lowest frontier, so a
+    // skipped dead lead (lead == end, nothing mapped) sets it alone.
+    Config all_windows = horizonBase();
+    all_windows.layers.assign(2, LayerKvSpec{});
+    for (LayerKvSpec &spec : all_windows.layers) {
+        spec.kind = AttentionKind::kSlidingWindow;
+        spec.window_tokens = 1000;
+    }
+    cases.push_back({"AllSlidingWindow", all_windows, 40});
+
+    // Per-layer head counts: 6 heads (96B/token) does not divide the
+    // group, so its frontier sits off any power-of-two boundary.
+    Config hetero = horizonBase();
+    hetero.num_layers = 4;
+    hetero.layers.assign(4, LayerKvSpec{});
+    hetero.layers[0].kv_heads = 2;
+    hetero.layers[1].kv_heads = 6;
+    hetero.layers[3].kv_heads = 4;
+    cases.push_back({"HeterogeneousHeads", hetero, 160});
+
+    // One K and one V buffer holding all 4 layers: 512B/token.
+    Config sliced = smallConfig(PageGroup::k64KB, /*slicing=*/true);
+    sliced.num_layers = 4;
+    sliced.num_kv_heads = 4;
+    cases.push_back({"TensorSlicing", sliced, 40});
+    return cases;
+}
+
+/** gtest prints a failing case's parameter by its name. */
+void
+PrintTo(const HorizonCase &param, std::ostream *os)
+{
+    *os << param.name;
+}
+
+class KvHorizonDifferential
+    : public KvAllocatorTest,
+      public ::testing::WithParamInterface<HorizonCase>
+{
+};
+
+/**
+ * Seeded random op sequences over every slot mutator, with a pool
+ * tight enough that growth hits kOutOfMemory (partial-row rollback).
+ * After every op, the O(1) horizon checks must equal the per-buffer
+ * scan at every token count that sits on or next to a group frontier
+ * or window-trim boundary, plus random ones; the audit (which also
+ * recomputes the cached horizons) must pass.
+ */
+TEST_P(KvHorizonDifferential, CachedChecksMatchPerBufferScan)
+{
+    const HorizonCase &param = GetParam();
+    const Config &config = param.config;
+    ASSERT_TRUE(config.validate().isOk());
+    const int slots = config.max_batch_size;
+    const i64 max_len = config.max_context_len;
+
+    i64 oom = 0;
+    i64 trim_only = 0;
+    for (u64 seed = 1; seed <= 3; ++seed) {
+        PagePool pool(driver_, config.page_group,
+                      static_cast<u64>(param.pool_groups) *
+                          bytes(config.page_group));
+        KvAllocator allocator(driver_, config, pool);
+        const KvGeometry &geom = allocator.geometry();
+        std::mt19937_64 rng(seed);
+        auto uniform = [&rng](i64 lo, i64 hi) {
+            return std::uniform_int_distribution<i64>(lo, hi)(rng);
+        };
+
+        i64 max_groups = max_len;
+        std::vector<i64> probes = {0, 1, max_len, max_len + 1};
+        for (int b = 0; b < geom.numBuffers(); ++b) {
+            const int layer = geom.layerOfBuffer(b);
+            max_groups =
+                std::min(max_groups, geom.maxGroupsPerRequest(layer));
+            const i64 window = geom.windowTokens(layer);
+            for (i64 k = 0; k <= geom.maxGroupsPerRequest(layer) + 1;
+                 ++k) {
+                const i64 frontier = static_cast<i64>(
+                    static_cast<u64>(k) * geom.groupBytes() /
+                    geom.tokenBytesPerBuffer(layer));
+                const i64 trim = window + k * geom.tokensPerGroup(layer);
+                for (i64 delta = -1; delta <= 1; ++delta) {
+                    probes.push_back(frontier + delta);
+                    if (window > 0) {
+                        probes.push_back(trim + delta);
+                    }
+                }
+            }
+        }
+        for (int i = 0; i < 32; ++i) {
+            probes.push_back(uniform(0, max_len));
+        }
+        std::sort(probes.begin(), probes.end());
+        probes.erase(std::unique(probes.begin(), probes.end()),
+                     probes.end());
+
+        for (int op = 0; op < 400; ++op) {
+            const int slot = static_cast<int>(uniform(0, slots - 1));
+            const i64 tokens = uniform(0, max_len);
+            std::string what;
+            Status status;
+            switch (uniform(0, 8)) {
+            case 0:
+                what = "ensureTokens";
+                status = allocator.ensureTokens(slot, tokens);
+                break;
+            case 1:
+                what = "growOneRowForTokens";
+                status = allocator.growOneRowForTokens(slot, tokens);
+                break;
+            case 2:
+                what = "growTo";
+                status = allocator.growTo(slot, uniform(0, max_groups));
+                break;
+            case 3:
+                what = "shrinkTail";
+                status = allocator.shrinkTail(slot);
+                break;
+            case 4:
+                what = "releaseAll";
+                allocator.releaseAll(slot);
+                break;
+            case 5:
+                what = "resetWindowTrimmed";
+                allocator.resetWindowTrimmed(slot);
+                break;
+            case 6: {
+                what = "aliasFrom";
+                const int src = static_cast<int>(uniform(0, slots - 1));
+                const i64 prefix = allocator.prefixGroupsMapped(src);
+                if (src == slot || prefix == 0) {
+                    break;
+                }
+                allocator.releaseAll(slot);
+                status =
+                    allocator.aliasFrom(slot, src, uniform(1, prefix));
+                EXPECT_TRUE(status.isOk()) << status.message();
+                break;
+            }
+            case 7:
+                what = "privatizeFrom";
+                allocator.privatizeFrom(
+                    slot, uniform(0, allocator.groupsMapped(slot)));
+                break;
+            default: {
+                // A swap-in: rebuild a released slot to the canonical
+                // layout of a context (the shape a swap-out stashes).
+                what = "growToLayout";
+                allocator.releaseAll(slot);
+                std::vector<i64> leads;
+                std::vector<i64> ends;
+                for (int b = 0; b < geom.numBuffers(); ++b) {
+                    const int layer = geom.layerOfBuffer(b);
+                    leads.push_back(geom.deadLeadGroups(layer, tokens));
+                    ends.push_back(geom.groupsForTokens(layer, tokens));
+                }
+                status = allocator.growToLayout(slot, leads, ends);
+                if (!status.isOk()) {
+                    allocator.releaseAll(slot);
+                }
+                break;
+            }
+            }
+            if (status.code() == ErrorCode::kOutOfMemory) {
+                ++oom;
+            }
+            SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                         std::to_string(op) + " " + what + " slot " +
+                         std::to_string(slot));
+            audit::AuditReport report;
+            allocator.auditInto(report);
+            ASSERT_TRUE(report.ok()) << report.toString();
+            for (int s = 0; s < slots; ++s) {
+                for (const i64 t : probes) {
+                    const bool grow = scanNeedsGrowth(allocator, s, t);
+                    const bool ensure = scanNeedsEnsure(allocator, s, t);
+                    ASSERT_EQ(allocator.needsGrowthForTokens(s, t), grow)
+                        << "slot " << s << " tokens " << t;
+                    ASSERT_EQ(allocator.needsEnsureTokens(s, t), ensure)
+                        << "slot " << s << " tokens " << t;
+                    trim_only += ensure && !grow;
+                }
+            }
+        }
+    }
+    // The op mix must reach pool exhaustion, and windowed configs
+    // must reach contexts where only a trim is due.
+    EXPECT_GT(oom, 0);
+    if (KvGeometry(config).hasWindows()) {
+        EXPECT_GT(trim_only, 0);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, KvHorizonDifferential,
+    ::testing::ValuesIn(horizonCases()),
+    [](const ::testing::TestParamInfo<HorizonCase> &info) {
+        return info.param.name;
+    });
 
 } // namespace
 } // namespace vattn::core

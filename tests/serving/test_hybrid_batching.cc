@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "serving/engine.hh"
 #include "serving/workload.hh"
 #include "test_util.hh"
@@ -456,6 +460,25 @@ struct Golden
     double latency_p99_s;
     double ttft_median_s;
 };
+
+/**
+ * Name a case by its inputs, e.g. VAttention_n64_qps0p25. Without this
+ * gtest dumps the struct's raw bytes, padding included, so the test
+ * names that ctest derives from the printed value differ from build
+ * to build.
+ */
+void
+PrintTo(const Golden &golden, std::ostream *os)
+{
+    *os << (perf::isPaged(golden.kind) ? "Paged" : "VAttention");
+    if (golden.kv_budget_override != 0) {
+        *os << "_kv" << golden.kv_budget_override / GiB << "GiB";
+    }
+    std::string qps = std::to_string(golden.qps);
+    qps.erase(qps.find_last_not_of('0') + 1);
+    std::replace(qps.begin(), qps.end(), '.', 'p');
+    *os << "_n" << golden.n << "_qps" << qps;
+}
 
 class GoldenRegression : public ::testing::TestWithParam<Golden>
 {
