@@ -672,9 +672,10 @@ void
 KvAllocator::auditInto(audit::AuditReport &report) const
 {
     const int nbuf = geom_.numBuffers();
-    // Lockstep only binds buffers of one shape: windows trim leads and
-    // per-layer footprints put each buffer's frontier elsewhere.
-    const bool uniform = !geom_.hasWindows() && geom_.uniformFootprint();
+    // Only windows trim leads; lockstep ends also need one footprint,
+    // since per-layer footprints put each buffer's frontier elsewhere.
+    const bool leads_fixed = !geom_.hasWindows();
+    const bool lockstep = leads_fixed && geom_.uniformFootprint();
     /** Times each physical handle appears across all slot tables. */
     std::unordered_map<cuvmm::MemHandle, i64> mapping_counts;
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
@@ -694,14 +695,17 @@ KvAllocator::auditInto(audit::AuditReport &report) const
         for (int b = 0; b < nbuf; ++b) {
             const BufferMappings &buffer =
                 mappings.buffers[static_cast<std::size_t>(b)];
-            if (uniform &&
-                (buffer.lead != 0 || buffer.end() != frontier)) {
+            if (leads_fixed && buffer.lead != 0) {
+                report.fail("kv_allocator: slot ", slot, " buffer ", b,
+                            " has lead ", buffer.lead,
+                            " but only sliding windows trim leads");
+            }
+            if (lockstep && buffer.end() != frontier) {
                 report.fail("kv_allocator: slot ", slot, " buffer ", b,
                             " holds groups [", buffer.lead, ", ",
                             buffer.end(), ") but the slot frontier is ",
                             frontier,
-                            " (uniform buffers must grow in lockstep "
-                            "from group 0)");
+                            " (uniform buffers must grow in lockstep)");
             }
             for (i64 group = 0; group < buffer.end(); ++group) {
                 const cuvmm::MemHandle handle =

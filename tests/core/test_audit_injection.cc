@@ -5,7 +5,7 @@
  * of corruption through public APIs (a leaked pool reference, a
  * driver mapping created behind the allocator, a request parked in
  * two scheduler queues, a physical allocation bypassing the pool, a
- * stale KV horizon cache) and
+ * stale KV horizon cache, a moved lead on a window-free buffer) and
  * asserts the audit reports it with an actionable message.
  */
 
@@ -31,6 +31,14 @@ struct KvAllocatorTestPeer
     horizon(KvAllocator &allocator, int slot)
     {
         return allocator.slots_[static_cast<std::size_t>(slot)].horizon;
+    }
+
+    static i64 &
+    lead(KvAllocator &allocator, int slot, int buffer)
+    {
+        return allocator.slots_[static_cast<std::size_t>(slot)]
+            .buffers[static_cast<std::size_t>(buffer)]
+            .lead;
     }
 };
 
@@ -228,6 +236,34 @@ TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
         << report.toString();
 
     horizon.trim = fresh;
+    EXPECT_TRUE(allocator.checkInvariants());
+}
+
+TEST_F(AuditInjectionTest, LeadOnWindowFreeHeterogeneousBufferIsReported)
+{
+    auto config = smallConfig();
+    config.layers.assign(2, core::LayerKvSpec{});
+    config.layers[1].kv_heads = 4;
+    PagePool pool(driver_, config.page_group, 8 * MiB);
+    KvAllocator allocator(driver_, config, pool);
+    // Layer 1 needs twice the bytes per token, so its buffers end two
+    // groups past layer 0's: unequal ends are healthy here.
+    ASSERT_TRUE(allocator.ensureTokens(0, 4096).isOk());
+    EXPECT_TRUE(allocator.checkInvariants());
+
+    // Injection: without sliding windows no lead may move, whatever
+    // the footprints.
+    i64 &lead = core::KvAllocatorTestPeer::lead(allocator, 0, 0);
+    lead = 1;
+
+    audit::AuditReport report;
+    allocator.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains("slot 0 buffer 0 has lead 1 but only "
+                                "sliding windows trim leads"))
+        << report.toString();
+
+    lead = 0;
     EXPECT_TRUE(allocator.checkInvariants());
 }
 

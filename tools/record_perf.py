@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
 """Append simulator-speed rows to the perf trajectory, BENCH_trajectory.json.
 
-For each serving workload, run bench/serving/run.py N times at one seed
-and append one row: the commit, the workload, the median
-``sim_req_per_wall_s`` over the runs, and a fingerprint of the modeled
-end-to-end metrics (every metric except the wall-clock ones,
-``sim_req_per_wall_s``, ``setup_s`` and ``peak_rss_mb``). Two rows with
-the same fingerprint modeled the same serving run, so a speed change
-between them is simulator speed alone.
+For each of the four serving workloads, run bench/serving/run.py five
+times at seed 1 for the benchmark's 20 s and append one row: the commit,
+the workload, the median ``sim_req_per_wall_s`` over the runs, and a
+fingerprint of the modeled end-to-end metrics (every metric except the
+wall-clock ones, ``sim_req_per_wall_s``, ``setup_s`` and
+``peak_rss_mb``). Two rows with the same fingerprint modeled the same
+serving run, so a speed change between them is simulator speed alone.
 
-Usage: tools/record_perf.py [--checkout DIR] [--runs N] [--seed S]
-                            [--seconds T] [WORKLOAD ...]
+Usage: tools/record_perf.py [--checkout DIR]
 
 --checkout measures another checkout (for example a clone of the parent
 commit) with that checkout's run.py, and still appends to this
-repository's trajectory. Runs of one workload go back to back; the host
-drifts 10-20%, so compare medians, and use bench/serving/compare.py
-with interleaved runs to claim a gain.
+repository's trajectory. Seed, run length and run count are fixed so
+that every row compares with every other. Runs of one workload go back
+to back; the host drifts 10-20%, so compare medians, and use
+bench/serving/compare.py with interleaved runs to claim a gain.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = ROOT / "BENCH_trajectory.json"
 WORKLOADS = ["chat", "longctx", "prefix", "fleet"]
 WALL_METRICS = {"sim_req_per_wall_s", "setup_s", "peak_rss_mb"}
+SEED = 1
+SECONDS = 20  # the benchmark's run length
+RUNS = 5
 
 
 def commit_of(checkout: pathlib.Path) -> str:
@@ -59,27 +62,25 @@ def modeled_hash(metrics: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_once(checkout: pathlib.Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: pathlib.Path, workload: str) -> dict:
     """One run.py invocation; returns its metrics."""
     cmd = [sys.executable, str(checkout / "bench" / "serving" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"{' '.join(cmd)} failed:\n{out.stderr[-2000:]}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if not result.get("correct", False):
-        sys.exit(f"{workload} seed {seed}: the run reports incorrect")
+        sys.exit(f"{workload} seed {SEED}: the run reports incorrect")
     return result["metrics"]
 
 
-def record(checkout: pathlib.Path, workload: str, runs: int, seed: int,
-           seconds: float) -> dict:
+def record(checkout: pathlib.Path, workload: str) -> dict:
     speeds = []
     hashes = set()
-    for _ in range(runs):
-        metrics = run_once(checkout, workload, seed, seconds)
+    for _ in range(RUNS):
+        metrics = run_once(checkout, workload)
         speeds.append(metrics["sim_req_per_wall_s"]["value"])
         hashes.add(modeled_hash(metrics))
     if len(hashes) != 1:
@@ -88,9 +89,9 @@ def record(checkout: pathlib.Path, workload: str, runs: int, seed: int,
     return {
         "commit": commit_of(checkout),
         "workload": workload,
-        "seed": seed,
-        "seconds": seconds,
-        "runs": runs,
+        "seed": SEED,
+        "seconds": SECONDS,
+        "runs": RUNS,
         "sim_req_per_wall_s": round(statistics.median(speeds), 1),
         "modeled_hash": hashes.pop(),
         "host": f"{os.cpu_count()} cpu {platform.machine()}",
@@ -101,25 +102,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--checkout", type=pathlib.Path, default=ROOT,
                         help="checkout to measure (default: this one)")
-    parser.add_argument("--runs", type=int, default=5,
-                        help="runs per workload (default: 5)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20,
-                        help="run.py --seconds (default: 20, the "
-                             "benchmark's)")
-    parser.add_argument("workloads", nargs="*",
-                        help="workloads (default: all four)")
     args = parser.parse_args()
-    if args.runs < 1:
-        sys.exit("--runs must be at least 1")
-    for workload in args.workloads:
-        if workload not in WORKLOADS:
-            sys.exit(f"unknown workload {workload}; one of {WORKLOADS}")
 
     rows = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
-    for workload in args.workloads or WORKLOADS:
-        row = record(args.checkout.resolve(), workload, args.runs,
-                     args.seed, args.seconds)
+    for workload in WORKLOADS:
+        row = record(args.checkout.resolve(), workload)
         rows.append(row)
         print(json.dumps(row))
         # Rewrite after every row: an interrupted recording keeps the
