@@ -1,9 +1,10 @@
 /**
  * @file
  * Address-range container mapping disjoint [start, end) intervals to
- * values. Backs the VA reservation book-keeping and the page table: both
- * need exact-range insert/erase, containment lookup and overlap queries
- * over a sparse 64-bit space.
+ * values. Backs the VA reservation book-keeping, which needs exact-range
+ * insert/erase, containment lookup and overlap queries over a sparse
+ * 64-bit space, and the reference page table the page-table tests
+ * compare against.
  */
 
 #ifndef VATTN_COMMON_INTERVAL_MAP_HH

@@ -1,7 +1,6 @@
 #include "core/vattention.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "common/prefix_hash.hh"
@@ -21,6 +20,19 @@ resolveBudget(const Config &config, cuvmm::Driver &driver)
     return driver.device().freePhysBytes();
 }
 
+/** Groups the eager allocator keeps pre-mapped: the configured count,
+ *  capped by the smallest per-request maximum over all buffers. */
+i64
+eagerTarget(const Config &config, const KvGeometry &geom)
+{
+    i64 target = config.eager_groups;
+    for (int b = 0; b < geom.numBuffers(); ++b) {
+        target = std::min(target,
+                          geom.maxGroupsPerRequest(geom.layerOfBuffer(b)));
+    }
+    return target;
+}
+
 } // namespace
 
 VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
@@ -31,7 +43,8 @@ VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
       slots_(config.max_batch_size),
       last_seq_lens_(static_cast<std::size_t>(config.max_batch_size), 0),
       chains_(static_cast<std::size_t>(config.max_batch_size)),
-      stashes_(static_cast<std::size_t>(config.max_batch_size))
+      stashes_(static_cast<std::size_t>(config.max_batch_size)),
+      eager_target_(eagerTarget(config, allocator_.geometry()))
 {
     // Reservation + pre-created handles happen before serving starts;
     // none of it is critical-path time.
@@ -858,19 +871,10 @@ VAttention::computePhase(TimeNs window_ns)
             }
         }
         const int warm = have_warm ? -1 : slots_.firstFree();
-        const auto &geom = allocator_.geometry();
-        i64 max_groups = std::numeric_limits<i64>::max();
-        for (int b = 0; b < geom.numBuffers(); ++b) {
-            max_groups = std::min(
-                max_groups,
-                geom.maxGroupsPerRequest(geom.layerOfBuffer(b)));
-        }
-        const i64 eager_target =
-            std::min(config_.eager_groups, max_groups);
-        if (warm >= 0 && eager_target > 0) {
+        if (warm >= 0 && eager_target_ > 0) {
             bool warmed = false;
             while (window_open &&
-                   allocator_.groupsMapped(warm) < eager_target &&
+                   allocator_.groupsMapped(warm) < eager_target_ &&
                    pool_.availableGroups() >=
                        allocator_.geometry().numBuffers()) {
                 if (!background_.tryConsume(mapAllBuffersCost())) {

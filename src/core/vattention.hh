@@ -402,6 +402,8 @@ class VAttention
     std::vector<HostStash> stashes_;
     RuntimeStats stats_;
     TimeNs last_prefix_alloc_ns_ = 0;
+    /** Eager-allocation group count, fixed for the allocator's life. */
+    const i64 eager_target_;
 };
 
 } // namespace vattn::core

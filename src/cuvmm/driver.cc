@@ -27,17 +27,13 @@ toString(CuResult result)
 namespace
 {
 
-/** Hardware page size used to back a page-group of the given size. */
+/** Hardware page size used to back a page-group of the given size
+ *  (every page-group is a multiple of 64KB). */
 PageSize
 pageFor(u64 group_bytes)
 {
-    if (group_bytes % bytes(PageSize::k2MB) == 0) {
-        return PageSize::k2MB;
-    }
-    if (group_bytes % bytes(PageSize::k64KB) == 0) {
-        return PageSize::k64KB;
-    }
-    return PageSize::k4KB;
+    return group_bytes % bytes(PageSize::k2MB) == 0 ? PageSize::k2MB
+                                                    : PageSize::k64KB;
 }
 
 /** PageGroup bucket used for latency charging of arbitrary sizes. */
@@ -127,15 +123,11 @@ Driver::cuMemAddressFree(Addr ptr, u64 size)
         return CuResult::kErrorInvalidValue;
     }
     // CUDA requires all mappings in the range to be gone.
-    if (device_.pageTable().numExtents() > 0) {
-        bool any = false;
-        device_.pageTable().forEachExtent(ptr, size,
-            [&](Addr, Addr, PhysAddr, PageSize, gpu::Access) {
-                any = true;
-            });
-        if (any) {
-            return CuResult::kErrorAlreadyMapped;
-        }
+    bool any = false;
+    device_.pageTable().forEachExtent(ptr, size,
+        [&](const gpu::Extent &) { any = true; });
+    if (any) {
+        return CuResult::kErrorAlreadyMapped;
     }
     auto status = device_.vaSpace().release(ptr);
     return status.isOk() ? CuResult::kSuccess
@@ -182,27 +174,22 @@ Driver::cuMemRelease(MemHandle handle)
 }
 
 CuResult
-Driver::doMap(Addr ptr, MemHandle handle, gpu::Access access)
+Driver::doMap(Addr ptr, MemHandle handle, HandleInfo &info,
+              gpu::Access access)
 {
-    auto it = handles_.find(handle);
-    if (it == handles_.end()) {
-        return CuResult::kErrorInvalidHandle;
-    }
-    HandleInfo &info = it->second;
     if (!device_.vaSpace().isReserved(ptr, info.size)) {
         return CuResult::kErrorNotReserved;
     }
     // A handle may be mapped at several VAs simultaneously (physical
     // aliasing) — the mechanism behind KV prefix de-duplication.
     auto status = device_.pageTable().map(ptr, info.phys, info.size,
-                                          info.page, access);
+                                          info.page, access, handle);
     if (!status.isOk()) {
         return status.code() == ErrorCode::kAlreadyExists
                    ? CuResult::kErrorAlreadyMapped
                    : CuResult::kErrorInvalidValue;
     }
     info.mappings.push_back(ptr);
-    mapped_[ptr] = handle;
     return CuResult::kSuccess;
 }
 
@@ -220,7 +207,7 @@ Driver::cuMemMap(Addr ptr, u64 size, u64 offset, MemHandle handle)
     if (size != it->second.size) {
         return CuResult::kErrorInvalidValue;
     }
-    return doMap(ptr, handle, gpu::Access::kNone);
+    return doMap(ptr, handle, it->second, gpu::Access::kNone);
 }
 
 CuResult
@@ -232,16 +219,26 @@ Driver::cuMemSetAccess(Addr ptr, u64 size)
     return status.isOk() ? CuResult::kSuccess : CuResult::kErrorNotMapped;
 }
 
+std::unordered_map<MemHandle, Driver::HandleInfo>::iterator
+Driver::mappedHandleAt(Addr ptr)
+{
+    const gpu::Extent *extent = device_.pageTable().find(ptr);
+    if (!extent || extent->start != ptr) {
+        return handles_.end();
+    }
+    return handles_.find(extent->owner);
+}
+
 CuResult
 Driver::doUnmapOne(HandleInfo &info, Addr ptr)
 {
-    auto status = device_.pageTable().unmap(ptr, info.size);
-    if (!status.isOk()) {
+    const auto listed =
+        std::find(info.mappings.begin(), info.mappings.end(), ptr);
+    if (listed == info.mappings.end() ||
+        !device_.pageTable().unmap(ptr, info.size).isOk()) {
         return CuResult::kErrorNotMapped;
     }
-    mapped_.erase(ptr);
-    info.mappings.erase(
-        std::find(info.mappings.begin(), info.mappings.end(), ptr));
+    info.mappings.erase(listed);
     return CuResult::kSuccess;
 }
 
@@ -249,11 +246,11 @@ CuResult
 Driver::cuMemUnmap(Addr ptr, u64 size)
 {
     charge(Api::kUnmap, PageGroup::k2MB);
-    auto it = mapped_.find(ptr);
-    if (it == mapped_.end()) {
+    auto it = mappedHandleAt(ptr);
+    if (it == handles_.end()) {
         return CuResult::kErrorNotMapped;
     }
-    HandleInfo &info = handles_.at(it->second);
+    HandleInfo &info = it->second;
     if (info.size != size) {
         return CuResult::kErrorInvalidValue;
     }
@@ -417,7 +414,7 @@ Driver::vMemFree(Addr ptr, u64 size)
     }
     bool any = false;
     device_.pageTable().forEachExtent(ptr, size,
-        [&](Addr, Addr, PhysAddr, PageSize, gpu::Access) { any = true; });
+        [&](const gpu::Extent &) { any = true; });
     if (any) {
         return CuResult::kErrorAlreadyMapped;
     }
@@ -456,18 +453,18 @@ Driver::vMemMap(Addr ptr, MemHandle handle)
     }
     charge(Api::kMap, latencyBucket(it->second.size));
     // vMemMap = cuMemMap + cuMemSetAccess in one kernel crossing.
-    return doMap(ptr, handle, gpu::Access::kReadWrite);
+    return doMap(ptr, handle, it->second, gpu::Access::kReadWrite);
 }
 
 CuResult
 Driver::vMemUnmap(Addr ptr)
 {
-    auto it = mapped_.find(ptr);
-    if (it == mapped_.end()) {
+    auto it = mappedHandleAt(ptr);
+    if (it == handles_.end()) {
         charge(Api::kUnmap, PageGroup::k64KB);
         return CuResult::kErrorNotMapped;
     }
-    HandleInfo &info = handles_.at(it->second);
+    HandleInfo &info = it->second;
     charge(Api::kUnmap, latencyBucket(info.size));
     // Only this VA's mapping goes away; aliased mappings (and the
     // physical memory) survive until vMemRelease.
@@ -506,22 +503,32 @@ Driver::auditInto(audit::AuditReport &report) const
 {
     // Ledger conservation: the incremental phys/host byte counters
     // must equal what the handle tables actually hold.
+    const gpu::PageTable &table = device_.pageTable();
     u64 live_bytes = 0;
-    std::size_t total_mappings = 0;
+    std::size_t matched = 0; // listed mappings whose extent agrees
     for (const auto &[handle, info] : handles_) {
         live_bytes += info.size;
-        total_mappings += info.mappings.size();
         for (const Addr va : info.mappings) {
-            const auto it = mapped_.find(va);
-            if (it == mapped_.end()) {
+            const gpu::Extent *extent = table.find(va);
+            if (!extent || extent->start != va) {
                 report.fail("driver: handle ", handle, " lists VA 0x",
                             std::hex, va, std::dec,
-                            " but the VA->handle map has no entry");
-            } else if (it->second != handle) {
+                            " but no page-table extent starts there");
+            } else if (extent->owner != handle) {
                 report.fail("driver: VA 0x", std::hex, va,
-                            " maps handle ", std::dec, it->second,
+                            " maps handle ", std::dec, extent->owner,
                             " but handle ", handle,
                             " also claims that VA");
+            } else if (extent->end - extent->start != info.size ||
+                       extent->phys != info.phys) {
+                report.fail("driver: extent at VA 0x", std::hex, va,
+                            " maps ", std::dec, extent->end - extent->start,
+                            " bytes at phys 0x", std::hex, extent->phys,
+                            " but handle ", std::dec, handle, " holds ",
+                            info.size, " bytes at phys 0x", std::hex,
+                            info.phys, std::dec);
+            } else {
+                ++matched;
             }
         }
     }
@@ -529,16 +536,6 @@ Driver::auditInto(audit::AuditReport &report) const
                  "driver: physBytesInUse ledger is ", phys_in_use_,
                  " but live handles sum to ", live_bytes,
                  " bytes (a create/release bypassed the ledger)");
-    report.check(total_mappings == mapped_.size(),
-                 "driver: handles list ", total_mappings,
-                 " mappings but the VA->handle map has ",
-                 mapped_.size(), " entries");
-    for (const auto &[va, handle] : mapped_) {
-        if (handles_.find(handle) == handles_.end()) {
-            report.fail("driver: VA 0x", std::hex, va, std::dec,
-                        " maps released handle ", handle);
-        }
-    }
     u64 host_bytes = 0;
     for (const auto &[handle, size] : host_handles_) {
         (void)handle;
@@ -555,6 +552,31 @@ Driver::auditInto(audit::AuditReport &report) const
                         info.handle);
         }
     }
+    // A handle lists each VA once (a second map there fails), so the
+    // matched mappings name distinct extents, and equal counts leave
+    // none unaccounted for. Otherwise walk the table and name every
+    // extent that no handle lists.
+    if (table.numExtents() == matched) {
+        return;
+    }
+    table.forEachExtent([&](const gpu::Extent &extent) {
+        const auto it = handles_.find(extent.owner);
+        if (it == handles_.end()) {
+            report.fail("driver: page-table extent at VA 0x", std::hex,
+                        extent.start, std::dec,
+                        " has no live handle (tag ", extent.owner,
+                        "): mapped behind the driver");
+            return;
+        }
+        const auto &mappings = it->second.mappings;
+        if (std::find(mappings.begin(), mappings.end(), extent.start) ==
+            mappings.end()) {
+            report.fail("driver: page-table extent at VA 0x", std::hex,
+                        extent.start, " is tagged with handle ",
+                        std::dec, extent.owner,
+                        " which does not list that VA");
+        }
+    });
 }
 
 u64

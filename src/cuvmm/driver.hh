@@ -166,8 +166,11 @@ class Driver
     /**
      * Self-audit of the driver's ledgers: physBytesInUse() and
      * hostBytesInUse() must equal the sum of live handle sizes, and
-     * the VA->handle map must agree bidirectionally with every
-     * handle's mapping list. Records violations in @p report.
+     * the device page table must agree bidirectionally with every
+     * handle's mapping list — each listed VA holds an extent of the
+     * handle's size and phys tagged with the handle, and each extent
+     * belongs to a live handle that lists it. Records violations in
+     * @p report.
      */
     void auditInto(audit::AuditReport &report) const;
 
@@ -201,13 +204,18 @@ class Driver
     /** Charge a cost that is not a Table-3 API (host alloc, copies). */
     void chargeNs(TimeNs cost);
 
-    CuResult doMap(Addr ptr, MemHandle handle, gpu::Access access);
+    CuResult doMap(Addr ptr, MemHandle handle, HandleInfo &info,
+                   gpu::Access access);
     CuResult doUnmapOne(HandleInfo &info, Addr ptr);
+    /** Live handle whose mapping starts at @p ptr, or handles_.end().
+     *  The page table tags every driver extent with its handle, so it
+     *  is the VA->handle index. */
+    std::unordered_map<MemHandle, HandleInfo>::iterator
+    mappedHandleAt(Addr ptr);
 
     gpu::GpuDevice &device_;
     LatencyModel latency_;
     std::unordered_map<MemHandle, HandleInfo> handles_;
-    std::unordered_map<Addr, MemHandle> mapped_; ///< map VA -> handle
     std::unordered_map<Addr, MallocInfo> mallocs_;
     /** Pinned host allocations: handle -> size. */
     std::unordered_map<MemHandle, u64> host_handles_;

@@ -3,15 +3,18 @@
  * Corruption-injection tests for the cross-layer invariant auditor:
  * each test drives the stack into a healthy state, injects one class
  * of corruption through public APIs (a leaked pool reference, a
- * driver mapping created behind the allocator, a request parked in
- * two scheduler queues, a physical allocation bypassing the pool, a
- * stale KV horizon cache, a moved lead on a window-free buffer) and
- * asserts the audit reports it with an actionable message.
+ * driver mapping created behind the allocator, a page-table extent
+ * created behind the driver, an extent whose phys disagrees with its
+ * handle, a request parked in two scheduler queues, a physical
+ * allocation bypassing the pool, a stale KV horizon cache, a moved
+ * lead on a window-free buffer) and asserts the audit reports it with
+ * an actionable message.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/audit.hh"
 #include "core/vattention.hh"
@@ -178,6 +181,87 @@ TEST_F(AuditInjectionTest, DanglingAliasMappingIsReported)
     driver_.auditInto(clean);
     allocator.auditInto(clean);
     EXPECT_TRUE(clean.ok()) << clean.toString();
+}
+
+TEST_F(AuditInjectionTest, RogueExtentBehindTheDriverIsReported)
+{
+    auto config = smallConfig();
+    PagePool pool(driver_, config.page_group, 8 * MiB);
+    KvAllocator allocator(driver_, config, pool);
+    ASSERT_TRUE(allocator.growTo(0, 1).isOk());
+
+    // Injection: install an extent straight into the device page
+    // table, so no handle owns it and no driver ledger knows it.
+    Addr rogue_va = 0;
+    ASSERT_EQ(driver_.vMemReserve(&rogue_va, 64 * KiB),
+              cuvmm::CuResult::kSuccess);
+    const auto phys = device_.physAllocator().alloc(64 * KiB);
+    ASSERT_TRUE(phys.isOk());
+    ASSERT_TRUE(device_.pageTable()
+                    .map(rogue_va, phys.value(), 64 * KiB,
+                         PageSize::k64KB, gpu::Access::kReadWrite)
+                    .isOk());
+
+    audit::AuditReport report;
+    driver_.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains("mapped behind the driver"))
+        << report.toString();
+
+    // Repair: remove the rogue extent; the stack audits clean again.
+    ASSERT_TRUE(device_.pageTable().unmap(rogue_va, 64 * KiB).isOk());
+    ASSERT_TRUE(
+        device_.physAllocator().free(phys.value(), 64 * KiB).isOk());
+    audit::AuditReport clean;
+    driver_.auditInto(clean);
+    pool.auditInto(clean);
+    allocator.auditInto(clean);
+    EXPECT_TRUE(clean.ok()) << clean.toString();
+}
+
+TEST_F(AuditInjectionTest, ExtentPhysDisagreeingWithItsHandleIsReported)
+{
+    Addr va = 0;
+    cuvmm::MemHandle handle = cuvmm::kInvalidHandle;
+    ASSERT_EQ(driver_.vMemReserve(&va, 64 * KiB),
+              cuvmm::CuResult::kSuccess);
+    ASSERT_EQ(driver_.vMemCreate(&handle, PageGroup::k64KB),
+              cuvmm::CuResult::kSuccess);
+    ASSERT_EQ(driver_.vMemMap(va, handle), cuvmm::CuResult::kSuccess);
+    const PhysAddr good = device_.pageTable().translate(va).value().phys;
+
+    // Injection: re-point the handle's extent at other physical
+    // memory behind the driver, keeping the handle's tag on it.
+    gpu::PageTable &table = device_.pageTable();
+    const auto stray = device_.physAllocator().alloc(64 * KiB);
+    ASSERT_TRUE(stray.isOk());
+    ASSERT_TRUE(table.unmap(va, 64 * KiB).isOk());
+    ASSERT_TRUE(table
+                    .map(va, stray.value(), 64 * KiB, PageSize::k64KB,
+                         gpu::Access::kReadWrite, handle)
+                    .isOk());
+
+    audit::AuditReport report;
+    driver_.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains("but handle " + std::to_string(handle) +
+                                " holds 65536 bytes"))
+        << report.toString();
+
+    // Repair: restore the handle's phys; the driver audits clean and
+    // tears the mapping down normally.
+    ASSERT_TRUE(table.unmap(va, 64 * KiB).isOk());
+    ASSERT_TRUE(table
+                    .map(va, good, 64 * KiB, PageSize::k64KB,
+                         gpu::Access::kReadWrite, handle)
+                    .isOk());
+    ASSERT_TRUE(
+        device_.physAllocator().free(stray.value(), 64 * KiB).isOk());
+    audit::AuditReport clean;
+    driver_.auditInto(clean);
+    EXPECT_TRUE(clean.ok()) << clean.toString();
+    EXPECT_EQ(driver_.vMemRelease(handle), cuvmm::CuResult::kSuccess);
+    EXPECT_EQ(table.numExtents(), 0u);
 }
 
 TEST_F(AuditInjectionTest, StaleGrowHorizonIsReported)
