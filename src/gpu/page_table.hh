@@ -73,11 +73,6 @@ struct Extent
 class PageTable
 {
   public:
-    /** Finest mappable unit; every extent starts and ends on one. */
-    static constexpr u64 kGranule = 64 * KiB;
-    /** VA covered by one directory entry. */
-    static constexpr u64 kDirSpan = 2 * MiB;
-
     /**
      * Map [va, va+size) -> [pa, pa+size), tagged with @p owner. Both
      * addresses must be aligned to @p page, which must be at least
@@ -136,6 +131,10 @@ class PageTable
     }
 
   private:
+    /** Finest mappable unit; every extent starts and ends on one. */
+    static constexpr u64 kGranule = 64 * KiB;
+    /** VA covered by one directory entry. */
+    static constexpr u64 kDirSpan = 2 * MiB;
     using Id = u32;
     static constexpr Id kNoId = std::numeric_limits<Id>::max();
     /** Directory entries with this bit set index a granule table;
