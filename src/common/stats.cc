@@ -49,6 +49,15 @@ Percentiles::add(double x)
     sorted_ = false;
 }
 
+void
+Percentiles::append(const Percentiles &other)
+{
+    panic_if(&other == this, "Percentiles::append onto itself");
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+    sorted_ = false;
+}
+
 const std::vector<double> &
 Percentiles::sorted() const
 {

@@ -50,6 +50,11 @@ class Percentiles
 {
   public:
     void add(double x);
+    /** Add every sample of @p other, in @p other's storage order
+     *  (bulk insert; nothing is sorted here — the reader's first
+     *  query sorts once). Quantiles and cdfAt see the union
+     *  multiset, exactly as an add() loop would give. */
+    void append(const Percentiles &other);
     u64 count() const { return samples_.size(); }
 
     /** Pre-size the sample store (allocation-free steady-state adds:

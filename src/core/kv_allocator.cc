@@ -168,9 +168,8 @@ KvAllocator::groupsMapped(int slot) const
 }
 
 i64
-KvAllocator::mappedHandles(int slot) const
+KvAllocator::mappedCountOf(const SlotMappings &mappings)
 {
-    const auto &mappings = slots_[static_cast<std::size_t>(slot)];
     i64 total = 0;
     for (const BufferMappings &buffer : mappings.buffers) {
         total += buffer.mapped();
@@ -692,6 +691,11 @@ KvAllocator::auditInto(audit::AuditReport &report) const
                      " caches trim horizon ", mappings.horizon.trim,
                      " but its buffers give ", fresh.trim,
                      " — a range changed without a horizon refresh");
+        const i64 mapped = mappedCountOf(mappings);
+        report.check(mappings.mapped == mapped, "kv_allocator: slot ",
+                     slot, " caches ", mappings.mapped,
+                     " mapped handles but its buffers hold ", mapped,
+                     " — a range changed without a count refresh");
         for (int b = 0; b < nbuf; ++b) {
             const BufferMappings &buffer =
                 mappings.buffers[static_cast<std::size_t>(b)];
@@ -788,7 +792,7 @@ KvAllocator::auditInto(audit::AuditReport &report) const
                  aliased, " mappings beyond one per handle");
     i64 recount = 0;
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        recount += mappedHandles(slot);
+        recount += mappedCountOf(slots_[static_cast<std::size_t>(slot)]);
     }
     report.check(recount == total_mapped_,
                  "kv_allocator: total-mapped ledger is ", total_mapped_,

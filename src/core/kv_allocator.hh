@@ -73,8 +73,12 @@ class KvAllocator
 
     /** Page-group mappings the slot holds across all buffers
      *  (Σ end − lead; per-layer trims make this the real footprint,
-     *  where groupsMapped * numBuffers over-counts). */
-    i64 mappedHandles(int slot) const;
+     *  where groupsMapped * numBuffers over-counts). O(1): cached per
+     *  slot next to its horizons and refreshed with them. */
+    i64 mappedHandles(int slot) const
+    {
+        return slots_[static_cast<std::size_t>(slot)].mapped;
+    }
 
     /** First mapped group of the slot in @p buffer (window trims
      *  advance it past 0). */
@@ -224,7 +228,8 @@ class KvAllocator
      * or a mapping created behind the allocator breaks the
      * equality); the aliased-mappings ledger
      * matches the per-handle excess; every slot's cached grow and
-     * trim horizons equal a recomputation from its buffers.
+     * trim horizons and mapped-handle count equal a recomputation
+     * from its buffers.
      */
     void auditInto(audit::AuditReport &report) const;
 
@@ -233,8 +238,8 @@ class KvAllocator
     bool checkInvariants() const;
 
   private:
-    /** Corruption-injection tests reach the horizon cache through
-     *  this. */
+    /** Corruption-injection tests reach the horizon and mapped-count
+     *  caches through this. */
     friend struct KvAllocatorTestPeer;
 
     int kBuffer(int layer) const;
@@ -271,15 +276,18 @@ class KvAllocator
     {
         std::vector<BufferMappings> buffers;
         Horizon horizon;
+        i64 mapped = 0; ///< cached mappedHandles (Σ buffer mapped())
     };
 
     /** Both horizons of @p mappings, recomputed in O(buffers). */
     Horizon horizonOf(const SlotMappings &mappings) const;
+    /** Σ mapped() over the buffers of @p mappings, in O(buffers). */
+    static i64 mappedCountOf(const SlotMappings &mappings);
 
-    /** Recomputes the slot's horizon when it goes out of scope: every
-     *  public method that changes a [lead, end) range holds one, so
-     *  all of its return paths (kOutOfMemory rollbacks included)
-     *  leave the cache fresh. */
+    /** Recomputes the slot's horizon and mapped-handle count when it
+     *  goes out of scope: every public method that changes a
+     *  [lead, end) range holds one, so all of its return paths
+     *  (kOutOfMemory rollbacks included) leave the cache fresh. */
     class HorizonRefresh
     {
       public:
@@ -292,6 +300,7 @@ class KvAllocator
             auto &mappings =
                 allocator_.slots_[static_cast<std::size_t>(slot_)];
             mappings.horizon = allocator_.horizonOf(mappings);
+            mappings.mapped = mappedCountOf(mappings);
         }
         HorizonRefresh(const HorizonRefresh &) = delete;
         HorizonRefresh &operator=(const HorizonRefresh &) = delete;

@@ -172,19 +172,26 @@ ServingCluster::mergeReports(ClusterReport &report)
             std::max(merged.makespan_ns, replica.makespan_ns);
         merged.busy_ns += replica.busy_ns;
         merged.comm_ns += replica.comm_ns;
-        for (double x : replica.latency_s.sorted()) {
-            merged.latency_s.add(x);
-        }
-        for (double x : replica.ttft_s.sorted()) {
-            merged.ttft_s.add(x);
-        }
-        for (double x : replica.tbt_s.sorted()) {
-            merged.tbt_s.add(x);
-        }
-        for (double x : replica.normalized_latency_s.sorted()) {
-            merged.normalized_latency_s.add(x);
-        }
     }
+
+    // Latency samples: concatenate the raw per-replica stores, sized
+    // once. Nothing is sorted here; quantiles read the sorted union
+    // multiset, which is the same whatever order the samples arrive
+    // in, and the report's reader sorts it once on its first query.
+    const auto concat = [&](Percentiles RunReport::*store) {
+        std::size_t total = 0;
+        for (const RunReport &replica : report.replicas) {
+            total += (replica.*store).count();
+        }
+        (merged.*store).reserve(total);
+        for (const RunReport &replica : report.replicas) {
+            (merged.*store).append(replica.*store);
+        }
+    };
+    concat(&RunReport::latency_s);
+    concat(&RunReport::ttft_s);
+    concat(&RunReport::tbt_s);
+    concat(&RunReport::normalized_latency_s);
 
     // Iteration records: k-way heap merge over the per-replica streams
     // (each already in start_ns order — one engine's clock only moves

@@ -263,6 +263,62 @@ PagedBackend::WorkerPool::ensureSlot(int slot, i64 len)
     return Status::ok();
 }
 
+bool
+PagedBackend::WorkerPool::ensureIsNoop(int slot, i64 len) const
+{
+    const Slot *state = find(slot);
+    if (state == nullptr) {
+        return false;
+    }
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const paged::RequestBlocks &list = state->blocks[g];
+        // deadLeadBlocks is 0 on full-attention groups, whose lead
+        // stays at 0.
+        if (groups[g].manager.blocksFor(len) >
+                static_cast<i64>(list.blocks().size()) ||
+            deadLeadBlocks(groups[g], len) > list.lead()) {
+            return false;
+        }
+    }
+    return true;
+}
+
+void
+PagedBackend::WorkerPool::checkSkippedEnsure(int slot, i64 len,
+                                             std::size_t worker)
+{
+    struct GroupState
+    {
+        std::size_t blocks;
+        i64 lead;
+        i64 free;
+        i64 evictable;
+        bool operator==(const GroupState &) const = default;
+    };
+    const Slot &state = at(slot, "ensure");
+    const auto snapshot = [&](std::size_t g) {
+        const paged::RequestBlocks &list = state.blocks[g];
+        const paged::BlockManager &manager = groups[g].manager;
+        return GroupState{list.blocks().size(), list.lead(),
+                          manager.numFree(), manager.numEvictable()};
+    };
+    std::vector<GroupState> before;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        before.push_back(snapshot(g));
+    }
+    ensureSlot(slot, len).expectOk("skipped ensure");
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        const GroupState after = snapshot(g);
+        panic_if(!(after == before[g]), "paged_backend: worker ", worker,
+                 " skipped ensure(", slot, ", ", len,
+                 ") but it changed group ", g, ": blocks ",
+                 before[g].blocks, " -> ", after.blocks, ", lead ",
+                 before[g].lead, " -> ", after.lead, ", free ",
+                 before[g].free, " -> ", after.free, ", evictable ",
+                 before[g].evictable, " -> ", after.evictable);
+    }
+}
+
 Status
 PagedBackend::WorkerPool::swapOutRefusal(int slot) const
 {
@@ -683,6 +739,19 @@ Result<TimeNs>
 PagedBackend::ensure(const ActiveLens &active)
 {
     for (const auto &[slot, len] : active) {
+        // A new block is due only once every block_size tokens (or
+        // when a window lead dies), so most calls change nothing.
+        // Followers equal the lead by the lockstep invariant, which
+        // auditInto cross-checks.
+        if (workers_.lead().ensureIsNoop(slot, len)) {
+#if VATTN_AUDIT
+            for (int w = 0; w < workers_.size(); ++w) {
+                workers_.worker(w).checkSkippedEnsure(
+                    slot, len, static_cast<std::size_t>(w));
+            }
+#endif
+            continue;
+        }
         Status status = workers_.apply("ensure", [&](WorkerPool &pool) {
             return pool.ensureSlot(slot, len);
         });

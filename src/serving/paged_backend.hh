@@ -238,6 +238,16 @@ class PagedBackend : public MemoryBackend
                             i64 tokens);
         void freeSlot(int slot);
         Status ensureSlot(int slot, i64 len);
+        /** Would ensureSlot(@p slot, @p len) change nothing? True iff
+         *  every group's list already covers @p len tokens and no
+         *  sliding group's lead would advance — exactly the two ways
+         *  ensureSlot mutates. False for an unknown slot, so the call
+         *  still reaches ensureSlot and panics there. */
+        bool ensureIsNoop(int slot, i64 len) const;
+        /** Audit builds: run ensureSlot on a slot ensureIsNoop
+         *  skipped and panic if any group's block count, lead or
+         *  free-block count moved. */
+        void checkSkippedEnsure(int slot, i64 len, std::size_t worker);
         /** Why swapOutSlot(@p slot) would fail right now, or OK. */
         Status swapOutRefusal(int slot) const;
         bool canSwapOut(int slot) const

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -293,6 +294,86 @@ TEST(Percentiles, QuantilePanicsWhenEmpty)
     test::ScopedThrowErrors guard;
     Percentiles p;
     EXPECT_THROW(p.quantile(0.5), SimError);
+}
+
+/** Every quantity a report reader takes from a sample store. */
+void
+expectSameStore(const Percentiles &got, const Percentiles &want)
+{
+    ASSERT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sorted(), want.sorted());
+    if (want.count() == 0) {
+        EXPECT_DOUBLE_EQ(got.cdfAt(1.0), 0.0);
+        return;
+    }
+    for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+        EXPECT_EQ(got.quantile(q), want.quantile(q)) << "q=" << q;
+    }
+    for (double x : {-1.0, 0.0, 3.0, 12.5, 25.0, 60.0}) {
+        EXPECT_EQ(got.cdfAt(x), want.cdfAt(x)) << "x=" << x;
+    }
+}
+
+TEST(Percentiles, AppendMatchesAnAddLoop)
+{
+    // Three sources: unsorted, already queried (so stored sorted) and
+    // empty. Appending them must give the store an add() loop over
+    // the same samples gives.
+    Rng rng(41);
+    Percentiles unsorted;
+    Percentiles queried;
+    Percentiles empty;
+    Percentiles reference;
+    for (int i = 0; i < 200; ++i) {
+        unsorted.add(rng.uniform(0, 50));
+        queried.add(rng.uniform(-5, 25));
+    }
+    queried.median(); // sorts its storage in place
+    for (const Percentiles *source : {&unsorted, &queried, &empty}) {
+        for (double x : source->sorted()) {
+            reference.add(x);
+        }
+    }
+
+    Percentiles merged;
+    merged.reserve(unsorted.count() + queried.count());
+    merged.append(unsorted);
+    merged.append(queried);
+    merged.append(empty);
+    expectSameStore(merged, reference);
+    // Sources keep their samples.
+    EXPECT_EQ(unsorted.count(), 200u);
+    EXPECT_EQ(queried.count(), 200u);
+
+    Percentiles only_empty;
+    only_empty.append(empty);
+    expectSameStore(only_empty, empty);
+}
+
+TEST(Percentiles, QueryAfterAppendSeesTheNewSamples)
+{
+    Percentiles p;
+    for (int i = 1; i <= 10; ++i) {
+        p.add(i);
+    }
+    EXPECT_DOUBLE_EQ(p.max(), 10.0); // sorted once here
+    Percentiles tail;
+    tail.add(30.0);
+    tail.add(-3.0);
+    p.append(tail);
+    EXPECT_EQ(p.count(), 12u);
+    EXPECT_DOUBLE_EQ(p.min(), -3.0);
+    EXPECT_DOUBLE_EQ(p.max(), 30.0);
+    EXPECT_DOUBLE_EQ(p.cdfAt(10.0), 11.0 / 12.0);
+    EXPECT_TRUE(std::is_sorted(p.sorted().begin(), p.sorted().end()));
+}
+
+TEST(Percentiles, AppendOntoItselfPanics)
+{
+    test::ScopedThrowErrors guard;
+    Percentiles p;
+    p.add(1.0);
+    EXPECT_THROW(p.append(p), SimError);
 }
 
 TEST(Histogram, BucketsAndOverflow)

@@ -37,6 +37,12 @@ struct KvAllocatorTestPeer
     }
 
     static i64 &
+    mapped(KvAllocator &allocator, int slot)
+    {
+        return allocator.slots_[static_cast<std::size_t>(slot)].mapped;
+    }
+
+    static i64 &
     lead(KvAllocator &allocator, int slot, int buffer)
     {
         return allocator.slots_[static_cast<std::size_t>(slot)]
@@ -320,6 +326,38 @@ TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
         << report.toString();
 
     horizon.trim = fresh;
+    EXPECT_TRUE(allocator.checkInvariants());
+}
+
+TEST_F(AuditInjectionTest, StaleMappedHandleCountIsReported)
+{
+    auto config = smallConfig();
+    PagePool pool(driver_, config.page_group, 8 * MiB);
+    KvAllocator allocator(driver_, config, pool);
+    ASSERT_TRUE(allocator.growTo(1, 2).isOk());
+    const i64 fresh = allocator.mappedHandles(1);
+    ASSERT_GT(fresh, 0);
+
+    // Injection: a range change that skipped the refresh would leave
+    // the O(1) count behind the buffers (a warm slot then looks cold
+    // to VAttention's reuse scan).
+    i64 &mapped = core::KvAllocatorTestPeer::mapped(allocator, 1);
+    mapped = fresh - 1;
+    EXPECT_EQ(allocator.mappedHandles(1), fresh - 1);
+
+    audit::AuditReport report;
+    allocator.auditInto(report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.contains(
+        "slot 1 caches " + std::to_string(fresh - 1) +
+        " mapped handles but its buffers hold " + std::to_string(fresh)))
+        << report.toString();
+    // The total-mapped ledger recounts from the buffers, not the
+    // cache, so it stays quiet.
+    EXPECT_FALSE(report.contains("total-mapped ledger"))
+        << report.toString();
+
+    mapped = fresh;
     EXPECT_TRUE(allocator.checkInvariants());
 }
 

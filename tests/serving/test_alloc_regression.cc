@@ -8,7 +8,8 @@
  *  - steady-state decode iterations perform zero heap allocations
  *    once the high-water batch shape has been seen (a long window of
  *    allocation-free stepRun() calls must exist in every run), under
- *    both scheduling modes;
+ *    both scheduling modes and on both KV backends (vAttention and
+ *    paged);
  *  - BatchComposer::composeInto is allocation-free on the second
  *    composition of an identical shape, for both the prefill and the
  *    decode side of both modes.
@@ -31,12 +32,12 @@ namespace
 {
 
 EngineConfig
-steadyConfig(SchedulingMode mode)
+steadyConfig(SchedulingMode mode, perf::BackendKind backend)
 {
     EngineConfig config;
     config.model = perf::ModelSpec::yi6B();
     config.gpu = perf::GpuSpec::a100();
-    config.backend = perf::BackendKind::kFa2VAttention;
+    config.backend = backend;
     config.kv_budget_override = 2 * GiB;
     config.scheduler.max_num_seqs = 4;
     config.scheduler.mode = mode;
@@ -46,7 +47,8 @@ steadyConfig(SchedulingMode mode)
 
 /** Offline batch sized so the whole decode phase stays inside the
  *  initially mapped page groups: after the prefills, hundreds of
- *  decode iterations run with no KV growth at all. */
+ *  decode iterations run with no KV growth at all (on the paged
+ *  backend, 256-token blocks grow twice per request). */
 std::vector<Request>
 steadyTrace()
 {
@@ -79,18 +81,38 @@ longestZeroAllocWindow(Engine &engine)
     return best;
 }
 
-class SteadyStateDecode
+/** Parameterized on the scheduling mode; kBackend is the KV backend
+ *  (the paged variant below pins the skipped-ensure path). */
+template <perf::BackendKind kBackend>
+class SteadyStateDecodeOn
     : public ::testing::TestWithParam<SchedulingMode>
 {
+  protected:
+    void
+    SetUp() override
+    {
+#if VATTN_AUDIT
+        GTEST_SKIP() << "audit builds run per-iteration audits, which "
+                        "allocate by design";
+#endif
+    }
+
+    static EngineConfig
+    config()
+    {
+        return steadyConfig(GetParam(), kBackend);
+    }
 };
 
-TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
+using SteadyStateDecode =
+    SteadyStateDecodeOn<perf::BackendKind::kFa2VAttention>;
+using PagedSteadyStateDecode =
+    SteadyStateDecodeOn<perf::BackendKind::kFa2Paged>;
+
+void
+expectAllocationFreeDecode(const EngineConfig &config)
 {
-#if VATTN_AUDIT
-    GTEST_SKIP() << "audit builds run per-iteration audits, which "
-                    "allocate by design";
-#endif
-    Engine engine(steadyConfig(GetParam()));
+    Engine engine(config);
     const auto trace = steadyTrace();
     engine.beginOnline(trace.size());
     for (const auto &request : trace) {
@@ -103,20 +125,18 @@ TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
     // Hundreds of decode steps run with no growth; a shrinking window
     // means something on the per-iteration path started allocating
     // (plan vectors, scratch, std::function rebuilds, ...).
-    EXPECT_GE(window, 16) << "under " << toString(GetParam());
+    EXPECT_GE(window, 16) << "under " << toString(config.scheduler.mode)
+                          << " on " << toString(config.backend);
 }
 
-TEST_P(SteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
+void
+expectAllocationFreeStreaming(const EngineConfig &config)
 {
-#if VATTN_AUDIT
-    GTEST_SKIP() << "audit builds run per-iteration audits, which "
-                    "allocate by design";
-#endif
     // The online analogue with per-token streaming callbacks
     // installed: submission may allocate (deque nodes, sample-store
     // reservations), but the step loop that follows must not — token
     // emission invokes pre-built std::functions without heap traffic.
-    Engine engine(steadyConfig(GetParam()));
+    Engine engine(config);
     long long events = 0;
     StreamCallbacks callbacks; // built once, like a real client
     callbacks.on_first_token = [&events](const Request &) {
@@ -136,14 +156,40 @@ TEST_P(SteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
     const RunReport report = engine.endRun();
     EXPECT_EQ(report.num_requests, 4);
     EXPECT_GT(events, 0);
-    EXPECT_GE(window, 16) << "under " << toString(GetParam());
+    EXPECT_GE(window, 16) << "under " << toString(config.scheduler.mode)
+                          << " on " << toString(config.backend);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, SteadyStateDecode,
+TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
+{
+    expectAllocationFreeDecode(config());
+}
+
+TEST_P(SteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
+{
+    expectAllocationFreeStreaming(config());
+}
+
+TEST_P(PagedSteadyStateDecode, IterationsAreAllocationFree)
+{
+    expectAllocationFreeDecode(config());
+}
+
+TEST_P(PagedSteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
+{
+    expectAllocationFreeStreaming(config());
+}
+
+const auto kModes =
     ::testing::Values(SchedulingMode::kPrefillPrioritized,
-                      SchedulingMode::kStallFreeChunked),
-    [](const auto &info) { return toString(info.param); });
+                      SchedulingMode::kStallFreeChunked);
+const auto kModeName = [](const auto &info) {
+    return toString(info.param);
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, SteadyStateDecode, kModes, kModeName);
+INSTANTIATE_TEST_SUITE_P(Modes, PagedSteadyStateDecode, kModes,
+                         kModeName);
 
 class ComposerAlloc : public ::testing::TestWithParam<SchedulingMode>
 {

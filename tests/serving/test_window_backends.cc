@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/audit.hh"
+#include "common/rng.hh"
 #include "serving/paged_backend.hh"
 #include "serving/vattn_backend.hh"
 #include "test_util.hh"
@@ -144,6 +145,199 @@ TEST(VAttnWindowBackend, UniformModelsKeepTheHistoricalBilling)
     EXPECT_EQ(backend.slotPhysBytes(slot),
               static_cast<u64>(64 * 2) * 2 * MiB);
 }
+
+// ---- Paged ensure skip ------------------------------------------------
+//
+// PagedBackend::ensure skips a slot whose block lists already cover
+// the context and whose window leads would not advance. These cases
+// pin the predicate to exactly the calls that change nothing, under
+// TP lockstep and on a sliding-window geometry.
+
+constexpr i64 kSkipBlock = 16;
+constexpr i64 kSkipWindow = 64;
+
+struct SkipCase
+{
+    int tp;
+    bool window;
+};
+
+class PagedEnsureSkip : public ::testing::TestWithParam<SkipCase>
+{
+  protected:
+    static PagedBackend
+    make()
+    {
+        const auto model =
+            GetParam().window
+                ? perf::ModelSpec::yi6B().withSlidingWindowInterleave(
+                      kSkipWindow)
+                : perf::ModelSpec::yi6B();
+        return PagedBackend(model, GetParam().tp, kSkipBlock, 2 * GiB,
+                            /*enable_prefix_caching=*/false,
+                            /*host_swap_bytes=*/256 * MiB);
+    }
+
+    /** Every worker's free and evictable counts per group, then each
+     *  slot's list size and lead per group. */
+    static std::vector<i64>
+    poolState(PagedBackend &backend, const std::vector<int> &slots)
+    {
+        std::vector<i64> state;
+        for (int w = 0; w < backend.numWorkers(); ++w) {
+            const auto &pool = backend.workers().worker(w);
+            for (const auto &group : pool.groups) {
+                state.push_back(group.manager.numFree());
+                state.push_back(group.manager.numEvictable());
+            }
+            for (int slot : slots) {
+                for (const auto &list :
+                     pool.slots[static_cast<std::size_t>(slot)].blocks) {
+                    state.push_back(
+                        static_cast<i64>(list.blocks().size()));
+                    state.push_back(list.lead());
+                }
+            }
+        }
+        return state;
+    }
+
+    /** The lead's skip verdict, checked equal on every follower. */
+    static bool
+    skips(PagedBackend &backend, int slot, i64 len)
+    {
+        const bool lead = backend.workers().lead().ensureIsNoop(slot, len);
+        for (int w = 1; w < backend.numWorkers(); ++w) {
+            EXPECT_EQ(backend.workers().worker(w).ensureIsNoop(slot, len),
+                      lead)
+                << "worker " << w;
+        }
+        return lead;
+    }
+};
+
+TEST_P(PagedEnsureSkip, LeadCrossingWithoutANewBlockIsNotSkipped)
+{
+    PagedBackend backend = make();
+    const int slot = backend.allocSlot().value();
+    // 129 tokens: 9 blocks; a 64-token window kills (129-64)/16 = 4.
+    ASSERT_TRUE(backend.ensure({{slot, 129}}).isOk());
+    EXPECT_TRUE(skips(backend, slot, 129));
+    const i64 full_free = backend.groupManager(0).numFree();
+
+    // 144 tokens still fit in 9 blocks, but on a window geometry the
+    // dead lead reaches 5: that call must run and free the block.
+    if (GetParam().window) {
+        const i64 window_free = backend.groupManager(1).numFree();
+        EXPECT_FALSE(skips(backend, slot, 144));
+        ASSERT_TRUE(backend.ensure({{slot, 144}}).isOk());
+        EXPECT_EQ(backend.groupManager(1).numFree(), window_free + 1);
+        for (int w = 0; w < backend.numWorkers(); ++w) {
+            EXPECT_EQ(backend.workers().worker(w).slots[slot].blocks[1]
+                          .lead(),
+                      5);
+        }
+    } else {
+        EXPECT_TRUE(skips(backend, slot, 144));
+        ASSERT_TRUE(backend.ensure({{slot, 144}}).isOk());
+    }
+    EXPECT_EQ(backend.groupManager(0).numFree(), full_free);
+    EXPECT_TRUE(skips(backend, slot, 144));
+
+    // One token past the block: a new block in every group.
+    EXPECT_FALSE(skips(backend, slot, 145));
+    ASSERT_TRUE(backend.ensure({{slot, 145}}).isOk());
+    EXPECT_EQ(backend.groupManager(0).numFree(), full_free - 1);
+
+    audit::AuditReport report;
+    backend.auditInto(report);
+    EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+TEST_P(PagedEnsureSkip, SwappedOutSlotIsNotSkipped)
+{
+    PagedBackend backend = make();
+    const int slot = backend.allocSlot().value();
+    ASSERT_TRUE(backend.ensure({{slot, 129}}).isOk());
+    ASSERT_TRUE(skips(backend, slot, 129));
+    ASSERT_TRUE(backend.swapOut(slot).isOk());
+    // The lists left with the blocks: the slot no longer covers its
+    // context, so an ensure would have to run.
+    EXPECT_FALSE(skips(backend, slot, 129));
+    ASSERT_TRUE(backend.swapIn(slot).isOk());
+    EXPECT_TRUE(skips(backend, slot, 129));
+
+    // Unknown slots are never skipped: the call still panics.
+    test::ScopedThrowErrors guard;
+    EXPECT_FALSE(skips(backend, 99, 16));
+    EXPECT_THROW((void)backend.ensure({{99, 16}}), SimError);
+}
+
+TEST_P(PagedEnsureSkip, RandomWalkMatchesABlockAtATimeReference)
+{
+    // The backend under test sees random jumps (often inside a block,
+    // sometimes across several boundaries); the reference is ensured
+    // at every token in between, so it crosses each block and lead
+    // boundary on its own. Both must hold the same pool state after
+    // every step, and a call is skipped exactly when it changes
+    // nothing.
+    PagedBackend backend = make();
+    PagedBackend reference = make();
+    constexpr int kSlots = 3;
+    std::vector<int> slots;
+    for (int i = 0; i < kSlots; ++i) {
+        slots.push_back(backend.allocSlot().value());
+        ASSERT_EQ(reference.allocSlot().value(), slots.back());
+    }
+    std::vector<i64> lens(kSlots, 0);
+    Rng rng(2025);
+    int skipped = 0;
+    int ran = 0;
+    for (int step = 0; step < 600; ++step) {
+        const auto i = static_cast<std::size_t>(rng.uniformInt(0, 2));
+        const int slot = slots[i];
+        if (rng.uniformInt(0, 39) == 0 || lens[i] > 1500) {
+            // Finish the request and lease the id again.
+            backend.freeSlot(slot);
+            reference.freeSlot(slot);
+            ASSERT_EQ(backend.allocSlot().value(), slot);
+            ASSERT_EQ(reference.allocSlot().value(), slot);
+            lens[i] = 0;
+        }
+        const i64 len = lens[i] + (rng.uniformInt(0, 3) == 0
+                                       ? rng.uniformInt(17, 80)
+                                       : rng.uniformInt(0, 6));
+        const auto before = poolState(backend, slots);
+        const bool skip = skips(backend, slot, len);
+        ASSERT_TRUE(backend.ensure({{slot, len}}).isOk());
+        EXPECT_EQ(skip, poolState(backend, slots) == before)
+            << "step " << step << ": slot " << slot << " to " << len;
+        (skip ? skipped : ran) += 1;
+        for (i64 t = lens[i] + 1; t <= len; ++t) {
+            ASSERT_TRUE(reference.ensure({{slot, t}}).isOk());
+        }
+        lens[i] = len;
+        ASSERT_EQ(poolState(backend, slots), poolState(reference, slots))
+            << "step " << step;
+    }
+    EXPECT_GT(skipped, 100);
+    EXPECT_GT(ran, 100);
+
+    for (PagedBackend *b : {&backend, &reference}) {
+        audit::AuditReport report;
+        b->auditInto(report);
+        EXPECT_TRUE(report.ok()) << report.toString();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, PagedEnsureSkip,
+    ::testing::Values(SkipCase{1, false}, SkipCase{2, false},
+                      SkipCase{1, true}, SkipCase{2, true}),
+    [](const auto &info) {
+        return "Tp" + std::to_string(info.param.tp) +
+               (info.param.window ? "Window" : "Uniform");
+    });
 
 } // namespace
 } // namespace vattn::serving

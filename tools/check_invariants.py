@@ -44,6 +44,14 @@ Machine-checks the conventions the simulator's correctness leans on:
                 (ServingCluster::estimateFor) is the one allow-listed
                 site: it is a deliberately cruder load model (batch-1
                 decode, no queueing), not an iteration's cost.
+  6. reports  — src/serving/ never asks a Percentiles store for its
+                sorted samples or quantiles (`sorted`, `quantile`,
+                `median`, `p99`, `cdfAt`, `cdfPoints`): sorting is the
+                report reader's job, done once after the run. Serving
+                code only adds, appends and merges samples, so no sort
+                lands inside a timed simulation window (the cluster's
+                report merge once spent most of a fleet run sorting
+                per-replica stores).
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -141,6 +149,12 @@ PRICING_CALL_RE = re.compile(
 PRICING_ALLOWED = {
     ("src", "serving", "cluster.cc"): "ServingCluster::estimateFor",
 }
+
+# Percentiles queries that sort the sample store. Serving code builds
+# reports; their readers (benches, examples, tests) query them.
+REPORT_QUERY_RE = re.compile(
+    r"(?:\.|->)\s*(?:sorted|quantile|median|p99|cdfAt|cdfPoints)\s*\("
+)
 
 BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 LINE_COMMENT_RE = re.compile(r"//[^\n]*")
@@ -262,6 +276,12 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                 f"{where}: kernel/overhead model pricing in"
                 " src/serving/ — compose iteration time through"
                 " perf::priceIteration (perf/iteration_cost.hh)"
+            )
+        if in_serving and REPORT_QUERY_RE.search(line):
+            problems.append(
+                f"{where}: Percentiles query in src/serving/ — reports"
+                " leave sorting to their reader; merge samples with"
+                " Percentiles::append"
             )
         if in_serving and ALLOC_CALL_RE.search(line):
             annotated = any(
