@@ -273,6 +273,23 @@ TEST_P(PagedEnsureSkip, SwappedOutSlotIsNotSkipped)
     EXPECT_THROW((void)backend.ensure({{99, 16}}), SimError);
 }
 
+TEST_P(PagedEnsureSkip, AuditNetPanicsWhenASkipWouldHaveChangedTheSlot)
+{
+    // Audit builds re-run ensureSlot for every skipped slot through
+    // checkSkippedEnsure; drive it directly here so every build
+    // checks that it stays quiet on a true no-op and panics on a call
+    // that grows the slot.
+    PagedBackend backend = make();
+    const int slot = backend.allocSlot().value();
+    ASSERT_TRUE(backend.ensure({{slot, 129}}).isOk());
+    for (int w = 0; w < backend.numWorkers(); ++w) {
+        backend.workers().worker(w).checkSkippedEnsure(slot, 129, w);
+    }
+    test::ScopedThrowErrors guard;
+    EXPECT_THROW(backend.workers().lead().checkSkippedEnsure(slot, 145, 0),
+                 SimError);
+}
+
 TEST_P(PagedEnsureSkip, RandomWalkMatchesABlockAtATimeReference)
 {
     // The backend under test sees random jumps (often inside a block,
