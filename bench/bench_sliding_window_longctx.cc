@@ -37,7 +37,7 @@ constexpr u64 kBudgetBytes = 48ULL * GiB;
 u64
 vattnResidentBytes(const perf::ModelSpec &model, i64 tokens)
 {
-    serving::VAttentionBackend backend(model, 1, kBudgetBytes);
+    serving::VAttentionBackend backend(model, 1, {}, kBudgetBytes);
     auto slot = backend.allocSlot();
     fatal_if(!slot.isOk(), "allocSlot failed");
     const auto ensured = backend.ensure({{slot.value(), tokens}});

@@ -26,7 +26,6 @@ configFor(const perf::ModelSpec &model, int tp, PageGroup group)
     config.max_batch_size = 1;
     config.max_context_len = model.max_context_len;
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     return config;
 }
 

@@ -35,7 +35,6 @@ measureGBps(PageGroup group, int tp)
     config.max_batch_size = 4;
     config.max_context_len = model.max_context_len;
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     config.deferred_reclamation = false;
     config.eager_allocation = false;
     config.overlap_allocation = false;

@@ -27,7 +27,6 @@ blockSize(const perf::ModelSpec &model, int tp, bool slicing)
     config.max_batch_size = 1;
     config.max_context_len = model.max_context_len;
     config.page_group = PageGroup::k2MB;
-    config.use_driver_extension = false;
     config.tensor_slicing = slicing;
     return core::KvGeometry(config).tokensPerGroup();
 }

@@ -83,7 +83,6 @@ makeRuntime(cuvmm::Driver &driver, bool tensor_slicing)
     config.max_context_len = 4096;
     config.page_group = tensor_slicing ? PageGroup::k2MB
                                        : PageGroup::k64KB;
-    config.use_driver_extension = !tensor_slicing;
     config.tensor_slicing = tensor_slicing;
     config.phys_budget_bytes = 128 * MiB;
     return core::VAttention(driver, config);

@@ -196,7 +196,6 @@ main(int argc, char **argv)
         kv_config.max_batch_size = 1;
         kv_config.max_context_len = config.model.max_context_len;
         kv_config.page_group = group;
-        kv_config.use_driver_extension = group != PageGroup::k2MB;
         core::KvGeometry geom(kv_config);
         pg_table.addRow({
             toString(group),

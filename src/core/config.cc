@@ -82,12 +82,6 @@ Config::validate() const
         return errorStatus(ErrorCode::kInvalidArgument,
                            "max_context_len must be positive");
     }
-    if (!use_driver_extension && page_group != PageGroup::k2MB) {
-        return errorStatus(ErrorCode::kInvalidArgument,
-                           "stock CUDA APIs only allocate 2MB multiples; "
-                           "enable use_driver_extension for smaller "
-                           "page-groups");
-    }
     if (eager_groups < 0) {
         return errorStatus(ErrorCode::kInvalidArgument,
                            "eager_groups must be >= 0");

@@ -66,11 +66,10 @@ struct Config
     std::vector<LayerKvSpec> layers;
 
     // ---- Allocation policy ------------------------------------------
-    /** Physical allocation granularity (§6.2). */
+    /** Physical allocation granularity (§6.2). It also picks the
+     *  driver path: 2MB groups use the stock cuMem* calls, smaller
+     *  ones the vMem* extension, which exists only for them. */
     PageGroup page_group = PageGroup::k2MB;
-    /** Use the driver extension (vMem*); required for sub-2MB groups.
-     *  When false, the stock cuMem* path is used (2MB only). */
-    bool use_driver_extension = true;
     /** §8.2 layout: one [B, L, N, H, D] tensor per K/V instead of 2N
      *  per-layer tensors; shrinks the per-group token footprint N-fold. */
     bool tensor_slicing = false;

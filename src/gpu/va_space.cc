@@ -1,5 +1,7 @@
 #include "gpu/va_space.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vattn::gpu
@@ -10,30 +12,14 @@ VaSpace::VaSpace(Addr base, u64 size)
 {
     fatal_if(size_ == 0, "VaSpace with zero size");
     fatal_if(base_ + size_ < base_, "VaSpace wraps the address space");
-    free_.emplace(base_, size_);
 }
 
-void
-VaSpace::insertFree(Addr start, u64 len)
+VaSpace::Iter
+VaSpace::firstAfter(Addr addr) const
 {
-    if (len == 0) {
-        return;
-    }
-    auto it = free_.emplace(start, len).first;
-    // Coalesce with successor.
-    auto next = std::next(it);
-    if (next != free_.end() && it->first + it->second == next->first) {
-        it->second += next->second;
-        free_.erase(next);
-    }
-    // Coalesce with predecessor.
-    if (it != free_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second == it->first) {
-            prev->second += it->second;
-            free_.erase(it);
-        }
-    }
+    return std::upper_bound(
+        reserved_.begin(), reserved_.end(), addr,
+        [](Addr a, const Range &range) { return a < range.start; });
 }
 
 Result<Addr>
@@ -55,41 +41,35 @@ VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
             return Result<Addr>(ErrorCode::kInvalidArgument,
                                 "fixed address not aligned");
         }
-        // Find the free range containing [fixed, fixed + size).
-        auto it = free_.upper_bound(fixed);
-        if (it == free_.begin()) {
+        // The gap holding [fixed, fixed + size) runs from the end of
+        // the reservation before it to the start of the one after.
+        const Iter next = firstAfter(fixed);
+        const Addr gap_start =
+            next == reserved_.begin() ? base_ : std::prev(next)->end;
+        const Addr gap_end =
+            next == reserved_.end() ? base_ + size_ : next->start;
+        if (fixed < gap_start || fixed + size > gap_end) {
             return Result<Addr>(ErrorCode::kOutOfMemory,
                                 "fixed range unavailable");
         }
-        --it;
-        const Addr fstart = it->first;
-        const u64 flen = it->second;
-        if (fixed < fstart || fixed + size > fstart + flen) {
-            return Result<Addr>(ErrorCode::kOutOfMemory,
-                                "fixed range unavailable");
-        }
-        free_.erase(it);
-        insertFree(fstart, fixed - fstart);
-        insertFree(fixed + size, (fstart + flen) - (fixed + size));
-        reserved_.insert(fixed, fixed + size, true)
-            .expectOk("VaSpace bookkeeping");
+        reserved_.insert(next, Range{fixed, fixed + size});
         return fixed;
     }
 
-    // First fit with alignment.
-    for (auto it = free_.begin(); it != free_.end(); ++it) {
-        const Addr fstart = it->first;
-        const u64 flen = it->second;
-        const Addr aligned = roundUp(fstart, alignment);
-        if (aligned + size > fstart + flen || aligned < fstart) {
-            continue;
+    // First fit with alignment, walking the gaps in address order.
+    Addr gap_start = base_;
+    for (auto it = reserved_.begin();; ++it) {
+        const Addr gap_end =
+            it == reserved_.end() ? base_ + size_ : it->start;
+        const Addr aligned = roundUp(gap_start, alignment);
+        if (aligned >= gap_start && aligned + size <= gap_end) {
+            reserved_.insert(it, Range{aligned, aligned + size});
+            return aligned;
         }
-        free_.erase(it);
-        insertFree(fstart, aligned - fstart);
-        insertFree(aligned + size, (fstart + flen) - (aligned + size));
-        reserved_.insert(aligned, aligned + size, true)
-            .expectOk("VaSpace bookkeeping");
-        return aligned;
+        if (it == reserved_.end()) {
+            break;
+        }
+        gap_start = it->end;
     }
     return Result<Addr>(ErrorCode::kOutOfMemory, "virtual space exhausted");
 }
@@ -97,31 +77,44 @@ VaSpace::reserve(u64 size, u64 alignment, Addr fixed)
 Status
 VaSpace::release(Addr addr)
 {
-    auto entry = reserved_.findExact(addr);
-    if (!entry) {
+    const Iter next = firstAfter(addr);
+    if (next == reserved_.begin() || std::prev(next)->start != addr) {
         return errorStatus(ErrorCode::kNotFound,
                            "no reservation starts at this address");
     }
-    reserved_.eraseAt(addr).expectOk("VaSpace erase");
-    insertFree(entry->start, entry->end - entry->start);
+    reserved_.erase(std::prev(next));
     return Status::ok();
 }
 
 u64
 VaSpace::reservationSize(Addr addr) const
 {
-    auto entry = reserved_.findExact(addr);
-    return entry ? entry->end - entry->start : 0;
+    const Iter next = firstAfter(addr);
+    if (next == reserved_.begin() || std::prev(next)->start != addr) {
+        return 0;
+    }
+    return std::prev(next)->end - addr;
 }
 
 bool
 VaSpace::isReserved(Addr addr, u64 size) const
 {
-    auto entry = reserved_.find(addr);
-    if (!entry) {
+    const Iter next = firstAfter(addr);
+    if (next == reserved_.begin()) {
         return false;
     }
-    return addr + size <= entry->end;
+    const Range &range = *std::prev(next);
+    return addr < range.end && addr + size <= range.end;
+}
+
+u64
+VaSpace::reservedBytes() const
+{
+    u64 bytes = 0;
+    for (const Range &range : reserved_) {
+        bytes += range.end - range.start;
+    }
+    return bytes;
 }
 
 } // namespace vattn::gpu

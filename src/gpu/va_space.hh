@@ -3,14 +3,18 @@
  * Device virtual-address range allocator behind cuMemAddressReserve /
  * cuMemAddressFree. Virtual memory is deliberately plentiful (the paper
  * reserves terabytes, §5.1.3): the default space is 128TB per device.
+ *
+ * A device holds a few reservations per KV buffer set (one per K/V
+ * buffer, §5.1), so the bookkeeping is one address-sorted vector of
+ * reservations. Free space is the gaps between them; every lookup on
+ * the map path (isReserved) is a binary search over that vector.
  */
 
 #ifndef VATTN_GPU_VA_SPACE_HH
 #define VATTN_GPU_VA_SPACE_HH
 
-#include <map>
+#include <vector>
 
-#include "common/interval_map.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 
@@ -42,20 +46,27 @@ class VaSpace
     /** Does [addr, addr+size) lie fully inside one reservation? */
     bool isReserved(Addr addr, u64 size) const;
 
-    u64 reservedBytes() const { return reserved_.coveredBytes(); }
+    u64 reservedBytes() const;
     std::size_t numReservations() const { return reserved_.size(); }
     Addr base() const { return base_; }
     u64 size() const { return size_; }
 
   private:
+    /** One reservation, [start, end). */
+    struct Range
+    {
+        Addr start;
+        Addr end; ///< exclusive
+    };
+    using Iter = std::vector<Range>::const_iterator;
+
+    /** The first reservation starting after @p addr. */
+    Iter firstAfter(Addr addr) const;
+
     Addr base_;
     u64 size_;
-    /** reserved ranges; value is unused (bool). */
-    IntervalMap<bool> reserved_;
-    /** free ranges keyed by start -> length; kept coalesced. */
-    std::map<Addr, u64> free_;
-
-    void insertFree(Addr start, u64 len);
+    /** Disjoint reservations sorted by start. */
+    std::vector<Range> reserved_;
 };
 
 } // namespace vattn::gpu

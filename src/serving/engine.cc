@@ -74,14 +74,11 @@ Engine::Engine(EngineConfig config)
         options.max_batch_size =
             std::max(options.max_batch_size,
                      config_.scheduler.max_num_seqs);
-        options.enable_prefix_caching |= config_.enable_prefix_caching;
-        options.host_swap_bytes =
-            std::max(options.host_swap_bytes, host_bytes);
         // alloc-ok: engine construction, once per replica
         auto backend = std::make_unique<VAttentionBackend>(
-            config_.model, config_.tp_degree, budget, options);
+            config_.model, config_.tp_degree, options, budget,
+            config_.enable_prefix_caching, host_bytes, config_.pcie);
         vattn_backend_ = backend.get();
-        vattn_backend_->setCopyModel(config_.pcie.toCopyModel());
         backend_ = std::move(backend);
     }
     // Single admission gate: the composer's budgets, the starvation

@@ -111,6 +111,10 @@ struct EngineConfig
     /** Non-zero overrides the computed per-worker KV budget. */
     u64 kv_budget_override = 0;
 
+    /** vAttention's page-group, layout and §6.1 policy; max_batch_size
+     *  is raised to scheduler.max_num_seqs. Prefix caching, the host
+     *  tier and the PCIe link are the fields below, which the engine
+     *  passes to either backend alike. */
     VAttentionBackend::Options vattn = {};
     Scheduler::Config scheduler = {};
     bool record_iterations = false;

@@ -6,14 +6,11 @@ namespace vattn::serving
 {
 
 VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
-                                     int tp, u64 budget_bytes)
-    : VAttentionBackend(model, tp, budget_bytes, Options{})
-{
-}
-
-VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
-                                     int tp, u64 budget_bytes,
-                                     Options options)
+                                     int tp, Options options,
+                                     u64 budget_bytes,
+                                     bool enable_prefix_caching,
+                                     u64 host_swap_bytes,
+                                     perf::PcieSpec pcie)
 {
     core::Config config;
     config.num_layers = model.num_layers;
@@ -23,15 +20,13 @@ VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
     config.max_batch_size = options.max_batch_size;
     config.max_context_len = model.max_context_len;
     config.page_group = options.page_group;
-    config.use_driver_extension =
-        options.page_group != PageGroup::k2MB;
     config.tensor_slicing = options.tensor_slicing;
     config.deferred_reclamation = options.deferred_reclamation;
     config.eager_allocation = options.eager_allocation;
     config.overlap_allocation = options.overlap_allocation;
-    config.prefix_caching = options.enable_prefix_caching;
+    config.prefix_caching = enable_prefix_caching;
     config.phys_budget_bytes = budget_bytes;
-    config.host_swap_bytes = options.host_swap_bytes;
+    config.host_swap_bytes = host_swap_bytes;
     if (model.hasSlidingLayers()) {
         // Per-layer geometries: sliding-window layers only keep the
         // live window of KV mapped. Uniform models leave the list
@@ -58,18 +53,11 @@ VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
     // alloc-ok: backend construction, once per engine
     group_ = std::make_unique<core::WorkerGroup>(tp, config,
                                                  device_mem_bytes);
+    for (int w = 0; w < group_->numWorkers(); ++w) {
+        group_->driver(w).latency().setCopyModel(pcie.toCopyModel());
+    }
     seq_lens_.assign(static_cast<std::size_t>(options.max_batch_size),
                      0);
-    prefix_caching_ = options.enable_prefix_caching;
-}
-
-void
-VAttentionBackend::setCopyModel(
-    const cuvmm::LatencyModel::CopyModel &model)
-{
-    for (int w = 0; w < group_->numWorkers(); ++w) {
-        group_->driver(w).latency().setCopyModel(model);
-    }
 }
 
 bool
@@ -100,7 +88,7 @@ VAttentionBackend::buildQuery(const PrefixKey &key) const
 i64
 VAttentionBackend::matchPrefix(const PrefixKey &key) const
 {
-    if (!prefix_caching_ || key.empty()) {
+    if (!prefixCachingEnabled() || key.empty()) {
         return 0;
     }
     return group_->matchPrefix(buildQuery(key)).tokens;
@@ -109,7 +97,7 @@ VAttentionBackend::matchPrefix(const PrefixKey &key) const
 Result<SlotLease>
 VAttentionBackend::allocSlot(const PrefixKey &key, i64 max_cached)
 {
-    if (!prefix_caching_ || key.empty()) {
+    if (!prefixCachingEnabled() || key.empty()) {
         auto slot = group_->allocReqId();
         if (!slot.isOk()) {
             return Result<SlotLease>(slot.status());
@@ -130,7 +118,7 @@ void
 VAttentionBackend::registerPrefix(int slot, const PrefixKey &key,
                                   i64 tokens)
 {
-    if (!prefix_caching_ || key.empty()) {
+    if (!prefixCachingEnabled() || key.empty()) {
         return;
     }
     group_->registerPrefix(slot, buildQuery(key), tokens);

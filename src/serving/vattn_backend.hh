@@ -8,6 +8,8 @@
  * computeWindow() drives the background-allocation model (§6.1.1).
  * Symmetric queries are answered by worker 0; the audit layer's
  * cross-worker state-equality check verifies that symmetry.
+ * The constructor mirrors PagedBackend's, so the engine configures
+ * prefix caching, the swap tier and the PCIe link of both alike.
  */
 
 #ifndef VATTN_SERVING_VATTN_BACKEND_HH
@@ -18,6 +20,7 @@
 #include "core/worker_group.hh"
 #include "cuvmm/driver.hh"
 #include "perf/model_spec.hh"
+#include "perf/pcie_spec.hh"
 #include "serving/memory_backend.hh"
 
 namespace vattn::serving
@@ -27,6 +30,9 @@ namespace vattn::serving
 class VAttentionBackend : public MemoryBackend
 {
   public:
+    /** The settings with no paged counterpart: page-group size (§6.2;
+     *  below 2MB the driver extension is used), §8.2 tensor slicing,
+     *  the §6.1 optimizations and the slot count. */
     struct Options
     {
         PageGroup page_group = PageGroup::k2MB;
@@ -35,33 +41,31 @@ class VAttentionBackend : public MemoryBackend
         bool eager_allocation = true;
         bool overlap_allocation = true;
         int max_batch_size = 256;
-        /** §8.1 prefix caching: cached slots become a content-hashed
-         *  prefix store; hits alias physical page-groups into the new
-         *  request's virtual tensors. Requires deferred reclamation
-         *  for cross-lifetime reuse (live-to-live sharing works
-         *  regardless). */
-        bool enable_prefix_caching = false;
-        /** Pinned host bytes for the KV swap tier (0 = no tier; the
-         *  engine must preempt with recomputation). Per worker. */
-        u64 host_swap_bytes = 0;
     };
 
     /**
-     * @param model model architecture
+     * PagedBackend's parameters, with Options in block_size's place.
      * @param tp tensor-parallel degree: one lockstep worker per rank,
      *        each with num_kv_heads/tp heads (§5.3)
      * @param budget_bytes per-worker physical KV budget
+     * @param enable_prefix_caching §8.1: hits alias physical
+     *        page-groups into the new request's virtual tensors
+     *        (cross-lifetime reuse needs deferred reclamation)
+     * @param host_swap_bytes per-worker pinned host bytes for the KV
+     *        swap tier (0 disables it: preempt by recomputation)
+     * @param pcie link pricing swap copies, set on every worker's driver
      */
     VAttentionBackend(const perf::ModelSpec &model, int tp,
-                      u64 budget_bytes);
-    VAttentionBackend(const perf::ModelSpec &model, int tp,
-                      u64 budget_bytes, Options options);
+                      Options options, u64 budget_bytes,
+                      bool enable_prefix_caching = false,
+                      u64 host_swap_bytes = 0,
+                      perf::PcieSpec pcie = perf::PcieSpec::gen4x16());
 
     bool canAdmit(i64 uncached_tokens) const override;
     Result<int> allocSlot() override;
     bool prefixCachingEnabled() const override
     {
-        return prefix_caching_;
+        return runtime().config().prefix_caching;
     }
     i64 matchPrefix(const PrefixKey &key) const override;
     Result<SlotLease> allocSlot(const PrefixKey &key,
@@ -102,10 +106,6 @@ class VAttentionBackend : public MemoryBackend
     const core::VAttention &runtime() const { return group_->worker(0); }
     cuvmm::Driver &driver() { return group_->driver(0); }
 
-    /** Install the PCIe copy-cost parameters on EVERY worker's driver
-     *  (swap copies run on all shards concurrently). */
-    void setCopyModel(const cuvmm::LatencyModel::CopyModel &model);
-
     /** Result of the most recent ensure() (for iteration traces). */
     const core::StepStats &lastStep() const { return last_step_; }
 
@@ -116,7 +116,6 @@ class VAttentionBackend : public MemoryBackend
     std::unique_ptr<core::WorkerGroup> group_;
     std::vector<i64> seq_lens_;
     core::StepStats last_step_;
-    bool prefix_caching_ = false;
     /** Driver time spent by failed swap-in attempts, charged to the
      *  next ensure() (error results cannot carry latency). */
     TimeNs failed_swap_ns_ = 0;

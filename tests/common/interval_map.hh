@@ -1,10 +1,11 @@
 /**
  * @file
  * Address-range container mapping disjoint [start, end) intervals to
- * values. Backs the VA reservation book-keeping, which needs exact-range
- * insert/erase, containment lookup and overlap queries over a sparse
- * 64-bit space, and the reference page table the page-table tests
- * compare against.
+ * values: exact-range insert/erase, containment lookup and overlap
+ * queries over a sparse 64-bit space. Test-only: it is the reference
+ * page table the page-table tests compare against. It lives under
+ * tests/common/, which the test binaries have on their include path,
+ * so it is included as "common/interval_map.hh".
  */
 
 #ifndef VATTN_COMMON_INTERVAL_MAP_HH

@@ -75,7 +75,6 @@ smallConfig()
     config.max_batch_size = 4;
     config.max_context_len = 8192;
     config.page_group = PageGroup::k64KB;
-    config.use_driver_extension = true;
     config.eager_allocation = false;
     config.overlap_allocation = false;
     return config;

@@ -27,7 +27,6 @@ smallConfig(PageGroup group = PageGroup::k64KB, bool slicing = false)
     config.max_batch_size = 4;
     config.max_context_len = 8192; // 4 groups per buffer at 64KB
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     config.tensor_slicing = slicing;
     config.eager_allocation = false;
     config.overlap_allocation = false;

@@ -20,7 +20,6 @@ configFor(const perf::ModelSpec &model, int tp, PageGroup group,
     config.max_batch_size = 100;
     config.max_context_len = model.max_context_len;
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     config.tensor_slicing = slicing;
     return config;
 }
@@ -216,11 +215,6 @@ TEST(ConfigValidation, CatchesBadSettings)
     EXPECT_FALSE(bad.validate().isOk());
 
     bad = config;
-    bad.page_group = PageGroup::k64KB;
-    bad.use_driver_extension = false; // stock CUDA can't do 64KB
-    EXPECT_FALSE(bad.validate().isOk());
-
-    bad = config;
     bad.reclaim_low_watermark = 1.5;
     EXPECT_FALSE(bad.validate().isOk());
 }
@@ -233,7 +227,6 @@ TEST(ConfigValidation, SlicingNeedsGroupBiggerThanToken)
                             PageGroup::k64KB, true);
     EXPECT_FALSE(config.validate().isOk());
     config.page_group = PageGroup::k2MB;
-    config.use_driver_extension = false;
     EXPECT_TRUE(config.validate().isOk());
 }
 

@@ -27,7 +27,6 @@ prefixConfig()
     config.max_batch_size = 4;
     config.max_context_len = 16384;
     config.page_group = PageGroup::k64KB;
-    config.use_driver_extension = true;
     config.eager_allocation = false;
     config.overlap_allocation = false;
     config.deferred_reclamation = true;

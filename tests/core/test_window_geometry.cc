@@ -30,7 +30,6 @@ windowConfig()
     config.max_batch_size = 4;
     config.max_context_len = 16384;
     config.page_group = PageGroup::k64KB;
-    config.use_driver_extension = true;
     config.eager_allocation = false;
     config.overlap_allocation = false;
     config.layers.assign(4, LayerKvSpec{});

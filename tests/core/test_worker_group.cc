@@ -20,7 +20,6 @@ tpConfig()
     config.max_batch_size = 4;
     config.max_context_len = 8192;
     config.page_group = PageGroup::k64KB;
-    config.use_driver_extension = true;
     config.phys_budget_bytes = 8 * MiB;
     return config;
 }

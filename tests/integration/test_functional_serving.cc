@@ -54,7 +54,6 @@ TEST_P(FunctionalServing, MatchesHostReference)
     config.max_batch_size = kBatch;
     config.max_context_len = 2048;
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     config.tensor_slicing = slicing;
     config.phys_budget_bytes = 256 * MiB;
     ASSERT_TRUE(config.validate().isOk());

@@ -45,7 +45,6 @@ TEST_P(RandomTrafficTest, VattnInvariantsHoldUnderChaos)
     config.max_batch_size = 6;
     config.max_context_len = 4096;
     config.page_group = group;
-    config.use_driver_extension = group != PageGroup::k2MB;
     // Deliberately tight: forces OOM paths, stealing, preemption.
     config.phys_budget_bytes = 24 * bytes(group);
     core::VAttention vattn(driver, config);

@@ -64,10 +64,9 @@ struct VAttn
         options.page_group = PageGroup::k64KB;
         options.eager_allocation = false;
         options.overlap_allocation = false;
-        options.enable_prefix_caching = prefix_caching;
-        options.host_swap_bytes = host_swap_bytes;
         return std::make_unique<Backend>(perf::ModelSpec::yi6B(), tp,
-                                         512 * MiB, options);
+                                         options, 512 * MiB,
+                                         prefix_caching, host_swap_bytes);
     }
 
     /** One fully written page-group plus change. */

@@ -56,8 +56,8 @@ TEST(VAttentionBackendTest, EndToEndSlotLifecycle)
     options.page_group = PageGroup::k2MB;
     options.overlap_allocation = false;
     options.eager_allocation = false;
-    VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                              options);
+    VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, options,
+                              512 * MiB);
 
     EXPECT_TRUE(backend.canAdmit(4096));
     auto slot = backend.allocSlot();
@@ -280,6 +280,49 @@ TEST(EngineTest, RecordIterationsTrace)
         EXPECT_GE(iteration.start_ns, prev_start);
         prev_start = iteration.start_ns;
         EXPECT_GT(iteration.duration_ns, 0u);
+    }
+}
+
+TEST(EngineTest, BothBackendsTakeTheSameTierAndPrefixSettings)
+{
+    // EngineConfig is the one switch for the host tier and prefix
+    // caching: whichever backend the engine builds must report exactly
+    // what the policy and the flag ask for.
+    for (const auto kind : {perf::BackendKind::kFa2Paged,
+                            perf::BackendKind::kFa2VAttention}) {
+        for (const auto policy : {PreemptionPolicy::kRecompute,
+                                  PreemptionPolicy::kSwap}) {
+            for (const bool prefix : {false, true}) {
+                SCOPED_TRACE(std::string(perf::toString(kind)) + " " +
+                             toString(policy) +
+                             (prefix ? " prefix" : " no-prefix"));
+                auto config = tinyEngineConfig(kind);
+                config.preemption_policy = policy;
+                config.host_swap_bytes = 1 * GiB;
+                config.enable_prefix_caching = prefix;
+                Engine engine(config);
+                EXPECT_EQ(engine.backend().hasHostTier(),
+                          policy != PreemptionPolicy::kRecompute);
+                EXPECT_EQ(engine.backend().prefixCachingEnabled(), prefix);
+            }
+        }
+    }
+}
+
+TEST(VAttentionBackendTest, EveryWorkerPricesCopiesOnTheGivenLink)
+{
+    const perf::PcieSpec pcie{"slow-link", 5e9, 3e9, 20 * kUsec};
+    VAttentionBackend backend(perf::ModelSpec::yi6B(), 2, {}, 512 * MiB,
+                              false, 256 * MiB, pcie);
+    core::WorkerGroup &group = backend.workerGroup();
+    ASSERT_EQ(group.numWorkers(), 2);
+    for (int w = 0; w < group.numWorkers(); ++w) {
+        SCOPED_TRACE(w);
+        const cuvmm::LatencyModel &latency = group.driver(w).latency();
+        for (const u64 bytes : {u64{0}, 64 * KiB, 2 * MiB, 1 * GiB}) {
+            EXPECT_EQ(latency.copyDtoHCost(bytes), pcie.dtohNs(bytes));
+            EXPECT_EQ(latency.copyHtoDCost(bytes), pcie.htodNs(bytes));
+        }
     }
 }
 

@@ -28,13 +28,12 @@ kvBytes(i64 tokens)
 }
 
 VAttentionBackend::Options
-swapOptions(u64 host_swap_bytes)
+swapOptions()
 {
     VAttentionBackend::Options options;
     options.max_batch_size = 4;
     options.eager_allocation = false;
     options.overlap_allocation = false;
-    options.host_swap_bytes = host_swap_bytes;
     return options;
 }
 
@@ -48,8 +47,8 @@ TEST(KvExportImportTest, DonorCanAlwaysReimportOwnExport)
     // The rollback primitive behind a refused migration: exporting
     // frees the donor's host pages, so re-importing the same image
     // into the donor cannot fail.
-    VAttentionBackend donor(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                            swapOptions(1 * GiB));
+    VAttentionBackend donor(perf::ModelSpec::yi6B(), 1, swapOptions(),
+                            512 * MiB, false, 1 * GiB);
     auto slot = donor.allocSlot();
     ASSERT_TRUE(slot.isOk());
     ASSERT_TRUE(donor.ensure({{slot.value(), 4096}}).isOk());
@@ -67,8 +66,8 @@ TEST(KvExportImportTest, DonorCanAlwaysReimportOwnExport)
 
 TEST(KvExportImportTest, RefusalsAndGeometryMismatch)
 {
-    VAttentionBackend donor(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                            swapOptions(1 * GiB));
+    VAttentionBackend donor(perf::ModelSpec::yi6B(), 1, swapOptions(),
+                            512 * MiB, false, 1 * GiB);
     auto slot = donor.allocSlot();
     ASSERT_TRUE(slot.isOk());
     ASSERT_TRUE(donor.ensure({{slot.value(), 4096}}).isOk());
@@ -77,19 +76,19 @@ TEST(KvExportImportTest, RefusalsAndGeometryMismatch)
     ASSERT_TRUE(image.isOk());
 
     // No swap tier at all: no host tier, import refused.
-    VAttentionBackend no_tier(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                              swapOptions(0));
+    VAttentionBackend no_tier(perf::ModelSpec::yi6B(), 1, swapOptions(),
+                              512 * MiB, false, 0);
     EXPECT_FALSE(no_tier.hasHostTier());
     EXPECT_FALSE(no_tier.canImportSwapped(image.value()));
 
     // Host tier too small for the image: refused, not an error.
-    VAttentionBackend tiny(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                           swapOptions(2 * MiB));
+    VAttentionBackend tiny(perf::ModelSpec::yi6B(), 1, swapOptions(),
+                           512 * MiB, false, 2 * MiB);
     EXPECT_FALSE(tiny.canImportSwapped(image.value()));
 
     // Different model: different buffer geometry, refused.
     VAttentionBackend other_model(perf::ModelSpec::yi34B(), 1,
-                                  512 * MiB, swapOptions(1 * GiB));
+                                  swapOptions(), 512 * MiB, false, 1 * GiB);
     EXPECT_FALSE(other_model.canImportSwapped(image.value()));
 
     // Wrong backend family: a vAttention image never imports into a
@@ -109,12 +108,12 @@ TEST(KvExportImportTest, TensorParallelLockstepRoundTrip)
 {
     // TP-2 shards export/import in lockstep; the image carries one
     // worker's shard bytes (half the TP-1 footprint per worker).
-    VAttentionBackend tp1(perf::ModelSpec::yi6B(), 1, 512 * MiB,
-                          swapOptions(1 * GiB));
-    VAttentionBackend donor(perf::ModelSpec::yi6B(), 2, 512 * MiB,
-                            swapOptions(1 * GiB));
-    VAttentionBackend target(perf::ModelSpec::yi6B(), 2, 512 * MiB,
-                             swapOptions(1 * GiB));
+    VAttentionBackend tp1(perf::ModelSpec::yi6B(), 1, swapOptions(),
+                          512 * MiB, false, 1 * GiB);
+    VAttentionBackend donor(perf::ModelSpec::yi6B(), 2, swapOptions(),
+                            512 * MiB, false, 1 * GiB);
+    VAttentionBackend target(perf::ModelSpec::yi6B(), 2, swapOptions(),
+                             512 * MiB, false, 1 * GiB);
 
     auto ref_slot = tp1.allocSlot();
     ASSERT_TRUE(ref_slot.isOk());

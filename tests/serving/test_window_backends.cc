@@ -118,7 +118,7 @@ TEST(VAttnWindowBackend, SlotPhysBytesCountsPerLayerMappings)
     // Regression for the uniformity bug: slotPhysBytes used to charge
     // frontier-groups x numBuffers x groupBytes, overbilling windowed
     // slots whose leading groups are unmapped.
-    VAttentionBackend backend(interleaved(), 1, 8ULL * GiB);
+    VAttentionBackend backend(interleaved(), 1, {}, 8ULL * GiB);
     const int slot = backend.allocSlot().value();
     ASSERT_TRUE(backend.ensure({{slot, 16 * 1024}}).isOk());
 
@@ -138,7 +138,7 @@ TEST(VAttnWindowBackend, SlotPhysBytesCountsPerLayerMappings)
 
 TEST(VAttnWindowBackend, UniformModelsKeepTheHistoricalBilling)
 {
-    VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, 4ULL * GiB);
+    VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, {}, 4ULL * GiB);
     const int slot = backend.allocSlot().value();
     ASSERT_TRUE(backend.ensure({{slot, 4096}}).isOk());
     // 2 groups per buffer x 64 buffers.

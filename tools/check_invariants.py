@@ -52,6 +52,12 @@ Machine-checks the conventions the simulator's correctness leans on:
                 lands inside a timed simulation window (the cluster's
                 report merge once spent most of a fleet run sorting
                 per-replica stores).
+  7. reach    — every header under src/ is included by some file in
+                src/, bench/ or examples/ other than its own .cc: a
+                header only tests include is test scaffolding (it
+                belongs under tests/), and one nothing includes is dead
+                code. REACH_ALLOWED lists the two exceptions, each
+                with the paper argument that keeps it.
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -155,6 +161,17 @@ PRICING_ALLOWED = {
 REPORT_QUERY_RE = re.compile(
     r"(?:\.|->)\s*(?:sorted|quantile|median|p99|cdfAt|cdfPoints)\s*\("
 )
+
+# Headers under src/ that only tests include, kept on purpose.
+REACH_ALLOWED = {
+    "cuvmm/managed.hh": "the §8.1 argument against UVM-backed KV,"
+                        " measured by tests/cuvmm/test_managed.cc",
+    "paged/block_table.hh": "the §3.3.2 per-request block tables"
+                            " PagedAttention kernels read, pinned by"
+                            " tests/paged/test_paged.cc",
+}
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
 BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 LINE_COMMENT_RE = re.compile(r"//[^\n]*")
@@ -300,6 +317,31 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     return problems
 
 
+def check_reach(root: pathlib.Path) -> list[str]:
+    """Rule 7: headers under src/ that no program file includes."""
+    src = root / "src"
+    includers: dict[str, set[pathlib.Path]] = {}
+    for top in ("src", "bench", "examples"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in {".hh", ".cc"}:
+                text = path.read_text(encoding="utf-8")
+                for m in INCLUDE_RE.finditer(text):
+                    includers.setdefault(m.group(1), set()).add(path)
+
+    problems: list[str] = []
+    for header in sorted(src.rglob("*.hh")):
+        name = header.relative_to(src).as_posix()
+        reached = bool(includers.get(name, set()) -
+                       {header.with_suffix(".cc")})
+        if not reached and name not in REACH_ALLOWED:
+            problems.append(
+                f"{header.relative_to(root)}: no file in src/, bench/"
+                " or examples/ includes this header — move test-only"
+                " code under tests/ or delete it"
+            )
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -327,6 +369,7 @@ def main() -> int:
     bench_util = args.root / "bench" / "bench_util.hh"
     if bench_util.is_file():
         problems.extend(check_file(bench_util, args.root))
+    problems.extend(check_reach(args.root))
 
     for problem in problems:
         print(problem)
