@@ -27,13 +27,13 @@ main()
                  "FI (ms)", "FI_Paged (ms)", "FI overhead"});
     for (i64 ctx = 1024; ctx <= 32 * 1024; ctx *= 2) {
         const auto fa2 = model.prefillAttention(
-            perf::BackendKind::kFa2VAttention, ctx);
-        const auto fa2_paged =
-            model.prefillAttention(perf::BackendKind::kFa2Paged, ctx);
+            perf::BackendKind::kFa2VAttention, ctx, ctx);
+        const auto fa2_paged = model.prefillAttention(
+            perf::BackendKind::kFa2Paged, ctx, ctx);
         const auto fi = model.prefillAttention(
-            perf::BackendKind::kFiVAttention, ctx);
-        const auto fi_paged =
-            model.prefillAttention(perf::BackendKind::kFiPaged, ctx);
+            perf::BackendKind::kFiVAttention, ctx, ctx);
+        const auto fi_paged = model.prefillAttention(
+            perf::BackendKind::kFiPaged, ctx, ctx);
         table.addRow({
             std::to_string(ctx / 1024) + "K",
             Table::num(static_cast<double>(fa2) / 1e6, 3),

@@ -27,12 +27,12 @@ main()
         const i64 total = batch * 16 * 1024;
         const double t16 =
             static_cast<double>(model.decodeAttention(
-                perf::BackendKind::kVllmPaged, total, 16)) /
+                perf::BackendKind::kVllmPaged, {&total, 1}, 16)) /
             1e6;
         auto cell = [&](int block) {
             const double t =
                 static_cast<double>(model.decodeAttention(
-                    perf::BackendKind::kVllmPaged, total, block)) /
+                    perf::BackendKind::kVllmPaged, {&total, 1}, block)) /
                 1e6;
             return Table::num(t, 2) + " (" + Table::num(t / t16, 2) +
                    "x)";
@@ -44,7 +44,8 @@ main()
             cell(64),
             cell(128),
             Table::num(static_cast<double>(model.decodeAttention(
-                           perf::BackendKind::kVllmPaged, total, 128)) /
+                           perf::BackendKind::kVllmPaged, {&total, 1},
+                           128)) /
                            1e6 / t16,
                        2) + "x",
         });

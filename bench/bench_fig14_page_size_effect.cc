@@ -66,7 +66,7 @@ main()
                    "runtime 64KB vs 2MB"});
     for (i64 ctx = 2048; ctx <= 32 * 1024; ctx *= 2) {
         const auto base_ns = kernel.prefillAttention(
-            perf::BackendKind::kFa2VAttention, ctx);
+            perf::BackendKind::kFa2VAttention, ctx, ctx);
         const u64 walks_2m =
             replayKvStream(PageSize::k2MB, model, 1, ctx, 1);
         const u64 walks_64k =
@@ -89,8 +89,9 @@ main()
                   "walks 64KB", "runtime 64KB vs 2MB"});
     for (i64 batch = 1; batch <= 16; batch *= 2) {
         const i64 ctx = 32 * 1024;
+        const i64 total = batch * ctx;
         const auto base_ns = kernel.decodeAttention(
-            perf::BackendKind::kFa2VAttention, batch * ctx);
+            perf::BackendKind::kFa2VAttention, {&total, 1});
         // Decode streams every request's KV once per iteration.
         const u64 walks_2m = replayKvStream(PageSize::k2MB, model, 1,
                                             ctx,

@@ -31,7 +31,7 @@ main()
             const i64 total_kv = batch * 16 * 1024;
             auto ms = [&](perf::BackendKind kind) {
                 return static_cast<double>(
-                           model.decodeAttention(kind, total_kv)) /
+                           model.decodeAttention(kind, {&total_kv, 1})) /
                        1e6;
             };
             const double vllm = ms(perf::BackendKind::kVllmPaged);

@@ -160,55 +160,6 @@ KvGeometry::frontierHandlesForTokens(i64 tokens) const
     return handles;
 }
 
-void
-KvGeometry::requireUniformFootprint(const char *accessor) const
-{
-    panic_if(!uniform_footprint_,
-             "KvGeometry::", accessor,
-             " is only meaningful with a layer-uniform per-token "
-             "footprint; use the (layer) overload");
-}
-
-u64
-KvGeometry::tokenBytesPerBuffer() const
-{
-    requireUniformFootprint("tokenBytesPerBuffer");
-    return tokenBytesPerBuffer(0);
-}
-
-u64
-KvGeometry::tokenBytesTotal() const
-{
-    requireUniformFootprint("tokenBytesTotal");
-    const LayerKvSpec &first = specs_.front();
-    return 2 * static_cast<u64>(config_.num_layers) *
-           static_cast<u64>(first.kv_heads) *
-           static_cast<u64>(first.head_dim) *
-           static_cast<u64>(first.bytes_per_elem);
-}
-
-u64
-KvGeometry::perRequestBytes() const
-{
-    requireUniformFootprint("perRequestBytes");
-    return perRequestBytes(0);
-}
-
-u64
-KvGeometry::perRequestBytesAligned() const
-{
-    requireUniformFootprint("perRequestBytesAligned");
-    return perRequestBytesAligned(0);
-}
-
-u64
-KvGeometry::bufferBytes() const
-{
-    requireUniformFootprint("bufferBytes");
-    return static_cast<u64>(config_.max_batch_size) *
-           perRequestBytesAligned(0);
-}
-
 u64
 KvGeometry::totalVirtualBytes() const
 {
@@ -222,22 +173,11 @@ KvGeometry::totalVirtualBytes() const
 i64
 KvGeometry::tokensPerGroup() const
 {
-    requireUniformFootprint("tokensPerGroup");
+    panic_if(!uniform_footprint_,
+             "KvGeometry::tokensPerGroup is only meaningful with a "
+             "layer-uniform per-token footprint; use the (layer) "
+             "overload");
     return tokensPerGroup(0);
-}
-
-i64
-KvGeometry::groupsForTokens(i64 tokens) const
-{
-    requireUniformFootprint("groupsForTokens");
-    return groupsForTokens(0, tokens);
-}
-
-i64
-KvGeometry::maxGroupsPerRequest() const
-{
-    requireUniformFootprint("maxGroupsPerRequest");
-    return groupsForTokens(0, config_.max_context_len);
 }
 
 u64

@@ -5,14 +5,14 @@
  * tokens per page-group ("block size"), and page-group counts for a
  * given context length.
  *
- * Since the per-layer geometry refactor this class is the per-layer
- * authority: every quantity exists in a (layer) overload, and
- * sliding-window layers additionally expose the dead/live split of a
- * request's leading page-groups. The historical zero-argument
- * accessors remain valid whenever the per-token footprint is uniform
- * across layers (the default, and any windows-only spec list); they
- * panic on truly heterogeneous footprints so stale call sites fail
- * loudly instead of silently using layer 0's shape.
+ * This class is the per-layer authority: every per-buffer quantity
+ * takes a (layer) argument, and sliding-window layers additionally
+ * expose the dead/live split of a request's leading page-groups. The
+ * one layer-blind shape accessor, tokensPerGroup(), is valid whenever
+ * the per-token footprint is uniform across layers (the default, and
+ * any windows-only spec list); it panics on truly heterogeneous
+ * footprints so a stale call site fails loudly instead of silently
+ * using layer 0's shape.
  */
 
 #ifndef VATTN_CORE_KV_GEOMETRY_HH
@@ -53,7 +53,9 @@ class KvGeometry
 
     // ---- Per-layer quantities (the authority) ------------------------
 
-    /** Bytes one token contributes to ONE buffer of @p layer. */
+    /** Bytes one token contributes to ONE buffer of @p layer: H*D*P,
+     *  or N*H*D*P when tensor slicing folds every layer's KV into one
+     *  buffer. */
     u64 tokenBytesPerBuffer(int layer) const;
 
     /** Tokens covered by one page-group in one buffer of @p layer. */
@@ -98,42 +100,14 @@ class KvGeometry
      *  included) — the virtual-range high-water mark. */
     i64 frontierHandlesForTokens(i64 tokens) const;
 
-    // ---- Uniform-model wrappers --------------------------------------
-    // Valid whenever the footprint is uniform across layers; they
-    // panic otherwise.
-
-    /**
-     * Bytes one token contributes to ONE buffer: H*D*P for per-layer
-     * tensors, N*H*D*P when slicing (the token's KV of all layers
-     * lives in one tensor).
-     */
-    u64 tokenBytesPerBuffer() const;
-
-    /** Bytes one token contributes across the whole KV cache
-     *  (2*N*H*D*P — §4's 64KB/128KB/240KB per-token figures). */
-    u64 tokenBytesTotal() const;
-
-    /** S: one request's maximum share of one buffer (L tokens). */
-    u64 perRequestBytes() const;
-
-    /** S rounded up to the page-group so requests never share one. */
-    u64 perRequestBytesAligned() const;
-
-    /** BS = B * S_aligned: total size of one virtual buffer. */
-    u64 bufferBytes() const;
-
     /** Total virtual memory reserved across all buffers. */
     u64 totalVirtualBytes() const;
 
     /** Tokens covered by one page-group in one buffer — the paper's
-     *  "block size" (Tables 8 and 10). */
+     *  "block size" (Tables 8 and 10). Only meaningful when the
+     *  per-token footprint is uniform across layers; panics otherwise
+     *  (use the (layer) overload). */
     i64 tokensPerGroup() const;
-
-    /** Page-groups (per buffer) needed to back @p tokens tokens. */
-    i64 groupsForTokens(i64 tokens) const;
-
-    /** Max page-groups per buffer per request (context = L). */
-    i64 maxGroupsPerRequest() const;
 
     /** Physical bytes mapped for a request of @p tokens tokens across
      *  all buffers, including page-group rounding waste. Dead leading
@@ -148,9 +122,6 @@ class KvGeometry
     u64 groupBytes() const { return bytes(config_.page_group); }
 
   private:
-    /** Panic unless the per-token footprint is layer-uniform. */
-    void requireUniformFootprint(const char *accessor) const;
-
     Config config_;
     /** Resolved per-layer specs; size num_layers (or 1 when
      *  slicing folds the model into one logical layer). */

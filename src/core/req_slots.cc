@@ -152,28 +152,4 @@ ReqSlots::firstFree() const
     return -1;
 }
 
-std::vector<int>
-ReqSlots::cachedLruOrder() const
-{
-    std::vector<int> out;
-    out.reserve(static_cast<std::size_t>(numCached()));
-    for (int slot : cachedOrder()) {
-        out.push_back(slot);
-    }
-    return out;
-}
-
-std::vector<int>
-ReqSlots::activeSlots() const
-{
-    std::vector<int> out;
-    for (int slot = 0; slot < capacity_; ++slot) {
-        if (states_[static_cast<std::size_t>(slot)] ==
-            SlotState::kActive) {
-            out.push_back(slot);
-        }
-    }
-    return out;
-}
-
 } // namespace vattn::core

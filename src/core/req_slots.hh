@@ -66,12 +66,9 @@ class ReqSlots
     /** Lowest-numbered free slot, or -1. */
     int firstFree() const;
 
-    /** Cached slots, least recently cached first (reclaim victims).
-     *  Copies — safe to mutate slot states while walking it. */
-    std::vector<int> cachedLruOrder() const;
-
-    /** In-place view of the same order (per-iteration hot paths; the
-     *  caller must not mutate slot states while iterating). */
+    /** In-place view of the cached slots, least recently cached first
+     *  (reclaim victims); the caller must not mutate slot states while
+     *  iterating. */
     class CachedOrderView
     {
       public:
@@ -117,9 +114,6 @@ class ReqSlots
 
     /** Oldest cached slot, or -1. */
     int oldestCached() const { return cached_head_; }
-
-    /** All active slots in ascending order. */
-    std::vector<int> activeSlots() const;
 
   private:
     void checkSlot(int slot) const;

@@ -1089,11 +1089,13 @@ VAttention::auditInto(audit::AuditReport &report) const
             }
         }
         // A prefix chain never describes more than the slot's intact
-        // leading groups hold (a window trim voids the prefix).
+        // leading groups hold (a window trim voids the prefix). Prefix
+        // caching requires a uniform footprint, so layer 0 stands for
+        // every layer.
         const auto &chain = chains_[static_cast<std::size_t>(slot)];
         if (!chain.empty()) {
             const i64 tpg = geom.tokensPerGroup();
-            const i64 covered = geom.groupsForTokens(chain.tokens);
+            const i64 covered = geom.groupsForTokens(0, chain.tokens);
             const i64 prefix = allocator_.prefixGroupsMapped(slot);
             if (slots_.state(slot) == SlotState::kFree ||
                 static_cast<i64>(chain.hashes.size()) > prefix ||

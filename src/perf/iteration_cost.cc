@@ -23,14 +23,11 @@ priceIteration(const KernelModel &kernel, const OverheadModel &overhead,
     for (const ChunkShape &chunk : shape.prefills) {
         const i64 kv_len = chunk.kv_before + chunk.tokens;
         prefill_tokens += chunk.tokens;
-        cost.attention_ns += kernel.chunkedPrefillAttentionWindowed(
-            kind, chunk.tokens, kv_len);
+        cost.attention_ns +=
+            kernel.prefillAttention(kind, chunk.tokens, kv_len);
         new_blocks += blocksFor(kv_len) - blocksFor(chunk.kv_before);
     }
-    // Sliding-window layers stream only min(kv, window) tokens of each
-    // decode; uniform models price the total.
-    cost.attention_ns +=
-        kernel.decodeAttentionWindowed(kind, shape.decode_kv_lens);
+    cost.attention_ns += kernel.decodeAttention(kind, shape.decode_kv_lens);
 
     // The linear operators and the all-reduce see one flat token
     // batch: chunk tokens plus one token per decode.

@@ -60,7 +60,7 @@ constexpr double kLinearEff = 0.65;
 KernelModel::KernelModel(GpuSpec gpu, ModelSpec model, int tp,
                          NcclSpec nccl)
     : gpu_(std::move(gpu)), model_(std::move(model)), tp_(tp),
-      nccl_(std::move(nccl))
+      nccl_(std::move(nccl)), classes_(model_.windowClasses())
 {
     fatal_if(tp_ <= 0, "tensor parallel degree must be positive");
     if (!nccl_.enabled()) {
@@ -155,29 +155,48 @@ KernelModel::decodeBackendFactor(BackendKind kind) const
     return 1.0;
 }
 
-TimeNs
-KernelModel::prefillAttention(BackendKind kind, i64 ctx) const
+double
+KernelModel::windowedAttendedUnits(i64 q_len, i64 kv_len,
+                                   i64 window_tokens)
 {
-    return chunkedPrefillAttention(kind, ctx, ctx);
+    const double q = static_cast<double>(q_len);
+    const double kv = static_cast<double>(kv_len);
+    const double w = static_cast<double>(window_tokens);
+    const double kv0 = kv - q; // committed tokens before the chunk
+    if (window_tokens <= 0 || kv_len <= window_tokens) {
+        // Full causal trapezoid: the q query rows attend the kv - q
+        // committed tokens plus the lower triangle of the chunk.
+        return (kv - q / 2.0) * q;
+    }
+    if (kv0 >= w) {
+        // The whole chunk is past the ramp: every query row attends
+        // exactly w keys.
+        return q * w;
+    }
+    // The chunk straddles the ramp: rows up to position w attend
+    // p + 1 keys (integral (w^2 - kv0^2) / 2), the rest attend w.
+    return (w * w - kv0 * kv0) / 2.0 + (kv - w) * w;
 }
 
 TimeNs
-KernelModel::chunkedPrefillAttention(BackendKind kind, i64 q_len,
-                                     i64 kv_len) const
+KernelModel::prefillAttention(BackendKind kind, i64 q_len,
+                              i64 kv_len) const
 {
-    panic_if(q_len <= 0, "chunkedPrefillAttention with no query tokens");
+    panic_if(q_len <= 0, "prefillAttention with no query tokens");
     panic_if(kv_len < q_len,
              "chunk KV context shorter than the query chunk");
     const double q_heads = model_.qHeadsPerWorker(tp_);
-    // QK^T and PV matmuls, 2 FLOPs per MAC, under the causal mask: the
-    // q_len query rows attend to the kv_len - q_len committed tokens
-    // plus the lower triangle of the chunk itself, (4*kv - 2*q) * q
-    // FLOPs per head-dim unit per layer. q_len == kv_len == ctx is
-    // the monolithic prefill's 4 * ctx^2 / 2.
-    const double flops = (4.0 * static_cast<double>(kv_len) -
-                          2.0 * static_cast<double>(q_len)) *
-                         static_cast<double>(q_len) * q_heads *
-                         model_.head_dim * model_.num_layers;
+    // QK^T and PV matmuls, 2 FLOPs per MAC: 4 FLOPs per attended
+    // key-token unit per head-dim unit per layer. A full-attention
+    // class pays (4*kv - 2*q) * q; q_len == kv_len == ctx is the
+    // monolithic prefill's 4 * ctx^2 / 2.
+    double flops = 0.0;
+    for (const ModelSpec::WindowClass &cls : classes_) {
+        flops += 4.0 *
+                 windowedAttendedUnits(q_len, kv_len,
+                                       cls.window_tokens) *
+                 q_heads * model_.head_dim * cls.layers;
+    }
     const KernelFamily family = kernelFamily(kind);
     const double eff = prefillEfficiency(family);
     double seconds = flops / (gpu_.fp16_flops * eff);
@@ -194,121 +213,46 @@ KernelModel::chunkedPrefillAttention(BackendKind kind, i64 q_len,
            kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
 }
 
-double
-KernelModel::windowedAttendedUnits(i64 q_len, i64 kv_len,
-                                   i64 window_tokens)
-{
-    const double q = static_cast<double>(q_len);
-    const double kv = static_cast<double>(kv_len);
-    const double w = static_cast<double>(window_tokens);
-    const double kv0 = kv - q; // committed tokens before the chunk
-    if (window_tokens <= 0 || kv_len <= window_tokens) {
-        // Full causal trapezoid: matches the (4*kv - 2*q) * q FLOP
-        // formula at 4 FLOPs per attended unit.
-        return (kv - q / 2.0) * q;
-    }
-    if (kv0 >= w) {
-        // The whole chunk is past the ramp: every query row attends
-        // exactly w keys.
-        return q * w;
-    }
-    // The chunk straddles the ramp: rows up to position w attend
-    // p + 1 keys (integral (w^2 - kv0^2) / 2), the rest attend w.
-    return (w * w - kv0 * kv0) / 2.0 + (kv - w) * w;
-}
-
 TimeNs
-KernelModel::chunkedPrefillAttentionWindowed(BackendKind kind,
-                                             i64 q_len,
-                                             i64 kv_len) const
-{
-    if (!model_.hasSlidingLayers()) {
-        return chunkedPrefillAttention(kind, q_len, kv_len);
-    }
-    panic_if(q_len <= 0, "chunkedPrefillAttention with no query tokens");
-    panic_if(kv_len < q_len,
-             "chunk KV context shorter than the query chunk");
-    const double q_heads = model_.qHeadsPerWorker(tp_);
-    double flops = 0.0;
-    for (const ModelSpec::WindowClass &cls : model_.windowClasses()) {
-        flops += 4.0 *
-                 windowedAttendedUnits(q_len, kv_len,
-                                       cls.window_tokens) *
-                 q_heads * model_.head_dim * cls.layers;
-    }
-    const KernelFamily family = kernelFamily(kind);
-    const double eff = prefillEfficiency(family);
-    double seconds = flops / (gpu_.fp16_flops * eff);
-    const double ramp = static_cast<double>(q_len) /
-                        (static_cast<double>(q_len) + 1024.0);
-    seconds /= ramp;
-    if (isPaged(kind)) {
-        seconds *= prefillPagedOverhead(family, kv_len);
-    }
-    return static_cast<TimeNs>(seconds * 1e9) +
-           kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
-}
-
-TimeNs
-KernelModel::decodeAttentionWindowed(BackendKind kind,
-                                     std::span<const i64> kv_lens,
-                                     int block_size) const
+KernelModel::decodeAttention(BackendKind kind,
+                             std::span<const i64> kv_lens,
+                             int block_size) const
 {
     i64 total = 0;
     for (i64 kv : kv_lens) {
         total += std::max<i64>(kv, 0);
     }
-    if (!model_.hasSlidingLayers()) {
-        return decodeAttention(kind, total, block_size);
-    }
     if (total <= 0) {
         return 0;
     }
-    // Per window class: stream sum of min(kv, window) tokens of KV,
-    // 2 (K+V) tensors of kv_heads * head_dim * P bytes per layer.
+    // Decode attention streams the attended KV once per iteration:
+    // memory bound (§7.2, "memory bound nature of decode attention").
+    // Every layer reads K and V of kv_heads * head_dim * P bytes per
+    // attended token. A full-attention class attends the whole total;
+    // only window classes walk the batch again to clamp each request.
+    const double layer_token_bytes =
+        2.0 * model_.kvHeadsPerWorker(tp_) * model_.head_dim *
+        model_.bytes_per_elem;
     double bytes = 0.0;
-    for (const ModelSpec::WindowClass &cls : model_.windowClasses()) {
-        i64 attended = 0;
-        for (i64 kv : kv_lens) {
-            const i64 live = std::max<i64>(kv, 0);
-            attended += cls.window_tokens > 0
-                            ? std::min(live, cls.window_tokens)
-                            : live;
+    for (const ModelSpec::WindowClass &cls : classes_) {
+        i64 attended = total;
+        if (cls.window_tokens > 0) {
+            attended = 0;
+            for (i64 kv : kv_lens) {
+                attended += std::min(std::max<i64>(kv, 0),
+                                     cls.window_tokens);
+            }
         }
-        bytes += static_cast<double>(attended) * 2.0 * cls.layers *
-                 model_.kvHeadsPerWorker(tp_) * model_.head_dim *
-                 model_.bytes_per_elem;
+        bytes += static_cast<double>(attended) * layer_token_bytes *
+                 cls.layers;
     }
     double seconds = bytes / (gpu_.hbm_bytes_per_s * kDecodeMemEff);
+
     seconds *= decodeBackendFactor(kind);
     if (kind == BackendKind::kVllmPaged) {
         const int bs = block_size > 0 ? block_size
                                       : defaultBlockSize(kind);
         seconds *= vllmBlockSizeFactor(bs, total);
-    }
-    return static_cast<TimeNs>(seconds * 1e9) +
-           kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
-}
-
-TimeNs
-KernelModel::decodeAttention(BackendKind kind, i64 total_kv_tokens,
-                             int block_size) const
-{
-    if (total_kv_tokens <= 0) {
-        return 0;
-    }
-    // Decode attention streams the whole KV cache once per iteration:
-    // memory bound (§7.2, "memory bound nature of decode attention").
-    const double bytes =
-        static_cast<double>(total_kv_tokens) *
-        static_cast<double>(model_.kvBytesPerTokenPerWorker(tp_));
-    double seconds = bytes / (gpu_.hbm_bytes_per_s * kDecodeMemEff);
-
-    seconds *= decodeBackendFactor(kind);
-    if (kind == BackendKind::kVllmPaged) {
-        const int bs = block_size > 0 ? block_size
-                                      : defaultBlockSize(kind);
-        seconds *= vllmBlockSizeFactor(bs, total_kv_tokens);
     }
     return static_cast<TimeNs>(seconds * 1e9) +
            kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);

@@ -8,13 +8,18 @@
  * The functional CPU kernels in attn/ prove the memory layouts work;
  * this model plays the role of the A100/H100 silicon so end-to-end
  * experiments reproduce the paper's *relative* behaviour at full scale.
- * Calibration anchors are asserted in tests/test_kernel_model.cc.
+ * Calibration anchors are asserted in tests/perf/test_model_kernel.cc.
+ *
+ * Attention is priced through one prefill and one decode path over the
+ * model's window classes; a uniform model is the one-window-class case,
+ * not a separate formula.
  */
 
 #ifndef VATTN_PERF_KERNEL_MODEL_HH
 #define VATTN_PERF_KERNEL_MODEL_HH
 
 #include <span>
+#include <vector>
 
 #include "common/types.hh"
 #include "perf/backend_kind.hh"
@@ -44,56 +49,36 @@ class KernelModel
     const NcclSpec &nccl() const { return nccl_; }
 
     // ---- Attention ---------------------------------------------------
+    // Every model is priced as a set of window classes (layers sharing
+    // one attention window, ModelSpec::windowClasses()): a uniform
+    // model is the one-class case {full attention, all layers}, and a
+    // sliding-window layer attends over min(kv, window) tokens, so an
+    // interleaved model streams less KV (decode) and runs a banded
+    // score matrix (prefill).
 
     /**
-     * Attention time of prefilling one @p ctx-token request across all
-     * layers of one worker (includes the paged-kernel overhead for
-     * paged back-ends). Equivalent to
-     * chunkedPrefillAttention(kind, ctx, ctx).
+     * Prefill attention of a @p q_len-token query chunk attending
+     * causally over a @p kv_len-token context (the chunk itself plus
+     * everything prefilled before it, so q_len <= kv_len; q_len ==
+     * kv_len is a whole prompt). Each window class pays the banded
+     * causal trapezoid at 4 FLOPs per attended key-token unit — for
+     * full attention 4*q*kv - 2*q^2 per head-dim unit. Includes the
+     * paged-kernel overhead for paged back-ends.
      */
-    TimeNs prefillAttention(BackendKind kind, i64 ctx) const;
+    TimeNs prefillAttention(BackendKind kind, i64 q_len,
+                            i64 kv_len) const;
 
     /**
-     * Chunked-prefill attention: a @p q_len-token query chunk
-     * attending causally over a @p kv_len-token context (the chunk
-     * itself plus everything prefilled before it, so
-     * q_len <= kv_len). FLOPs are the causal-mask trapezoid
-     * 4*q*kv - 2*q^2 per head-dim unit; q_len == kv_len degenerates
-     * to the monolithic prefill above, bit-for-bit.
+     * Decode attention for one iteration over a batch of KV lengths:
+     * each window class streams sum over requests of min(kv, window)
+     * tokens of KV. @p block_size overrides the back-end default block
+     * size (vLLM block-size sensitivity, Figure 3). For a uniform
+     * model only the total matters, so a one-element span holding the
+     * batch's summed length prices the same batch.
      */
-    TimeNs chunkedPrefillAttention(BackendKind kind, i64 q_len,
-                                   i64 kv_len) const;
-
-    /**
-     * Decode attention for one iteration over a batch whose KV lengths
-     * sum to @p total_kv_tokens. @p block_size overrides the back-end
-     * default block size (vLLM block-size sensitivity, Figure 3).
-     */
-    TimeNs decodeAttention(BackendKind kind, i64 total_kv_tokens,
+    TimeNs decodeAttention(BackendKind kind,
+                           std::span<const i64> kv_lens,
                            int block_size = 0) const;
-
-    // ---- Sliding-window attention --------------------------------------
-    // Sliding-window layers attend over min(kv, window) tokens, so a
-    // model with windowed layers streams less KV (decode) and runs a
-    // banded score matrix (prefill). Both methods delegate to the
-    // uniform paths verbatim when the model has no sliding layers.
-
-    /**
-     * Chunked prefill with per-layer windows: each window class pays
-     * the banded causal trapezoid — a chunk at offset kv0 = kv - q
-     * attends min(p + 1, w) keys from position p.
-     */
-    TimeNs chunkedPrefillAttentionWindowed(BackendKind kind, i64 q_len,
-                                           i64 kv_len) const;
-
-    /**
-     * Decode attention with per-layer windows over a batch of KV
-     * lengths: each window class streams sum over requests of
-     * min(kv, window) tokens.
-     */
-    TimeNs decodeAttentionWindowed(BackendKind kind,
-                                   std::span<const i64> kv_lens,
-                                   int block_size = 0) const;
 
     /** Attended key-token units of one window class for a chunk
      *  (q_len == kv_len is a whole prompt); exposed for tests. */
@@ -139,6 +124,8 @@ class KernelModel
     ModelSpec model_;
     int tp_;
     NcclSpec nccl_;
+    /** model_.windowClasses(), resolved once (full class first). */
+    std::vector<ModelSpec::WindowClass> classes_;
 };
 
 } // namespace vattn::perf

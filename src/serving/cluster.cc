@@ -101,14 +101,15 @@ ServingCluster::estimateFor(const Request &request, int replica) const
     // site outside perf::priceIteration (allow-listed in
     // tools/check_invariants.py): a load model, not an iteration.
     TimeNs service =
-        kernel.prefillAttention(config.backend, request.prompt_tokens) +
+        kernel.prefillAttention(config.backend, request.prompt_tokens,
+                                request.prompt_tokens) +
         kernel.prefillLinear(request.prompt_tokens) +
         kernel.commTime(request.prompt_tokens);
     const i64 mid_ctx =
         request.prompt_tokens + request.max_new_tokens / 2;
     service += static_cast<TimeNs>(request.max_new_tokens) *
                (kernel.decodeLinear(1) +
-                kernel.decodeAttention(config.backend, mid_ctx) +
+                kernel.decodeAttention(config.backend, {&mid_ctx, 1}) +
                 kernel.commTime(1));
     const u64 kv_bytes =
         config.model.kvBytesPerTokenPerWorker(config.tp_degree) *

@@ -61,7 +61,7 @@ TEST_F(KvAllocatorTest, ReservesVirtualBuffersUpFront)
     EXPECT_EQ(geom.numBuffers(), 4);
     EXPECT_EQ(device_.vaSpace().numReservations(), 4u);
     EXPECT_EQ(device_.vaSpace().reservedBytes(),
-              4 * geom.bufferBytes());
+              4 * geom.bufferBytesFor(0));
     // No physical memory mapped into the KV tensors yet.
     EXPECT_EQ(allocator.totalHandlesMapped(), 0);
     EXPECT_EQ(allocator.layerTensors().size(), 2u);
@@ -218,7 +218,7 @@ TEST_F(KvAllocatorTest, TensorSlicingLayout)
     const auto &geom = allocator.geometry();
     EXPECT_EQ(geom.numBuffers(), 2); // one K + one V tensor
     // Token bytes per buffer now include all layers: 2*2*8*2 = 64B.
-    EXPECT_EQ(geom.tokenBytesPerBuffer(), 64u);
+    EXPECT_EQ(geom.tokenBytesPerBuffer(0), 64u);
     EXPECT_EQ(geom.tokensPerGroup(), 1024);
 
     ASSERT_TRUE(allocator.growTo(0, 1).isOk());

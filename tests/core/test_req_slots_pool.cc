@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/page_pool.hh"
 #include "core/req_slots.hh"
 #include "test_util.hh"
@@ -43,6 +45,17 @@ TEST(ReqSlots, IllegalTransitionsRejected)
     EXPECT_FALSE(slots.moveToCached(0).isOk());
 }
 
+/** The cached slots in LRU order, read through the in-place view. */
+std::vector<int>
+cachedOrderOf(const ReqSlots &slots)
+{
+    std::vector<int> out;
+    for (int slot : slots.cachedOrder()) {
+        out.push_back(slot);
+    }
+    return out;
+}
+
 TEST(ReqSlots, CachedLruOrder)
 {
     ReqSlots slots(4);
@@ -53,12 +66,12 @@ TEST(ReqSlots, CachedLruOrder)
     ASSERT_TRUE(slots.moveToCached(1).isOk());
     ASSERT_TRUE(slots.moveToCached(0).isOk());
     ASSERT_TRUE(slots.moveToCached(2).isOk());
-    EXPECT_EQ(slots.cachedLruOrder(), (std::vector<int>{1, 0, 2}));
+    EXPECT_EQ(cachedOrderOf(slots), (std::vector<int>{1, 0, 2}));
     EXPECT_EQ(slots.oldestCached(), 1);
 
     // Re-activating removes from LRU order.
     ASSERT_TRUE(slots.activate(0).isOk());
-    EXPECT_EQ(slots.cachedLruOrder(), (std::vector<int>{1, 2}));
+    EXPECT_EQ(cachedOrderOf(slots), (std::vector<int>{1, 2}));
 }
 
 TEST(ReqSlots, CacheFreeSlotParksWarmSlot)
@@ -77,7 +90,13 @@ TEST(ReqSlots, ActiveSlotsSorted)
     ReqSlots slots(5);
     ASSERT_TRUE(slots.activate(3).isOk());
     ASSERT_TRUE(slots.activate(1).isOk());
-    EXPECT_EQ(slots.activeSlots(), (std::vector<int>{1, 3}));
+    for (int slot = 0; slot < 5; ++slot) {
+        const bool active = slot == 1 || slot == 3;
+        EXPECT_EQ(slots.state(slot),
+                  active ? SlotState::kActive : SlotState::kFree)
+            << "slot " << slot;
+    }
+    EXPECT_EQ(slots.numActive(), 2);
 }
 
 TEST(ReqSlots, OutOfRangePanics)

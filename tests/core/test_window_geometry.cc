@@ -183,12 +183,15 @@ TEST(WindowGeometry, HandleSumsSplitDeadFromFrontier)
 
 TEST(WindowGeometry, UniformWrappersStillServeWindowedSpecs)
 {
-    // Footprint-uniform windowed models keep the historical accessors
-    // (they describe per-buffer shape, which windows do not change).
+    // Footprint-uniform windowed models keep the layer-blind block
+    // size, and every layer reports the same per-buffer shape (windows
+    // do not change it).
     const KvGeometry geom(windowConfig());
-    EXPECT_EQ(geom.tokenBytesPerBuffer(), 32u);
     EXPECT_EQ(geom.tokensPerGroup(), 2048);
-    EXPECT_EQ(geom.perRequestBytes(), 16384u * 32u);
+    for (int layer : {0, 1}) {
+        EXPECT_EQ(geom.tokenBytesPerBuffer(layer), 32u);
+        EXPECT_EQ(geom.perRequestBytes(layer), 16384u * 32u);
+    }
 }
 
 TEST(WindowGeometry, UniformWrappersPanicOnHeterogeneousFootprint)
@@ -201,10 +204,9 @@ TEST(WindowGeometry, UniformWrappersPanicOnHeterogeneousFootprint)
     // Per-layer accessors answer...
     EXPECT_EQ(geom.tokenBytesPerBuffer(2), 64u);
     EXPECT_EQ(geom.tokensPerGroup(2), 1024);
-    // ...the layer-blind wrappers refuse.
+    // ...the layer-blind block size refuses.
     test::ScopedThrowErrors throw_errors;
     EXPECT_THROW(geom.tokensPerGroup(), SimError);
-    EXPECT_THROW(geom.perRequestBytes(), SimError);
 }
 
 } // namespace

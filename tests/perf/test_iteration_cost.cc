@@ -46,9 +46,8 @@ TEST_F(IterationCostTest, PurePrefill)
     // 2048 computed tokens (blocks 8 -> 10): 6 new blocks.
     const auto cost = price({{1000, 0}, {512, 2048}}, {}, 2, 0);
     EXPECT_EQ(cost.attention_ns,
-              kernel_.chunkedPrefillAttentionWindowed(kKind, 1000, 1000) +
-                  kernel_.chunkedPrefillAttentionWindowed(kKind, 512,
-                                                          2560));
+              kernel_.prefillAttention(kKind, 1000, 1000) +
+                  kernel_.prefillAttention(kKind, 512, 2560));
     EXPECT_EQ(cost.linear_ns, kernel_.prefillLinear(1512));
     EXPECT_GT(cost.comm_exposed_ns, 0u);
     EXPECT_EQ(cost.comm_exposed_ns, kernel_.commTime(1512));
@@ -62,7 +61,10 @@ TEST_F(IterationCostTest, PureDecode)
 {
     // Blocks 2 + 4 + 1: the padded table is 4 wide, the CSR one 7 long.
     const auto cost = price({}, {300, 1000, 17}, 0, 3);
-    EXPECT_EQ(cost.attention_ns, kernel_.decodeAttention(kKind, 1317));
+    // A uniform model prices the summed KV length.
+    const i64 total_kv = 1317;
+    EXPECT_EQ(cost.attention_ns,
+              kernel_.decodeAttention(kKind, {&total_kv, 1}));
     EXPECT_EQ(cost.linear_ns, kernel_.decodeLinear(3));
     EXPECT_EQ(cost.comm_exposed_ns, kernel_.commTime(3));
     EXPECT_EQ(cost.comm_hidden_ns, 0u);
@@ -74,9 +76,10 @@ TEST_F(IterationCostTest, HybridChunkRidesWithDecodes)
     // One 512-token chunk (2 blocks) plus decodes of 2 + 4 blocks;
     // linear and comm see 512 + 2 flat tokens.
     const auto cost = price({{512, 0}}, {300, 1000}, 1, 2);
+    const i64 total_kv = 1300;
     EXPECT_EQ(cost.attention_ns,
-              kernel_.chunkedPrefillAttentionWindowed(kKind, 512, 512) +
-                  kernel_.decodeAttention(kKind, 1300));
+              kernel_.prefillAttention(kKind, 512, 512) +
+                  kernel_.decodeAttention(kKind, {&total_kv, 1}));
     EXPECT_EQ(cost.linear_ns, kernel_.prefillLinear(514));
     EXPECT_EQ(cost.comm_exposed_ns, kernel_.commTime(514));
     EXPECT_EQ(cost.cpu_ns, overhead_.prefillCpu(kKind, 1, 2) +
@@ -105,8 +108,7 @@ TEST_F(IterationCostTest, OverlapHidesOnlyWhatComputeCovers)
     const std::vector<ChunkShape> chunk = {{1000, 0}};
     const auto cost = priceIteration(slow, overhead_, kKind, kBlock, true,
                                      {chunk, {}, 1, 0});
-    const TimeNs compute = slow.chunkedPrefillAttentionWindowed(
-                               kKind, 1000, 1000) +
+    const TimeNs compute = slow.prefillAttention(kKind, 1000, 1000) +
                            slow.prefillLinear(1000);
     const TimeNs comm = slow.commTime(1000);
     ASSERT_GT(comm, compute);

@@ -63,24 +63,25 @@ TEST(GpuSpec, Presets)
 TEST(KernelModel, Table6PrefillAttentionAnchors)
 {
     // Table 6 (vAttention columns, attention time in seconds).
+    const i64 kCtx = 192 * 1024;
     {
         KernelModel model(GpuSpec::a100(), ModelSpec::yi6B(), 1);
         const double t = static_cast<double>(model.prefillAttention(
-                             BackendKind::kFa2VAttention, 192 * 1024)) /
+                             BackendKind::kFa2VAttention, kCtx, kCtx)) /
                          1e9;
         EXPECT_NEAR(t, 53.6, 8.0); // paper: 53.6s
     }
     {
         KernelModel model(GpuSpec::a100(), ModelSpec::llama3_8B(), 2);
         const double t = static_cast<double>(model.prefillAttention(
-                             BackendKind::kFa2VAttention, 192 * 1024)) /
+                             BackendKind::kFa2VAttention, kCtx, kCtx)) /
                          1e9;
         EXPECT_NEAR(t, 26.9, 4.0); // paper: 26.9s
     }
     {
         KernelModel model(GpuSpec::a100(), ModelSpec::yi34B(), 2);
         const double t = static_cast<double>(model.prefillAttention(
-                             BackendKind::kFa2VAttention, 192 * 1024)) /
+                             BackendKind::kFa2VAttention, kCtx, kCtx)) /
                          1e9;
         EXPECT_NEAR(t, 98.8, 15.0); // paper: 98.8s
     }
@@ -92,7 +93,7 @@ TEST(KernelModel, Table6TotalPrefillAnchors)
     const double total =
         static_cast<double>(
             model.prefillAttention(BackendKind::kFa2VAttention,
-                                   192 * 1024) +
+                                   192 * 1024, 192 * 1024) +
             model.prefillLinear(192 * 1024)) /
         1e9;
     EXPECT_NEAR(total, 64.6, 9.0); // paper: 64.6s
@@ -121,12 +122,12 @@ TEST(KernelModel, Table7DecodeAttentionAnchors)
         const i64 total_kv = anchor.batch * 16 * 1024;
         const double fa2 =
             static_cast<double>(model.decodeAttention(
-                BackendKind::kFa2VAttention, total_kv)) /
+                BackendKind::kFa2VAttention, {&total_kv, 1})) /
             1e6;
         EXPECT_NEAR(fa2, anchor.fa2_ms, anchor.fa2_ms * 0.25)
             << anchor.model.name << " bs=" << anchor.batch;
         const double vllm = static_cast<double>(model.decodeAttention(
-                                BackendKind::kVllmPaged, total_kv)) /
+                                BackendKind::kVllmPaged, {&total_kv, 1})) /
                             1e6;
         EXPECT_NEAR(vllm, anchor.vllm_ms, anchor.vllm_ms * 0.25)
             << anchor.model.name << " bs=" << anchor.batch;
@@ -148,12 +149,14 @@ TEST(KernelModel, Figure2PagedPrefillOverheads)
                 1.25, 0.01);
     // Paged prefill is strictly slower than non-paged everywhere.
     for (i64 ctx = 1024; ctx <= 192 * 1024; ctx *= 2) {
-        EXPECT_GT(model.prefillAttention(BackendKind::kFa2Paged, ctx),
+        EXPECT_GT(model.prefillAttention(BackendKind::kFa2Paged, ctx,
+                                         ctx),
                   model.prefillAttention(BackendKind::kFa2VAttention,
-                                         ctx));
-        EXPECT_GT(model.prefillAttention(BackendKind::kFiPaged, ctx),
+                                         ctx, ctx));
+        EXPECT_GT(model.prefillAttention(BackendKind::kFiPaged, ctx,
+                                         ctx),
                   model.prefillAttention(BackendKind::kFiVAttention,
-                                         ctx));
+                                         ctx, ctx));
     }
 }
 
@@ -168,9 +171,9 @@ TEST(KernelModel, Figure3BlockSizeSensitivity)
     // The paper's headline: changing block size changes latency by
     // up to 1.9x.
     const auto t16 =
-        model.decodeAttention(BackendKind::kVllmPaged, tokens, 16);
+        model.decodeAttention(BackendKind::kVllmPaged, {&tokens, 1}, 16);
     const auto t128 =
-        model.decodeAttention(BackendKind::kVllmPaged, tokens, 128);
+        model.decodeAttention(BackendKind::kVllmPaged, {&tokens, 1}, 128);
     EXPECT_NEAR(static_cast<double>(t128) / static_cast<double>(t16),
                 1.9, 0.05);
 }
@@ -197,13 +200,14 @@ TEST(KernelModel, Fa3RequiresHopperAndIsFaster)
     test::ScopedThrowErrors guard;
     KernelModel a100(GpuSpec::a100(), ModelSpec::yi6B(), 1);
     EXPECT_THROW(a100.prefillAttention(BackendKind::kFa3VAttention,
-                                       16 * 1024),
+                                       16 * 1024, 16 * 1024),
                  SimError);
     KernelModel h100(GpuSpec::h100(), ModelSpec::yi6B(), 1);
+    const i64 ctx = 64 * 1024;
     const auto fa3 =
-        h100.prefillAttention(BackendKind::kFa3VAttention, 64 * 1024);
+        h100.prefillAttention(BackendKind::kFa3VAttention, ctx, ctx);
     const auto fa2 =
-        h100.prefillAttention(BackendKind::kFa2VAttention, 64 * 1024);
+        h100.prefillAttention(BackendKind::kFa2VAttention, ctx, ctx);
     const double speedup =
         static_cast<double>(fa2) / static_cast<double>(fa3);
     EXPECT_GT(speedup, 1.2); // §7.5: FA3 1.26-1.5x end to end
@@ -216,10 +220,11 @@ TEST(KernelModel, DecodeThroughputSaturates)
     KernelModel model(GpuSpec::a100(), ModelSpec::yi6B(), 1);
     OverheadModel overhead;
     auto tput = [&](i64 batch) {
+        const i64 total_kv = batch * 1024;
         const TimeNs iter =
             model.decodeLinear(batch) +
             model.decodeAttention(BackendKind::kFa2VAttention,
-                                  batch * 1024) +
+                                  {&total_kv, 1}) +
             overhead.decodeCpu(BackendKind::kFa2VAttention, batch, 0,
                                0);
         return static_cast<double>(batch) /

@@ -55,7 +55,7 @@ TEST_P(ModelSweep, PrefillAttentionMonotonicInContext)
                       BackendKind::kFiVAttention}) {
         TimeNs prev = 0;
         for (i64 ctx = 1024; ctx <= 192 * 1024; ctx *= 2) {
-            const TimeNs t = model.prefillAttention(kind, ctx);
+            const TimeNs t = model.prefillAttention(kind, ctx, ctx);
             EXPECT_GT(t, prev)
                 << toString(kind) << " ctx " << ctx;
             prev = t;
@@ -68,12 +68,14 @@ TEST_P(ModelSweep, PagedPrefillNeverFaster)
     const auto d = deployment();
     KernelModel model(GpuSpec::a100(), d.model, d.tp);
     for (i64 ctx = 1024; ctx <= 192 * 1024; ctx *= 2) {
-        EXPECT_GE(model.prefillAttention(BackendKind::kFa2Paged, ctx),
+        EXPECT_GE(model.prefillAttention(BackendKind::kFa2Paged, ctx,
+                                         ctx),
                   model.prefillAttention(BackendKind::kFa2VAttention,
-                                         ctx));
-        EXPECT_GE(model.prefillAttention(BackendKind::kFiPaged, ctx),
+                                         ctx, ctx));
+        EXPECT_GE(model.prefillAttention(BackendKind::kFiPaged, ctx,
+                                         ctx),
                   model.prefillAttention(BackendKind::kFiVAttention,
-                                         ctx));
+                                         ctx, ctx));
     }
 }
 
@@ -84,7 +86,7 @@ TEST_P(ModelSweep, DecodeAttentionMonotonicAndOrdered)
     TimeNs prev = 0;
     for (i64 tokens = 1024; tokens <= 1024 * 1024; tokens *= 4) {
         const TimeNs fa2 = model.decodeAttention(
-            BackendKind::kFa2VAttention, tokens);
+            BackendKind::kFa2VAttention, {&tokens, 1});
         EXPECT_GT(fa2, prev);
         prev = fa2;
         // Table 7 ordering: vLLM is the slowest and the non-paged FA2
@@ -92,11 +94,11 @@ TEST_P(ModelSweep, DecodeAttentionMonotonicAndOrdered)
         // GQA ratio (FI wins on Llama-3-8B, loses on the Yi models),
         // exactly as in the paper's numbers.
         const TimeNs vllm =
-            model.decodeAttention(BackendKind::kVllmPaged, tokens);
+            model.decodeAttention(BackendKind::kVllmPaged, {&tokens, 1});
         const TimeNs fi =
-            model.decodeAttention(BackendKind::kFiPaged, tokens);
+            model.decodeAttention(BackendKind::kFiPaged, {&tokens, 1});
         const TimeNs fa2_paged =
-            model.decodeAttention(BackendKind::kFa2Paged, tokens);
+            model.decodeAttention(BackendKind::kFa2Paged, {&tokens, 1});
         EXPECT_GE(vllm, fi);
         EXPECT_GE(vllm, fa2_paged);
         EXPECT_GE(fi, fa2);
@@ -131,14 +133,16 @@ TEST_P(ModelSweep, H100IsStrictlyFaster)
     const auto d = deployment();
     KernelModel a100(GpuSpec::a100(), d.model, d.tp);
     KernelModel h100(GpuSpec::h100(), d.model, d.tp);
-    EXPECT_LT(h100.prefillAttention(BackendKind::kFa2VAttention,
-                                    32 * 1024),
-              a100.prefillAttention(BackendKind::kFa2VAttention,
-                                    32 * 1024));
+    const i64 ctx = 32 * 1024;
+    EXPECT_LT(h100.prefillAttention(BackendKind::kFa2VAttention, ctx,
+                                    ctx),
+              a100.prefillAttention(BackendKind::kFa2VAttention, ctx,
+                                    ctx));
+    const i64 total_kv = 256 * 1024;
     EXPECT_LT(h100.decodeAttention(BackendKind::kFa2VAttention,
-                                   256 * 1024),
+                                   {&total_kv, 1}),
               a100.decodeAttention(BackendKind::kFa2VAttention,
-                                   256 * 1024));
+                                   {&total_kv, 1}));
     EXPECT_LT(h100.decodeLinear(1), a100.decodeLinear(1));
 }
 
@@ -150,10 +154,11 @@ TEST_P(ModelSweep, TpHalvesPerWorkerWork)
     }
     KernelModel tp1(GpuSpec::a100(), d.model, 1);
     KernelModel tp2(GpuSpec::a100(), d.model, 2);
+    const i64 ctx = 64 * 1024;
     const TimeNs a1 =
-        tp1.prefillAttention(BackendKind::kFa2VAttention, 64 * 1024);
+        tp1.prefillAttention(BackendKind::kFa2VAttention, ctx, ctx);
     const TimeNs a2 =
-        tp2.prefillAttention(BackendKind::kFa2VAttention, 64 * 1024);
+        tp2.prefillAttention(BackendKind::kFa2VAttention, ctx, ctx);
     EXPECT_NEAR(static_cast<double>(a1) / static_cast<double>(a2), 2.0,
                 0.1);
 }

@@ -9,7 +9,7 @@
  *    once the high-water batch shape has been seen (a long window of
  *    allocation-free stepRun() calls must exist in every run), under
  *    both scheduling modes and on both KV backends (vAttention and
- *    paged);
+ *    paged), for a uniform and a sliding-window model;
  *  - BatchComposer::composeInto is allocation-free on the second
  *    composition of an identical shape, for both the prefill and the
  *    decode side of both modes.
@@ -82,8 +82,11 @@ longestZeroAllocWindow(Engine &engine)
 }
 
 /** Parameterized on the scheduling mode; kBackend is the KV backend
- *  (the paged variant below pins the skipped-ensure path). */
-template <perf::BackendKind kBackend>
+ *  (the paged variant below pins the skipped-ensure path), and
+ *  kWindowed swaps in a sliding-window interleave of the same model
+ *  (per-layer geometries on vAttention, window-class pricing on
+ *  both). */
+template <perf::BackendKind kBackend, bool kWindowed = false>
 class SteadyStateDecodeOn
     : public ::testing::TestWithParam<SchedulingMode>
 {
@@ -100,7 +103,11 @@ class SteadyStateDecodeOn
     static EngineConfig
     config()
     {
-        return steadyConfig(GetParam(), kBackend);
+        EngineConfig config = steadyConfig(GetParam(), kBackend);
+        if (kWindowed) {
+            config.model = config.model.withSlidingWindowInterleave(1024);
+        }
+        return config;
     }
 };
 
@@ -108,6 +115,10 @@ using SteadyStateDecode =
     SteadyStateDecodeOn<perf::BackendKind::kFa2VAttention>;
 using PagedSteadyStateDecode =
     SteadyStateDecodeOn<perf::BackendKind::kFa2Paged>;
+using WindowedSteadyStateDecode =
+    SteadyStateDecodeOn<perf::BackendKind::kFa2VAttention, true>;
+using WindowedPagedSteadyStateDecode =
+    SteadyStateDecodeOn<perf::BackendKind::kFa2Paged, true>;
 
 void
 expectAllocationFreeDecode(const EngineConfig &config)
@@ -180,6 +191,16 @@ TEST_P(PagedSteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
     expectAllocationFreeStreaming(config());
 }
 
+TEST_P(WindowedSteadyStateDecode, IterationsAreAllocationFree)
+{
+    expectAllocationFreeDecode(config());
+}
+
+TEST_P(WindowedPagedSteadyStateDecode, IterationsAreAllocationFree)
+{
+    expectAllocationFreeDecode(config());
+}
+
 const auto kModes =
     ::testing::Values(SchedulingMode::kPrefillPrioritized,
                       SchedulingMode::kStallFreeChunked);
@@ -189,6 +210,10 @@ const auto kModeName = [](const auto &info) {
 
 INSTANTIATE_TEST_SUITE_P(Modes, SteadyStateDecode, kModes, kModeName);
 INSTANTIATE_TEST_SUITE_P(Modes, PagedSteadyStateDecode, kModes,
+                         kModeName);
+INSTANTIATE_TEST_SUITE_P(Modes, WindowedSteadyStateDecode, kModes,
+                         kModeName);
+INSTANTIATE_TEST_SUITE_P(Modes, WindowedPagedSteadyStateDecode, kModes,
                          kModeName);
 
 class ComposerAlloc : public ::testing::TestWithParam<SchedulingMode>

@@ -145,9 +145,8 @@ ALLOC_CALL_RE = re.compile(r"\bmake_(?:unique|shared)\s*<")
 # Kernel / CPU-overhead model pricing calls, composed only by
 # perf::priceIteration.
 PRICING_CALL_RE = re.compile(
-    r"(?:\.|->)\s*(?:prefillAttention|chunkedPrefillAttention(?:Windowed)?"
-    r"|decodeAttention(?:Windowed)?|prefillLinear|decodeLinear|commTime"
-    r"|prefillCpu|decodeCpu)\s*\("
+    r"(?:\.|->)\s*(?:prefillAttention|decodeAttention|prefillLinear"
+    r"|decodeLinear|commTime|prefillCpu|decodeCpu)\s*\("
 )
 
 # Functions in src/serving/ allowed to price on their own: the
