@@ -13,12 +13,14 @@
  *     prefix, the step loop (everything except submitOnline, which
  *     legitimately reserves sample stores and deque nodes) performs
  *     no heap allocations at all, streaming callbacks included;
- *   - sustained throughput: the whole session completes, with wall
- *     clock and simulated token rates reported.
+ *   - sustained throughput: the whole session completes, with the
+ *     simulated token rate on stdout and the wall-clock rate on
+ *     stderr (host-dependent, so stdout stays byte-comparable).
  */
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 
@@ -250,17 +252,19 @@ main()
             std::chrono::steady_clock::now() - wall_start)
             .count();
 
+    // Modeled and counted results only: stdout stays byte-identical
+    // across runs. The host-dependent wall-clock figures go to stderr
+    // (and to the JSON metrics below, which diff tools skip).
     Table table({"requests", "owned high-water", "steady steps",
-                 "steady allocs", "decode tok/s (sim)", "wall s",
-                 "req/s (wall)"});
+                 "steady allocs", "decode tok/s (sim)"});
     table.addRow({std::to_string(report.num_requests),
                   std::to_string(owned_high_water),
                   std::to_string(steady_steps),
                   std::to_string(steady_allocs),
-                  Table::num(report.decodeTokensPerSecond(), 0),
-                  Table::num(wall_s, 1),
-                  Table::num(static_cast<double>(total) / wall_s, 0)});
+                  Table::num(report.decodeTokensPerSecond(), 0)});
     json.printTable("soak session", table);
+    std::fprintf(stderr, "soak wall clock: %.1f s, %.0f req/s\n", wall_s,
+                 static_cast<double>(total) / wall_s);
 
     json.metric("requests", report.num_requests);
     json.metric("owned_high_water",

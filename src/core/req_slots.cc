@@ -17,12 +17,16 @@ toString(SlotState state)
 }
 
 ReqSlots::ReqSlots(int capacity)
-    : capacity_(capacity), num_free_(capacity),
-      states_(static_cast<std::size_t>(capacity), SlotState::kFree),
+    : capacity_(capacity),
+      sets_{SlotSet(capacity), SlotSet(capacity), SlotSet(capacity)},
       cached_next_(static_cast<std::size_t>(capacity), -1),
       cached_prev_(static_cast<std::size_t>(capacity), -1)
 {
     fatal_if(capacity <= 0, "ReqSlots needs positive capacity");
+    for (int slot = 0; slot < capacity_; ++slot) {
+        sets_[index(SlotState::kFree)].insert(slot);
+    }
+    counts_[index(SlotState::kFree)] = capacity_;
 }
 
 void
@@ -56,100 +60,64 @@ ReqSlots::unlinkCached(int slot)
 }
 
 void
-ReqSlots::checkSlot(int slot) const
+ReqSlots::transition(int slot, SlotState from, SlotState to)
 {
-    panic_if(slot < 0 || slot >= capacity_, "reqId ", slot,
-             " out of range [0, ", capacity_, ")");
-}
-
-SlotState
-ReqSlots::state(int slot) const
-{
-    checkSlot(slot);
-    return states_[static_cast<std::size_t>(slot)];
+    if (from == SlotState::kCached) {
+        unlinkCached(slot);
+    }
+    sets_[index(from)].erase(slot);
+    --counts_[index(from)];
+    sets_[index(to)].insert(slot);
+    ++counts_[index(to)];
+    if (to == SlotState::kCached) {
+        linkCachedBack(slot);
+    }
 }
 
 Status
 ReqSlots::activate(int slot)
 {
-    checkSlot(slot);
-    auto &s = states_[static_cast<std::size_t>(slot)];
-    switch (s) {
-      case SlotState::kFree:
-        --num_free_;
-        break;
-      case SlotState::kCached:
-        unlinkCached(slot);
-        break;
-      case SlotState::kActive:
+    const SlotState from = state(slot);
+    if (from == SlotState::kActive) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "slot already active");
     }
-    s = SlotState::kActive;
-    ++num_active_;
+    transition(slot, from, SlotState::kActive);
     return Status::ok();
 }
 
 Status
 ReqSlots::moveToCached(int slot)
 {
-    checkSlot(slot);
-    auto &s = states_[static_cast<std::size_t>(slot)];
-    if (s != SlotState::kActive) {
+    if (state(slot) != SlotState::kActive) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "only active slots can be cached");
     }
-    s = SlotState::kCached;
-    --num_active_;
-    linkCachedBack(slot);
+    transition(slot, SlotState::kActive, SlotState::kCached);
     return Status::ok();
 }
 
 Status
 ReqSlots::cacheFreeSlot(int slot)
 {
-    checkSlot(slot);
-    auto &s = states_[static_cast<std::size_t>(slot)];
-    if (s != SlotState::kFree) {
+    if (state(slot) != SlotState::kFree) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "only free slots can be parked as cached");
     }
-    s = SlotState::kCached;
-    --num_free_;
-    linkCachedBack(slot);
+    transition(slot, SlotState::kFree, SlotState::kCached);
     return Status::ok();
 }
 
 Status
 ReqSlots::moveToFree(int slot)
 {
-    checkSlot(slot);
-    auto &s = states_[static_cast<std::size_t>(slot)];
-    switch (s) {
-      case SlotState::kFree:
+    const SlotState from = state(slot);
+    if (from == SlotState::kFree) {
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "slot already free");
-      case SlotState::kActive:
-        --num_active_;
-        break;
-      case SlotState::kCached:
-        unlinkCached(slot);
-        break;
     }
-    s = SlotState::kFree;
-    ++num_free_;
+    transition(slot, from, SlotState::kFree);
     return Status::ok();
-}
-
-int
-ReqSlots::firstFree() const
-{
-    for (int slot = 0; slot < capacity_; ++slot) {
-        if (states_[static_cast<std::size_t>(slot)] == SlotState::kFree) {
-            return slot;
-        }
-    }
-    return -1;
 }
 
 } // namespace vattn::core

@@ -42,10 +42,13 @@ VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
       allocator_(driver, config, pool_),
       slots_(config.max_batch_size),
       last_seq_lens_(static_cast<std::size_t>(config.max_batch_size), 0),
+      step_lens_(static_cast<std::size_t>(config.max_batch_size), 0),
+      listed_(config.max_batch_size),
       chains_(static_cast<std::size_t>(config.max_batch_size)),
       stashes_(static_cast<std::size_t>(config.max_batch_size)),
       eager_target_(eagerTarget(config, allocator_.geometry()))
 {
+    adapter_lens_.reserve(static_cast<std::size_t>(config.max_batch_size));
     // Reservation + pre-created handles happen before serving starts;
     // none of it is critical-path time.
     stats_.init_ns = driver_.consumeElapsedNs();
@@ -228,14 +231,16 @@ VAttention::swapOutRefusal(int req_id) const
         return errorStatus(ErrorCode::kFailedPrecondition,
                            "no resident page-groups");
     }
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        // Prefix-aliased pages never leave the device while a live
-        // request maps them; the caller should recompute instead.
-        if (slot != req_id && slots_.state(slot) == SlotState::kActive &&
-            allocator_.sharesGroupsWith(req_id, slot)) {
-            return errorStatus(ErrorCode::kFailedPrecondition,
-                               "page-groups shared with another request");
-        }
+    // Prefix-aliased pages never leave the device while a live request
+    // maps them; the caller should recompute instead.
+    bool shared = false;
+    slots_.forEachActive([&](int slot) {
+        shared = shared || (slot != req_id &&
+                            allocator_.sharesGroupsWith(req_id, slot));
+    });
+    if (shared) {
+        return errorStatus(ErrorCode::kFailedPrecondition,
+                           "page-groups shared with another request");
     }
     if (pool_.hostGroupsAvailable() < handles) {
         return errorStatus(ErrorCode::kOutOfMemory,
@@ -289,14 +294,13 @@ VAttention::swapOutReq(int req_id)
     // store entries of finished requests: drop them rather than pin
     // the victim's pages (the paged backend likewise forgets swapped
     // blocks' prefix hashes).
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        if (slot != req_id && slots_.state(slot) == SlotState::kCached &&
-            allocator_.sharesGroupsWith(req_id, slot)) {
+    slots_.forEachCached([&](int slot) {
+        if (allocator_.sharesGroupsWith(req_id, slot)) {
             allocator_.releaseAll(slot);
             chains_[static_cast<std::size_t>(slot)].clear();
             slots_.moveToFree(slot).expectOk("unpin cached sharer");
         }
-    }
+    });
     // Stash exactly the live window of every buffer, remembering each
     // buffer's lead so swap-in restores the same [lead, end) layout.
     stash.pages.resize(static_cast<std::size_t>(nbuf));
@@ -542,10 +546,11 @@ VAttention::matchPrefix(const PrefixQuery &query) const
         return best;
     }
     const i64 tpg = allocator_.geometry().tokensPerGroup();
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
+    // Free slots never hold a chain.
+    slots_.forEachActiveOrCached([&](int slot) {
         const auto &chain = chains_[static_cast<std::size_t>(slot)];
         if (chain.empty()) {
-            continue;
+            return;
         }
         // Aligned groups: longest common prefix of the hash chains,
         // bounded by what the slot still has mapped.
@@ -589,7 +594,7 @@ VAttention::matchPrefix(const PrefixQuery &query) const
             best.groups = groups;
             best.tokens = tokens;
         }
-    }
+    });
     return best;
 }
 
@@ -747,57 +752,95 @@ VAttention::registerPrefix(int req_id, const PrefixQuery &query,
 StepStats
 VAttention::step(const std::vector<i64> &seq_lens)
 {
-    StepStats result;
     if (seq_lens.size() !=
         static_cast<std::size_t>(config_.max_batch_size)) {
+        StepStats result;
         result.status = errorStatus(ErrorCode::kInvalidArgument,
                                     "seq_lens size must equal B");
         return result;
     }
-
-    ++stats_.steps;
-    driver_.consumeElapsedNs(); // open a fresh accounting window
-    const i64 mapped_before = allocator_.totalHandlesMapped();
-
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        const i64 len = seq_lens[static_cast<std::size_t>(slot)];
-        if (slots_.state(slot) != SlotState::kActive) {
-            if (len != 0) {
-                result.status = errorStatus(
-                    ErrorCode::kInvalidArgument,
-                    "non-zero length for inactive reqId");
-                result.critical_ns = driver_.consumeElapsedNs();
-                stats_.critical_ns += result.critical_ns;
-                return result;
-            }
-            continue;
-        }
-        if (len > config_.max_context_len) {
-            result.status = errorStatus(
-                ErrorCode::kInvalidArgument,
-                "context length beyond the model maximum");
-            result.critical_ns = driver_.consumeElapsedNs();
-            stats_.critical_ns += result.critical_ns;
-            return result;
-        }
-        if (allocator_.needsEnsureTokens(slot, len)) {
-            auto status = growStealing(
-                [&] { return allocator_.ensureTokens(slot, len); },
-                &result.handles_stolen);
-            if (!status.isOk()) {
-                result.status = status;
-                result.critical_ns = driver_.consumeElapsedNs();
-                stats_.critical_ns += result.critical_ns;
-                return result;
-            }
-            if (allocator_.geometry().hasWindows()) {
-                // A window trim voids the slot's shareable prefix.
-                clampChainToMapped(slot);
-            }
+    // Walks the caller's B-wide input, not the slot table.
+    adapter_lens_.clear();
+    for (std::size_t slot = 0; slot < seq_lens.size(); ++slot) {
+        if (seq_lens[slot] != 0) {
+            adapter_lens_.emplace_back(static_cast<int>(slot),
+                                       seq_lens[slot]);
         }
     }
+    return step(adapter_lens_);
+}
 
-    last_seq_lens_ = seq_lens;
+Status
+VAttention::gatherStepInput(std::span<const std::pair<int, i64>> active)
+{
+    for (const auto &[slot, len] : active) {
+        const char *error = nullptr;
+        if (slot < 0 || slot >= config_.max_batch_size) {
+            error = "reqId out of range";
+        } else if (slots_.state(slot) != SlotState::kActive) {
+            error = "length given for an inactive reqId";
+        } else if (listed_.contains(slot)) {
+            error = "reqId listed twice";
+        } else if (len > config_.max_context_len) {
+            error = "context length beyond the model maximum";
+        }
+        if (error != nullptr) {
+            listed_.clear();
+            return errorStatus(ErrorCode::kInvalidArgument, error);
+        }
+        listed_.insert(slot);
+        step_lens_[static_cast<std::size_t>(slot)] = len;
+    }
+    return Status::ok();
+}
+
+StepStats
+VAttention::step(std::span<const std::pair<int, i64>> active)
+{
+    StepStats result;
+    ++stats_.steps;
+    driver_.consumeElapsedNs(); // open a fresh accounting window
+    // The whole input is checked before any driver call.
+    result.status = gatherStepInput(active);
+    if (!result.status.isOk()) {
+        return result;
+    }
+    // Active slots the caller did not list (e.g. swapped out) are
+    // ensured at length 0.
+    const auto len_of = [this](int slot) -> i64 {
+        return listed_.contains(slot)
+                   ? step_lens_[static_cast<std::size_t>(slot)]
+                   : 0;
+    };
+
+    const i64 mapped_before = allocator_.totalHandlesMapped();
+    slots_.forEachActive([&](int slot) {
+        const i64 len = len_of(slot);
+        if (!result.status.isOk() ||
+            !allocator_.needsEnsureTokens(slot, len)) {
+            return;
+        }
+        result.status = growStealing(
+            [&] { return allocator_.ensureTokens(slot, len); },
+            &result.handles_stolen);
+        if (result.status.isOk() && allocator_.geometry().hasWindows()) {
+            // A window trim voids the slot's shareable prefix.
+            clampChainToMapped(slot);
+        }
+    });
+    if (result.status.isOk()) {
+        slots_.forEachActive([&](int slot) {
+            last_seq_lens_[static_cast<std::size_t>(slot)] = len_of(slot);
+        });
+    }
+    listed_.clear();
+    if (!result.status.isOk()) {
+        // The lengths of the last successful step stay in force.
+        result.critical_ns = driver_.consumeElapsedNs();
+        stats_.critical_ns += result.critical_ns;
+        return result;
+    }
+
     result.handles_mapped =
         allocator_.totalHandlesMapped() - mapped_before +
         result.handles_stolen;
@@ -825,15 +868,12 @@ VAttention::computePhase(TimeNs window_ns)
     // (1) Decode prefetch: each active request will need at most one
     // more group per buffer next iteration (§6.1.1).
     if (config_.overlap_allocation) {
-        for (int slot = 0;
-             window_open && slot < config_.max_batch_size; ++slot) {
-            if (slots_.state(slot) != SlotState::kActive) {
-                continue;
-            }
+        slots_.forEachActive([&](int slot) {
             const i64 len =
                 last_seq_lens_[static_cast<std::size_t>(slot)];
-            if (len <= 0 || len >= config_.max_context_len) {
-                continue;
+            if (!window_open || len <= 0 ||
+                len >= config_.max_context_len) {
+                return;
             }
             // Growth only: trimming the slot toward len + 1 here
             // would unmap groups the in-flight iteration still reads.
@@ -854,7 +894,7 @@ VAttention::computePhase(TimeNs window_ns)
                     break;
                 }
             }
-        }
+        });
     }
 
     // (2) Eager allocation: keep ONE inactive reqId pre-mapped with a
@@ -942,13 +982,11 @@ VAttention::canAllocate(i64 prompt_tokens) const
 
     i64 best_cached = 0;
     i64 cached_total = 0;
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        if (slots_.state(slot) == SlotState::kCached) {
-            const i64 handles = allocator_.mappedHandles(slot);
-            cached_total += handles;
-            best_cached = std::max(best_cached, handles);
-        }
-    }
+    slots_.forEachCached([&](int slot) {
+        const i64 handles = allocator_.mappedHandles(slot);
+        cached_total += handles;
+        best_cached = std::max(best_cached, handles);
+    });
     const i64 extra_needed = std::max<i64>(0, need - best_cached);
     // Alias-pinned mappings are not real supply: stealing such a
     // cached group unmaps it but frees no physical memory (the sharer
@@ -967,11 +1005,8 @@ i64
 VAttention::cachedHandles() const
 {
     i64 total = 0;
-    for (int slot = 0; slot < config_.max_batch_size; ++slot) {
-        if (slots_.state(slot) == SlotState::kCached) {
-            total += allocator_.mappedHandles(slot);
-        }
-    }
+    slots_.forEachCached(
+        [&](int slot) { total += allocator_.mappedHandles(slot); });
     return total;
 }
 

@@ -13,7 +13,11 @@
  *                         unless deferred reclamation is disabled.
  *   step                : given the per-reqId sequence lengths, ensure
  *                         every active request's KV sub-tensors are
- *                         physically backed (Algorithm 1, line 13).
+ *                         physically backed (Algorithm 1, line 13);
+ *                         the paper's B-wide form adapts onto a
+ *                         sparse (reqId, length) form, so per-step
+ *                         work scales with the active requests, not
+ *                         with B.
  *
  * plus the engine-facing computePhase() hook that models the
  * background allocation thread (§6.1.1): decode prefetch, eager
@@ -25,6 +29,8 @@
 #define VATTN_CORE_VATTENTION_HH
 
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "attn/kv_view.hh"
@@ -258,11 +264,26 @@ class VAttention
     Result<int> importSwapped(const HostKvImage &image);
 
     /**
-     * Ensure physical backing for the given context lengths
-     * (seq_lens[reqId], 0 for inactive slots; size must be B).
-     * Returns kOutOfMemory when demand cannot be met even after
-     * reclaiming every cached group — the framework should preempt a
-     * request and call step again (§5.3.3).
+     * Ensure physical backing for the context lengths of the listed
+     * (reqId, length) pairs, in any order. Every listed reqId must be
+     * active, appear once and have length <= max_context_len; any
+     * violation returns kInvalidArgument before a single driver call.
+     * Active reqIds left out are ensured at length 0 (a swapped-out
+     * request holds nothing on the device). Slots grow in ascending
+     * reqId order and only active slots are visited, so the cost
+     * scales with the active requests, not with B. Returns
+     * kOutOfMemory when demand cannot be met even after reclaiming
+     * every cached group — the framework should preempt a request and
+     * call step again (§5.3.3); the lengths of the last successful
+     * step then stay in force for computePhase.
+     */
+    StepStats step(std::span<const std::pair<int, i64>> active);
+
+    /**
+     * The paper's Table-4 form: seq_lens[reqId] for every reqId, 0 for
+     * inactive ones (size must be B, else kInvalidArgument). Gathers
+     * the non-zero entries and calls the sparse form above, so a
+     * non-zero length for an inactive reqId is kInvalidArgument.
      */
     StepStats step(const std::vector<i64> &seq_lens);
 
@@ -329,6 +350,11 @@ class VAttention
     }
 
   private:
+    /** OK iff every (reqId, length) pair is a valid step() entry;
+     *  then listed_ holds the reqIds and step_lens_ their lengths
+     *  (on an error listed_ is left empty). */
+    Status gatherStepInput(std::span<const std::pair<int, i64>> active);
+
     /** OK iff @p req_id is an active slot whose KV is (@p swapped) or
      *  is not on the host tier. */
     Status checkSwapped(int req_id, bool swapped) const;
@@ -397,7 +423,16 @@ class VAttention
     KvAllocator allocator_;
     ReqSlots slots_;
     BackgroundWorker background_;
+    /** Per-slot length of the last successful step(). */
     std::vector<i64> last_seq_lens_;
+    /** Per-slot length the running step() ensures, valid for the
+     *  slots in listed_; committed to last_seq_lens_ only when the
+     *  step succeeds. */
+    std::vector<i64> step_lens_;
+    /** Slots the running step() lists (empty between steps). */
+    SlotSet listed_;
+    /** The B-wide step()'s non-zero entries, reserved to B. */
+    std::vector<std::pair<int, i64>> adapter_lens_;
     std::vector<PrefixChain> chains_;
     std::vector<HostStash> stashes_;
     RuntimeStats stats_;

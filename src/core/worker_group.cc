@@ -95,10 +95,10 @@ WorkerGroup::freeReqId(int req_id)
 }
 
 StepStats
-WorkerGroup::step(const std::vector<i64> &seq_lens)
+WorkerGroup::step(std::span<const std::pair<int, i64>> active)
 {
     return workers_.apply("step", [&](Worker &w) {
-        return w.runtime->step(seq_lens);
+        return w.runtime->step(active);
     });
 }
 

@@ -19,6 +19,8 @@
 #define VATTN_CORE_WORKER_GROUP_HH
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/lockstep.hh"
@@ -95,11 +97,12 @@ class WorkerGroup
     }
 
     /**
-     * Step every worker with the same lengths. The returned stats are
-     * worker 0's; critical_ns is the per-iteration latency (workers
-     * run concurrently, so the group does not serialize).
+     * Step every worker with the same (reqId, length) pairs (see
+     * VAttention::step). The returned stats are worker 0's;
+     * critical_ns is the per-iteration latency (workers run
+     * concurrently, so the group does not serialize).
      */
-    StepStats step(const std::vector<i64> &seq_lens);
+    StepStats step(std::span<const std::pair<int, i64>> active);
 
     /** Run every worker's background window. */
     void computePhase(TimeNs window_ns);

@@ -85,6 +85,8 @@ struct DriverCounters
                address_free + host_create + host_release + copy_dtoh +
                copy_htod;
     }
+
+    bool operator==(const DriverCounters &) const = default;
 };
 
 /** Driver instance bound to one GPU device. */

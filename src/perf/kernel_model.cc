@@ -60,9 +60,11 @@ constexpr double kLinearEff = 0.65;
 KernelModel::KernelModel(GpuSpec gpu, ModelSpec model, int tp,
                          NcclSpec nccl)
     : gpu_(std::move(gpu)), model_(std::move(model)), tp_(tp),
-      nccl_(std::move(nccl)), classes_(model_.windowClasses())
+      nccl_(std::move(nccl)), classes_(model_.windowClasses()),
+      num_params_(model_.numParams())
 {
     fatal_if(tp_ <= 0, "tensor parallel degree must be positive");
+    worker_weight_bytes_ = model_.weightBytesPerWorker(tp_);
     if (!nccl_.enabled()) {
         // Unset spec: the historical hardcoded constants, derived from
         // this GPU's NVLink bandwidth (keeps default-config goldens
@@ -265,10 +267,10 @@ KernelModel::prefillLinear(i64 tokens) const
         return 0;
     }
     const double flops =
-        2.0 * model_.numParams() / tp_ * static_cast<double>(tokens);
+        2.0 * num_params_ / tp_ * static_cast<double>(tokens);
     const double compute_s = flops / (gpu_.fp16_flops * kLinearEff);
     const double memory_s =
-        static_cast<double>(model_.weightBytesPerWorker(tp_)) /
+        static_cast<double>(worker_weight_bytes_) /
         (gpu_.hbm_bytes_per_s * kWeightMemEff);
     return static_cast<TimeNs>(std::max(compute_s, memory_s) * 1e9);
 }
@@ -280,13 +282,13 @@ KernelModel::decodeLinear(i64 batch) const
         return 0;
     }
     const double flops =
-        2.0 * model_.numParams() / tp_ * static_cast<double>(batch);
+        2.0 * num_params_ / tp_ * static_cast<double>(batch);
     const double compute_s = flops / (gpu_.fp16_flops * kLinearEff);
     // Every iteration re-streams the weights; this floor is what makes
     // small-batch decode memory bound and throughput saturate with
     // batch size (Figure 4).
     const double memory_s =
-        static_cast<double>(model_.weightBytesPerWorker(tp_)) /
+        static_cast<double>(worker_weight_bytes_) /
         (gpu_.hbm_bytes_per_s * kWeightMemEff);
     return static_cast<TimeNs>(std::max(compute_s, memory_s) * 1e9);
 }

@@ -126,6 +126,11 @@ class KernelModel
     NcclSpec nccl_;
     /** model_.windowClasses(), resolved once (full class first). */
     std::vector<ModelSpec::WindowClass> classes_;
+    /** model_.numParams() and model_.weightBytesPerWorker(tp_),
+     *  constant for the model's life and read every iteration by the
+     *  linear-operator prices. */
+    double num_params_;
+    u64 worker_weight_bytes_ = 0;
 };
 
 } // namespace vattn::perf

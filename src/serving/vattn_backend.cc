@@ -56,8 +56,6 @@ VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
     for (int w = 0; w < group_->numWorkers(); ++w) {
         group_->driver(w).latency().setCopyModel(pcie.toCopyModel());
     }
-    seq_lens_.assign(static_cast<std::size_t>(options.max_batch_size),
-                     0);
 }
 
 bool
@@ -138,21 +136,16 @@ VAttentionBackend::prefixStats() const
 void
 VAttentionBackend::freeSlot(int slot)
 {
-    seq_lens_[static_cast<std::size_t>(slot)] = 0;
     group_->freeReqId(slot).expectOk("freeReqId");
 }
 
 Result<TimeNs>
 VAttentionBackend::ensure(const ActiveLens &active)
 {
-    std::fill(seq_lens_.begin(), seq_lens_.end(), 0);
-    for (const auto &[slot, len] : active) {
-        seq_lens_[static_cast<std::size_t>(slot)] = len;
-    }
     // Workers allocate their shards concurrently, so the group's
     // critical path is one worker's (the stats are worker 0's, with
     // divergence panics inside the group).
-    last_step_ = group_->step(seq_lens_);
+    last_step_ = group_->step(active);
     if (!last_step_.status.isOk()) {
         return Result<TimeNs>(last_step_.status);
     }
@@ -194,7 +187,6 @@ VAttentionBackend::swapOut(int slot)
     if (!stats.status.isOk()) {
         return Result<SwapResult>(stats.status);
     }
-    seq_lens_[static_cast<std::size_t>(slot)] = 0;
     return SwapResult{stats.bytes, stats.critical_ns};
 }
 
@@ -219,7 +211,6 @@ VAttentionBackend::exportSwapped(int slot)
     if (!image.isOk()) {
         return Result<SwappedKvImage>(image.status());
     }
-    seq_lens_[static_cast<std::size_t>(slot)] = 0;
     const auto &core_image = image.value();
     SwappedKvImage out;
     // Per-worker shard bytes, the same convention SwapResult::bytes
@@ -259,11 +250,7 @@ VAttentionBackend::importSwapped(const SwappedKvImage &image)
     core_image.groups = image.group_frontier;
     core_image.handles = image.handles;
     core_image.bytes = image.bytes;
-    auto slot = group_->importSwapped(core_image);
-    if (slot.isOk()) {
-        seq_lens_[static_cast<std::size_t>(slot.value())] = 0;
-    }
-    return slot;
+    return group_->importSwapped(core_image);
 }
 
 u64

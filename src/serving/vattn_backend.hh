@@ -4,7 +4,9 @@
  * one simulated GPU, VMM driver and core::VAttention runtime per
  * tensor-parallel worker, each holding a num_kv_heads/tp KV shard
  * (§5.3) — and adapts it to the engine's MemoryBackend interface.
- * ensure() forwards to the Table-4 step() API on every worker;
+ * ensure() hands the engine's (slot, length) list straight to the
+ * sparse step() on every worker, so its cost follows the running
+ * requests, not the slot count;
  * computeWindow() drives the background-allocation model (§6.1.1).
  * Symmetric queries are answered by worker 0; the audit layer's
  * cross-worker state-equality check verifies that symmetry.
@@ -114,7 +116,6 @@ class VAttentionBackend : public MemoryBackend
     core::PrefixQuery buildQuery(const PrefixKey &key) const;
 
     std::unique_ptr<core::WorkerGroup> group_;
-    std::vector<i64> seq_lens_;
     core::StepStats last_step_;
     /** Driver time spent by failed swap-in attempts, charged to the
      *  next ensure() (error results cannot carry latency). */

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/page_pool.hh"
 #include "core/req_slots.hh"
 #include "test_util.hh"
@@ -105,6 +107,134 @@ TEST(ReqSlots, OutOfRangePanics)
     ReqSlots slots(2);
     EXPECT_THROW(slots.state(2), SimError);
     EXPECT_THROW(slots.activate(-1), SimError);
+}
+
+/** The slots forEachActive / forEachCached visit, in visit order. */
+std::vector<int>
+visited(const ReqSlots &slots, SlotState state)
+{
+    std::vector<int> out;
+    const auto push = [&out](int slot) { out.push_back(slot); };
+    if (state == SlotState::kActive) {
+        slots.forEachActive(push);
+    } else if (state == SlotState::kCached) {
+        slots.forEachCached(push);
+    } else {
+        ADD_FAILURE() << "no visitor for free slots";
+    }
+    return out;
+}
+
+/** The same sets from a naive state() scan, ascending. */
+std::vector<int>
+scanned(const ReqSlots &slots, SlotState state)
+{
+    std::vector<int> out;
+    for (int slot = 0; slot < slots.capacity(); ++slot) {
+        if (slots.state(slot) == state) {
+            out.push_back(slot);
+        }
+    }
+    return out;
+}
+
+class ReqSlotsDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ReqSlotsDifferential, BitsetsMatchANaiveStateScan)
+{
+    // Seeded random transitions (legal and illegal alike) at
+    // capacities around the 64-slot word boundary; after each one the
+    // bitset visitors, firstFree and the counts must agree with a
+    // scan of state() over every slot.
+    const int capacity = GetParam();
+    ReqSlots slots(capacity);
+    Rng rng(0xb175e7 + static_cast<u64>(capacity));
+    for (int op = 0; op < 4000; ++op) {
+        const int slot =
+            static_cast<int>(rng.uniformInt(0, capacity - 1));
+        const SlotState before = slots.state(slot);
+        Status status;
+        SlotState want = before;
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            status = slots.activate(slot);
+            if (before != SlotState::kActive) {
+                want = SlotState::kActive;
+            }
+            break;
+          case 1:
+            status = slots.moveToCached(slot);
+            if (before == SlotState::kActive) {
+                want = SlotState::kCached;
+            }
+            break;
+          case 2:
+            status = slots.cacheFreeSlot(slot);
+            if (before == SlotState::kFree) {
+                want = SlotState::kCached;
+            }
+            break;
+          default:
+            status = slots.moveToFree(slot);
+            if (before != SlotState::kFree) {
+                want = SlotState::kFree;
+            }
+            break;
+        }
+        ASSERT_EQ(status.isOk(), want != before) << "op " << op;
+        ASSERT_EQ(slots.state(slot), want) << "op " << op;
+
+        const auto active = scanned(slots, SlotState::kActive);
+        const auto cached = scanned(slots, SlotState::kCached);
+        const auto free = scanned(slots, SlotState::kFree);
+        ASSERT_EQ(visited(slots, SlotState::kActive), active)
+            << "op " << op;
+        ASSERT_EQ(visited(slots, SlotState::kCached), cached)
+            << "op " << op;
+        std::vector<int> live;
+        slots.forEachActiveOrCached(
+            [&live](int s) { live.push_back(s); });
+        std::vector<int> want_live;
+        for (int s = 0; s < capacity; ++s) {
+            if (slots.state(s) != SlotState::kFree) {
+                want_live.push_back(s);
+            }
+        }
+        ASSERT_EQ(live, want_live) << "op " << op;
+        ASSERT_EQ(slots.firstFree(), free.empty() ? -1 : free.front())
+            << "op " << op;
+        ASSERT_EQ(slots.numActive(), static_cast<int>(active.size()));
+        ASSERT_EQ(slots.numCached(), static_cast<int>(cached.size()));
+        ASSERT_EQ(slots.numFree(), static_cast<int>(free.size()));
+        // The LRU chain holds exactly the cached slots.
+        auto lru = cachedOrderOf(slots);
+        std::sort(lru.begin(), lru.end());
+        ASSERT_EQ(lru, cached) << "op " << op;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, ReqSlotsDifferential,
+                         ::testing::Values(1, 63, 64, 65, 256));
+
+TEST(ReqSlots, VisitorMayMoveTheVisitedSlot)
+{
+    // swapOutReq frees cached sharers while walking the cached set:
+    // moving the visited slot must not disturb the rest of the walk.
+    ReqSlots slots(130);
+    for (int slot : {2, 63, 64, 65, 129}) {
+        ASSERT_TRUE(slots.activate(slot).isOk());
+        ASSERT_TRUE(slots.moveToCached(slot).isOk());
+    }
+    std::vector<int> seen;
+    slots.forEachCached([&](int slot) {
+        seen.push_back(slot);
+        ASSERT_TRUE(slots.moveToFree(slot).isOk());
+    });
+    EXPECT_EQ(seen, (std::vector<int>{2, 63, 64, 65, 129}));
+    EXPECT_EQ(slots.numCached(), 0);
+    EXPECT_EQ(slots.numFree(), 130);
 }
 
 class PagePoolTest : public ::testing::Test

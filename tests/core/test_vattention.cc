@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "core/vattention.hh"
 #include "test_util.hh"
 
@@ -119,6 +124,172 @@ TEST_F(VAttentionTest, StepValidatesInput)
     ASSERT_TRUE(req.isOk());
     EXPECT_EQ(vattn.step(lens(8193)).status.code(),
               ErrorCode::kInvalidArgument);
+}
+
+TEST_F(VAttentionTest, BWideStepFailsBeforeAnyDriverWork)
+{
+    // A bad entry at a high reqId used to fail only after the lower
+    // reqIds had grown; the whole input is now checked first.
+    auto config = smallConfig();
+    config.phys_budget_bytes = 8 * MiB;
+    VAttention vattn(driver_, config);
+    const int req = vattn.allocReqId().value();
+    ASSERT_EQ(req, 0);
+    const cuvmm::DriverCounters before = driver_.counters();
+    EXPECT_EQ(vattn.step(lens(3000, 100)).status.code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(vattn.step(lens(3000, 0, 0, 8193)).status.code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(driver_.counters(), before);
+    EXPECT_EQ(vattn.groupsMapped(req), 0);
+    EXPECT_TRUE(vattn.checkInvariants());
+}
+
+TEST_F(VAttentionTest, SparseStepRejectsBadEntriesWithoutDriverWork)
+{
+    auto config = smallConfig();
+    config.phys_budget_bytes = 8 * MiB;
+    VAttention vattn(driver_, config);
+    const int r0 = vattn.allocReqId().value();
+    const int r1 = vattn.allocReqId().value();
+    ASSERT_TRUE(vattn.step({{{r0, 100}, {r1, 100}}}).status.isOk());
+    const i64 groups0 = vattn.groupsMapped(r0);
+    const i64 groups1 = vattn.groupsMapped(r1);
+    const cuvmm::DriverCounters before = driver_.counters();
+
+    using Entries = std::vector<std::pair<int, i64>>;
+    const Entries bad[] = {
+        {{r0, 5000}, {2, 100}},          // listed inactive slot
+        {{r0, 5000}, {r1, 5000}, {r0, 5000}}, // duplicate slot
+        {{r0, 5000}, {4, 100}},          // out of range (B = 4)
+        {{r0, 5000}, {-1, 100}},         // out of range (negative)
+        {{r0, 5000}, {r1, 8193}},        // beyond max_context_len
+    };
+    for (const Entries &entries : bad) {
+        EXPECT_EQ(vattn.step(entries).status.code(),
+                  ErrorCode::kInvalidArgument);
+        EXPECT_EQ(driver_.counters(), before);
+        EXPECT_EQ(vattn.groupsMapped(r0), groups0);
+        EXPECT_EQ(vattn.groupsMapped(r1), groups1);
+    }
+    // A rejected duplicate leaves no stale mark behind.
+    EXPECT_TRUE(vattn.step({{{r1, 3000}, {r0, 5000}}}).status.isOk());
+    EXPECT_GT(vattn.groupsMapped(r0), groups0);
+    EXPECT_TRUE(vattn.checkInvariants());
+}
+
+TEST_F(VAttentionTest, SparseAndBWideStepsAgreeOnASeededTrace)
+{
+    // Two runtimes on identical devices follow the same random trace
+    // of admissions, growth, swap-outs/ins, frees and background
+    // windows; one steps through the sparse form (entries shuffled,
+    // swapped-out requests left out), the other through the B-wide
+    // form. Every step must return the same stats and leave the same
+    // driver per-API call counts.
+    auto config = smallConfig();
+    config.max_batch_size = 8;
+    config.phys_budget_bytes = 6 * MiB;
+    config.host_swap_bytes = 8 * MiB;
+    config.eager_allocation = true;
+    config.overlap_allocation = true;
+    gpu::GpuDevice wide_device(makeConfig());
+    cuvmm::Driver wide_driver(wide_device);
+    VAttention sparse(driver_, config);
+    VAttention wide(wide_driver, config);
+
+    const auto B = static_cast<std::size_t>(config.max_batch_size);
+    std::vector<i64> target(B, 0);
+    std::vector<char> swapped(B, 0);
+    std::vector<int> live;
+    Rng rng(2024);
+    int steps_checked = 0;
+    int preemptions = 0;
+    for (int op = 0; op < 3000; ++op) {
+        const i64 dice = rng.uniformInt(0, 99);
+        if (dice < 15) {
+            auto a = sparse.allocReqId();
+            auto b = wide.allocReqId();
+            ASSERT_EQ(a.isOk(), b.isOk());
+            if (a.isOk()) {
+                ASSERT_EQ(a.value(), b.value());
+                live.push_back(a.value());
+                target[static_cast<std::size_t>(a.value())] =
+                    rng.uniformInt(1, 3000);
+            }
+        } else if (dice < 25 && !live.empty()) {
+            const auto pick = static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<i64>(live.size()) - 1));
+            const int slot = live[pick];
+            ASSERT_TRUE(sparse.freeReqId(slot).isOk());
+            ASSERT_TRUE(wide.freeReqId(slot).isOk());
+            target[static_cast<std::size_t>(slot)] = 0;
+            swapped[static_cast<std::size_t>(slot)] = 0;
+            live.erase(live.begin() + static_cast<long>(pick));
+        } else if (dice < 32 && !live.empty()) {
+            const int slot = live[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<i64>(live.size()) - 1))];
+            auto &is_swapped = swapped[static_cast<std::size_t>(slot)];
+            const SwapStats a = is_swapped ? sparse.swapInReq(slot)
+                                           : sparse.swapOutReq(slot);
+            const SwapStats b = is_swapped ? wide.swapInReq(slot)
+                                           : wide.swapOutReq(slot);
+            ASSERT_EQ(a, b) << "op " << op;
+            if (a.status.isOk()) {
+                is_swapped = !is_swapped;
+            }
+        } else if (dice < 50) {
+            const auto window =
+                static_cast<TimeNs>(rng.uniformInt(0, 4)) * kMsec;
+            sparse.computePhase(window);
+            wide.computePhase(window);
+        } else {
+            std::vector<std::pair<int, i64>> entries;
+            std::vector<i64> seq_lens(B, 0);
+            for (int slot : live) {
+                auto &len = target[static_cast<std::size_t>(slot)];
+                len = std::min<i64>(config.max_context_len,
+                                    len + rng.uniformInt(0, 600));
+                if (!swapped[static_cast<std::size_t>(slot)]) {
+                    entries.emplace_back(slot, len);
+                    seq_lens[static_cast<std::size_t>(slot)] = len;
+                }
+            }
+            for (std::size_t i = entries.size(); i > 1; --i) {
+                std::swap(entries[i - 1],
+                          entries[static_cast<std::size_t>(rng.uniformInt(
+                              0, static_cast<i64>(i) - 1))]);
+            }
+            const StepStats a = sparse.step(entries);
+            const StepStats b = wide.step(seq_lens);
+            ASSERT_EQ(a, b) << "op " << op;
+            ++steps_checked;
+            if (!a.status.isOk()) {
+                // Preempt the newest request, as an engine would.
+                ASSERT_EQ(a.status.code(), ErrorCode::kOutOfMemory);
+                ASSERT_FALSE(live.empty());
+                ++preemptions;
+                const int slot = live.back();
+                ASSERT_TRUE(sparse.freeReqId(slot).isOk());
+                ASSERT_TRUE(wide.freeReqId(slot).isOk());
+                target[static_cast<std::size_t>(slot)] = 0;
+                swapped[static_cast<std::size_t>(slot)] = 0;
+                live.pop_back();
+            }
+        }
+        ASSERT_EQ(driver_.counters(), wide_driver.counters())
+            << "op " << op;
+        ASSERT_TRUE(sparse.checkInvariants()) << "op " << op;
+    }
+    EXPECT_EQ(sparse.stats().steps, wide.stats().steps);
+    EXPECT_EQ(sparse.stats().sync_handles, wide.stats().sync_handles);
+    EXPECT_EQ(sparse.stats().background_handles,
+              wide.stats().background_handles);
+    EXPECT_GT(steps_checked, 1000);
+    // The trace reached the interesting paths.
+    EXPECT_GT(sparse.stats().swap_out_reqs, 0);
+    EXPECT_GT(sparse.stats().swap_in_reqs, 0);
+    EXPECT_GT(sparse.stats().reclaimed_handles, 0);
+    EXPECT_GT(preemptions, 0);
 }
 
 TEST_F(VAttentionTest, KvWritesThroughSteppedTensors)

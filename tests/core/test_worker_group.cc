@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.hh"
 #include "core/worker_group.hh"
 #include "test_util.hh"
@@ -8,6 +11,20 @@ namespace vattn::core
 {
 namespace
 {
+
+/** The (reqId, length) pairs of a B-wide length vector's non-zero
+ *  entries: the sparse step() input. */
+std::vector<std::pair<int, i64>>
+listed(const std::vector<i64> &lens)
+{
+    std::vector<std::pair<int, i64>> out;
+    for (std::size_t slot = 0; slot < lens.size(); ++slot) {
+        if (lens[slot] != 0) {
+            out.emplace_back(static_cast<int>(slot), lens[slot]);
+        }
+    }
+    return out;
+}
 
 Config
 tpConfig()
@@ -34,7 +51,7 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
     ASSERT_TRUE(req.isOk());
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(req.value())] = 3000;
-    auto stats = group.step(lens);
+    auto stats = group.step(listed(lens));
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 8); // per worker: 2 groups x 4 buf
     EXPECT_TRUE(group.inLockstep());
@@ -80,7 +97,7 @@ TEST(WorkerGroup, LockstepUnderRandomTraffic)
                     8192, lens[static_cast<std::size_t>(id)] +
                               rng.uniformInt(0, 100));
             }
-            auto stats = group.step(lens);
+            auto stats = group.step(listed(lens));
             if (!stats.status.isOk() && !active.empty()) {
                 lens[static_cast<std::size_t>(active.back())] = 0;
                 group.freeReqId(active.back()).expectOk("preempt");
@@ -101,7 +118,7 @@ TEST(WorkerGroup, AggregateAllocationBandwidthScalesWithTp)
         auto req = group.allocReqId();
         std::vector<i64> lens(4, 0);
         lens[static_cast<std::size_t>(req.value())] = 8000;
-        const auto stats = group.step(lens);
+        const auto stats = group.step(listed(lens));
         stats.status.expectOk("bandwidth step");
         return static_cast<double>(group.physBytesMappedTotal()) /
                (static_cast<double>(stats.critical_ns) / 1e9);
@@ -117,7 +134,7 @@ TEST(WorkerGroup, PerWorkerDevicesAreIsolated)
     auto req = group.allocReqId();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(req.value())] = 100;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
 
     // Each worker holds its own shard: writing K on worker 0 must not
     // appear on worker 1 (different GPUs).
@@ -153,7 +170,7 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     const int r1 = group.allocReqId().value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
 
     // Preempt mid-flight: mappings are retained (deferred
     // reclamation), every worker parks the same cached slot.
@@ -168,7 +185,7 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     const auto again = group.allocReqId();
     ASSERT_TRUE(again.isOk());
     EXPECT_EQ(again.value(), r1);
-    auto stats = group.step(lens);
+    auto stats = group.step(listed(lens));
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 0);
     EXPECT_TRUE(group.checkInvariants());
@@ -184,7 +201,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
     lens[static_cast<std::size_t>(r2)] = 2000;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
 
     // Swap r1 to each worker's host tier; every worker stashes its own
     // shard and the device shares must agree.
@@ -198,7 +215,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     // r2 keeps decoding while r1 sits on the host (freeReqId mid-
     // flight of a *different* request must not disturb the stash).
     lens[static_cast<std::size_t>(r2)] = 2500;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
     ASSERT_TRUE(group.freeReqId(r2).isOk());
     EXPECT_TRUE(group.inLockstep());
 
@@ -209,7 +226,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     EXPECT_EQ(in.handles, 8);
     lens[static_cast<std::size_t>(r2)] = 0;
     lens[static_cast<std::size_t>(r1)] = 3001;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
     EXPECT_TRUE(group.checkInvariants());
     ASSERT_TRUE(group.freeReqId(r1).isOk());
     EXPECT_TRUE(group.inLockstep());
@@ -221,7 +238,7 @@ TEST(WorkerGroup, AuditPassesOnHealthyGroup)
     const int r1 = group.allocReqId().value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
 
     audit::AuditReport report;
     group.auditInto(report);
@@ -239,7 +256,7 @@ TEST(WorkerGroup, AuditLocalizesInjectedWorkerDesync)
     const int r1 = group.allocReqId().value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 1000;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
     EXPECT_TRUE(group.inLockstep());
 
     // Worker 1 silently steps ahead: its slot maps more groups and
@@ -268,7 +285,7 @@ TEST(WorkerGroup, AuditCatchesLifecycleDesync)
     const int r1 = group.allocReqId().value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 500;
-    ASSERT_TRUE(group.step(lens).status.isOk());
+    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
 
     ASSERT_TRUE(group.worker(2).freeReqId(r1).isOk());
     EXPECT_FALSE(group.inLockstep());

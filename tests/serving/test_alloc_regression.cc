@@ -9,7 +9,8 @@
  *    once the high-water batch shape has been seen (a long window of
  *    allocation-free stepRun() calls must exist in every run), under
  *    both scheduling modes and on both KV backends (vAttention and
- *    paged), for a uniform and a sliding-window model;
+ *    paged), for a uniform and a sliding-window model, and for
+ *    vAttention at TP 2 with its default 256-slot table;
  *  - BatchComposer::composeInto is allocation-free on the second
  *    composition of an identical shape, for both the prefill and the
  *    decode side of both modes.
@@ -23,6 +24,7 @@
 
 #include "alloc_counter.hh"
 #include "serving/engine.hh"
+#include "serving/vattn_backend.hh"
 
 // ---- The regression tests ------------------------------------------
 
@@ -179,6 +181,22 @@ TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
 TEST_P(SteadyStateDecode, OnlineStreamingIterationsAreAllocationFree)
 {
     expectAllocationFreeStreaming(config());
+}
+
+TEST_P(SteadyStateDecode, TensorParallelAtDefaultBatchSizeIsAllocationFree)
+{
+    // A TP-2 replica with the slot table left at its default size
+    // (B = max_num_seqs = 256) serving four requests: every iteration
+    // passes the engine's sparse lengths through Lockstep to both
+    // workers and walks a mostly-empty slot bitset.
+    EngineConfig config = this->config();
+    config.tp_degree = 2;
+    config.scheduler.max_num_seqs = Scheduler::Config{}.max_num_seqs;
+    config.vattn.max_batch_size =
+        VAttentionBackend::Options{}.max_batch_size;
+    ASSERT_EQ(config.scheduler.max_num_seqs, 256);
+    ASSERT_EQ(config.vattn.max_batch_size, 256);
+    expectAllocationFreeDecode(config);
 }
 
 TEST_P(PagedSteadyStateDecode, IterationsAreAllocationFree)

@@ -58,6 +58,15 @@ Machine-checks the conventions the simulator's correctness leans on:
                 belongs under tests/), and one nothing includes is dead
                 code. REACH_ALLOWED lists the two exceptions, each
                 with the paper argument that keeps it.
+  8. slots    — in src/core/vattention.cc no loop header mentions
+                `max_batch_size`: engines size the reqId table B at
+                their sequence cap (256) while a handful of requests
+                run, so per-iteration work walks ReqSlots' per-state
+                bitsets (forEachActive / forEachCached), never all B
+                slots. SLOT_SCAN_ALLOWED names the functions that may
+                scan the whole table: the whole-runtime audit. The
+                paper's B-wide step() walks its caller's B-wide input,
+                not the table, and needs no entry.
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -155,6 +164,15 @@ PRICING_ALLOWED = {
     ("src", "serving", "cluster.cc"): "ServingCluster::estimateFor",
 }
 
+# Loop headers (for/while) whose bound is checked by paren matching.
+LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
+
+# Files whose loops may not be bounded by the slot count, and the
+# functions in each allowed to scan every slot anyway.
+SLOT_SCAN_ALLOWED = {
+    ("src", "core", "vattention.cc"): ("VAttention::auditInto",),
+}
+
 # Percentiles queries that sort the sample store. Serving code builds
 # reports; their readers (benches, examples, tests) query them.
 REPORT_QUERY_RE = re.compile(
@@ -201,6 +219,21 @@ def function_lines(lines: list[str], name: str) -> range:
     return range(0)
 
 
+def slot_scan_lines(code: str) -> list[int]:
+    """Lines (1-based) of loops whose parenthesised header mentions
+    max_batch_size; @p code has comments and strings blanked."""
+    lines = []
+    for m in LOOP_RE.finditer(code):
+        depth = 1
+        end = m.end()
+        while end < len(code) and depth > 0:
+            depth += {"(": 1, ")": -1}.get(code[end], 0)
+            end += 1
+        if "max_batch_size" in code[m.end():end]:
+            lines.append(code.count("\n", 0, m.start()) + 1)
+    return lines
+
+
 def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     raw = path.read_text(encoding="utf-8")
     code = strip_comments_and_strings(raw)
@@ -212,6 +245,19 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
     allowed = PRICING_ALLOWED.get(rel.parts)
     pricing_ok = (function_lines(raw_lines, allowed) if allowed
                   else range(0))
+
+    scan_allowed = SLOT_SCAN_ALLOWED.get(rel.parts)
+    if scan_allowed is not None:
+        scan_ok = {line for name in scan_allowed
+                   for line in function_lines(raw_lines, name)}
+        for lineno in slot_scan_lines(code):
+            if lineno not in scan_ok:
+                problems.append(
+                    f"{rel}:{lineno}: loop bounded by max_batch_size —"
+                    " visit live slots through ReqSlots::forEachActive"
+                    " / forEachCached (B is the engine's sequence cap,"
+                    " not the running batch)"
+                )
 
     for lineno, line in enumerate(code.splitlines(), start=1):
         where = f"{rel}:{lineno}"
