@@ -5,8 +5,10 @@
  * every worker must end in an identical state: the paper describes a
  * single worker "for simplicity; all workers behave the same".
  * Lockstep<Worker> is the one place that rule is enforced for both KV
- * backends (core::WorkerGroup's vAttention runtimes and PagedBackend's
- * block pools):
+ * backends, which drive it the same way — each MemoryBackend op is one
+ * apply() call: PagedBackend over its block pools, VAttentionBackend
+ * over core::WorkerGroup's vAttention runtimes (WorkerGroup::apply
+ * hands each worker's runtime to the op):
  *
  *  - apply() runs one mutation on every worker, compares each
  *    follower's result with worker 0's (operator==) and panics with

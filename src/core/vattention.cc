@@ -33,6 +33,19 @@ eagerTarget(const Config &config, const KvGeometry &geom)
     return target;
 }
 
+/** How each KV buffer is cut into page-groups. */
+std::vector<KvPageLayout>
+unitLayouts(const KvGeometry &geom)
+{
+    std::vector<KvPageLayout> layouts;
+    for (int b = 0; b < geom.numBuffers(); ++b) {
+        const int layer = geom.layerOfBuffer(b);
+        layouts.push_back(
+            {geom.tokensPerGroup(layer), geom.windowTokens(layer)});
+    }
+    return layouts;
+}
+
 } // namespace
 
 VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
@@ -46,6 +59,7 @@ VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
       listed_(config.max_batch_size),
       chains_(static_cast<std::size_t>(config.max_batch_size)),
       stashes_(static_cast<std::size_t>(config.max_batch_size)),
+      unit_layouts_(unitLayouts(allocator_.geometry())),
       eager_target_(eagerTarget(config, allocator_.geometry()))
 {
     adapter_lens_.reserve(static_cast<std::size_t>(config.max_batch_size));
@@ -403,24 +417,21 @@ VAttention::swapInReq(int req_id)
     return in;
 }
 
-Result<VAttention::HostKvImage>
+Result<SwappedKvImage>
 VAttention::exportSwapped(int req_id)
 {
     if (Status status = checkSwapped(req_id, true); !status.isOk()) {
-        return Result<HostKvImage>(status);
+        return Result<SwappedKvImage>(status);
     }
     auto &stash = stashes_[static_cast<std::size_t>(req_id)];
 
     driver_.consumeElapsedNs(); // open a fresh accounting window
-    HostKvImage image;
-    image.buffer_leads = stash.leads;
-    image.buffer_sizes.reserve(stash.pages.size());
-    for (const auto &buffer_pages : stash.pages) {
-        image.buffer_sizes.push_back(
-            static_cast<i64>(buffer_pages.size()));
+    SwappedKvImage image;
+    image.units.reserve(stash.pages.size());
+    for (std::size_t b = 0; b < stash.pages.size(); ++b) {
+        image.units.push_back({unit_layouts_[b], stash.leads[b],
+                               static_cast<i64>(stash.pages[b].size())});
     }
-    image.groups = stash.groups;
-    image.handles = stash.handles;
     image.bytes = static_cast<u64>(stash.handles) *
                   allocator_.geometry().groupBytes();
     // The payload stays put in node-shared host memory: freeing the
@@ -434,9 +445,10 @@ VAttention::exportSwapped(int req_id)
 }
 
 bool
-VAttention::canImportSwapped(i64 handles) const
+VAttention::canImportSwapped(const SwappedKvImage &image) const
 {
-    if (handles <= 0 || pool_.hostGroupsAvailable() < handles) {
+    if (!image.cutAs(unit_layouts_) || image.empty() ||
+        pool_.hostGroupsAvailable() < image.pages()) {
         return false;
     }
     // allocReqId succeeds whenever any slot is non-active (free or
@@ -445,16 +457,16 @@ VAttention::canImportSwapped(i64 handles) const
 }
 
 Result<int>
-VAttention::importSwapped(const HostKvImage &image)
+VAttention::importSwapped(const SwappedKvImage &image)
 {
-    const i64 nbuf = allocator_.geometry().numBuffers();
-    if (static_cast<i64>(image.buffer_leads.size()) != nbuf ||
-        static_cast<i64>(image.buffer_sizes.size()) != nbuf ||
-        image.handles <= 0) {
+    // An image cut at another layout (another model, TP degree, page
+    // size or window) would revive with the wrong group count.
+    if (!image.cutAs(unit_layouts_) || image.empty()) {
         return Result<int>(ErrorCode::kInvalidArgument,
                            "image geometry mismatch");
     }
-    if (pool_.hostGroupsAvailable() < image.handles) {
+    const i64 handles = image.pages();
+    if (pool_.hostGroupsAvailable() < handles) {
         return Result<int>(ErrorCode::kOutOfMemory,
                            "host swap tier full");
     }
@@ -471,20 +483,20 @@ VAttention::importSwapped(const HostKvImage &image)
     // swapInReq revives it.
     allocator_.releaseAll(req_id);
     auto &stash = stashes_[static_cast<std::size_t>(req_id)];
-    stash.pages.resize(static_cast<std::size_t>(nbuf));
-    stash.leads = image.buffer_leads;
-    for (i64 b = 0; b < nbuf; ++b) {
-        auto &buffer_pages = stash.pages[static_cast<std::size_t>(b)];
-        const i64 count = image.buffer_sizes[static_cast<std::size_t>(b)];
-        buffer_pages.reserve(static_cast<std::size_t>(count));
-        for (i64 g = 0; g < count; ++g) {
+    stash.pages.resize(image.units.size());
+    stash.leads.resize(image.units.size());
+    for (std::size_t b = 0; b < image.units.size(); ++b) {
+        const SwappedKvImage::Unit &unit = image.units[b];
+        stash.leads[b] = unit.lead;
+        stash.pages[b].reserve(static_cast<std::size_t>(unit.pages));
+        for (i64 g = 0; g < unit.pages; ++g) {
             auto page = pool_.acquireHost();
             page.status().expectOk("host page acquire after check");
-            buffer_pages.push_back(page.value());
+            stash.pages[b].push_back(page.value());
         }
     }
-    stash.groups = image.groups;
-    stash.handles = image.handles;
+    stash.groups = image.frontier();
+    stash.handles = handles;
     last_seq_lens_[static_cast<std::size_t>(req_id)] = 0;
     stats_.critical_ns += driver_.consumeElapsedNs();
     return req_id;
@@ -539,13 +551,14 @@ VAttention::growStealing(Grow grow, i64 *stolen)
 }
 
 PrefixHit
-VAttention::matchPrefix(const PrefixQuery &query) const
+VAttention::matchPrefix(const PrefixKey &key) const
 {
     PrefixHit best;
-    if (!config_.prefix_caching || query.empty()) {
+    if (!config_.prefix_caching || key.empty()) {
         return best;
     }
     const i64 tpg = allocator_.geometry().tokensPerGroup();
+    const std::vector<u64> hashes = key.chunkHashes(tpg);
     // Free slots never hold a chain.
     slots_.forEachActiveOrCached([&](int slot) {
         const auto &chain = chains_[static_cast<std::size_t>(slot)];
@@ -556,12 +569,12 @@ VAttention::matchPrefix(const PrefixQuery &query) const
         // bounded by what the slot still has mapped.
         const i64 limit = std::min<i64>(
             {static_cast<i64>(chain.hashes.size()),
-             static_cast<i64>(query.group_hashes.size()),
+             static_cast<i64>(hashes.size()),
              allocator_.groupsMapped(slot)});
         i64 groups = 0;
         while (groups < limit &&
                chain.hashes[static_cast<std::size_t>(groups)] ==
-                   query.group_hashes[static_cast<std::size_t>(groups)]) {
+                   hashes[static_cast<std::size_t>(groups)]) {
             ++groups;
         }
         i64 tokens = groups * tpg;
@@ -572,12 +585,12 @@ VAttention::matchPrefix(const PrefixQuery &query) const
             static_cast<i64>(chain.hashes.size()) * tpg;
         if (groups == static_cast<i64>(chain.hashes.size()) &&
             tail_tokens > 0 && allocator_.groupsMapped(slot) > groups &&
-            query.total_tokens >= chain.tokens && query.tail_hash) {
+            key.size >= chain.tokens) {
             const u64 prev =
                 groups > 0
                     ? chain.hashes[static_cast<std::size_t>(groups - 1)]
                     : kPrefixHashSeed;
-            if (query.tail_hash(prev, groups, tail_tokens) ==
+            if (key.rangeHash(prev, groups * tpg, tail_tokens) ==
                 chain.tail_hash) {
                 tokens = chain.tokens;
             }
@@ -599,14 +612,14 @@ VAttention::matchPrefix(const PrefixQuery &query) const
 }
 
 Result<int>
-VAttention::allocReqIdWithPrefix(const PrefixQuery &query,
-                                 i64 max_cached, i64 *cached_tokens)
+VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
+                                 i64 *cached_tokens)
 {
     if (cached_tokens) {
         *cached_tokens = 0;
     }
     last_prefix_alloc_ns_ = 0;
-    PrefixHit hit = matchPrefix(query);
+    PrefixHit hit = matchPrefix(key);
     const i64 tpg = allocator_.geometry().tokensPerGroup();
     if (hit.tokens > max_cached) {
         // The engine caps reuse (e.g. at prompt_tokens - 1 so at least
@@ -710,10 +723,9 @@ VAttention::allocReqIdWithPrefix(const PrefixQuery &query,
 }
 
 void
-VAttention::registerPrefix(int req_id, const PrefixQuery &query,
-                           i64 tokens)
+VAttention::registerPrefix(int req_id, const PrefixKey &key, i64 tokens)
 {
-    if (!config_.prefix_caching || query.empty() || tokens <= 0) {
+    if (!config_.prefix_caching || key.empty() || tokens <= 0) {
         return;
     }
     panic_if(req_id < 0 || req_id >= config_.max_batch_size,
@@ -721,19 +733,18 @@ VAttention::registerPrefix(int req_id, const PrefixQuery &query,
     panic_if(slots_.state(req_id) != SlotState::kActive,
              "registerPrefix on an inactive reqId");
     auto &chain = chains_[static_cast<std::size_t>(req_id)];
-    tokens = std::min(tokens, query.total_tokens);
+    tokens = std::min(tokens, key.size);
     const i64 tpg = allocator_.geometry().tokensPerGroup();
-    const i64 full = std::min<i64>(
-        tokens / tpg, static_cast<i64>(query.group_hashes.size()));
-    chain.hashes.assign(query.group_hashes.begin(),
-                        query.group_hashes.begin() + full);
+    chain.hashes = key.chunkHashes(tpg);
+    const i64 full = tokens / tpg; // chunkHashes covers every full group
+    chain.hashes.resize(static_cast<std::size_t>(full));
     chain.tokens = tokens;
     const i64 tail = tokens - full * tpg;
-    if (tail > 0 && query.tail_hash) {
+    if (tail > 0) {
         const u64 prev =
             full > 0 ? chain.hashes[static_cast<std::size_t>(full - 1)]
                      : kPrefixHashSeed;
-        chain.tail_hash = query.tail_hash(prev, full, tail);
+        chain.tail_hash = key.rangeHash(prev, full * tpg, tail);
     } else {
         chain.tail_hash = 0;
         chain.tokens = full * tpg;

@@ -28,13 +28,14 @@
 #ifndef VATTN_CORE_VATTENTION_HH
 #define VATTN_CORE_VATTENTION_HH
 
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "attn/kv_view.hh"
 #include "common/audit.hh"
+#include "common/kv_image.hh"
+#include "common/prefix_hash.hh"
 #include "core/background.hh"
 #include "core/config.hh"
 #include "core/kv_allocator.hh"
@@ -94,29 +95,7 @@ struct RuntimeStats
     i64 prefix_cached_tokens = 0;  ///< prompt tokens served from cache
 };
 
-/**
- * A prompt prefix described at page-group granularity for the §8.1
- * prefix store: chained hashes of the full groups plus a callback that
- * hashes a partial trailing chunk on demand (the store decides how
- * many tail tokens to compare against).
- */
-struct PrefixQuery
-{
-    /** Chained hash per full page-group of prompt tokens. */
-    std::vector<u64> group_hashes;
-    /** Total prompt tokens behind the query. */
-    i64 total_tokens = 0;
-    /**
-     * Chained hash of tokens [groups * tokensPerGroup, ... + n),
-     * chained onto @p prev. Must tolerate any n that keeps the range
-     * inside total_tokens.
-     */
-    std::function<u64(u64 prev, i64 groups, i64 n)> tail_hash;
-
-    bool empty() const { return total_tokens <= 0; }
-};
-
-/** Longest stored prefix matching a query. */
+/** Longest stored prefix matching a prompt. */
 struct PrefixHit
 {
     int slot = -1;       ///< slot holding the prefix (-1 = miss)
@@ -153,11 +132,14 @@ class VAttention
     // ---- §8.1 prefix caching ----------------------------------------
 
     /**
-     * Longest stored prefix matching @p query across every slot with a
-     * registered hash chain (active and cached alike — a fully written
-     * group is immutable, so live requests are valid sources).
+     * Longest stored prefix matching the prompt @p key across every
+     * slot with a registered hash chain (active and cached alike — a
+     * fully written group is immutable, so live requests are valid
+     * sources). Chains are keyed on @p key's chunk hashes at
+     * page-group granularity; a partial trailing group matches by its
+     * range hash.
      */
-    PrefixHit matchPrefix(const PrefixQuery &query) const;
+    PrefixHit matchPrefix(const PrefixKey &key) const;
 
     /**
      * Prefix-aware allocReqId: on a match of at most @p max_cached
@@ -169,17 +151,16 @@ class VAttention
      * the new request inherits. Falls back to plain allocReqId (0
      * cached) on a miss or when no suitable target slot exists.
      */
-    Result<int> allocReqIdWithPrefix(const PrefixQuery &query,
+    Result<int> allocReqIdWithPrefix(const PrefixKey &key,
                                      i64 max_cached,
                                      i64 *cached_tokens);
 
     /**
      * Record that @p req_id's sub-tensors now hold the KV of the first
-     * @p tokens tokens of @p query (call as prefill chunks complete).
+     * @p tokens tokens of @p key (call as prefill chunks complete).
      * Only fully written groups plus one partial tail enter the store.
      */
-    void registerPrefix(int req_id, const PrefixQuery &query,
-                        i64 tokens);
+    void registerPrefix(int req_id, const PrefixKey &key, i64 tokens);
 
     /** Driver latency of the most recent allocReqIdWithPrefix (alias
      *  and tail-copy maps run on the serving critical path). */
@@ -233,35 +214,26 @@ class VAttention
     //
     // A swapped-out request's host stash can be detached from this
     // runtime — freeing its reqId — and re-attached to another runtime
-    // of identical geometry on the same node. Replicas on one node
+    // on the same node whose buffers are cut into identical
+    // page-groups (common/kv_image.hh). Replicas on one node
     // share host memory, so the handover itself is modeled zero-copy:
     // the donor paid the DtoH copies at swap-out, the adopter pays
     // HtoD at its own swapInReq.
 
-    /** A detached host-tier KV image: layout bookkeeping only (the
-     *  simulated payload stays put in shared host memory). */
-    struct HostKvImage
-    {
-        std::vector<i64> buffer_leads; ///< per-buffer live lead
-        std::vector<i64> buffer_sizes; ///< per-buffer live page count
-        i64 groups = 0;                ///< device group frontier
-        i64 handles = 0;               ///< Σ buffer_sizes
-        u64 bytes = 0;                 ///< handles * groupBytes
-
-        bool operator==(const HostKvImage &) const = default;
-    };
-
     /** Detach @p req_id's stash (the slot must be swapped out) and
-     *  free the reqId; the donor's host pages return to its pool. */
-    Result<HostKvImage> exportSwapped(int req_id);
+     *  free the reqId; the donor's host pages return to its pool. The
+     *  image's units are this runtime's KV buffers, its pages
+     *  page-groups. */
+    Result<SwappedKvImage> exportSwapped(int req_id);
 
-    /** Could importSwapped admit an image of @p handles page-groups
-     *  right now (leasable reqId + host-tier supply)? */
-    bool canImportSwapped(i64 handles) const;
+    /** Could importSwapped admit @p image right now (cut exactly like
+     *  this runtime's buffers, leasable reqId, host-tier supply)? */
+    bool canImportSwapped(const SwappedKvImage &image) const;
 
     /** Lease a fresh reqId holding @p image in swapped-out state; the
-     *  regular swapInReq then revives it on this runtime. */
-    Result<int> importSwapped(const HostKvImage &image);
+     *  regular swapInReq then revives it on this runtime. An image cut
+     *  at another layout is kInvalidArgument, with no reqId leased. */
+    Result<int> importSwapped(const SwappedKvImage &image);
 
     /**
      * Ensure physical backing for the context lengths of the listed
@@ -435,6 +407,9 @@ class VAttention
     std::vector<std::pair<int, i64>> adapter_lens_;
     std::vector<PrefixChain> chains_;
     std::vector<HostStash> stashes_;
+    /** How each KV buffer is cut into page-groups, as swapped images
+     *  record it. */
+    std::vector<KvPageLayout> unit_layouts_;
     RuntimeStats stats_;
     TimeNs last_prefix_alloc_ns_ = 0;
     /** Eager-allocation group count, fixed for the allocator's life. */

@@ -33,125 +33,6 @@ WorkerGroup::makeWorkers(int num_workers, const Config &config,
     return workers;
 }
 
-VAttention &
-WorkerGroup::worker(int index)
-{
-    return *workers_.worker(index).runtime;
-}
-
-const VAttention &
-WorkerGroup::worker(int index) const
-{
-    return *workers_.worker(index).runtime;
-}
-
-cuvmm::Driver &
-WorkerGroup::driver(int index)
-{
-    return *workers_.worker(index).driver;
-}
-
-Result<int>
-WorkerGroup::allocReqId()
-{
-    return workers_.apply("allocReqId", [](Worker &w) {
-        return w.runtime->allocReqId();
-    });
-}
-
-Result<int>
-WorkerGroup::allocReqIdWithPrefix(const PrefixQuery &query,
-                                  i64 max_cached, i64 *cached_tokens)
-{
-    // The workers must agree on the slot AND on the cached tokens.
-    auto [slot, cached] = workers_.apply(
-        "allocReqIdWithPrefix", [&](Worker &w) {
-            i64 served = 0;
-            auto leased =
-                w.runtime->allocReqIdWithPrefix(query, max_cached, &served);
-            return std::pair{std::move(leased), served};
-        });
-    if (cached_tokens != nullptr) {
-        *cached_tokens = cached;
-    }
-    return std::move(slot);
-}
-
-void
-WorkerGroup::registerPrefix(int req_id, const PrefixQuery &query,
-                            i64 tokens)
-{
-    workers_.apply("registerPrefix", [&](Worker &w) {
-        w.runtime->registerPrefix(req_id, query, tokens);
-    });
-}
-
-Status
-WorkerGroup::freeReqId(int req_id)
-{
-    return workers_.apply("freeReqId", [&](Worker &w) {
-        return w.runtime->freeReqId(req_id);
-    });
-}
-
-StepStats
-WorkerGroup::step(std::span<const std::pair<int, i64>> active)
-{
-    return workers_.apply("step", [&](Worker &w) {
-        return w.runtime->step(active);
-    });
-}
-
-SwapStats
-WorkerGroup::swapOutReq(int req_id)
-{
-    return workers_.apply("swapOutReq", [&](Worker &w) {
-        return w.runtime->swapOutReq(req_id);
-    });
-}
-
-SwapStats
-WorkerGroup::swapInReq(int req_id)
-{
-    return workers_.apply("swapInReq", [&](Worker &w) {
-        return w.runtime->swapInReq(req_id);
-    });
-}
-
-Result<VAttention::HostKvImage>
-WorkerGroup::exportSwapped(int req_id)
-{
-    return workers_.apply("exportSwapped", [&](Worker &w) {
-        return w.runtime->exportSwapped(req_id);
-    });
-}
-
-Result<int>
-WorkerGroup::importSwapped(const VAttention::HostKvImage &image)
-{
-    return workers_.apply("importSwapped", [&](Worker &w) {
-        return w.runtime->importSwapped(image);
-    });
-}
-
-void
-WorkerGroup::computePhase(TimeNs window_ns)
-{
-    workers_.apply("computePhase", [&](Worker &w) {
-        w.runtime->computePhase(window_ns);
-    });
-}
-
-u64
-WorkerGroup::physBytesMappedTotal() const
-{
-    u64 total = 0;
-    for (const Worker &worker : workers_) {
-        total += worker.runtime->physBytesMapped();
-    }
-    return total;
-}
-
 bool
 WorkerGroup::inLockstep() const
 {

@@ -6,9 +6,14 @@
  * workers behave the same" — this class makes that property explicit
  * and checkable: because every control input (reqIds, sequence
  * lengths, windows) is identical and the runtime is deterministic,
- * workers must remain in identical states. Every mutation goes through
- * Lockstep<Worker> (common/lockstep.hh), which panics on a diverging
- * result; auditInto() checks the resulting states.
+ * workers must remain in identical states.
+ *
+ * The group builds the workers and owns the cross-worker audit; it
+ * declares no per-op forwards. Callers run each mutation through
+ * apply(), the one Lockstep<Worker> entry point (common/lockstep.hh),
+ * which panics on a diverging result, and read symmetric answers from
+ * worker(0) — the same shape PagedBackend gives its block pools.
+ * auditInto() checks that the states stayed equal.
  *
  * Workers allocate physical memory in parallel, so the group's
  * aggregate allocation bandwidth scales with TP (Table 9) while the
@@ -19,8 +24,6 @@
 #define VATTN_CORE_WORKER_GROUP_HH
 
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/lockstep.hh"
@@ -45,98 +48,35 @@ class WorkerGroup
                 u64 device_mem_bytes);
 
     int numWorkers() const { return workers_.size(); }
-    VAttention &worker(int index);
-    const VAttention &worker(int index) const;
-    cuvmm::Driver &driver(int index);
-
-    /** Lease the same reqId on every worker. */
-    Result<int> allocReqId();
+    VAttention &worker(int index) { return *workers_.worker(index).runtime; }
+    /** Worker @p index's runtime; worker 0 answers the group's
+     *  symmetric queries (lockstep makes every worker's answer equal). */
+    const VAttention &
+    worker(int index) const
+    {
+        return *workers_.worker(index).runtime;
+    }
+    cuvmm::Driver &driver(int index)
+    {
+        return *workers_.worker(index).driver;
+    }
+    /** Worker 0's lifetime counters (the workers' are identical). */
+    const RuntimeStats &stats() const { return worker(0).stats(); }
 
     /**
-     * Lease the same reqId on every worker, adopting cached prefix
-     * page-groups: each worker aliases its own shard of the cached
-     * prefix, so the workers must agree on the slot AND on how many
-     * tokens the cache served.
+     * Run @p op(VAttention &) on every worker in lockstep and return
+     * worker 0's result (Lockstep::apply: a follower whose result
+     * differs panics naming @p op_name). Workers run concurrently, so
+     * worker 0's critical-path latencies are the group's.
      */
-    Result<int> allocReqIdWithPrefix(const PrefixQuery &query,
-                                     i64 max_cached,
-                                     i64 *cached_tokens);
-
-    /** Register the slot's computed prefix on every worker. */
-    void registerPrefix(int req_id, const PrefixQuery &query,
-                        i64 tokens);
-
-    /** Free the reqId on every worker. */
-    Status freeReqId(int req_id);
-
-    // ---- Symmetric queries (answered by worker 0) ---------------------
-    // Lockstep makes every worker's answer identical by construction;
-    // auditInto verifies that construction, so reads stay O(1) in TP.
-
-    bool canAllocate(i64 prompt_tokens) const
+    template <typename Op>
+    auto
+    apply(const char *op_name, Op &&op)
     {
-        return lead().canAllocate(prompt_tokens);
+        return workers_.apply(op_name, [&](Worker &w) {
+            return op(*w.runtime);
+        });
     }
-    PrefixHit matchPrefix(const PrefixQuery &query) const
-    {
-        return lead().matchPrefix(query);
-    }
-    TimeNs lastPrefixAllocNs() const { return lead().lastPrefixAllocNs(); }
-    bool canSwapOut(int req_id) const { return lead().canSwapOut(req_id); }
-    bool canSwapIn(int req_id) const { return lead().canSwapIn(req_id); }
-    u64 hostSwapBudgetBytes() const { return lead().hostSwapBudgetBytes(); }
-    const KvGeometry &geometry() const { return lead().geometry(); }
-    const RuntimeStats &stats() const { return lead().stats(); }
-    /** Physical KV bytes mapped on ONE worker (each worker holds a
-     *  1/tp shard; see physBytesMappedTotal for the group sum). */
-    u64 physBytesMappedPerWorker() const { return lead().physBytesMapped(); }
-    u64 budgetBytesPerWorker() const { return lead().budgetBytes(); }
-    i64 mappedHandles(int req_id) const
-    {
-        return lead().mappedHandles(req_id);
-    }
-
-    /**
-     * Step every worker with the same (reqId, length) pairs (see
-     * VAttention::step). The returned stats are worker 0's;
-     * critical_ns is the per-iteration latency (workers run
-     * concurrently, so the group does not serialize).
-     */
-    StepStats step(std::span<const std::pair<int, i64>> active);
-
-    /** Run every worker's background window. */
-    void computePhase(TimeNs window_ns);
-
-    /**
-     * Swap the reqId's KV to host on every worker (each worker stashes
-     * its own shard; copies run concurrently, so the group's swap
-     * latency is one worker's). The workers must agree on the outcome.
-     */
-    SwapStats swapOutReq(int req_id);
-
-    /** Swap the reqId back in on every worker, in lockstep. */
-    SwapStats swapInReq(int req_id);
-
-    /**
-     * Detach the reqId's host stash on every worker (cross-replica
-     * migration). Lockstep makes every worker's image identical except
-     * for the opaque host-page identities, so worker 0's image
-     * describes the whole group: an adopting group rebuilds one shard
-     * per worker from it.
-     */
-    Result<VAttention::HostKvImage> exportSwapped(int req_id);
-
-    /** Could every worker import an image of @p handles page-groups? */
-    bool canImportSwapped(i64 handles) const
-    {
-        return lead().canImportSwapped(handles);
-    }
-
-    /** Adopt the image into the same fresh reqId on every worker. */
-    Result<int> importSwapped(const VAttention::HostKvImage &image);
-
-    /** Physical KV bytes mapped across ALL workers. */
-    u64 physBytesMappedTotal() const;
 
     /**
      * Are all workers in identical states (slot states, group counts,
@@ -167,7 +107,6 @@ class WorkerGroup
         std::unique_ptr<VAttention> runtime;
     };
 
-    const VAttention &lead() const { return *workers_.lead().runtime; }
     static std::vector<Worker> makeWorkers(int num_workers,
                                            const Config &config,
                                            u64 device_mem_bytes);

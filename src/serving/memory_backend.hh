@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/audit.hh"
+#include "common/kv_image.hh"
 #include "common/prefix_hash.hh"
 #include "common/status.hh"
 #include "common/types.hh"
@@ -68,43 +69,6 @@ struct SwapResult
     /** Synchronous latency of the swap (copies plus any driver
      *  map/unmap work) — the engine's swap-stall time. */
     TimeNs stall_ns = 0;
-};
-
-/**
- * A swapped-out request's host-tier KV image, detached from the donor
- * backend so another replica of identical geometry can re-adopt it
- * (cross-replica migration over the host tier). Each backend family
- * fills its own fields; the rest stay empty. The image carries
- * layout/bookkeeping only — the simulated KV payload lives in host
- * memory, which replicas on one node share, so the handover itself is
- * modeled zero-copy: the donor paid the device->host copy at swap-out,
- * the adopter pays host->device at swap-in.
- */
-struct SwappedKvImage
-{
-    /** Total KV bytes parked on the host tier. */
-    u64 bytes = 0;
-
-    // ---- vAttention backends: per-KV-buffer page runs --------------
-    /** First live page-group per buffer ([lead, lead+size)). */
-    std::vector<i64> buffer_leads;
-    /** Live host pages per buffer. */
-    std::vector<i64> buffer_sizes;
-    /** Allocation frontier in groups (restores the virtual layout). */
-    i64 group_frontier = 0;
-    /** Total live page-groups across buffers. */
-    i64 handles = 0;
-
-    // ---- Paged backends: per-layer-group CPU block runs ------------
-    /** Host blocks held per layer group. */
-    std::vector<i64> group_blocks;
-    /** Dead-lead boundary per layer group (sliding windows: blocks
-     *  before the lead were trimmed and never swap back). */
-    std::vector<i64> group_leads;
-
-    bool empty() const { return bytes == 0; }
-
-    bool operator==(const SwappedKvImage &) const = default;
 };
 
 /** KV memory manager abstraction used by the engine. */
@@ -154,11 +118,12 @@ class MemoryBackend
     // paged keeps the slot's bookkeeping with CPU block ids), so
     // swap-in resumes the request exactly where it stopped.
     //
-    // A swapped-out slot's host-tier KV image can be exported —
-    // detaching it from this backend and freeing the slot — and
-    // imported into another backend of identical geometry, which
-    // leases a fresh slot holding the image in swapped state. The
-    // regular swapIn() then resumes the request on the adopter.
+    // A swapped-out slot's host-tier KV image (common/kv_image.hh) can
+    // be exported — detaching it from this backend and freeing the
+    // slot — and imported into another backend that cuts its KV into
+    // identical pages, which leases a fresh slot holding the image in
+    // swapped state. The regular swapIn() then resumes the request on
+    // the adopter.
 
     /** Is a host tier configured? Without one, swaps and imports are
      *  refused. */
@@ -186,11 +151,12 @@ class MemoryBackend
     virtual Result<SwappedKvImage> exportSwapped(int slot) = 0;
 
     /** Could importSwapped(@p image) succeed right now (host tier,
-     *  matching geometry, free slot + host capacity on every
-     *  worker)? */
+     *  an image cut at this backend's page layout, free slot + host
+     *  capacity on every worker)? */
     virtual bool canImportSwapped(const SwappedKvImage &image) const = 0;
 
-    /** Adopt an exported image into a fresh slot (swapped state). */
+    /** Adopt an exported image into a fresh slot (swapped state); an
+     *  image cut at another layout is kInvalidArgument. */
     virtual Result<int> importSwapped(const SwappedKvImage &image) = 0;
 
     /** Release a slot (completion or preemption). */

@@ -35,6 +35,7 @@ PagedBackend::makeWorkers(const perf::ModelSpec &model, int tp,
     for (WorkerPool &pool : workers) {
         pool.groups.reserve(classes.size());
         for (const perf::ModelSpec::WindowClass &cls : classes) {
+            pool.layouts.push_back({block_size, cls.window_tokens});
             // Per-token bytes of this class's layers on one worker;
             // the uniform single class reproduces
             // kvBytesPerTokenPerWorker (including its integer
@@ -460,17 +461,16 @@ PagedBackend::WorkerPool::exportSlot(int slot)
             ErrorCode::kFailedPrecondition,
             "only swapped-out slots can export");
     }
-    // The image carries the per-group block counts and dead-lead
-    // boundaries; the CPU blocks themselves return to this worker's
-    // pool — logically their payload moves to the adopter's host pool
-    // (same node, modeled zero-copy).
+    // The image's units are the window classes: per class the block
+    // count and dead-lead boundary. The CPU blocks themselves return
+    // to this worker's pool — logically their payload moves to the
+    // adopter's host pool (same node, modeled zero-copy).
     SwappedKvImage image;
-    image.group_blocks.assign(groups.size(), 0);
-    image.group_leads.assign(groups.size(), 0);
+    image.units.reserve(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        image.group_blocks[g] =
-            static_cast<i64>(state->cpu_blocks[g].size());
-        image.group_leads[g] = state->swap_leads[g];
+        image.units.push_back(
+            {layouts[g], state->swap_leads[g],
+             static_cast<i64>(state->cpu_blocks[g].size())});
         image.bytes += static_cast<u64>(state->cpu_blocks[g].size()) *
                        groups[g].bytes_per_block;
     }
@@ -484,11 +484,11 @@ bool
 PagedBackend::WorkerPool::canImportImage(
     const SwappedKvImage &image) const
 {
-    if (image.group_blocks.size() != groups.size()) {
-        return false; // geometry mismatch: different window classes
+    if (!image.cutAs(layouts) || image.empty()) {
+        return false;
     }
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].manager.numCpuFree() < image.group_blocks[g]) {
+        if (groups[g].manager.numCpuFree() < image.units[g].pages) {
             return false;
         }
     }
@@ -498,6 +498,12 @@ PagedBackend::WorkerPool::canImportImage(
 Result<int>
 PagedBackend::WorkerPool::importImage(const SwappedKvImage &image)
 {
+    // A block holds block_size tokens at any TP degree, so only the
+    // window classes and the block size must match.
+    if (!image.cutAs(layouts) || image.empty()) {
+        return Result<int>(ErrorCode::kInvalidArgument,
+                           "image geometry mismatch");
+    }
     if (!canImportImage(image)) {
         return Result<int>(ErrorCode::kOutOfMemory,
                            "host pool cannot hold the imported image");
@@ -505,10 +511,10 @@ PagedBackend::WorkerPool::importImage(const SwappedKvImage &image)
     const int slot = allocSlot();
     Slot &state = slots[static_cast<std::size_t>(slot)];
     for (std::size_t g = 0; g < groups.size(); ++g) {
-        state.swap_leads[g] = image.group_leads[g];
+        state.swap_leads[g] = image.units[g].lead;
         state.cpu_blocks[g].reserve(
-            static_cast<std::size_t>(image.group_blocks[g]));
-        for (i64 b = 0; b < image.group_blocks[g]; ++b) {
+            static_cast<std::size_t>(image.units[g].pages));
+        for (i64 b = 0; b < image.units[g].pages; ++b) {
             auto cpu_block = groups[g].manager.acquireCpuBlock();
             cpu_block.status().expectOk(
                 "acquireCpuBlock after capacity check");
@@ -719,17 +725,12 @@ PagedBackend::exportSwapped(int slot)
 bool
 PagedBackend::canImportSwapped(const SwappedKvImage &image) const
 {
-    return hasHostTier() && !image.group_blocks.empty() &&
-           workers_.lead().canImportImage(image);
+    return hasHostTier() && workers_.lead().canImportImage(image);
 }
 
 Result<int>
 PagedBackend::importSwapped(const SwappedKvImage &image)
 {
-    if (image.group_blocks.empty()) {
-        return Result<int>(ErrorCode::kInvalidArgument,
-                           "not a paged-backend image");
-    }
     return workers_.apply("importSwapped", [&](WorkerPool &pool) {
         return pool.importImage(image);
     });

@@ -22,10 +22,11 @@
  *
  * Tensor parallelism: one block pool per TP worker, each sized for a
  * num_kv_heads/tp KV shard and held in a Lockstep<WorkerPool>
- * (common/lockstep.hh), the same helper core::WorkerGroup uses: every
- * mutation is applied to all workers and must produce identical
- * results (the pool logic is deterministic, so divergence is a bug and
- * panics naming the op and the worker). Symmetric queries are answered
+ * (common/lockstep.hh), driven like VAttentionBackend's
+ * core::WorkerGroup: each mutation is one apply() call on all workers
+ * and must produce identical results (the pool logic is
+ * deterministic, so divergence is a bug and panics naming the op and
+ * the worker). Symmetric queries are answered
  * by worker 0; auditInto() verifies the cross-worker state equality
  * that makes worker 0 representative.
  */
@@ -215,6 +216,9 @@ class PagedBackend : public MemoryBackend
     struct WorkerPool
     {
         std::vector<LayerGroup> groups;
+        /** How each window class is cut into blocks, as swapped
+         *  images record it (parallel to groups). */
+        std::vector<KvPageLayout> layouts;
         /** Dense slot table indexed by slot id, as core::ReqSlots;
          *  freed ids wait on free_ids and are reused first. */
         std::vector<Slot> slots;

@@ -1,13 +1,15 @@
 /**
  * @file
- * Cluster-level request router. Arrivals are routed to replicas on the
- * shared virtual arrival timeline *before* any replica simulates, so
- * routing is deterministic regardless of how the replica worker
- * threads interleave. The router keeps its own load model per replica:
- * every routed request occupies its replica until an estimated finish
- * time and holds an estimated KV commitment, both supplied by the
- * caller (the cluster derives them from each replica's kernel model
- * and MemoryBackend budget).
+ * Cluster-level request router. Arrivals are routed one at a time on
+ * the shared virtual arrival timeline: the cluster first steps every
+ * replica, on its one thread, up to the arrival instant, then asks the
+ * router for a replica, so routing is deterministic. For the static
+ * policies the router keeps its own load model per replica: every
+ * routed request occupies its replica until an estimated finish time
+ * and holds an estimated KV commitment, both supplied by the caller
+ * (the cluster derives them from each replica's kernel model and
+ * MemoryBackend budget). routeLive instead scores each replica's
+ * actual state sampled at the arrival instant.
  */
 
 #ifndef VATTN_SERVING_ROUTER_HH

@@ -5,12 +5,14 @@
 namespace vattn::serving
 {
 
-VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
-                                     int tp, Options options,
-                                     u64 budget_bytes,
-                                     bool enable_prefix_caching,
-                                     u64 host_swap_bytes,
-                                     perf::PcieSpec pcie)
+namespace
+{
+
+/** One worker's runtime configuration: a num_kv_heads/tp shard. */
+core::Config
+workerConfig(const perf::ModelSpec &model, int tp,
+             const VAttentionBackend::Options &options, u64 budget_bytes,
+             bool enable_prefix_caching, u64 host_swap_bytes)
 {
     core::Config config;
     config.num_layers = model.num_layers;
@@ -44,89 +46,72 @@ VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
         }
     }
     config.validate().expectOk("vAttention backend config");
-
-    // Each device needs room for its worker's KV shard budget;
-    // weights/activations are modelled by the budget split in the
-    // engine, not materialized.
-    const u64 device_mem_bytes =
-        roundUp(budget_bytes + 64 * MiB, 2 * MiB);
-    // alloc-ok: backend construction, once per engine
-    group_ = std::make_unique<core::WorkerGroup>(tp, config,
-                                                 device_mem_bytes);
-    for (int w = 0; w < group_->numWorkers(); ++w) {
-        group_->driver(w).latency().setCopyModel(pcie.toCopyModel());
-    }
+    return config;
 }
 
-bool
-VAttentionBackend::canAdmit(i64 uncached_tokens) const
+} // namespace
+
+VAttentionBackend::VAttentionBackend(const perf::ModelSpec &model,
+                                     int tp, Options options,
+                                     u64 budget_bytes,
+                                     bool enable_prefix_caching,
+                                     u64 host_swap_bytes,
+                                     perf::PcieSpec pcie)
+    : group_(tp,
+             workerConfig(model, tp, options, budget_bytes,
+                          enable_prefix_caching, host_swap_bytes),
+             // Each device needs room for its worker's KV shard
+             // budget; weights/activations are modelled by the budget
+             // split in the engine, not materialized.
+             roundUp(budget_bytes + 64 * MiB, 2 * MiB))
 {
-    return group_->canAllocate(uncached_tokens);
+    for (int w = 0; w < group_.numWorkers(); ++w) {
+        group_.driver(w).latency().setCopyModel(pcie.toCopyModel());
+    }
 }
 
 Result<int>
 VAttentionBackend::allocSlot()
 {
-    return group_->allocReqId();
-}
-
-core::PrefixQuery
-VAttentionBackend::buildQuery(const PrefixKey &key) const
-{
-    core::PrefixQuery query;
-    query.total_tokens = key.size;
-    const i64 tpg = group_->geometry().tokensPerGroup();
-    query.group_hashes = key.chunkHashes(tpg);
-    query.tail_hash = [key, tpg](u64 prev, i64 groups, i64 n) {
-        return key.rangeHash(prev, groups * tpg, n);
-    };
-    return query;
-}
-
-i64
-VAttentionBackend::matchPrefix(const PrefixKey &key) const
-{
-    if (!prefixCachingEnabled() || key.empty()) {
-        return 0;
-    }
-    return group_->matchPrefix(buildQuery(key)).tokens;
+    return group_.apply("allocReqId", [](core::VAttention &worker) {
+        return worker.allocReqId();
+    });
 }
 
 Result<SlotLease>
 VAttentionBackend::allocSlot(const PrefixKey &key, i64 max_cached)
 {
-    if (!prefixCachingEnabled() || key.empty()) {
-        auto slot = group_->allocReqId();
-        if (!slot.isOk()) {
-            return Result<SlotLease>(slot.status());
-        }
-        return SlotLease{slot.value(), 0, 0};
-    }
-    i64 cached = 0;
-    auto slot = group_->allocReqIdWithPrefix(buildQuery(key),
-                                             max_cached, &cached);
-    if (!slot.isOk()) {
-        return Result<SlotLease>(slot.status());
-    }
-    return SlotLease{slot.value(), cached,
-                     group_->lastPrefixAllocNs()};
+    // Each worker aliases its own shard of the cached prefix, so the
+    // workers must agree on the slot, the tokens the cache served and
+    // the aliasing latency. Without prefix caching or a key this is a
+    // plain allocation.
+    return group_.apply(
+        "allocReqIdWithPrefix",
+        [&](core::VAttention &worker) -> Result<SlotLease> {
+            i64 cached = 0;
+            auto slot = worker.allocReqIdWithPrefix(key, max_cached, &cached);
+            if (!slot.isOk()) {
+                return Result<SlotLease>(slot.status());
+            }
+            return SlotLease{slot.value(), cached,
+                             worker.lastPrefixAllocNs()};
+        });
 }
 
 void
 VAttentionBackend::registerPrefix(int slot, const PrefixKey &key,
                                   i64 tokens)
 {
-    if (!prefixCachingEnabled() || key.empty()) {
-        return;
-    }
-    group_->registerPrefix(slot, buildQuery(key), tokens);
+    group_.apply("registerPrefix", [&](core::VAttention &worker) {
+        worker.registerPrefix(slot, key, tokens);
+    });
 }
 
 BackendPrefixStats
 VAttentionBackend::prefixStats() const
 {
-    const auto &stats = group_->stats();
-    const u64 group_bytes = group_->geometry().groupBytes();
+    const auto &stats = runtime().stats();
+    const u64 group_bytes = runtime().geometry().groupBytes();
     return BackendPrefixStats{
         static_cast<u64>(stats.prefix_aliased_handles) * group_bytes,
         static_cast<u64>(stats.prefix_copied_handles) * group_bytes,
@@ -136,7 +121,9 @@ VAttentionBackend::prefixStats() const
 void
 VAttentionBackend::freeSlot(int slot)
 {
-    group_->freeReqId(slot).expectOk("freeReqId");
+    group_.apply("freeReqId", [&](core::VAttention &worker) {
+        return worker.freeReqId(slot);
+    }).expectOk("freeReqId");
 }
 
 Result<TimeNs>
@@ -144,8 +131,10 @@ VAttentionBackend::ensure(const ActiveLens &active)
 {
     // Workers allocate their shards concurrently, so the group's
     // critical path is one worker's (the stats are worker 0's, with
-    // divergence panics inside the group).
-    last_step_ = group_->step(active);
+    // divergence panics inside apply).
+    last_step_ = group_.apply("step", [&](core::VAttention &worker) {
+        return worker.step(active);
+    });
     if (!last_step_.status.isOk()) {
         return Result<TimeNs>(last_step_.status);
     }
@@ -159,31 +148,19 @@ VAttentionBackend::ensure(const ActiveLens &active)
 void
 VAttentionBackend::computeWindow(TimeNs window_ns)
 {
-    group_->computePhase(window_ns);
-}
-
-bool
-VAttentionBackend::hasHostTier() const
-{
-    return group_->hostSwapBudgetBytes() > 0;
-}
-
-bool
-VAttentionBackend::canSwapOut(int slot) const
-{
-    return group_->canSwapOut(slot);
-}
-
-bool
-VAttentionBackend::canSwapIn(int slot) const
-{
-    return group_->canSwapIn(slot);
+    group_.apply("computePhase", [&](core::VAttention &worker) {
+        worker.computePhase(window_ns);
+    });
 }
 
 Result<SwapResult>
 VAttentionBackend::swapOut(int slot)
 {
-    const auto stats = group_->swapOutReq(slot);
+    // Each worker stashes its own shard; the copies run concurrently,
+    // so the group's swap latency is one worker's.
+    const auto stats = group_.apply(
+        "swapOutReq",
+        [&](core::VAttention &worker) { return worker.swapOutReq(slot); });
     if (!stats.status.isOk()) {
         return Result<SwapResult>(stats.status);
     }
@@ -193,7 +170,9 @@ VAttentionBackend::swapOut(int slot)
 Result<SwapResult>
 VAttentionBackend::swapIn(int slot)
 {
-    const auto stats = group_->swapInReq(slot);
+    const auto stats = group_.apply(
+        "swapInReq",
+        [&](core::VAttention &worker) { return worker.swapInReq(slot); });
     if (!stats.status.isOk()) {
         // The failed attempt still did modeled driver work (cached
         // steals, partial remap + rollback). An error result carries
@@ -207,50 +186,20 @@ VAttentionBackend::swapIn(int slot)
 Result<SwappedKvImage>
 VAttentionBackend::exportSwapped(int slot)
 {
-    auto image = group_->exportSwapped(slot);
-    if (!image.isOk()) {
-        return Result<SwappedKvImage>(image.status());
-    }
-    const auto &core_image = image.value();
-    SwappedKvImage out;
-    // Per-worker shard bytes, the same convention SwapResult::bytes
-    // uses (each worker stashed its own shard of identical shape).
-    out.bytes = core_image.bytes;
-    out.buffer_leads = core_image.buffer_leads;
-    out.buffer_sizes = core_image.buffer_sizes;
-    out.group_frontier = core_image.groups;
-    out.handles = core_image.handles;
-    return out;
-}
-
-bool
-VAttentionBackend::canImportSwapped(const SwappedKvImage &image) const
-{
-    if (!hasHostTier() || image.buffer_leads.empty() ||
-        image.buffer_sizes.size() != image.buffer_leads.size()) {
-        return false;
-    }
-    if (static_cast<i64>(image.buffer_leads.size()) !=
-        group_->geometry().numBuffers()) {
-        return false;
-    }
-    return group_->canImportSwapped(image.handles);
+    // Lockstep makes every worker's image identical (per-worker shard
+    // bytes, the convention SwapResult::bytes uses), so worker 0's
+    // describes the group: an adopter rebuilds one shard per worker.
+    return group_.apply("exportSwapped", [&](core::VAttention &worker) {
+        return worker.exportSwapped(slot);
+    });
 }
 
 Result<int>
 VAttentionBackend::importSwapped(const SwappedKvImage &image)
 {
-    if (image.buffer_leads.empty()) {
-        return Result<int>(ErrorCode::kInvalidArgument,
-                           "not a vAttention-backend image");
-    }
-    core::VAttention::HostKvImage core_image;
-    core_image.buffer_leads = image.buffer_leads;
-    core_image.buffer_sizes = image.buffer_sizes;
-    core_image.groups = image.group_frontier;
-    core_image.handles = image.handles;
-    core_image.bytes = image.bytes;
-    return group_->importSwapped(core_image);
+    return group_.apply("importSwapped", [&](core::VAttention &worker) {
+        return worker.importSwapped(image);
+    });
 }
 
 u64
@@ -259,22 +208,8 @@ VAttentionBackend::slotPhysBytes(int slot) const
     // mappedHandles counts each buffer's live [lead, end) range:
     // groupsMapped * numBuffers would over-state window-trimmed slots
     // (the frontier includes unmapped dead leads).
-    return static_cast<u64>(group_->mappedHandles(slot)) *
-           group_->geometry().groupBytes();
-}
-
-u64
-VAttentionBackend::bytesInUse() const
-{
-    // Per-worker shard bytes (workers are symmetric): the engine's
-    // budget and admission math are per worker throughout.
-    return group_->physBytesMappedPerWorker();
-}
-
-u64
-VAttentionBackend::budgetBytes() const
-{
-    return group_->budgetBytesPerWorker();
+    return static_cast<u64>(runtime().mappedHandles(slot)) *
+           runtime().geometry().groupBytes();
 }
 
 } // namespace vattn::serving

@@ -56,19 +56,12 @@ class PrefixReuseTest : public ::testing::Test
         return ids;
     }
 
-    /** Build a group-granularity query the way the serving backend
-     *  does. The token vector must outlive the query. */
-    static PrefixQuery
-    queryFor(const std::vector<i32> &ids)
+    /** The engine's key over @p ids (the runtime hashes it at
+     *  page-group granularity). The ids must outlive the key. */
+    static PrefixKey
+    keyFor(const std::vector<i32> &ids)
     {
-        const PrefixKey key{ids.data(), static_cast<i64>(ids.size())};
-        PrefixQuery query;
-        query.total_tokens = key.size;
-        query.group_hashes = key.chunkHashes(kTokensPerGroup);
-        query.tail_hash = [key](u64 prev, i64 groups, i64 n) {
-            return key.rangeHash(prev, groups * kTokensPerGroup, n);
-        };
-        return query;
+        return PrefixKey{ids.data(), static_cast<i64>(ids.size())};
     }
 
     std::vector<i64>
@@ -88,19 +81,19 @@ TEST_F(PrefixReuseTest, CachedSlotReusedInPlaceOnFullMatch)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(5000);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
 
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(5000)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 5000);
+    vattn.registerPrefix(r1.value(), key, 5000);
     ASSERT_TRUE(vattn.freeReqId(r1.value()).isOk());
     EXPECT_EQ(vattn.slots().numCached(), 1);
 
     // Same prompt arrives: the cached slot is handed back with its
     // prefix KV intact — tail included (it is mapped in place).
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(query, 4999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4999, &cached);
     ASSERT_TRUE(r2.isOk());
     EXPECT_EQ(r2.value(), r1.value());
     // Capped at 4999: the full 2 aligned groups (4096 tokens) are
@@ -121,19 +114,19 @@ TEST_F(PrefixReuseTest, InPlaceReuseKeepsMatchedTailWithinCap)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(5000);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(5000)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 5000);
+    vattn.registerPrefix(r1.value(), key, 5000);
     ASSERT_TRUE(vattn.freeReqId(r1.value()).isOk());
 
     // A longer prompt sharing the whole 5000-token prefix: the match
     // includes the partial tail group, reused in place.
     auto longer = tokens(6000);
-    const auto long_query = queryFor(longer);
+    const auto long_key = keyFor(longer);
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(long_query, 5999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(long_key, 5999, &cached);
     ASSERT_TRUE(r2.isOk());
     EXPECT_EQ(cached, 5000);
     EXPECT_TRUE(vattn.checkInvariants());
@@ -146,16 +139,16 @@ TEST_F(PrefixReuseTest, ActiveSourceAliasesGroupsIntoFreeSlot)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(4096); // exactly 2 aligned groups
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 4096);
+    vattn.registerPrefix(r1.value(), key, 4096);
 
     // R1 is still ACTIVE (mid-decode): a second identical prompt must
     // alias, not steal, its groups.
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(query, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
     ASSERT_TRUE(r2.isOk());
     EXPECT_NE(r2.value(), r1.value());
     EXPECT_EQ(cached, 4096 - kTokensPerGroup); // capped below 4096
@@ -181,16 +174,16 @@ TEST_F(PrefixReuseTest, AliasedTailCopyIsPrivate)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(5000); // 2 aligned groups + 904 tail
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(5000)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 5000);
+    vattn.registerPrefix(r1.value(), key, 5000);
 
     auto longer = tokens(8000);
-    const auto long_query = queryFor(longer);
+    const auto long_key = keyFor(longer);
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(long_query, 7999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(long_key, 7999, &cached);
     ASSERT_TRUE(r2.isOk());
     EXPECT_EQ(cached, 5000); // aligned groups aliased + tail copied
     EXPECT_EQ(vattn.groupsMapped(r2.value()), 3);
@@ -212,11 +205,11 @@ TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(4096);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 4096);
+    vattn.registerPrefix(r1.value(), key, 4096);
     ASSERT_TRUE(vattn.freeReqId(r1.value()).isOk()); // cached source
 
     // Alias the cached prefix from an ACTIVE sharer... by first
@@ -226,15 +219,15 @@ TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
     // register and free to recreate the cached entry while the
     // sharer holds the aliased groups.
     i64 cached = 0;
-    auto sharer = vattn.allocReqIdWithPrefix(query, 4095, &cached);
+    auto sharer = vattn.allocReqIdWithPrefix(key, 4095, &cached);
     ASSERT_TRUE(sharer.isOk());
     ASSERT_EQ(sharer.value(), r1.value()); // in-place reuse
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(sharer.value(), query, 4096);
+    vattn.registerPrefix(sharer.value(), key, 4096);
 
     // Second identical prompt aliases from the (now active) sharer.
     i64 cached2 = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(query, 4095, &cached2);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached2);
     ASSERT_TRUE(r2.isOk());
     ASSERT_NE(r2.value(), sharer.value());
     ASSERT_EQ(cached2, kTokensPerGroup);
@@ -262,14 +255,14 @@ TEST_F(PrefixReuseTest, FreeReqIdOfSharingRequestKeepsSource)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(4096);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 4096);
+    vattn.registerPrefix(r1.value(), key, 4096);
 
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(query, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
     ASSERT_TRUE(r2.isOk());
     const auto handle = vattn.handleAt(r2.value(), 0, 0);
     ASSERT_EQ(driver_.numMappings(handle), 2u);
@@ -296,14 +289,14 @@ TEST_F(PrefixReuseTest, WatermarkRefillWithPinnedEntries)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(4096);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 4096);
+    vattn.registerPrefix(r1.value(), key, 4096);
 
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(query, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
     ASSERT_TRUE(r2.isOk());
     ASSERT_GT(cached, 0);
 
@@ -328,16 +321,16 @@ TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
 
     // S holds 2 aligned groups; T aliases BOTH of them.
     const auto ids = tokens(4096);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto s = vattn.allocReqId();
     ASSERT_TRUE(s.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(s.value(), query, 4096);
+    vattn.registerPrefix(s.value(), key, 4096);
 
     auto longer = tokens(6000);
-    const auto long_query = queryFor(longer);
+    const auto long_key = keyFor(longer);
     i64 cached = 0;
-    auto t = vattn.allocReqIdWithPrefix(long_query, 5999, &cached);
+    auto t = vattn.allocReqIdWithPrefix(long_key, 5999, &cached);
     ASSERT_TRUE(t.isOk());
     ASSERT_EQ(cached, 4096);
     const auto shared1 = vattn.handleAt(t.value(), 0, 1);
@@ -352,9 +345,9 @@ TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
     for (std::size_t i = 2048; i < 4096; ++i) {
         diverging[i] += 500000;
     }
-    const auto div_query = queryFor(diverging);
+    const auto div_key = keyFor(diverging);
     i64 cached2 = 0;
-    auto u = vattn.allocReqIdWithPrefix(div_query, 4095, &cached2);
+    auto u = vattn.allocReqIdWithPrefix(div_key, 4095, &cached2);
     ASSERT_TRUE(u.isOk());
     EXPECT_EQ(u.value(), s.value()); // in-place reuse of S
     EXPECT_EQ(cached2, kTokensPerGroup);
@@ -378,17 +371,17 @@ TEST_F(PrefixReuseTest, MissWithDifferentTokensAllocatesFresh)
     VAttention vattn(driver_, config);
 
     const auto ids = tokens(4096);
-    const auto query = queryFor(ids);
+    const auto key = keyFor(ids);
     auto r1 = vattn.allocReqId();
     ASSERT_TRUE(r1.isOk());
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(r1.value(), query, 4096);
+    vattn.registerPrefix(r1.value(), key, 4096);
     ASSERT_TRUE(vattn.freeReqId(r1.value()).isOk());
 
     const auto other = tokens(4096, /*salt=*/100000);
-    const auto other_query = queryFor(other);
+    const auto other_key = keyFor(other);
     i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(other_query, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(other_key, 4095, &cached);
     ASSERT_TRUE(r2.isOk());
     EXPECT_EQ(cached, 0);
     EXPECT_EQ(vattn.stats().prefix_hits, 0);

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "common/prefix_hash.hh"
 #include "core/vattention.hh"
 #include "test_util.hh"
@@ -139,17 +142,17 @@ TEST_F(CoreSwapTest, RefusesWhileAnotherSlotMapsThePages)
     // r1 holds a registered 2048-token (1 aligned group) prefix.
     const int r1 = vattn.allocReqId().value();
     ASSERT_TRUE(vattn.step(lens(2500)).status.isOk());
-    PrefixQuery query;
-    query.total_tokens = 2048;
-    query.group_hashes = {0x1234u};
-    vattn.registerPrefix(r1, query, 2048);
+    std::vector<i32> ids(2048);
+    std::iota(ids.begin(), ids.end(), 0);
+    vattn.registerPrefix(r1, PrefixKey{ids.data(), 2048}, 2048);
 
-    // r2 aliases r1's aligned group via a live-to-live prefix hit.
+    // r2's prompt starts with r1's group and then diverges: it aliases
+    // r1's aligned group via a live-to-live prefix hit.
+    std::vector<i32> longer = ids;
+    longer.resize(4000, 7);
     i64 cached = 0;
-    PrefixQuery same;
-    same.total_tokens = 4000;
-    same.group_hashes = {0x1234u, 0x9999u};
-    auto r2 = vattn.allocReqIdWithPrefix(same, 3999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(PrefixKey{longer.data(), 4000},
+                                         3999, &cached);
     ASSERT_TRUE(r2.isOk());
     ASSERT_EQ(cached, 2048);
     ASSERT_GT(vattn.aliasedBytes(), 0u);

@@ -24,7 +24,6 @@ namespace
  *  2048 tokens; buffers 0/2 = K/V of the full layer 0, buffers 1/3 =
  *  K/V of the sliding layer 1 (window 3000, deliberately not
  *  group-aligned). */
-constexpr i64 kTokensPerGroup = 2048;
 constexpr i64 kWindow = 3000;
 
 Config
@@ -175,22 +174,16 @@ TEST_F(WindowEvictionTest, AliasedLeadingGroupsSurviveUntilLastSharer)
         ids[i] = static_cast<i32>(i % 32000);
     }
     const PrefixKey key{ids.data(), static_cast<i64>(ids.size())};
-    PrefixQuery query;
-    query.total_tokens = key.size;
-    query.group_hashes = key.chunkHashes(kTokensPerGroup);
-    query.tail_hash = [key](u64 prev, i64 groups, i64 n) {
-        return key.rangeHash(prev, groups * kTokensPerGroup, n);
-    };
 
     const int req_a = vattn.allocReqId().value();
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(req_a, query, 4096);
+    vattn.registerPrefix(req_a, key, 4096);
 
     // Request B adopts the prefix: A's groups 0..1 are aliased into
     // B's virtual ranges on every buffer.
     i64 cached = 0;
     auto req_b_result =
-        vattn.allocReqIdWithPrefix(query, 4096, &cached);
+        vattn.allocReqIdWithPrefix(key, 4096, &cached);
     ASSERT_TRUE(req_b_result.isOk());
     const int req_b = req_b_result.value();
     ASSERT_EQ(cached, 4096);

@@ -26,6 +26,63 @@ listed(const std::vector<i64> &lens)
     return out;
 }
 
+// Each op runs on every worker through the group's one lockstep entry
+// point, as VAttentionBackend drives it.
+
+Result<int>
+allocReqId(WorkerGroup &group)
+{
+    return group.apply("allocReqId",
+                       [](VAttention &w) { return w.allocReqId(); });
+}
+
+Status
+freeReqId(WorkerGroup &group, int req_id)
+{
+    return group.apply("freeReqId",
+                       [&](VAttention &w) { return w.freeReqId(req_id); });
+}
+
+StepStats
+step(WorkerGroup &group, const std::vector<i64> &lens)
+{
+    const auto active = listed(lens);
+    return group.apply("step",
+                       [&](VAttention &w) { return w.step(active); });
+}
+
+void
+computePhase(WorkerGroup &group, TimeNs window_ns)
+{
+    group.apply("computePhase",
+                [&](VAttention &w) { w.computePhase(window_ns); });
+}
+
+SwapStats
+swapOutReq(WorkerGroup &group, int req_id)
+{
+    return group.apply("swapOutReq",
+                       [&](VAttention &w) { return w.swapOutReq(req_id); });
+}
+
+SwapStats
+swapInReq(WorkerGroup &group, int req_id)
+{
+    return group.apply("swapInReq",
+                       [&](VAttention &w) { return w.swapInReq(req_id); });
+}
+
+/** Physical KV bytes mapped across ALL workers. */
+u64
+physBytesMappedTotal(WorkerGroup &group)
+{
+    u64 total = 0;
+    for (int w = 0; w < group.numWorkers(); ++w) {
+        total += group.worker(w).physBytesMapped();
+    }
+    return total;
+}
+
 Config
 tpConfig()
 {
@@ -47,22 +104,22 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
     ASSERT_EQ(group.numWorkers(), 2);
     EXPECT_TRUE(group.inLockstep());
 
-    auto req = group.allocReqId();
+    auto req = allocReqId(group);
     ASSERT_TRUE(req.isOk());
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(req.value())] = 3000;
-    auto stats = group.step(listed(lens));
+    auto stats = step(group, lens);
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 8); // per worker: 2 groups x 4 buf
     EXPECT_TRUE(group.inLockstep());
 
     // Aggregate physical bytes = workers x per-worker bytes.
-    EXPECT_EQ(group.physBytesMappedTotal(),
+    EXPECT_EQ(physBytesMappedTotal(group),
               2 * group.worker(0).physBytesMapped());
 
-    group.computePhase(20 * kMsec);
+    computePhase(group, 20 * kMsec);
     EXPECT_TRUE(group.inLockstep());
-    ASSERT_TRUE(group.freeReqId(req.value()).isOk());
+    ASSERT_TRUE(freeReqId(group, req.value()).isOk());
     EXPECT_TRUE(group.checkInvariants());
 }
 
@@ -73,10 +130,10 @@ TEST(WorkerGroup, LockstepUnderRandomTraffic)
     std::vector<i64> lens(4, 0);
     std::vector<int> active;
 
-    for (int step = 0; step < 300; ++step) {
+    for (int round = 0; round < 300; ++round) {
         const double dice = rng.uniform();
         if (dice < 0.3 && active.size() < 3) {
-            auto req = group.allocReqId();
+            auto req = allocReqId(group);
             if (req.isOk()) {
                 active.push_back(req.value());
                 lens[static_cast<std::size_t>(req.value())] =
@@ -86,10 +143,10 @@ TEST(WorkerGroup, LockstepUnderRandomTraffic)
             const auto pick = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<i64>(active.size()) - 1));
             lens[static_cast<std::size_t>(active[pick])] = 0;
-            ASSERT_TRUE(group.freeReqId(active[pick]).isOk());
+            ASSERT_TRUE(freeReqId(group, active[pick]).isOk());
             active.erase(active.begin() + static_cast<long>(pick));
         } else if (dice < 0.7) {
-            group.computePhase(
+            computePhase(group, 
                 static_cast<TimeNs>(rng.uniformInt(0, 15)) * kMsec);
         } else {
             for (int id : active) {
@@ -97,14 +154,14 @@ TEST(WorkerGroup, LockstepUnderRandomTraffic)
                     8192, lens[static_cast<std::size_t>(id)] +
                               rng.uniformInt(0, 100));
             }
-            auto stats = group.step(listed(lens));
+            auto stats = step(group, lens);
             if (!stats.status.isOk() && !active.empty()) {
                 lens[static_cast<std::size_t>(active.back())] = 0;
-                group.freeReqId(active.back()).expectOk("preempt");
+                freeReqId(group, active.back()).expectOk("preempt");
                 active.pop_back();
             }
         }
-        ASSERT_TRUE(group.checkInvariants()) << "step " << step;
+        ASSERT_TRUE(group.checkInvariants()) << "round " << round;
     }
 }
 
@@ -115,12 +172,12 @@ TEST(WorkerGroup, AggregateAllocationBandwidthScalesWithTp)
     // TP x the bytes in that window.
     auto measure = [&](int tp) {
         WorkerGroup group(tp, tpConfig(), 64 * MiB);
-        auto req = group.allocReqId();
+        auto req = allocReqId(group);
         std::vector<i64> lens(4, 0);
         lens[static_cast<std::size_t>(req.value())] = 8000;
-        const auto stats = group.step(listed(lens));
+        const auto stats = step(group, lens);
         stats.status.expectOk("bandwidth step");
-        return static_cast<double>(group.physBytesMappedTotal()) /
+        return static_cast<double>(physBytesMappedTotal(group)) /
                (static_cast<double>(stats.critical_ns) / 1e9);
     };
     const double bw1 = measure(1);
@@ -131,10 +188,10 @@ TEST(WorkerGroup, AggregateAllocationBandwidthScalesWithTp)
 TEST(WorkerGroup, PerWorkerDevicesAreIsolated)
 {
     WorkerGroup group(2, tpConfig(), 64 * MiB);
-    auto req = group.allocReqId();
+    auto req = allocReqId(group);
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(req.value())] = 100;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
 
     // Each worker holds its own shard: writing K on worker 0 must not
     // appear on worker 1 (different GPUs).
@@ -167,14 +224,14 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     // that hands back the SAME reqId (the cached slot with the most
     // retained groups) on every worker simultaneously.
     WorkerGroup group(2, tpConfig(), 64 * MiB);
-    const int r1 = group.allocReqId().value();
+    const int r1 = allocReqId(group).value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
 
     // Preempt mid-flight: mappings are retained (deferred
     // reclamation), every worker parks the same cached slot.
-    ASSERT_TRUE(group.freeReqId(r1).isOk());
+    ASSERT_TRUE(freeReqId(group, r1).isOk());
     EXPECT_TRUE(group.inLockstep());
     EXPECT_GT(group.worker(0).cachedHandles(), 0);
 
@@ -182,10 +239,10 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     // panics on divergence, so allocReqId returning at all proves
     // agreement) and the retained groups serve the new prompt without
     // fresh mapping work.
-    const auto again = group.allocReqId();
+    const auto again = allocReqId(group);
     ASSERT_TRUE(again.isOk());
     EXPECT_EQ(again.value(), r1);
-    auto stats = group.step(listed(lens));
+    auto stats = step(group, lens);
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 0);
     EXPECT_TRUE(group.checkInvariants());
@@ -196,16 +253,16 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     auto config = tpConfig();
     config.host_swap_bytes = 8 * MiB;
     WorkerGroup group(2, config, 64 * MiB);
-    const int r1 = group.allocReqId().value();
-    const int r2 = group.allocReqId().value();
+    const int r1 = allocReqId(group).value();
+    const int r2 = allocReqId(group).value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
     lens[static_cast<std::size_t>(r2)] = 2000;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
 
     // Swap r1 to each worker's host tier; every worker stashes its own
     // shard and the device shares must agree.
-    const auto out = group.swapOutReq(r1);
+    const auto out = swapOutReq(group, r1);
     ASSERT_TRUE(out.status.isOk()) << out.status.message();
     EXPECT_EQ(out.handles, 8); // per worker: 2 groups x 4 buffers
     EXPECT_TRUE(group.inLockstep());
@@ -215,30 +272,30 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     // r2 keeps decoding while r1 sits on the host (freeReqId mid-
     // flight of a *different* request must not disturb the stash).
     lens[static_cast<std::size_t>(r2)] = 2500;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
-    ASSERT_TRUE(group.freeReqId(r2).isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
+    ASSERT_TRUE(freeReqId(group, r2).isOk());
     EXPECT_TRUE(group.inLockstep());
 
     // Swap back in and resume: same reqId, same virtual layout, no
     // divergence.
-    const auto in = group.swapInReq(r1);
+    const auto in = swapInReq(group, r1);
     ASSERT_TRUE(in.status.isOk()) << in.status.message();
     EXPECT_EQ(in.handles, 8);
     lens[static_cast<std::size_t>(r2)] = 0;
     lens[static_cast<std::size_t>(r1)] = 3001;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
     EXPECT_TRUE(group.checkInvariants());
-    ASSERT_TRUE(group.freeReqId(r1).isOk());
+    ASSERT_TRUE(freeReqId(group, r1).isOk());
     EXPECT_TRUE(group.inLockstep());
 }
 
 TEST(WorkerGroup, AuditPassesOnHealthyGroup)
 {
     WorkerGroup group(2, tpConfig(), 64 * MiB);
-    const int r1 = group.allocReqId().value();
+    const int r1 = allocReqId(group).value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 3000;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
 
     audit::AuditReport report;
     group.auditInto(report);
@@ -253,10 +310,10 @@ TEST(WorkerGroup, AuditLocalizesInjectedWorkerDesync)
     // audit must fail, name the diverging worker/slot and describe the
     // drift actionably (not just "mismatch").
     WorkerGroup group(2, tpConfig(), 64 * MiB);
-    const int r1 = group.allocReqId().value();
+    const int r1 = allocReqId(group).value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 1000;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
     EXPECT_TRUE(group.inLockstep());
 
     // Worker 1 silently steps ahead: its slot maps more groups and
@@ -282,10 +339,10 @@ TEST(WorkerGroup, AuditCatchesLifecycleDesync)
     // A second injection flavour: one worker frees the request while
     // the others keep it live (a lost/duplicated control message).
     WorkerGroup group(3, tpConfig(), 64 * MiB);
-    const int r1 = group.allocReqId().value();
+    const int r1 = allocReqId(group).value();
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 500;
-    ASSERT_TRUE(group.step(listed(lens)).status.isOk());
+    ASSERT_TRUE(step(group, lens).status.isOk());
 
     ASSERT_TRUE(group.worker(2).freeReqId(r1).isOk());
     EXPECT_FALSE(group.inLockstep());

@@ -2,12 +2,16 @@
  * @file
  * The MemoryBackend contract, checked once on both implementations at
  * TP 1 and TP 2: a swap-out -> export -> import -> swap-in round trip
- * moves equal bytes, a backend without a host tier refuses swaps and
- * imports, a prefix-shared slot never swaps out while its sharer
- * runs, and canSwapOut predicts every swapOut refusal. Every case ends
- * with a clean audit, so the TP-2 cases also check the cross-worker
- * lockstep state. The paged fault-injection tests at the end corrupt
- * one TP worker and check that the audit localizes it.
+ * moves equal bytes, an image is adopted only by a backend that cuts
+ * KV into the same pages (paged blocks cross TP degrees, vAttention
+ * page-groups and the other family's images do not), a backend
+ * without a host tier refuses swaps and imports, a prefix hit is
+ * served at the backend's own granularity, a prefix-shared slot never
+ * swaps out while its sharer runs, and canSwapOut predicts every
+ * swapOut refusal. Every case ends with a clean audit, so the TP-2
+ * cases also check the cross-worker lockstep state. The paged
+ * fault-injection tests at the end corrupt one TP worker and check
+ * that the audit localizes it.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +27,16 @@
 namespace vattn::serving::contract
 {
 
+struct Paged;
+struct VAttn;
+
 /** vLLM-style block pools (16-token blocks). */
 struct Paged
 {
     using Backend = PagedBackend;
+    using Other = VAttn;
+    /** A block holds block_size tokens at any TP degree. */
+    static constexpr bool kImageCrossesTp = true;
     /** Context of the round-trip request. */
     static constexpr i64 kTokens = 1000;
 
@@ -41,11 +51,28 @@ struct Paged
     /** Four whole blocks: every one of them shareable. */
     static i64 sharedPromptTokens(const Backend &) { return 64; }
 
-    static void
-    expectOwnImage(const SwappedKvImage &image)
+    /** A hit serves whole blocks and copies nothing. */
+    static i64 servedTokens(const Backend &backend, i64 shared)
     {
-        EXPECT_FALSE(image.group_blocks.empty());
-        EXPECT_TRUE(image.buffer_leads.empty());
+        return shared / backend.blockSize() * backend.blockSize();
+    }
+    static constexpr bool kCopiesTail = false;
+
+    static i64
+    liveSlots(Backend &backend)
+    {
+        return backend.workers().lead().live_slots;
+    }
+
+    /** One unit per window class, cut into blocks. */
+    static void
+    expectOwnImage(const Backend &backend, const SwappedKvImage &image)
+    {
+        EXPECT_EQ(static_cast<int>(image.units.size()),
+                  backend.numLayerGroups());
+        for (const SwappedKvImage::Unit &unit : image.units) {
+            EXPECT_EQ(unit.layout.tokens_per_page, backend.blockSize());
+        }
     }
 };
 
@@ -54,6 +81,9 @@ struct Paged
 struct VAttn
 {
     using Backend = VAttentionBackend;
+    using Other = Paged;
+    /** A page-group holds twice the tokens on a TP-2 worker's shard. */
+    static constexpr bool kImageCrossesTp = false;
     static constexpr i64 kTokens = 4096;
 
     static std::unique_ptr<Backend>
@@ -76,11 +106,27 @@ struct VAttn
         return backend.runtime().geometry().tokensPerGroup() + 8;
     }
 
-    static void
-    expectOwnImage(const SwappedKvImage &image)
+    /** A hit aliases the page-group and copies the partial tail. */
+    static i64 servedTokens(const Backend &, i64 shared) { return shared; }
+    static constexpr bool kCopiesTail = true;
+
+    static i64
+    liveSlots(Backend &backend)
     {
-        EXPECT_FALSE(image.buffer_leads.empty());
-        EXPECT_TRUE(image.group_blocks.empty());
+        return backend.runtime().slots().numActive();
+    }
+
+    /** One unit per KV buffer, cut into page-groups. */
+    static void
+    expectOwnImage(const Backend &backend, const SwappedKvImage &image)
+    {
+        const core::KvGeometry &geometry = backend.runtime().geometry();
+        EXPECT_EQ(static_cast<int>(image.units.size()),
+                  geometry.numBuffers());
+        for (const SwappedKvImage::Unit &unit : image.units) {
+            EXPECT_EQ(unit.layout.tokens_per_page,
+                      geometry.tokensPerGroup());
+        }
     }
 };
 
@@ -149,7 +195,7 @@ TYPED_TEST(BackendContract, SwapExportImportRoundTripMovesEqualBytes)
     ASSERT_TRUE(image.isOk());
     EXPECT_EQ(image.value().bytes, out.value().bytes);
     EXPECT_FALSE(image.value().empty());
-    Family::expectOwnImage(image.value());
+    Family::expectOwnImage(*donor, image.value());
     expectAuditClean(*donor);
 
     ASSERT_TRUE(target->canImportSwapped(image.value()));
@@ -164,6 +210,64 @@ TYPED_TEST(BackendContract, SwapExportImportRoundTripMovesEqualBytes)
     expectAuditClean(*target);
     target->freeSlot(imported.value());
     expectAuditClean(*target);
+}
+
+/** A swapped-out image of a @p tokens-token request on @p donor. */
+template <typename Backend>
+SwappedKvImage
+swappedImage(Backend &donor, i64 tokens)
+{
+    const int slot = donor.allocSlot().value();
+    donor.ensure({{slot, tokens}}).status().expectOk("donor ensure");
+    donor.swapOut(slot).status().expectOk("donor swap-out");
+    auto image = donor.exportSwapped(slot);
+    image.status().expectOk("donor export");
+    return image.value();
+}
+
+TYPED_TEST(BackendContract, ImageFromOtherTpDegreeOnlyWhenPagesMatch)
+{
+    // Replicas of one cluster may run different TP degrees. A paged
+    // block holds block_size tokens at any TP, so its image migrates;
+    // a vAttention page-group holds twice the tokens on a TP-2 shard,
+    // so the image would revive with the wrong group count.
+    using Family = typename TypeParam::Family;
+    const int other_tp = TypeParam::tp == 1 ? 2 : 1;
+    auto donor = Family::make(TypeParam::tp, 1 * GiB, false);
+    auto target = Family::make(other_tp, 1 * GiB, false);
+    const SwappedKvImage image = swappedImage(*donor, Family::kTokens);
+
+    EXPECT_EQ(target->canImportSwapped(image), Family::kImageCrossesTp);
+    auto imported = target->importSwapped(image);
+    if (Family::kImageCrossesTp) {
+        ASSERT_TRUE(imported.isOk());
+        EXPECT_EQ(Family::liveSlots(*target), 1);
+        auto in = target->swapIn(imported.value());
+        ASSERT_TRUE(in.isOk());
+        EXPECT_GT(target->bytesInUse(), 0u);
+        target->freeSlot(imported.value());
+    } else {
+        EXPECT_EQ(imported.code(), ErrorCode::kInvalidArgument);
+        EXPECT_EQ(Family::liveSlots(*target), 0);
+    }
+    expectAuditClean(*target);
+}
+
+TYPED_TEST(BackendContract, OtherFamilyImageRefused)
+{
+    using Family = typename TypeParam::Family;
+    using Other = typename Family::Other;
+    auto donor = Family::make(TypeParam::tp, 1 * GiB, false);
+    auto target = Other::make(TypeParam::tp, 1 * GiB, false);
+    const SwappedKvImage image = swappedImage(*donor, Family::kTokens);
+
+    EXPECT_FALSE(target->canImportSwapped(image));
+    EXPECT_EQ(target->importSwapped(image).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(Other::liveSlots(*target), 0);
+    expectAuditClean(*target);
+    // The donor still takes its own image back.
+    EXPECT_TRUE(donor->canImportSwapped(image));
 }
 
 TYPED_TEST(BackendContract, NoHostTierRefusesSwapAndImport)
@@ -237,6 +341,50 @@ TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
     EXPECT_GT(out.value().stall_ns, 0);
     EXPECT_EQ(backend->bytesInUse(), 0u);
     expectAuditClean(*backend);
+}
+
+TYPED_TEST(BackendContract, PrefixHitIsServedAndAudited)
+{
+    using Family = typename TypeParam::Family;
+    // Free the sharer first, then the source, and the other way round.
+    for (const bool free_source_first : {false, true}) {
+        SCOPED_TRACE(free_source_first);
+        auto backend = Family::make(TypeParam::tp, 0, true);
+        const i64 shared = Family::sharedPromptTokens(*backend);
+        std::vector<i32> prompt(static_cast<std::size_t>(shared) + 100);
+        std::iota(prompt.begin(), prompt.end(), 3);
+        PrefixHashCache cache_a;
+        PrefixKey key_a{prompt.data(), shared, &cache_a};
+        const int a = backend->allocSlot(key_a, 0).value().slot;
+        ASSERT_TRUE(backend->ensure({{a, shared}}).isOk());
+        backend->registerPrefix(a, key_a, shared);
+        const BackendPrefixStats before = backend->prefixStats();
+
+        // b's prompt extends a's: the registered prefix is served at
+        // the backend's own granularity.
+        PrefixHashCache cache_b;
+        const i64 b_tokens = static_cast<i64>(prompt.size());
+        PrefixKey key_b{prompt.data(), b_tokens, &cache_b};
+        const i64 served = Family::servedTokens(*backend, shared);
+        EXPECT_EQ(backend->matchPrefix(key_b), served);
+        auto b = backend->allocSlot(key_b, b_tokens - 1);
+        ASSERT_TRUE(b.isOk());
+        EXPECT_GT(b.value().cached_tokens, 0);
+        EXPECT_EQ(b.value().cached_tokens, served);
+        const BackendPrefixStats after = backend->prefixStats();
+        EXPECT_GT(after.aliased_bytes, before.aliased_bytes);
+        EXPECT_EQ(after.copied_bytes > before.copied_bytes,
+                  Family::kCopiesTail);
+        ASSERT_TRUE(
+            backend->ensure({{a, shared}, {b.value().slot, b_tokens}})
+                .isOk());
+        expectAuditClean(*backend);
+
+        backend->freeSlot(free_source_first ? a : b.value().slot);
+        expectAuditClean(*backend);
+        backend->freeSlot(free_source_first ? b.value().slot : a);
+        expectAuditClean(*backend);
+    }
 }
 
 /** canSwapOut(@p slot) must say exactly whether swapOut(@p slot)

@@ -67,6 +67,17 @@ Machine-checks the conventions the simulator's correctness leans on:
                 scan the whole table: the whole-runtime audit. The
                 paper's B-wide step() walks its caller's B-wide input,
                 not the table, and needs no entry.
+  9. layers   — each src/ directory includes only the directories
+                below it (LAYERS): common <- gpu <- tensor <- cuvmm <-
+                attn <- {core, paged}; perf -> {common, cuvmm}; sim ->
+                common; serving on top. A lower layer that reaches up
+                (core including serving/memory_backend.hh) turns the
+                layering into a cycle. And `<functional>` /
+                `std::function` never appear under src/core/,
+                src/paged/, src/cuvmm/ or src/gpu/: the memory managers
+                take their inputs as plain data (the engine's
+                PrefixKey, template callables through Lockstep), not
+                as type-erased callbacks.
 
 Usage: tools/check_invariants.py [--root DIR]
 Exits non-zero and prints file:line diagnostics on violations.
@@ -179,6 +190,24 @@ REPORT_QUERY_RE = re.compile(
     r"(?:\.|->)\s*(?:sorted|quantile|median|p99|cdfAt|cdfPoints)\s*\("
 )
 
+# The src/ directories each src/ directory may include besides its own.
+LAYERS = {
+    "common": set(),
+    "gpu": {"common"},
+    "tensor": {"common", "gpu"},
+    "cuvmm": {"common", "gpu"},
+    "attn": {"common", "tensor"},
+    "core": {"attn", "common", "cuvmm", "gpu", "tensor"},
+    "paged": {"attn", "common", "cuvmm", "tensor"},
+    "perf": {"common", "cuvmm"},
+    "sim": {"common"},
+    "serving": {"common", "core", "cuvmm", "paged", "perf", "sim"},
+}
+
+# Directories whose code takes no type-erased callbacks.
+NO_FUNCTION_DIRS = {"core", "paged", "cuvmm", "gpu"}
+FUNCTION_RE = re.compile(r"std::function\b|#\s*include\s*<functional>")
+
 # Headers under src/ that only tests include, kept on purpose.
 REACH_ALLOWED = {
     "cuvmm/managed.hh": "the §8.1 argument against UVM-backed KV,"
@@ -259,6 +288,21 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                     " not the running batch)"
                 )
 
+    layer = rel.parts[1] if rel.parts[0] == "src" else None
+    if layer in LAYERS:
+        for m in INCLUDE_RE.finditer(raw):
+            target = m.group(1).split("/")[0]
+            if "/" in m.group(1) and target != layer and (
+                    target not in LAYERS[layer]):
+                lineno = raw.count("\n", 0, m.start()) + 1
+                problems.append(
+                    f"{rel}:{lineno}: src/{layer}/ includes"
+                    f" {m.group(1)} — src/{layer}/ may include only"
+                    f" {sorted(LAYERS[layer]) or 'nothing else'}"
+                    " (layer order: common <- gpu <- tensor <- cuvmm"
+                    " <- attn <- core/paged; perf, sim; serving on top)"
+                )
+
     for lineno, line in enumerate(code.splitlines(), start=1):
         where = f"{rel}:{lineno}"
 
@@ -305,6 +349,12 @@ def check_file(path: pathlib.Path, root: pathlib.Path) -> list[str]:
                     " denominator)"
                 )
 
+        if layer in NO_FUNCTION_DIRS and FUNCTION_RE.search(line):
+            problems.append(
+                f"{where}: std::function in src/{layer}/ — pass plain"
+                " data or a template callable, not a type-erased"
+                " callback"
+            )
         if WALL_CLOCK_RE.search(line):
             problems.append(
                 f"{where}: std::chrono in simulation code — simulated"
