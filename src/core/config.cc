@@ -14,55 +14,6 @@ Config::dtype() const
                                : tensor::DType::kF16;
 }
 
-LayerKvSpec
-Config::layerSpec(int layer) const
-{
-    LayerKvSpec spec;
-    if (layer >= 0 && layer < static_cast<int>(layers.size())) {
-        spec = layers[static_cast<std::size_t>(layer)];
-    }
-    if (spec.kv_heads == 0) {
-        spec.kv_heads = num_kv_heads;
-    }
-    if (spec.head_dim == 0) {
-        spec.head_dim = head_dim;
-    }
-    if (spec.bytes_per_elem == 0) {
-        spec.bytes_per_elem = bytes_per_elem;
-    }
-    return spec;
-}
-
-bool
-Config::uniformLayers() const
-{
-    for (const LayerKvSpec &spec : layers) {
-        if (spec.kind != AttentionKind::kFull ||
-            (spec.kv_heads != 0 && spec.kv_heads != num_kv_heads) ||
-            (spec.head_dim != 0 && spec.head_dim != head_dim) ||
-            (spec.bytes_per_elem != 0 &&
-             spec.bytes_per_elem != bytes_per_elem)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-Config::uniformFootprint() const
-{
-    const LayerKvSpec first = layerSpec(0);
-    for (int layer = 1; layer < num_layers; ++layer) {
-        const LayerKvSpec spec = layerSpec(layer);
-        if (spec.kv_heads != first.kv_heads ||
-            spec.head_dim != first.head_dim ||
-            spec.bytes_per_elem != first.bytes_per_elem) {
-            return false;
-        }
-    }
-    return true;
-}
-
 Status
 Config::validate() const
 {
@@ -90,80 +41,49 @@ Config::validate() const
         return errorStatus(ErrorCode::kInvalidArgument,
                            "reclaim_low_watermark must be in [0, 1]");
     }
-    if (!layers.empty() &&
-        static_cast<int>(layers.size()) != num_layers) {
+    if (!layer_window_tokens.empty() &&
+        static_cast<int>(layer_window_tokens.size()) != num_layers) {
         return errorStatus(
             ErrorCode::kInvalidArgument,
-            "per-layer spec list has " +
-                std::to_string(layers.size()) +
+            "layer_window_tokens has " +
+                std::to_string(layer_window_tokens.size()) +
                 " entries but num_layers is " +
                 std::to_string(num_layers) +
-                "; provide one LayerKvSpec per layer (or none for "
-                "the uniform default)");
+                "; provide one window per layer (0 = full attention), "
+                "or none when every layer is full attention");
     }
-    for (int layer = 0; layer < num_layers && !layers.empty();
+    for (std::size_t layer = 0; layer < layer_window_tokens.size();
          ++layer) {
-        const LayerKvSpec spec = layerSpec(layer);
+        const i64 window = layer_window_tokens[layer];
         const std::string where = "layer " + std::to_string(layer);
-        if (spec.kv_heads <= 0 || spec.head_dim <= 0) {
+        if (window < 0) {
             return errorStatus(ErrorCode::kInvalidArgument,
-                               where + ": kv_heads and head_dim must "
-                                       "resolve to positive values");
+                               where + ": window_tokens " +
+                                   std::to_string(window) +
+                                   " is negative (0 = full attention)");
         }
-        if (spec.bytes_per_elem != 2 && spec.bytes_per_elem != 4) {
-            return errorStatus(ErrorCode::kInvalidArgument,
-                               where +
-                                   ": bytes_per_elem must resolve "
-                                   "to 2 or 4");
-        }
-        if (spec.kind == AttentionKind::kSlidingWindow) {
-            if (spec.window_tokens <= 0) {
-                return errorStatus(
-                    ErrorCode::kInvalidArgument,
-                    where + ": sliding-window layers need "
-                            "window_tokens > 0");
-            }
-            if (spec.window_tokens > max_context_len) {
-                return errorStatus(
-                    ErrorCode::kInvalidArgument,
-                    where + ": window_tokens " +
-                        std::to_string(spec.window_tokens) +
-                        " exceeds max_context_len " +
-                        std::to_string(max_context_len) +
-                        "; a window that wide never evicts — use a "
-                        "full-attention layer instead");
-            }
-        } else if (spec.window_tokens != 0) {
+        if (window > max_context_len) {
             return errorStatus(
                 ErrorCode::kInvalidArgument,
-                where + ": window_tokens is only meaningful for "
-                        "kSlidingWindow layers (set kind, or zero "
-                        "the window)");
+                where + ": window_tokens " + std::to_string(window) +
+                    " exceeds max_context_len " +
+                    std::to_string(max_context_len) +
+                    "; a window that wide never evicts — use 0 (full "
+                    "attention) instead");
         }
     }
-    if (tensor_slicing && !uniformLayers()) {
+    const KvGeometry geometry(*this);
+    if (tensor_slicing && geometry.hasWindows()) {
         return errorStatus(
             ErrorCode::kInvalidArgument,
             "tensor_slicing packs every layer into one buffer and "
-            "requires the uniform full-attention layer list");
+            "requires full attention on every layer");
     }
-    if (prefix_caching && !uniformFootprint()) {
+    if (geometry.tokensPerGroup() < 1) {
         return errorStatus(
             ErrorCode::kInvalidArgument,
-            "prefix_caching hashes group-aligned token runs and "
-            "requires the same per-token footprint on every layer "
-            "(sliding windows are fine)");
-    }
-    const KvGeometry geometry(*this);
-    // Slicing folds the model into one logical layer (one spec).
-    const int geom_layers = tensor_slicing ? 1 : num_layers;
-    for (int layer = 0; layer < geom_layers; ++layer) {
-        if (geometry.tokensPerGroup(layer) < 1) {
-            return errorStatus(
-                ErrorCode::kInvalidArgument,
-                "page-group smaller than one token's footprint; use "
-                "a larger page-group or disable tensor slicing");
-        }
+            "page-group smaller than one token's footprint; use "
+            "a larger page-group or disable tensor slicing");
     }
     return Status::ok();
 }

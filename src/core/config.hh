@@ -1,8 +1,10 @@
 /**
  * @file
  * vAttention configuration: the init() parameters of Table 4 (N, B, L,
- * H, D, P and the preferred page-group size) plus switches for each of
- * the paper's optimizations so the ablations of §7.6 can toggle them.
+ * H, D, P and the preferred page-group size), which fix one per-token
+ * KV footprint for every layer, each layer's sliding window, and
+ * switches for each of the paper's optimizations so the ablations of
+ * §7.6 can toggle them.
  */
 
 #ifndef VATTN_CORE_CONFIG_HH
@@ -17,35 +19,6 @@
 namespace vattn::core
 {
 
-/** Attention pattern of one transformer layer (Jenga-style
- *  heterogeneity: full-attention and sliding-window layers mix within
- *  one model). */
-enum class AttentionKind : u8
-{
-    /** Causal attention over the entire context; KV of every token is
-     *  kept for the request's whole lifetime. */
-    kFull,
-    /** Attention over the last window_tokens tokens only; KV behind
-     *  the window is dead and its page-groups may be unmapped. */
-    kSlidingWindow,
-};
-
-/**
- * Per-layer KV geometry. A zero in kv_heads/head_dim/bytes_per_elem
- * means "inherit the corresponding global Config field", so a spec
- * list that only sets attention kinds stays terse.
- */
-struct LayerKvSpec
-{
-    AttentionKind kind = AttentionKind::kFull;
-    /** Sliding-window width; must be positive for kSlidingWindow
-     *  layers and zero for kFull layers. */
-    i64 window_tokens = 0;
-    int kv_heads = 0;       ///< 0 = Config::num_kv_heads
-    int head_dim = 0;       ///< 0 = Config::head_dim
-    int bytes_per_elem = 0; ///< 0 = Config::bytes_per_elem
-};
-
 /** Serving-worker configuration for the vAttention runtime. */
 struct Config
 {
@@ -58,12 +31,14 @@ struct Config
     i64 max_context_len = 0;   ///< L
 
     /**
-     * Per-layer KV geometry. Empty (the default) means num_layers
-     * identical full-attention layers built from the scalar fields
-     * above — the historical uniform model, bit-for-bit. A non-empty
-     * list must have exactly num_layers entries.
+     * Sliding-window width of each layer in tokens, 0 for a
+     * full-attention layer (perf::ModelSpec::layer_window_tokens, the
+     * same shape). Empty (the default) means every layer attends to
+     * the whole context. A non-empty list has exactly num_layers
+     * entries. Every layer shares the one per-token footprint above;
+     * the window only decides how much of it stays mapped.
      */
-    std::vector<LayerKvSpec> layers;
+    std::vector<i64> layer_window_tokens;
 
     // ---- Allocation policy ------------------------------------------
     /** Physical allocation granularity (§6.2). It also picks the
@@ -108,18 +83,6 @@ struct Config
 
     /** Storage dtype implied by bytes_per_elem. */
     tensor::DType dtype() const;
-
-    /** The resolved spec of one layer: inherited fields filled in from
-     *  the global scalars, uniform default when layers is empty. */
-    LayerKvSpec layerSpec(int layer) const;
-
-    /** Every layer full-attention with the global shape (the
-     *  historical uniform model)? */
-    bool uniformLayers() const;
-
-    /** Same per-token KV footprint (kv_heads * head_dim *
-     *  bytes_per_elem) on every layer? Sliding windows allowed. */
-    bool uniformFootprint() const;
 
     /** Validate user-provided parameters. */
     Status validate() const;

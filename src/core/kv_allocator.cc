@@ -19,7 +19,7 @@ KvAllocator::KvAllocator(cuvmm::Driver &driver, const Config &config,
     const int nbuf = geom_.numBuffers();
     buffer_base_.reserve(static_cast<std::size_t>(nbuf));
     for (int b = 0; b < nbuf; ++b) {
-        const u64 buf_bytes = geom_.bufferBytesFor(b);
+        const u64 buf_bytes = geom_.bufferBytes();
         Addr base = 0;
         cuvmm::CuResult r;
         if (use_cu_path_) {
@@ -36,65 +36,31 @@ KvAllocator::KvAllocator(cuvmm::Driver &driver, const Config &config,
         buffer_base_.push_back(base);
     }
 
-    // Build the full-batch tensor views.
-    const i64 batch = config_.max_batch_size;
-    const i64 len = config_.max_context_len;
-    const i64 layers = config_.num_layers;
-
-    layer_tensors_.reserve(static_cast<std::size_t>(layers));
-    if (config_.tensor_slicing) {
-        // One [B, L, N, H, D] tensor per K/V; per-layer tensors are
-        // strided slices of it. (Slicing requires uniform layers.)
-        const auto dtype = config_.dtype();
-        const i64 heads = config_.num_kv_heads;
-        const i64 dim = config_.head_dim;
-        const i64 batch_stride = static_cast<i64>(
-            geom_.perRequestBytesAligned(0) /
-            static_cast<u64>(config_.bytes_per_elem));
-        tensor::Layout big;
-        big.shape = tensor::Shape{batch, len, layers, heads, dim};
-        big.strides = {batch_stride, layers * heads * dim, heads * dim,
-                       dim, 1};
-        big.offset = 0;
-        tensor::VirtualTensor k_big(&driver_.device(), buffer_base_[0],
-                                    big, dtype);
-        tensor::VirtualTensor v_big(&driver_.device(), buffer_base_[1],
-                                    big, dtype);
-        for (i64 layer = 0; layer < layers; ++layer) {
-            layer_tensors_.push_back(LayerKv{
-                k_big.slice(2, layer, 1).squeeze(2),
-                v_big.slice(2, layer, 1).squeeze(2),
-            });
-        }
-    } else {
-        for (i64 layer = 0; layer < layers; ++layer) {
-            const LayerKvSpec spec =
-                config_.layerSpec(static_cast<int>(layer));
-            const auto dtype = spec.bytes_per_elem == 4
-                                   ? tensor::DType::kF32
-                                   : tensor::DType::kF16;
-            const i64 heads = spec.kv_heads;
-            const i64 dim = spec.head_dim;
-            const i64 batch_stride = static_cast<i64>(
-                geom_.perRequestBytesAligned(static_cast<int>(layer)) /
-                static_cast<u64>(spec.bytes_per_elem));
-            tensor::Layout per_layer;
-            per_layer.shape = tensor::Shape{batch, len, heads, dim};
-            per_layer.strides = {batch_stride, heads * dim, dim, 1};
-            per_layer.offset = 0;
-            const auto kb = static_cast<std::size_t>(
-                kBuffer(static_cast<int>(layer)));
-            const auto vb = static_cast<std::size_t>(
-                vBuffer(static_cast<int>(layer)));
-            layer_tensors_.push_back(LayerKv{
-                tensor::VirtualTensor(&driver_.device(),
-                                      buffer_base_[kb], per_layer,
-                                      dtype),
-                tensor::VirtualTensor(&driver_.device(),
-                                      buffer_base_[vb], per_layer,
-                                      dtype),
-            });
-        }
+    // Build the full-batch [B, L, H, D] tensor of every layer. With
+    // tensor slicing each is a strided slice of one [B, L, N, H, D]
+    // buffer per K/V: a token's row spans all N layers and the layer
+    // picks an H*D-element offset inside it.
+    const i64 heads = config_.num_kv_heads;
+    const i64 dim = config_.head_dim;
+    const auto elem_bytes = static_cast<u64>(config_.bytes_per_elem);
+    tensor::Layout per_layer;
+    per_layer.shape =
+        tensor::Shape{config_.max_batch_size, config_.max_context_len,
+                      heads, dim};
+    per_layer.strides = {
+        static_cast<i64>(geom_.perRequestBytesAligned() / elem_bytes),
+        static_cast<i64>(geom_.tokenBytesPerBuffer() / elem_bytes), dim,
+        1};
+    const auto view = [&](int buffer) {
+        return tensor::VirtualTensor(
+            &driver_.device(), buffer_base_[static_cast<std::size_t>(buffer)],
+            per_layer, config_.dtype());
+    };
+    layer_tensors_.reserve(static_cast<std::size_t>(config_.num_layers));
+    for (int layer = 0; layer < config_.num_layers; ++layer) {
+        per_layer.offset = config_.tensor_slicing ? layer * heads * dim : 0;
+        layer_tensors_.push_back(
+            LayerKv{view(geom_.kBuffer(layer)), view(geom_.vBuffer(layer))});
     }
 
     for (auto &slot : slots_) {
@@ -109,7 +75,7 @@ KvAllocator::~KvAllocator()
     }
     for (int b = 0; b < geom_.numBuffers(); ++b) {
         const Addr base = buffer_base_[static_cast<std::size_t>(b)];
-        const u64 buf_bytes = geom_.bufferBytesFor(b);
+        const u64 buf_bytes = geom_.bufferBytes();
         if (use_cu_path_) {
             driver_.cuMemAddressFree(base, buf_bytes);
         } else {
@@ -118,25 +84,12 @@ KvAllocator::~KvAllocator()
     }
 }
 
-int
-KvAllocator::kBuffer(int layer) const
-{
-    return config_.tensor_slicing ? 0 : layer;
-}
-
-int
-KvAllocator::vBuffer(int layer) const
-{
-    return config_.tensor_slicing ? 1 : config_.num_layers + layer;
-}
-
 Addr
 KvAllocator::groupVa(int buffer, int slot, i64 group) const
 {
     return buffer_base_[static_cast<std::size_t>(buffer)] +
            static_cast<u64>(slot) *
-               geom_.perRequestBytesAligned(
-                   geom_.layerOfBuffer(buffer)) +
+               geom_.perRequestBytesAligned() +
            static_cast<u64>(group) * geom_.groupBytes();
 }
 
@@ -273,9 +226,8 @@ KvAllocator::growRows(int slot, const std::vector<i64> &targets,
 {
     auto &mappings = slots_[static_cast<std::size_t>(slot)];
     const int nbuf = geom_.numBuffers();
-    for (int b = 0; b < nbuf; ++b) {
-        panic_if(targets[static_cast<std::size_t>(b)] >
-                     geom_.maxGroupsPerRequest(geom_.layerOfBuffer(b)),
+    for (const i64 target : targets) {
+        panic_if(target > geom_.maxGroupsPerRequest(),
                  "grow beyond the max context length");
     }
     i64 rows = 0;
@@ -372,14 +324,13 @@ KvAllocator::ensureTokens(int slot, i64 tokens)
              "slot out of range");
     const HorizonRefresh refresh(*this, slot);
     const int nbuf = geom_.numBuffers();
-    std::vector<i64> &targets = targets_scratch_;
-    targets.assign(static_cast<std::size_t>(nbuf), 0);
     for (int b = 0; b < nbuf; ++b) {
-        const int layer = geom_.layerOfBuffer(b);
-        advanceLead(slot, b, geom_.deadLeadGroups(layer, tokens));
-        targets[static_cast<std::size_t>(b)] =
-            geom_.groupsForTokens(layer, tokens);
+        advanceLead(slot, b,
+                    geom_.deadLeadGroups(geom_.layerOfBuffer(b), tokens));
     }
+    std::vector<i64> &targets = targets_scratch_;
+    targets.assign(static_cast<std::size_t>(nbuf),
+                   geom_.groupsForTokens(tokens));
     return growRows(slot, targets, -1);
 }
 
@@ -401,28 +352,27 @@ KvAllocator::Horizon
 KvAllocator::horizonOf(const SlotMappings &mappings) const
 {
     Horizon horizon;
-    horizon.grow = std::numeric_limits<i64>::max();
+    i64 lowest_end = std::numeric_limits<i64>::max();
     for (int b = 0; b < geom_.numBuffers(); ++b) {
         const BufferMappings &buffer =
             mappings.buffers[static_cast<std::size_t>(b)];
-        const int layer = geom_.layerOfBuffer(b);
-        // end < ceil(t * token_bytes / G)  <=>  t > floor(end * G /
-        // token_bytes).
-        horizon.grow = std::min(
-            horizon.grow,
-            static_cast<i64>(static_cast<u64>(buffer.end()) *
-                             geom_.groupBytes() /
-                             geom_.tokenBytesPerBuffer(layer)));
+        lowest_end = std::min(lowest_end, buffer.end());
         // lead < floor((t - window) / tokens_per_group)  <=>
         // t >= window + (lead + 1) * tokens_per_group; a buffer with
         // nothing mapped (lead >= end) never trims.
-        const i64 window = geom_.windowTokens(layer);
+        const i64 window = geom_.windowTokens(geom_.layerOfBuffer(b));
         if (window > 0 && buffer.lead < buffer.end()) {
             horizon.trim = std::min(
                 horizon.trim,
-                window + (buffer.lead + 1) * geom_.tokensPerGroup(layer));
+                window + (buffer.lead + 1) * geom_.tokensPerGroup());
         }
     }
+    // end < ceil(t * token_bytes / G)  <=>  t > floor(end * G /
+    // token_bytes); every buffer has the one footprint, so the lowest
+    // end bounds them all.
+    horizon.grow = static_cast<i64>(static_cast<u64>(lowest_end) *
+                                    geom_.groupBytes() /
+                                    geom_.tokenBytesPerBuffer());
     return horizon;
 }
 
@@ -430,13 +380,9 @@ Status
 KvAllocator::growOneRowForTokens(int slot, i64 tokens)
 {
     const HorizonRefresh refresh(*this, slot);
-    const int nbuf = geom_.numBuffers();
     std::vector<i64> &targets = targets_scratch_;
-    targets.assign(static_cast<std::size_t>(nbuf), 0);
-    for (int b = 0; b < nbuf; ++b) {
-        targets[static_cast<std::size_t>(b)] =
-            geom_.groupsForTokens(geom_.layerOfBuffer(b), tokens);
-    }
+    targets.assign(static_cast<std::size_t>(geom_.numBuffers()),
+                   geom_.groupsForTokens(tokens));
     return growRows(slot, targets, 1);
 }
 
@@ -671,10 +617,9 @@ void
 KvAllocator::auditInto(audit::AuditReport &report) const
 {
     const int nbuf = geom_.numBuffers();
-    // Only windows trim leads; lockstep ends also need one footprint,
-    // since per-layer footprints put each buffer's frontier elsewhere.
-    const bool leads_fixed = !geom_.hasWindows();
-    const bool lockstep = leads_fixed && geom_.uniformFootprint();
+    // Only windows trim leads; without them every buffer also ends at
+    // the slot frontier, since all share the one footprint.
+    const bool lockstep = !geom_.hasWindows();
     /** Times each physical handle appears across all slot tables. */
     std::unordered_map<cuvmm::MemHandle, i64> mapping_counts;
     for (int slot = 0; slot < config_.max_batch_size; ++slot) {
@@ -699,7 +644,7 @@ KvAllocator::auditInto(audit::AuditReport &report) const
         for (int b = 0; b < nbuf; ++b) {
             const BufferMappings &buffer =
                 mappings.buffers[static_cast<std::size_t>(b)];
-            if (leads_fixed && buffer.lead != 0) {
+            if (lockstep && buffer.lead != 0) {
                 report.fail("kv_allocator: slot ", slot, " buffer ", b,
                             " has lead ", buffer.lead,
                             " but only sliding windows trim leads");
@@ -709,7 +654,7 @@ KvAllocator::auditInto(audit::AuditReport &report) const
                             " holds groups [", buffer.lead, ", ",
                             buffer.end(), ") but the slot frontier is ",
                             frontier,
-                            " (uniform buffers must grow in lockstep)");
+                            " (window-free buffers grow in lockstep)");
             }
             for (i64 group = 0; group < buffer.end(); ++group) {
                 const cuvmm::MemHandle handle =

@@ -9,10 +9,12 @@
  * S_aligned is the per-request share rounded up to the page-group size
  * so requests never share a group.
  *
- * Per-layer geometries: each buffer's mapped region is a contiguous
- * group range [lead, end). Full-attention layers always have lead 0
- * and (with a uniform footprint) grow in lockstep — the historical
- * invariant. Sliding-window layers advance lead as the window moves:
+ * Every buffer has the one per-token footprint of Config; only the
+ * sliding window differs per layer. Each buffer's mapped region is a
+ * contiguous group range [lead, end). Full-attention layers always
+ * have lead 0, so a window-free model grows every buffer in lockstep
+ * — the historical invariant. Sliding-window layers advance lead as
+ * the window moves:
  * fully-dead leading page-groups are unmapped (llama.cpp-style
  * eviction bookkeeping), while prefix-aliased groups only drop this
  * slot's mapping — the sharer keeps the physical group alive.
@@ -67,8 +69,7 @@ class KvAllocator
     tensor::VirtualTensor vView(int layer, int slot) const;
 
     /** The slot's group frontier: the highest end of any buffer's
-     *  mapped range (equals every buffer's count in the uniform
-     *  model). */
+     *  mapped range (every buffer's end without windows). */
     i64 groupsMapped(int slot) const;
 
     /** Page-group mappings the slot holds across all buffers
@@ -103,9 +104,9 @@ class KvAllocator
      * Bring the slot to the canonical layout for a context of
      * @p tokens tokens: per buffer, unmap dead leading groups of
      * sliding-window layers (never rewinding a lead), then grow every
-     * buffer to its frontier groupsForTokens(layer, tokens). Trims
-     * happen before growth so a tight pool benefits from the freed
-     * groups. Uniform configs reduce to growTo(groupsForTokens).
+     * buffer to the frontier groupsForTokens(tokens). Trims happen
+     * before growth so a tight pool benefits from the freed groups.
+     * Window-free configs reduce to growTo(groupsForTokens).
      */
     Status ensureTokens(int slot, i64 tokens);
 
@@ -114,22 +115,21 @@ class KvAllocator
      * slot caches two token horizons, recomputed from its buffers
      * after each change to a [lead, end) range.
      *
-     * - Grow horizon H_g = min over buffers b of
-     *   floor(end_b * groupBytes / tokenBytesPerBuffer(layer_b)), the
-     *   largest context the current mappings back. Any buffer is below
-     *   its frontier (end_b < groupsForTokens(layer_b, t)) exactly
-     *   when t > H_g.
+     * - Grow horizon H_g = floor(min_b end_b * groupBytes /
+     *   tokenBytesPerBuffer), the largest context the current
+     *   mappings back. Any buffer is below the frontier
+     *   (end_b < groupsForTokens(t)) exactly when t > H_g.
      * - Trim horizon H_t = min over sliding-window buffers with
      *   lead_b < end_b of window + (lead_b + 1) * tokensPerGroup, the
      *   smallest context at which a mapped group falls wholly behind
      *   the window (lead_b < min(deadLeadGroups(layer_b, t), end_b));
      *   +inf without such a buffer.
      *
-     * So this is t > H_g || t >= H_t, and both checks are exact for
-     * every per-layer geometry (windows, heterogeneous footprints,
-     * tensor slicing). A decode request crosses H_g once per
-     * page-group (2,048 tokens for Yi-6B TP-1 with 2MB groups,
-     * Table 8), so growth work stays proportional to growth events.
+     * So this is t > H_g || t >= H_t, and both checks are exact with
+     * and without windows and under tensor slicing. A decode request
+     * crosses H_g once per page-group (2,048 tokens for Yi-6B TP-1
+     * with 2MB groups, Table 8), so growth work stays proportional to
+     * growth events.
      */
     bool needsEnsureTokens(int slot, i64 tokens) const;
 
@@ -221,9 +221,8 @@ class KvAllocator
      * Self- and cross-layer audit: per-slot mapping tables are
      * contiguous [lead, end) ranges that are RW-accessible, trimmed
      * lead regions are NOT mapped (a rogue window-tail mapping is
-     * caught here by name), uniform configs (one footprint, no
-     * windows) additionally keep every buffer in lockstep with lead
-     * 0; every physical handle's mapping count here equals its pool
+     * caught here by name), window-free configs additionally keep
+     * every buffer in lockstep with lead 0; every physical handle's mapping count here equals its pool
      * refcount AND its driver mapping count (a leaked pool reference
      * or a mapping created behind the allocator breaks the
      * equality); the aliased-mappings ledger
@@ -242,8 +241,6 @@ class KvAllocator
      *  caches through this. */
     friend struct KvAllocatorTestPeer;
 
-    int kBuffer(int layer) const;
-    int vBuffer(int layer) const;
     Addr groupVa(int buffer, int slot, i64 group) const;
 
     /** Map one pool handle at (buffer, slot, group). */

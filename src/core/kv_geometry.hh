@@ -5,20 +5,15 @@
  * tokens per page-group ("block size"), and page-group counts for a
  * given context length.
  *
- * This class is the per-layer authority: every per-buffer quantity
- * takes a (layer) argument, and sliding-window layers additionally
- * expose the dead/live split of a request's leading page-groups. The
- * one layer-blind shape accessor, tokensPerGroup(), is valid whenever
- * the per-token footprint is uniform across layers (the default, and
- * any windows-only spec list); it panics on truly heterogeneous
- * footprints so a stale call site fails loudly instead of silently
- * using layer 0's shape.
+ * Every buffer has the one per-token footprint of Config (H*D*P, or
+ * N*H*D*P under tensor slicing), so the shape queries take no layer.
+ * Only the sliding window differs per layer: windowTokens,
+ * deadLeadGroups and liveGroupsForTokens take one, and expose the
+ * dead/live split of a request's leading page-groups.
  */
 
 #ifndef VATTN_CORE_KV_GEOMETRY_HH
 #define VATTN_CORE_KV_GEOMETRY_HH
-
-#include <vector>
 
 #include "common/types.hh"
 #include "core/config.hh"
@@ -32,38 +27,54 @@ class KvGeometry
   public:
     explicit KvGeometry(const Config &config);
 
+    // ---- Buffer numbering ----------------------------------------------
+
     /** Number of virtual buffers: 2N per-layer tensors, or 2 in the
      *  tensor-slicing layout (§8.2). */
     int numBuffers() const;
 
-    /** The layer whose KV lives in buffer @p buffer (K buffers are
-     *  0..N-1, V buffers N..2N-1; slicing folds everything into
-     *  layer 0's shape). */
+    /** The buffers holding @p layer's K and V: K buffers are 0..N-1,
+     *  V buffers N..2N-1 (slicing folds every layer into 0 and 1). */
+    int kBuffer(int layer) const;
+    int vBuffer(int layer) const;
+
+    /** The layer whose KV lives in buffer @p buffer (slicing folds
+     *  everything into layer 0). */
     int layerOfBuffer(int buffer) const;
 
-    /** Any sliding-window layer in the spec list? */
-    bool hasWindows() const;
+    // ---- The one footprint -------------------------------------------
 
-    /** Same per-token footprint on every layer? (Windows allowed —
-     *  only kv_heads/head_dim/bytes_per_elem must match.) */
-    bool uniformFootprint() const;
+    /** Bytes one token contributes to one buffer: H*D*P, or N*H*D*P
+     *  when tensor slicing folds every layer's KV into one buffer. */
+    u64 tokenBytesPerBuffer() const;
+
+    /** Tokens covered by one page-group in one buffer — the paper's
+     *  "block size" (Tables 8 and 10). */
+    i64 tokensPerGroup() const;
+
+    /** Page-groups per buffer needed to reach a context of @p tokens
+     *  tokens — the frontier, dead groups included. */
+    i64 groupsForTokens(i64 tokens) const;
+
+    /** One request's maximum share of one buffer. */
+    u64 perRequestBytes() const;
+
+    /** perRequestBytes() rounded up to the page-group. */
+    u64 perRequestBytesAligned() const;
+
+    /** Size of one virtual buffer (B requests). */
+    u64 bufferBytes() const;
+
+    /** Max page-groups per buffer (context = L). */
+    i64 maxGroupsPerRequest() const;
+
+    // ---- Per-layer windows -------------------------------------------
+
+    /** Any sliding-window layer? */
+    bool hasWindows() const;
 
     /** Sliding-window width of @p layer; 0 for full attention. */
     i64 windowTokens(int layer) const;
-
-    // ---- Per-layer quantities (the authority) ------------------------
-
-    /** Bytes one token contributes to ONE buffer of @p layer: H*D*P,
-     *  or N*H*D*P when tensor slicing folds every layer's KV into one
-     *  buffer. */
-    u64 tokenBytesPerBuffer(int layer) const;
-
-    /** Tokens covered by one page-group in one buffer of @p layer. */
-    i64 tokensPerGroup(int layer) const;
-
-    /** Page-groups (per buffer) of @p layer needed to reach a context
-     *  of @p tokens tokens — the frontier, dead groups included. */
-    i64 groupsForTokens(int layer, i64 tokens) const;
 
     /**
      * Leading page-groups of @p layer that are fully behind the
@@ -76,18 +87,6 @@ class KvGeometry
     /** Page-groups of @p layer actually mapped at context @p tokens:
      *  groupsForTokens minus the dead lead. */
     i64 liveGroupsForTokens(int layer, i64 tokens) const;
-
-    /** One request's maximum share of one buffer of @p layer. */
-    u64 perRequestBytes(int layer) const;
-
-    /** perRequestBytes(layer) rounded up to the page-group. */
-    u64 perRequestBytesAligned(int layer) const;
-
-    /** Total size of virtual buffer @p buffer (B requests). */
-    u64 bufferBytesFor(int buffer) const;
-
-    /** Max page-groups per buffer of @p layer (context = L). */
-    i64 maxGroupsPerRequest(int layer) const;
 
     // ---- Cross-layer sums --------------------------------------------
 
@@ -103,12 +102,6 @@ class KvGeometry
     /** Total virtual memory reserved across all buffers. */
     u64 totalVirtualBytes() const;
 
-    /** Tokens covered by one page-group in one buffer — the paper's
-     *  "block size" (Tables 8 and 10). Only meaningful when the
-     *  per-token footprint is uniform across layers; panics otherwise
-     *  (use the (layer) overload). */
-    i64 tokensPerGroup() const;
-
     /** Physical bytes mapped for a request of @p tokens tokens across
      *  all buffers, including page-group rounding waste. Dead leading
      *  groups of sliding-window layers are excluded — they are
@@ -123,11 +116,7 @@ class KvGeometry
 
   private:
     Config config_;
-    /** Resolved per-layer specs; size num_layers (or 1 when
-     *  slicing folds the model into one logical layer). */
-    std::vector<LayerKvSpec> specs_;
     bool has_windows_ = false;
-    bool uniform_footprint_ = true;
 };
 
 } // namespace vattn::core

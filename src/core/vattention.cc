@@ -20,28 +20,14 @@ resolveBudget(const Config &config, cuvmm::Driver &driver)
     return driver.device().freePhysBytes();
 }
 
-/** Groups the eager allocator keeps pre-mapped: the configured count,
- *  capped by the smallest per-request maximum over all buffers. */
-i64
-eagerTarget(const Config &config, const KvGeometry &geom)
-{
-    i64 target = config.eager_groups;
-    for (int b = 0; b < geom.numBuffers(); ++b) {
-        target = std::min(target,
-                          geom.maxGroupsPerRequest(geom.layerOfBuffer(b)));
-    }
-    return target;
-}
-
 /** How each KV buffer is cut into page-groups. */
 std::vector<KvPageLayout>
 unitLayouts(const KvGeometry &geom)
 {
     std::vector<KvPageLayout> layouts;
     for (int b = 0; b < geom.numBuffers(); ++b) {
-        const int layer = geom.layerOfBuffer(b);
-        layouts.push_back(
-            {geom.tokensPerGroup(layer), geom.windowTokens(layer)});
+        layouts.push_back({geom.tokensPerGroup(),
+                           geom.windowTokens(geom.layerOfBuffer(b))});
     }
     return layouts;
 }
@@ -60,7 +46,8 @@ VAttention::VAttention(cuvmm::Driver &driver, const Config &config)
       chains_(static_cast<std::size_t>(config.max_batch_size)),
       stashes_(static_cast<std::size_t>(config.max_batch_size)),
       unit_layouts_(unitLayouts(allocator_.geometry())),
-      eager_target_(eagerTarget(config, allocator_.geometry()))
+      eager_target_(std::min(config.eager_groups,
+                             allocator_.geometry().maxGroupsPerRequest()))
 {
     adapter_lens_.reserve(static_cast<std::size_t>(config.max_batch_size));
     // Reservation + pre-created handles happen before serving starts;
@@ -982,9 +969,9 @@ VAttention::canAllocate(i64 prompt_tokens) const
         return false;
     }
     const auto &geom = allocator_.geometry();
-    // Handle units throughout so heterogeneous layers sum correctly
-    // (for uniform configs every term is the old per-buffer count
-    // times numBuffers — the admission decision is unchanged).
+    // Handle units throughout so window-trimmed buffers sum correctly
+    // (without windows every term is the per-buffer count times
+    // numBuffers).
     if (geom.frontierHandlesForTokens(prompt_tokens) >
         geom.frontierHandlesForTokens(config_.max_context_len)) {
         return false;
@@ -1135,13 +1122,11 @@ VAttention::auditInto(audit::AuditReport &report) const
             }
         }
         // A prefix chain never describes more than the slot's intact
-        // leading groups hold (a window trim voids the prefix). Prefix
-        // caching requires a uniform footprint, so layer 0 stands for
-        // every layer.
+        // leading groups hold (a window trim voids the prefix).
         const auto &chain = chains_[static_cast<std::size_t>(slot)];
         if (!chain.empty()) {
             const i64 tpg = geom.tokensPerGroup();
-            const i64 covered = geom.groupsForTokens(0, chain.tokens);
+            const i64 covered = geom.groupsForTokens(chain.tokens);
             const i64 prefix = allocator_.prefixGroupsMapped(slot);
             if (slots_.state(slot) == SlotState::kFree ||
                 static_cast<i64>(chain.hashes.size()) > prefix ||
@@ -1167,7 +1152,7 @@ VAttention::auditInto(audit::AuditReport &report) const
                 const i64 lead = allocator_.bufferLead(slot, b);
                 const i64 end = allocator_.bufferEnd(slot, b);
                 const i64 want_lead = geom.deadLeadGroups(layer, len);
-                const i64 want_end = geom.groupsForTokens(layer, len);
+                const i64 want_end = geom.groupsForTokens(len);
                 if (lead != want_lead || end < want_end) {
                     report.fail(
                         "vattention: slot ", slot, " buffer ", b,

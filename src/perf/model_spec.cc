@@ -54,6 +54,9 @@ ModelSpec::withSlidingWindowInterleave(i64 window_tokens,
 {
     fatal_if(window_tokens <= 0,
              "sliding-window interleave needs window_tokens > 0");
+    fatal_if(window_tokens > max_context_len, "window_tokens ",
+             window_tokens, " exceeds max_context_len ", max_context_len,
+             "; a window that wide never evicts");
     fatal_if(period < 2, "interleave period must be at least 2 (a "
                          "period of 1 would leave no full layer)");
     ModelSpec spec = *this;

@@ -53,7 +53,8 @@ struct ModelSpec
      * Copy of this spec with a Mistral-style attention interleave:
      * every @p period-th layer (0, period, 2*period, ...) keeps full
      * attention, the rest slide over @p window_tokens tokens. period 2
-     * is the 1:1 full/SWA pattern of Gemma-2-class models.
+     * is the 1:1 full/SWA pattern of Gemma-2-class models. The window
+     * must lie in [1, max_context_len].
      */
     ModelSpec withSlidingWindowInterleave(i64 window_tokens,
                                           int period = 2) const;

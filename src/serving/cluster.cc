@@ -374,6 +374,9 @@ ServingCluster::submit(Request request)
                            "submit after shutdown(): the online "
                            "session is closed");
     }
+    if (Status status = request.validate(); !status.isOk()) {
+        return status;
+    }
     if (request.arrival_ns < online_last_arrival_ns_) {
         return errorStatus(ErrorCode::kInvalidArgument,
                            "online arrivals must be submitted in "

@@ -142,9 +142,10 @@ class ServingCluster
     /**
      * Submit one arrival. Thread-safe; arrivals must be submitted in
      * non-decreasing arrival_ns order (the shared virtual timeline).
-     * Errors — submission before start(), after shutdown(), or out of
-     * time order — are reported, not panicked: the submission side is
-     * the system's untrusted edge.
+     * Errors — submission before start(), after shutdown(), out of
+     * time order, or a request that fails Request::validate() — are
+     * reported, not panicked: the submission side is the system's
+     * untrusted edge.
      */
     Status submit(Request request) EXCLUDES(mutex_);
 

@@ -791,6 +791,9 @@ Engine::submitOnline(Request request)
                            "no online session open (call beginOnline "
                            "before submitting)");
     }
+    if (Status status = request.validate(); !status.isOk()) {
+        return status;
+    }
     if (request.arrival_ns < last_submit_ns_) {
         return errorStatus(ErrorCode::kInvalidArgument,
                            "online arrivals must be time-ordered");

@@ -195,7 +195,8 @@ class Engine
      *  report's sample stores (0 = grow on demand). */
     void beginOnline(std::size_t expected_requests = 0);
     /** Feed one request mid-flight. Errors — instead of panicking —
-     *  when no session is open or arrivals go back in time. */
+     *  when no session is open, arrivals go back in time or the
+     *  request fails Request::validate(). */
     Status submitOnline(Request request);
     /** Declare the stream finished; drain via stepRun, then endRun. */
     void closeOnline();

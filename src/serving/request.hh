@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/prefix_hash.hh"
+#include "common/status.hh"
 #include "common/types.hh"
 
 namespace vattn::serving
@@ -132,6 +134,36 @@ struct Request
     }
 
     bool hasTokenIds() const { return !token_ids.empty(); }
+
+    /**
+     * The shape every submission must have: at least one prompt token
+     * and one token to generate, and token ids (when present) one per
+     * prompt token. Submission is the system's untrusted edge, so
+     * ServingCluster::submit and Engine::submitOnline return this
+     * error instead of letting a malformed request panic mid-step.
+     */
+    Status
+    validate() const
+    {
+        if (prompt_tokens < 1 || max_new_tokens < 1) {
+            return errorStatus(
+                ErrorCode::kInvalidArgument,
+                "request " + std::to_string(id) + " has prompt_tokens " +
+                    std::to_string(prompt_tokens) + " and max_new_tokens " +
+                    std::to_string(max_new_tokens) +
+                    "; both must be at least 1");
+        }
+        if (hasTokenIds() &&
+            static_cast<i64>(token_ids.size()) != prompt_tokens) {
+            return errorStatus(
+                ErrorCode::kInvalidArgument,
+                "request " + std::to_string(id) + " carries " +
+                    std::to_string(token_ids.size()) +
+                    " token ids for " + std::to_string(prompt_tokens) +
+                    " prompt tokens");
+        }
+        return Status::ok();
+    }
 
     /** Non-owning hash key over the prompt token ids. The attached
      *  memo makes repeated admission checks O(1) after the first

@@ -21,6 +21,7 @@ workerConfig(const perf::ModelSpec &model, int tp,
     config.bytes_per_elem = model.bytes_per_elem;
     config.max_batch_size = options.max_batch_size;
     config.max_context_len = model.max_context_len;
+    config.layer_window_tokens = model.layer_window_tokens;
     config.page_group = options.page_group;
     config.tensor_slicing = options.tensor_slicing;
     config.deferred_reclamation = options.deferred_reclamation;
@@ -29,22 +30,6 @@ workerConfig(const perf::ModelSpec &model, int tp,
     config.prefix_caching = enable_prefix_caching;
     config.phys_budget_bytes = budget_bytes;
     config.host_swap_bytes = host_swap_bytes;
-    if (model.hasSlidingLayers()) {
-        // Per-layer geometries: sliding-window layers only keep the
-        // live window of KV mapped. Uniform models leave the list
-        // empty — the historical single-shape path, byte for byte.
-        config.layers.resize(
-            static_cast<std::size_t>(model.num_layers));
-        for (int layer = 0; layer < model.num_layers; ++layer) {
-            const i64 window = model.windowTokensOf(layer);
-            auto &spec =
-                config.layers[static_cast<std::size_t>(layer)];
-            if (window > 0) {
-                spec.kind = core::AttentionKind::kSlidingWindow;
-                spec.window_tokens = window;
-            }
-        }
-    }
     config.validate().expectOk("vAttention backend config");
     return config;
 }

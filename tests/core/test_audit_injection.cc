@@ -299,9 +299,7 @@ TEST_F(AuditInjectionTest, StaleGrowHorizonIsReported)
 TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
 {
     auto config = smallConfig();
-    config.layers.assign(2, core::LayerKvSpec{});
-    config.layers[1].kind = core::AttentionKind::kSlidingWindow;
-    config.layers[1].window_tokens = 3000;
+    config.layer_window_tokens = {0, 3000};
     PagePool pool(driver_, config.page_group, 8 * MiB);
     KvAllocator allocator(driver_, config, pool);
     // Four groups per buffer back 8,192 tokens; the first
@@ -363,17 +361,12 @@ TEST_F(AuditInjectionTest, StaleMappedHandleCountIsReported)
 TEST_F(AuditInjectionTest, LeadOnWindowFreeHeterogeneousBufferIsReported)
 {
     auto config = smallConfig();
-    config.layers.assign(2, core::LayerKvSpec{});
-    config.layers[1].kv_heads = 4;
     PagePool pool(driver_, config.page_group, 8 * MiB);
     KvAllocator allocator(driver_, config, pool);
-    // Layer 1 needs twice the bytes per token, so its buffers end two
-    // groups past layer 0's: unequal ends are healthy here.
     ASSERT_TRUE(allocator.ensureTokens(0, 4096).isOk());
     EXPECT_TRUE(allocator.checkInvariants());
 
-    // Injection: without sliding windows no lead may move, whatever
-    // the footprints.
+    // Injection: without sliding windows no lead may move.
     i64 &lead = core::KvAllocatorTestPeer::lead(allocator, 0, 0);
     lead = 1;
 

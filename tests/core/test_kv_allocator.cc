@@ -61,7 +61,7 @@ TEST_F(KvAllocatorTest, ReservesVirtualBuffersUpFront)
     EXPECT_EQ(geom.numBuffers(), 4);
     EXPECT_EQ(device_.vaSpace().numReservations(), 4u);
     EXPECT_EQ(device_.vaSpace().reservedBytes(),
-              4 * geom.bufferBytesFor(0));
+              4 * geom.bufferBytes());
     // No physical memory mapped into the KV tensors yet.
     EXPECT_EQ(allocator.totalHandlesMapped(), 0);
     EXPECT_EQ(allocator.layerTensors().size(), 2u);
@@ -218,7 +218,7 @@ TEST_F(KvAllocatorTest, TensorSlicingLayout)
     const auto &geom = allocator.geometry();
     EXPECT_EQ(geom.numBuffers(), 2); // one K + one V tensor
     // Token bytes per buffer now include all layers: 2*2*8*2 = 64B.
-    EXPECT_EQ(geom.tokenBytesPerBuffer(0), 64u);
+    EXPECT_EQ(geom.tokenBytesPerBuffer(), 64u);
     EXPECT_EQ(geom.tokensPerGroup(), 1024);
 
     ASSERT_TRUE(allocator.growTo(0, 1).isOk());
@@ -253,14 +253,13 @@ TEST_F(KvAllocatorTest, SlicedLayerViewsInterleaveInMemory)
 // ---- Horizon differential: cached O(1) checks vs a per-buffer scan --
 
 /** The per-buffer definition of needsGrowthForTokens: some buffer is
- *  below its frontier groupsForTokens(layer, tokens). */
+ *  below the frontier groupsForTokens(tokens). */
 bool
 scanNeedsGrowth(const KvAllocator &allocator, int slot, i64 tokens)
 {
     const KvGeometry &geom = allocator.geometry();
     for (int b = 0; b < geom.numBuffers(); ++b) {
-        if (allocator.bufferEnd(slot, b) <
-            geom.groupsForTokens(geom.layerOfBuffer(b), tokens)) {
+        if (allocator.bufferEnd(slot, b) < geom.groupsForTokens(tokens)) {
             return true;
         }
     }
@@ -276,7 +275,7 @@ scanNeedsEnsure(const KvAllocator &allocator, int slot, i64 tokens)
     for (int b = 0; b < geom.numBuffers(); ++b) {
         const int layer = geom.layerOfBuffer(b);
         const i64 end = allocator.bufferEnd(slot, b);
-        if (end < geom.groupsForTokens(layer, tokens) ||
+        if (end < geom.groupsForTokens(tokens) ||
             allocator.bufferLead(slot, b) <
                 std::min(geom.deadLeadGroups(layer, tokens), end)) {
             return true;
@@ -320,35 +319,22 @@ horizonCases()
     // window is deliberately not group-aligned.
     Config mistral = horizonBase();
     mistral.num_layers = 4;
-    mistral.layers.assign(4, LayerKvSpec{});
-    for (int layer = 1; layer < 4; layer += 2) {
-        mistral.layers[static_cast<std::size_t>(layer)].kind =
-            AttentionKind::kSlidingWindow;
-        mistral.layers[static_cast<std::size_t>(layer)].window_tokens =
-            1000;
-    }
+    mistral.layer_window_tokens = {0, 1000, 0, 1000};
     cases.push_back({"MistralInterleave", mistral, 160});
 
     // Every layer windowed (Mistral-7B v0.1 style): no full layer
     // pins the grow horizon at the slot's lowest frontier, so a
     // skipped dead lead (lead == end, nothing mapped) sets it alone.
     Config all_windows = horizonBase();
-    all_windows.layers.assign(2, LayerKvSpec{});
-    for (LayerKvSpec &spec : all_windows.layers) {
-        spec.kind = AttentionKind::kSlidingWindow;
-        spec.window_tokens = 1000;
-    }
+    all_windows.layer_window_tokens = {1000, 1000};
     cases.push_back({"AllSlidingWindow", all_windows, 40});
 
-    // Per-layer head counts: 6 heads (96B/token) does not divide the
-    // group, so its frontier sits off any power-of-two boundary.
-    Config hetero = horizonBase();
-    hetero.num_layers = 4;
-    hetero.layers.assign(4, LayerKvSpec{});
-    hetero.layers[0].kv_heads = 2;
-    hetero.layers[1].kv_heads = 6;
-    hetero.layers[3].kv_heads = 4;
-    cases.push_back({"HeterogeneousHeads", hetero, 160});
+    // 6 heads: 96B/token does not divide the group (682 tokens per
+    // 64KB group), so every frontier sits off a power-of-two boundary.
+    Config unaligned = horizonBase();
+    unaligned.num_layers = 4;
+    unaligned.num_kv_heads = 6;
+    cases.push_back({"UnalignedFootprint", unaligned, 160});
 
     // One K and one V buffer holding all 4 layers: 512B/token.
     Config sliced = smallConfig(PageGroup::k64KB, /*slicing=*/true);
@@ -400,19 +386,15 @@ TEST_P(KvHorizonDifferential, CachedChecksMatchPerBufferScan)
             return std::uniform_int_distribution<i64>(lo, hi)(rng);
         };
 
-        i64 max_groups = max_len;
+        const i64 max_groups = geom.maxGroupsPerRequest();
         std::vector<i64> probes = {0, 1, max_len, max_len + 1};
         for (int b = 0; b < geom.numBuffers(); ++b) {
-            const int layer = geom.layerOfBuffer(b);
-            max_groups =
-                std::min(max_groups, geom.maxGroupsPerRequest(layer));
-            const i64 window = geom.windowTokens(layer);
-            for (i64 k = 0; k <= geom.maxGroupsPerRequest(layer) + 1;
-                 ++k) {
+            const i64 window = geom.windowTokens(geom.layerOfBuffer(b));
+            for (i64 k = 0; k <= max_groups + 1; ++k) {
                 const i64 frontier = static_cast<i64>(
                     static_cast<u64>(k) * geom.groupBytes() /
-                    geom.tokenBytesPerBuffer(layer));
-                const i64 trim = window + k * geom.tokensPerGroup(layer);
+                    geom.tokenBytesPerBuffer());
+                const i64 trim = window + k * geom.tokensPerGroup();
                 for (i64 delta = -1; delta <= 1; ++delta) {
                     probes.push_back(frontier + delta);
                     if (window > 0) {
@@ -484,9 +466,9 @@ TEST_P(KvHorizonDifferential, CachedChecksMatchPerBufferScan)
                 std::vector<i64> leads;
                 std::vector<i64> ends;
                 for (int b = 0; b < geom.numBuffers(); ++b) {
-                    const int layer = geom.layerOfBuffer(b);
-                    leads.push_back(geom.deadLeadGroups(layer, tokens));
-                    ends.push_back(geom.groupsForTokens(layer, tokens));
+                    leads.push_back(geom.deadLeadGroups(
+                        geom.layerOfBuffer(b), tokens));
+                    ends.push_back(geom.groupsForTokens(tokens));
                 }
                 status = allocator.growToLayout(slot, leads, ends);
                 if (!status.isOk()) {

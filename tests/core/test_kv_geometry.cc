@@ -25,15 +25,11 @@ configFor(const perf::ModelSpec &model, int tp, PageGroup group,
 }
 
 /** Bytes one token contributes across the whole KV cache, summed over
- *  every buffer (2*N*H*D*P for a uniform model). */
+ *  every buffer (2*N*H*D*P). */
 u64
 tokenBytesTotal(const KvGeometry &geom)
 {
-    u64 total = 0;
-    for (int buffer = 0; buffer < geom.numBuffers(); ++buffer) {
-        total += geom.tokenBytesPerBuffer(geom.layerOfBuffer(buffer));
-    }
-    return total;
+    return static_cast<u64>(geom.numBuffers()) * geom.tokenBytesPerBuffer();
 }
 
 TEST(KvGeometry, PaperSection513Example)
@@ -46,8 +42,8 @@ TEST(KvGeometry, PaperSection513Example)
     config.max_batch_size = 500;
     KvGeometry geom(config);
     EXPECT_EQ(config.num_kv_heads, 4);
-    EXPECT_EQ(geom.perRequestBytes(0), 200ull * 1024 * 1024);
-    EXPECT_EQ(geom.bufferBytesFor(0), 500ull * 200 * 1024 * 1024);
+    EXPECT_EQ(geom.perRequestBytes(), 200ull * 1024 * 1024);
+    EXPECT_EQ(geom.bufferBytes(), 500ull * 200 * 1024 * 1024);
     EXPECT_EQ(geom.numBuffers(), 120);
     // The paper's "12TB total" (120 x "100GB") in binary units:
     // 120 * 500 * 200MiB = 11.44 TiB.
@@ -178,11 +174,11 @@ TEST(KvGeometry, GroupsForTokens)
     KvGeometry geom(configFor(perf::ModelSpec::yi6B(), 1,
                               PageGroup::k2MB));
     // 2048 tokens per group.
-    EXPECT_EQ(geom.groupsForTokens(0, 0), 0);
-    EXPECT_EQ(geom.groupsForTokens(0, 1), 1);
-    EXPECT_EQ(geom.groupsForTokens(0, 2048), 1);
-    EXPECT_EQ(geom.groupsForTokens(0, 2049), 2);
-    EXPECT_EQ(geom.maxGroupsPerRequest(0), 100); // 200K / 2048
+    EXPECT_EQ(geom.groupsForTokens(0), 0);
+    EXPECT_EQ(geom.groupsForTokens(1), 1);
+    EXPECT_EQ(geom.groupsForTokens(2048), 1);
+    EXPECT_EQ(geom.groupsForTokens(2049), 2);
+    EXPECT_EQ(geom.maxGroupsPerRequest(), 100); // 200K / 2048
 }
 
 TEST(KvGeometry, WasteShrinksWithSmallerGroups)
@@ -207,9 +203,9 @@ TEST(KvGeometry, AlignedPerRequestNeverSharesGroups)
                             PageGroup::k2MB);
     config.max_context_len = 1000; // S = 1000*1KB, not 2MB aligned
     KvGeometry geom(config);
-    EXPECT_EQ(geom.perRequestBytes(0), 1000u * 1024);
-    EXPECT_EQ(geom.perRequestBytesAligned(0), 2 * MiB);
-    EXPECT_EQ(geom.perRequestBytesAligned(0) % geom.groupBytes(), 0u);
+    EXPECT_EQ(geom.perRequestBytes(), 1000u * 1024);
+    EXPECT_EQ(geom.perRequestBytesAligned(), 2 * MiB);
+    EXPECT_EQ(geom.perRequestBytesAligned() % geom.groupBytes(), 0u);
 }
 
 TEST(ConfigValidation, CatchesBadSettings)

@@ -40,9 +40,7 @@ windowConfig()
     config.eager_allocation = false;
     config.overlap_allocation = false;
     config.phys_budget_bytes = 16 * MiB;
-    config.layers.assign(2, LayerKvSpec{});
-    config.layers[1].kind = AttentionKind::kSlidingWindow;
-    config.layers[1].window_tokens = kWindow;
+    config.layer_window_tokens = {0, kWindow};
     return config;
 }
 

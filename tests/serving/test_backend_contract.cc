@@ -7,8 +7,9 @@
  * page-groups and the other family's images do not), a backend
  * without a host tier refuses swaps and imports, a prefix hit is
  * served at the backend's own granularity, a prefix-shared slot never
- * swaps out while its sharer runs, and canSwapOut predicts every
- * swapOut refusal. Every case ends with a clean audit, so the TP-2
+ * swaps out while its sharer runs, canSwapOut predicts every
+ * swapOut refusal, and a sliding-window slot holds, swaps and regrows
+ * only its live window. Every case ends with a clean audit, so the TP-2
  * cases also check the cross-worker lockstep state. The paged
  * fault-injection tests at the end corrupt one TP worker and check
  * that the audit localizes it.
@@ -41,11 +42,17 @@ struct Paged
     static constexpr i64 kTokens = 1000;
 
     static std::unique_ptr<Backend>
-    make(int tp, u64 host_swap_bytes, bool prefix_caching)
+    make(int tp, u64 host_swap_bytes, bool prefix_caching,
+         const perf::ModelSpec &model = perf::ModelSpec::yi6B(),
+         u64 budget_bytes = 64 * MiB)
     {
-        return std::make_unique<Backend>(perf::ModelSpec::yi6B(), tp, 16,
-                                         64 * MiB, prefix_caching,
-                                         host_swap_bytes);
+        return std::make_unique<Backend>(model, tp, 16, budget_bytes,
+                                         prefix_caching, host_swap_bytes);
+    }
+
+    static i64 pageTokens(const Backend &backend)
+    {
+        return backend.blockSize();
     }
 
     /** Four whole blocks: every one of them shareable. */
@@ -87,16 +94,22 @@ struct VAttn
     static constexpr i64 kTokens = 4096;
 
     static std::unique_ptr<Backend>
-    make(int tp, u64 host_swap_bytes, bool prefix_caching)
+    make(int tp, u64 host_swap_bytes, bool prefix_caching,
+         const perf::ModelSpec &model = perf::ModelSpec::yi6B(),
+         u64 budget_bytes = 512 * MiB)
     {
         VAttentionBackend::Options options;
         options.max_batch_size = 4;
         options.page_group = PageGroup::k64KB;
         options.eager_allocation = false;
         options.overlap_allocation = false;
-        return std::make_unique<Backend>(perf::ModelSpec::yi6B(), tp,
-                                         options, 512 * MiB,
+        return std::make_unique<Backend>(model, tp, options, budget_bytes,
                                          prefix_caching, host_swap_bytes);
+    }
+
+    static i64 pageTokens(const Backend &backend)
+    {
+        return backend.runtime().geometry().tokensPerGroup();
     }
 
     /** One fully written page-group plus change. */
@@ -448,6 +461,55 @@ TYPED_TEST(BackendContract, CanSwapOutPredictsEverySwapOutRefusal)
     ASSERT_GT(b.value().cached_tokens, 0);
     expectSwapOutPredicted(*backend, a, false);
     expectSwapOutPredicted(*backend, b.value().slot, false);
+    expectAuditClean(*backend);
+}
+
+TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
+{
+    // Yi-6B with a 1:1 full/4K-window interleave, against Yi-6B, at a
+    // 64K-token context (page-aligned for blocks and page-groups).
+    using Family = typename TypeParam::Family;
+    constexpr i64 kContext = 64 * 1024;
+    constexpr u64 kBudget = 8 * GiB;
+    const perf::ModelSpec uniform_model = perf::ModelSpec::yi6B();
+
+    auto uniform = Family::make(TypeParam::tp, 0, false, uniform_model,
+                                kBudget);
+    const int full = uniform->allocSlot().value();
+    ASSERT_TRUE(uniform->ensure({{full, kContext}}).isOk());
+    const u64 uniform_bytes = uniform->slotPhysBytes(full);
+    const i64 page = Family::pageTokens(*uniform);
+    ASSERT_TRUE(uniform->ensure({{full, kContext + page}}).isOk());
+    const u64 uniform_page_bytes =
+        uniform->slotPhysBytes(full) - uniform_bytes;
+    ASSERT_GT(uniform_page_bytes, 0u);
+
+    auto backend = Family::make(
+        TypeParam::tp, 4 * GiB, false,
+        uniform_model.withSlidingWindowInterleave(4096), kBudget);
+    ASSERT_EQ(Family::pageTokens(*backend), page);
+    const int slot = backend->allocSlot().value();
+    ASSERT_TRUE(backend->ensure({{slot, kContext}}).isOk());
+    const u64 resident = backend->slotPhysBytes(slot);
+    EXPECT_LT(resident, uniform_bytes);
+
+    // Only the live window crosses PCIe, both ways.
+    ASSERT_TRUE(backend->canSwapOut(slot));
+    auto out = backend->swapOut(slot);
+    ASSERT_TRUE(out.isOk());
+    EXPECT_EQ(out.value().bytes, resident);
+    EXPECT_EQ(backend->slotPhysBytes(slot), 0u);
+    auto in = backend->swapIn(slot);
+    ASSERT_TRUE(in.isOk());
+    EXPECT_EQ(in.value().bytes, resident);
+    EXPECT_EQ(backend->slotPhysBytes(slot), resident);
+
+    // The request grows on from where it stopped: one more page on the
+    // full-attention half of the layers, while each sliding layer
+    // drops a dead page for the one it maps.
+    ASSERT_TRUE(backend->ensure({{slot, kContext + page}}).isOk());
+    EXPECT_EQ(backend->slotPhysBytes(slot),
+              resident + uniform_page_bytes / 2);
     expectAuditClean(*backend);
 }
 

@@ -5,13 +5,16 @@
  * deadline-aware shedding, the Router's live-state scoring, and the
  * ServingCluster start/submit/shutdown session — including its
  * equivalence with the offline run() wrapper, its determinism under
- * live routing with migration, and submission from several threads.
+ * live routing with migration, submission from several threads, and
+ * malformed requests reported as errors at both submission paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serving/cluster.hh"
@@ -168,6 +171,47 @@ TEST_P(OnlineEngineTest, BoundedMemoryAcrossSubmissions)
     auto report = engine.endRun();
     EXPECT_EQ(report.num_requests,
               static_cast<i64>(trace.size()) + 1);
+}
+
+/** Malformed submissions, each one field away from a valid request. */
+std::vector<std::pair<const char *, Request>>
+malformedRequests()
+{
+    Request valid;
+    valid.prompt_tokens = 16;
+    valid.max_new_tokens = 2;
+    std::vector<std::pair<const char *, Request>> cases;
+    for (const i64 prompt : {i64{0}, i64{-4}}) {
+        Request request = valid;
+        request.prompt_tokens = prompt;
+        cases.emplace_back("prompt_tokens", request);
+    }
+    Request no_decode = valid;
+    no_decode.max_new_tokens = 0;
+    cases.emplace_back("max_new_tokens", no_decode);
+    Request short_ids = valid;
+    short_ids.token_ids.assign(8, 5);
+    cases.emplace_back("token ids", short_ids);
+    return cases;
+}
+
+TEST_P(OnlineEngineTest, MalformedRequestIsReportedAndServingGoesOn)
+{
+    Engine engine(onlineConfig(GetParam()));
+    engine.beginOnline();
+    for (const auto &[field, request] : malformedRequests()) {
+        const Status status = engine.submitOnline(request);
+        EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << field;
+    }
+    Request valid;
+    valid.prompt_tokens = 16;
+    valid.max_new_tokens = 2;
+    ASSERT_TRUE(engine.submitOnline(valid).isOk());
+    engine.closeOnline();
+    while (engine.runActive()) {
+        engine.stepRun();
+    }
+    EXPECT_EQ(engine.endRun().num_requests, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -472,6 +516,54 @@ TEST(ClusterOnlineTest, OutOfOrderSubmissionIsInvalid)
               ErrorCode::kInvalidArgument);
     cluster.shutdown();
 }
+
+struct SubmitCase
+{
+    perf::BackendKind backend;
+    RoutingMode routing;
+};
+
+void
+PrintTo(const SubmitCase &param, std::ostream *os)
+{
+    *os << (param.backend == perf::BackendKind::kFa2Paged ? "paged"
+                                                           : "vattention")
+        << (param.routing == RoutingMode::kLive ? "/live" : "/static");
+}
+
+class MalformedSubmission : public ::testing::TestWithParam<SubmitCase>
+{
+};
+
+TEST_P(MalformedSubmission, ReportedAndServingGoesOn)
+{
+    ServingCluster cluster(ServingCluster::uniform(
+        onlineConfig(GetParam().backend), 2,
+        RoutingPolicy::kJoinShortestQueue));
+    OnlineOptions options;
+    options.routing = GetParam().routing;
+    cluster.start(options);
+    for (const auto &[field, request] : malformedRequests()) {
+        const Status status = cluster.submit(request);
+        EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << field;
+        EXPECT_NE(status.message().find(field), std::string::npos)
+            << status.message();
+    }
+    Request valid;
+    valid.prompt_tokens = 16;
+    valid.max_new_tokens = 2;
+    ASSERT_TRUE(cluster.submit(valid).isOk());
+    const auto report = cluster.shutdown();
+    EXPECT_EQ(report.merged.num_requests, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndRouting, MalformedSubmission,
+    ::testing::Values(
+        SubmitCase{perf::BackendKind::kFa2VAttention, RoutingMode::kStatic},
+        SubmitCase{perf::BackendKind::kFa2VAttention, RoutingMode::kLive},
+        SubmitCase{perf::BackendKind::kFa2Paged, RoutingMode::kStatic},
+        SubmitCase{perf::BackendKind::kFa2Paged, RoutingMode::kLive}));
 
 TEST(ClusterOnlineTest, StaticRoutingMatchesRunBitForBit)
 {

@@ -1,11 +1,12 @@
 /**
  * @file
- * Per-layer heterogeneous geometries at the serving-backend level:
+ * Sliding-window geometries at the serving-backend level:
  * layer-grouped block pools on the paged backend, window-aware
  * slotPhysBytes on both backends (regression tests pinning the
- * heterogeneous values the old uniform arithmetic got wrong), swap
- * round-trips of windowed slots, and the paged prefix-caching
- * incompatibility.
+ * per-layer values the old uniform arithmetic got wrong), one window
+ * check shared by both backends, and the paged prefix-caching
+ * incompatibility. Swap round trips of windowed slots are part of
+ * the backend contract suite.
  */
 
 #include <gtest/gtest.h>
@@ -73,33 +74,21 @@ TEST(PagedWindowBackend, EnsureFreesDeadLeadingBlocks)
     EXPECT_EQ(backend.bytesInUse(), 0u);
 }
 
-TEST(PagedWindowBackend, SwapRoundTripsTheLiveWindow)
+TEST(WindowedModel, BothBackendsAcceptTheSameWindows)
 {
-    PagedBackend backend(interleaved(), 1, 16, 48ULL * GiB,
-                         /*enable_prefix_caching=*/false,
-                         /*host_swap_bytes=*/8ULL * GiB);
-    const int slot = backend.allocSlot().value();
-    ASSERT_TRUE(backend.ensure({{slot, 64 * 1024}}).isOk());
-    const u64 resident = backend.slotPhysBytes(slot);
+    // A window wider than the context is refused where the model is
+    // built, so no backend gets to accept it while the other refuses.
+    test::ScopedThrowErrors guard;
+    perf::ModelSpec model = perf::ModelSpec::yi6B();
+    model.max_context_len = 4096;
+    EXPECT_THROW(model.withSlidingWindowInterleave(8192), SimError);
 
-    ASSERT_TRUE(backend.canSwapOut(slot));
-    const auto out = backend.swapOut(slot);
-    ASSERT_TRUE(out.isOk());
-    // Only the live blocks cross PCIe — the dead lead was never
-    // resident.
-    EXPECT_EQ(out.value().bytes, resident);
-    EXPECT_EQ(backend.slotPhysBytes(slot), 0u);
-
-    const auto in = backend.swapIn(slot);
-    ASSERT_TRUE(in.isOk());
-    EXPECT_EQ(in.value().bytes, resident);
-    EXPECT_EQ(backend.slotPhysBytes(slot), resident);
-    // The request keeps growing from exactly where it stopped.
-    ASSERT_TRUE(backend.ensure({{slot, 64 * 1024 + 16}}).isOk());
-
-    audit::AuditReport report;
-    backend.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
+    // A window as wide as the context builds on both.
+    const perf::ModelSpec widest = model.withSlidingWindowInterleave(4096);
+    PagedBackend paged(widest, 1, 16, 1 * GiB);
+    EXPECT_EQ(paged.groupWindowTokens(1), 4096);
+    VAttentionBackend vattn(widest, 1, {}, 1 * GiB);
+    EXPECT_EQ(vattn.runtime().geometry().windowTokens(1), 4096);
 }
 
 TEST(PagedWindowBackend, PrefixCachingRefusesSlidingLayers)

@@ -15,8 +15,11 @@ Machine-checks the conventions the simulator's correctness leans on:
                 double fields whose name contains `_per_` are rates
                 and end in `_per_s` (per-second is the project's one
                 rate denominator — `_per_second`, `_per_sec` spellings
-                drift into unit confusion). Mixed units inside one
-                struct are how latency/capacity accounting bugs start.
+                drift into unit confusion); integer fields, and
+                std::vector lists of integers, whose name mentions a
+                window end in `_tokens` (sliding-window extents are
+                token counts). Mixed units inside one struct are how
+                latency/capacity accounting bugs start.
   2. sim-time — simulation code (src/) never reads wall clocks or
                 libc randomness: `std::chrono` clocks, std::rand and
                 friends are forbidden there. Determinism comes from
@@ -132,11 +135,14 @@ RATE_FIELD_RE = re.compile(
 
 # Sliding-window extents are token counts: an integer field whose
 # name mentions `window` must end in `_tokens` (window_tokens, never
-# window_size / window_len). Time-typed windows (TimeNs window_ns)
-# are covered by the TimeNs rule instead.
+# window_size / window_len), and so must a per-layer list of them
+# (`std::vector<i64> layer_window_tokens{};`). Time-typed windows
+# (TimeNs window_ns) are covered by the TimeNs rule instead.
 WINDOW_FIELD_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:const\s+)?(?:u64|i64|u32|i32|int)\s+"
-    r"(\w*window\w*)\s*(?:=[^;]*)?;"
+    r"^\s*(?:mutable\s+)?(?:const\s+)?"
+    r"(?:u64|i64|u32|i32|int"
+    r"|std::vector\s*<\s*(?:u64|i64|u32|i32|int)\s*>)\s+"
+    r"(\w*window\w*)\s*(?:=[^;]*|\{[^;]*\})?;"
 )
 
 # Wall-clock / libc-randomness reads that break simulation determinism.
