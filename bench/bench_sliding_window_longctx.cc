@@ -19,8 +19,7 @@
 #include "bench_util.hh"
 
 #include "common/logging.hh"
-#include "serving/paged_backend.hh"
-#include "serving/vattn_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "serving/workload.hh"
 
 using namespace vattn;

@@ -4,11 +4,11 @@
  * parallelism). Every TP worker receives identical control inputs, so
  * every worker must end in an identical state: the paper describes a
  * single worker "for simplicity; all workers behave the same".
- * Lockstep<Worker> is the one place that rule is enforced for both KV
- * backends, which drive it the same way — each MemoryBackend op is one
- * apply() call: PagedBackend over its block pools, VAttentionBackend
- * over core::WorkerGroup's vAttention runtimes (WorkerGroup::apply
- * hands each worker's runtime to the op):
+ * Lockstep<Worker> is the one place that rule is enforced. The serving
+ * layer's one KV adapter (serving/lockstep_backend.hh) drives both KV
+ * runtimes through it — paged::PagedRuntime block pools and
+ * core::WorkerGroup's vAttention workers alike — and each
+ * MemoryBackend op is one apply() call:
  *
  *  - apply() runs one mutation on every worker, compares each
  *    follower's result with worker 0's (operator==) and panics with
@@ -16,23 +16,27 @@
  *    determinism bug, never an outcome;
  *  - lead() answers symmetric queries, which lockstep makes identical
  *    on every worker by construction;
- *  - forEachFollower() pairs each follower with worker 0 for the
- *    owners' cross-worker audits, which report drift instead of
- *    panicking so corruption can be localized.
+ *  - auditInto() runs every worker's own audit, then pairs each
+ *    follower with worker 0 (Worker::auditAgainstLead), reporting
+ *    drift instead of panicking so corruption can be localized.
  *
- * Header-only and allocation-free: ops are template callables invoked
- * in place (no std::function), because engine steps on TP > 1 replicas
- * call apply() every iteration.
+ * Workers are built in place (a runtime owning a simulated GPU and
+ * driver cannot move) and never relocate. Allocation-free per op: ops
+ * are template callables invoked in place (no std::function), because
+ * engine steps call apply() every iteration.
  */
 
 #ifndef VATTN_COMMON_LOCKSTEP_HH
 #define VATTN_COMMON_LOCKSTEP_HH
 
 #include <cstddef>
+#include <deque>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/audit.hh"
 #include "common/logging.hh"
 
 namespace vattn
@@ -43,10 +47,23 @@ template <typename Worker>
 class Lockstep
 {
   public:
+    /** Take ownership of ready-made (movable) workers. */
     explicit Lockstep(std::vector<Worker> workers)
-        : workers_(std::move(workers))
+        : workers_(std::make_move_iterator(workers.begin()),
+                   std::make_move_iterator(workers.end()))
     {
         panic_if(workers_.empty(), "Lockstep needs >= 1 worker");
+    }
+
+    /** Build @p num_workers workers in place, worker w as
+     *  Worker(w, args...). */
+    template <typename... Args>
+    Lockstep(std::in_place_t, int num_workers, const Args &...args)
+    {
+        panic_if(num_workers <= 0, "Lockstep needs >= 1 worker");
+        for (int w = 0; w < num_workers; ++w) {
+            workers_.emplace_back(w, args...);
+        }
     }
 
     int size() const { return static_cast<int>(workers_.size()); }
@@ -66,8 +83,8 @@ class Lockstep
     }
 
     /** Worker 0, which answers the group's symmetric queries. */
-    Worker &lead() { return workers_[0]; }
-    const Worker &lead() const { return workers_[0]; }
+    Worker &lead() { return workers_.front(); }
+    const Worker &lead() const { return workers_.front(); }
 
     auto begin() const { return workers_.begin(); }
     auto end() const { return workers_.end(); }
@@ -82,12 +99,12 @@ class Lockstep
     auto
     apply(const char *op_name, Op &&op)
     {
-        if constexpr (std::is_void_v<decltype(op(workers_[0]))>) {
+        if constexpr (std::is_void_v<decltype(op(workers_.front()))>) {
             for (Worker &worker : workers_) {
                 op(worker);
             }
         } else {
-            auto first = op(workers_[0]);
+            auto first = op(workers_.front());
             for (std::size_t w = 1; w < workers_.size(); ++w) {
                 const auto other = op(workers_[w]);
                 panic_if(!(other == first), "TP workers diverged in ",
@@ -104,12 +121,36 @@ class Lockstep
     forEachFollower(Fn &&fn) const
     {
         for (std::size_t w = 1; w < workers_.size(); ++w) {
-            fn(w, workers_[w], workers_[0]);
+            fn(w, workers_[w], workers_.front());
         }
     }
 
+    /** Every worker's own auditInto(), then the cross-worker check. */
+    void
+    auditInto(audit::AuditReport &report) const
+    {
+        for (const Worker &worker : workers_) {
+            worker.auditInto(report);
+        }
+        auditFollowersInto(report);
+    }
+
+    /**
+     * The cross-worker half of auditInto: each follower compares its
+     * state with worker 0's (Worker::auditAgainstLead) and records
+     * the worker index and the quantity that drifted.
+     */
+    void
+    auditFollowersInto(audit::AuditReport &report) const
+    {
+        forEachFollower([&](std::size_t w, const Worker &follower,
+                            const Worker &lead) {
+            follower.auditAgainstLead(lead, w, report);
+        });
+    }
+
   private:
-    std::vector<Worker> workers_;
+    std::deque<Worker> workers_;
 };
 
 } // namespace vattn

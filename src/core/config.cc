@@ -1,7 +1,6 @@
 #include "core/config.hh"
 
-#include <string>
-
+#include "common/layer_windows.hh"
 #include "core/kv_geometry.hh"
 
 namespace vattn::core
@@ -41,36 +40,10 @@ Config::validate() const
         return errorStatus(ErrorCode::kInvalidArgument,
                            "reclaim_low_watermark must be in [0, 1]");
     }
-    if (!layer_window_tokens.empty() &&
-        static_cast<int>(layer_window_tokens.size()) != num_layers) {
-        return errorStatus(
-            ErrorCode::kInvalidArgument,
-            "layer_window_tokens has " +
-                std::to_string(layer_window_tokens.size()) +
-                " entries but num_layers is " +
-                std::to_string(num_layers) +
-                "; provide one window per layer (0 = full attention), "
-                "or none when every layer is full attention");
-    }
-    for (std::size_t layer = 0; layer < layer_window_tokens.size();
-         ++layer) {
-        const i64 window = layer_window_tokens[layer];
-        const std::string where = "layer " + std::to_string(layer);
-        if (window < 0) {
-            return errorStatus(ErrorCode::kInvalidArgument,
-                               where + ": window_tokens " +
-                                   std::to_string(window) +
-                                   " is negative (0 = full attention)");
-        }
-        if (window > max_context_len) {
-            return errorStatus(
-                ErrorCode::kInvalidArgument,
-                where + ": window_tokens " + std::to_string(window) +
-                    " exceeds max_context_len " +
-                    std::to_string(max_context_len) +
-                    "; a window that wide never evicts — use 0 (full "
-                    "attention) instead");
-        }
+    const Status windows = validateLayerWindows(
+        layer_window_tokens, num_layers, max_context_len);
+    if (!windows.isOk()) {
+        return windows;
     }
     const KvGeometry geometry(*this);
     if (tensor_slicing && geometry.hasWindows()) {

@@ -598,14 +598,23 @@ VAttention::matchPrefix(const PrefixKey &key) const
     return best;
 }
 
-Result<int>
-VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
-                                 i64 *cached_tokens)
+Result<SlotLease>
+VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached)
 {
-    if (cached_tokens) {
-        *cached_tokens = 0;
-    }
-    last_prefix_alloc_ns_ = 0;
+    // Alias and tail-copy maps run synchronously: their driver time is
+    // the lease's critical-path latency.
+    const auto lease = [&](int slot, i64 tokens) {
+        const TimeNs alloc_ns = driver_.consumeElapsedNs();
+        stats_.critical_ns += alloc_ns;
+        return SlotLease{slot, tokens, alloc_ns};
+    };
+    const auto miss = [&]() -> Result<SlotLease> {
+        auto slot = allocReqId();
+        if (!slot.isOk()) {
+            return Result<SlotLease>(slot.status());
+        }
+        return SlotLease{slot.value(), 0, 0};
+    };
     PrefixHit hit = matchPrefix(key);
     const i64 tpg = allocator_.geometry().tokensPerGroup();
     if (hit.tokens > max_cached) {
@@ -615,7 +624,7 @@ VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
         hit.tokens = hit.groups * tpg;
     }
     if (hit.slot < 0 || hit.tokens <= 0) {
-        return allocReqId();
+        return miss();
     }
 
     const bool has_tail = hit.tokens > hit.groups * tpg;
@@ -643,19 +652,12 @@ VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
         const i64 reused = chain.tokens;
         if (reused <= 0) {
             chain.clear();
-            last_prefix_alloc_ns_ = driver_.consumeElapsedNs();
-            stats_.critical_ns += last_prefix_alloc_ns_;
-            return hit.slot; // degraded to a plain allocation
+            return lease(hit.slot, 0); // degraded to a plain allocation
         }
         ++stats_.prefix_hits;
         ++stats_.prefix_inplace_hits;
         stats_.prefix_cached_tokens += reused;
-        if (cached_tokens) {
-            *cached_tokens = reused;
-        }
-        last_prefix_alloc_ns_ = driver_.consumeElapsedNs();
-        stats_.critical_ns += last_prefix_alloc_ns_;
-        return hit.slot;
+        return lease(hit.slot, reused);
     }
 
     // The source is active: alias its aligned groups into a free slot.
@@ -664,7 +666,7 @@ VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
     // saves — so without a free slot we fall back to a plain miss.)
     const int target = slots_.firstFree();
     if (target < 0) {
-        return allocReqId();
+        return miss();
     }
     slots_.activate(target).expectOk("activate free slot");
     auto &chain = chains_[static_cast<std::size_t>(target)];
@@ -699,14 +701,7 @@ VAttention::allocReqIdWithPrefix(const PrefixKey &key, i64 max_cached,
         ++stats_.prefix_hits;
         stats_.prefix_cached_tokens += tokens;
     }
-    if (cached_tokens) {
-        *cached_tokens = tokens;
-    }
-    // Alias/copy maps happened synchronously: charge them to the
-    // critical path (the serving backend folds this into ensure time).
-    last_prefix_alloc_ns_ = driver_.consumeElapsedNs();
-    stats_.critical_ns += last_prefix_alloc_ns_;
-    return target;
+    return lease(target, tokens);
 }
 
 void

@@ -35,6 +35,7 @@
 #include "attn/kv_view.hh"
 #include "common/audit.hh"
 #include "common/kv_image.hh"
+#include "common/kv_results.hh"
 #include "common/prefix_hash.hh"
 #include "core/background.hh"
 #include "core/config.hh"
@@ -45,28 +46,6 @@
 
 namespace vattn::core
 {
-
-/** Outcome of one step() call. */
-struct StepStats
-{
-    Status status;          ///< OK, or kOutOfMemory -> preempt & retry
-    i64 handles_mapped = 0; ///< page-groups mapped synchronously
-    i64 handles_stolen = 0; ///< groups reclaimed from cached slots
-    TimeNs critical_ns = 0; ///< driver latency on the critical path
-
-    bool operator==(const StepStats &) const = default;
-};
-
-/** Outcome of one swapOutReq / swapInReq call. */
-struct SwapStats
-{
-    Status status;          ///< OK, or why the swap did not happen
-    i64 handles = 0;        ///< page-group copies performed (all buffers)
-    u64 bytes = 0;          ///< KV bytes moved over PCIe
-    TimeNs critical_ns = 0; ///< copy + map/unmap latency (synchronous)
-
-    bool operator==(const SwapStats &) const = default;
-};
 
 /** Lifetime counters for the ablation studies. */
 struct RuntimeStats
@@ -147,13 +126,14 @@ class VAttention
      * page-groups already hold the prefix KV — zero driver calls) or
      * aliases the source's aligned groups into a free slot via
      * multi-mapping, copying the partial trailing group when the match
-     * extends into one. @p cached_tokens receives the tokens whose KV
-     * the new request inherits. Falls back to plain allocReqId (0
-     * cached) on a miss or when no suitable target slot exists.
+     * extends into one. The lease names the slot, the tokens whose KV
+     * the new request inherits and the driver time of the alias and
+     * copy maps (on the serving critical path). Falls back to plain
+     * allocReqId (0 cached, 0 ns) on a miss or when no suitable target
+     * slot exists.
      */
-    Result<int> allocReqIdWithPrefix(const PrefixKey &key,
-                                     i64 max_cached,
-                                     i64 *cached_tokens);
+    Result<SlotLease> allocReqIdWithPrefix(const PrefixKey &key,
+                                           i64 max_cached);
 
     /**
      * Record that @p req_id's sub-tensors now hold the KV of the first
@@ -161,10 +141,6 @@ class VAttention
      * Only fully written groups plus one partial tail enter the store.
      */
     void registerPrefix(int req_id, const PrefixKey &key, i64 tokens);
-
-    /** Driver latency of the most recent allocReqIdWithPrefix (alias
-     *  and tail-copy maps run on the serving critical path). */
-    TimeNs lastPrefixAllocNs() const { return last_prefix_alloc_ns_; }
 
     /** Return a reqId (request completed or preempted). */
     Status freeReqId(int req_id);
@@ -411,7 +387,6 @@ class VAttention
      *  record it. */
     std::vector<KvPageLayout> unit_layouts_;
     RuntimeStats stats_;
-    TimeNs last_prefix_alloc_ns_ = 0;
     /** Eager-allocation group count, fixed for the allocator's life. */
     const i64 eager_target_;
 };

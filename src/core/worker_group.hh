@@ -8,12 +8,13 @@
  * lengths, windows) is identical and the runtime is deterministic,
  * workers must remain in identical states.
  *
- * The group builds the workers and owns the cross-worker audit; it
- * declares no per-op forwards. Callers run each mutation through
- * apply(), the one Lockstep<Worker> entry point (common/lockstep.hh),
- * which panics on a diverging result, and read symmetric answers from
- * worker(0) — the same shape PagedBackend gives its block pools.
- * auditInto() checks that the states stayed equal.
+ * The group is a Lockstep<TpWorker> (common/lockstep.hh) that builds
+ * its workers: callers run each mutation through apply(), which
+ * panics on a diverging result, read symmetric answers from lead(),
+ * and auditInto() checks every worker and that their states stayed
+ * equal. The serving layer's one KV adapter
+ * (serving/lockstep_backend.hh) drives it exactly as it drives the
+ * paged runtime's block pools.
  *
  * Workers allocate physical memory in parallel, so the group's
  * aggregate allocation bandwidth scales with TP (Table 9) while the
@@ -23,8 +24,7 @@
 #ifndef VATTN_CORE_WORKER_GROUP_HH
 #define VATTN_CORE_WORKER_GROUP_HH
 
-#include <memory>
-#include <vector>
+#include <cstddef>
 
 #include "common/lockstep.hh"
 #include "core/vattention.hh"
@@ -34,8 +34,56 @@
 namespace vattn::core
 {
 
+/** The simulated hardware one TP worker owns. */
+struct WorkerHardware
+{
+    WorkerHardware(int index, u64 device_mem_bytes);
+
+    gpu::GpuDevice hw_device;
+    cuvmm::Driver hw_driver;
+};
+
+/**
+ * One TP worker: its own GPU and VMM driver, and the vAttention
+ * runtime over them, holding a num_kv_heads/tp KV shard. Besides the
+ * runtime's Table-4 API it answers the queries the serving adapter
+ * asks of every per-worker KV runtime, in the units
+ * paged::PagedRuntime answers them.
+ */
+class TpWorker : private WorkerHardware, public VAttention
+{
+  public:
+    /** Worker @p index of a group (names its GPU). */
+    TpWorker(int index, const Config &config, u64 device_mem_bytes);
+
+    cuvmm::Driver &driver() { return hw_driver; }
+
+    i64 cachedPrefixTokens(const PrefixKey &key) const
+    {
+        return matchPrefix(key).tokens;
+    }
+    bool prefixCachingEnabled() const { return config().prefix_caching; }
+    /** Aliased and tail-copied page-groups, in bytes. */
+    BackendPrefixStats prefixStats() const;
+    /** Bytes of the page-groups @p slot maps (each buffer's live
+     *  [lead, end) range, so window-trimmed slots count only what
+     *  stays mapped). */
+    u64 slotPhysBytes(int slot) const;
+    /** Leased reqIds (swapped-out requests included). */
+    i64 liveSlots() const { return slots().numActive(); }
+
+    /**
+     * Lockstep workers fed identical control inputs must hold
+     * identical slot states, group counts and pool levels; record
+     * every quantity in which this worker (@p worker) drifted from
+     * @p lead, naming the worker and the slot.
+     */
+    void auditAgainstLead(const TpWorker &lead, std::size_t worker,
+                          audit::AuditReport &report) const;
+};
+
 /** Lockstep group of per-worker vAttention runtimes. */
-class WorkerGroup
+class WorkerGroup : public Lockstep<TpWorker>
 {
   public:
     /**
@@ -47,36 +95,10 @@ class WorkerGroup
     WorkerGroup(int num_workers, const Config &config,
                 u64 device_mem_bytes);
 
-    int numWorkers() const { return workers_.size(); }
-    VAttention &worker(int index) { return *workers_.worker(index).runtime; }
-    /** Worker @p index's runtime; worker 0 answers the group's
-     *  symmetric queries (lockstep makes every worker's answer equal). */
-    const VAttention &
-    worker(int index) const
-    {
-        return *workers_.worker(index).runtime;
-    }
-    cuvmm::Driver &driver(int index)
-    {
-        return *workers_.worker(index).driver;
-    }
+    int numWorkers() const { return size(); }
+    cuvmm::Driver &driver(int index) { return worker(index).driver(); }
     /** Worker 0's lifetime counters (the workers' are identical). */
-    const RuntimeStats &stats() const { return worker(0).stats(); }
-
-    /**
-     * Run @p op(VAttention &) on every worker in lockstep and return
-     * worker 0's result (Lockstep::apply: a follower whose result
-     * differs panics naming @p op_name). Workers run concurrently, so
-     * worker 0's critical-path latencies are the group's.
-     */
-    template <typename Op>
-    auto
-    apply(const char *op_name, Op &&op)
-    {
-        return workers_.apply(op_name, [&](Worker &w) {
-            return op(*w.runtime);
-        });
-    }
+    const RuntimeStats &stats() const { return lead().stats(); }
 
     /**
      * Are all workers in identical states (slot states, group counts,
@@ -88,31 +110,6 @@ class WorkerGroup
 
     /** auditInto reports nothing. */
     bool checkInvariants() const;
-
-    /**
-     * Whole-stack audit of every worker (driver + pool + allocator +
-     * runtime) plus the cross-worker state-equality check: lockstep
-     * workers fed identical control inputs must hold identical slot
-     * states, group counts and pool levels — a divergence is reported
-     * with the worker index and the quantity that drifted, not
-     * panicked, so audit builds localize the corruption.
-     */
-    void auditInto(audit::AuditReport &report) const;
-
-  private:
-    struct Worker
-    {
-        std::unique_ptr<gpu::GpuDevice> device;
-        std::unique_ptr<cuvmm::Driver> driver;
-        std::unique_ptr<VAttention> runtime;
-    };
-
-    static std::vector<Worker> makeWorkers(int num_workers,
-                                           const Config &config,
-                                           u64 device_mem_bytes);
-    void auditLockstepInto(audit::AuditReport &report) const;
-
-    Lockstep<Worker> workers_;
 };
 
 } // namespace vattn::core

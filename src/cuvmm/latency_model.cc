@@ -90,17 +90,29 @@ bandwidthNs(u64 bytes, double bytes_per_s, TimeNs launch_ns)
 } // namespace
 
 TimeNs
+LatencyModel::CopyModel::dtohNs(u64 bytes) const
+{
+    return bandwidthNs(bytes, d2h_bytes_per_s, launch_ns);
+}
+
+TimeNs
+LatencyModel::CopyModel::htodNs(u64 bytes) const
+{
+    return bandwidthNs(bytes, h2d_bytes_per_s, launch_ns);
+}
+
+TimeNs
 LatencyModel::copyDtoHCost(u64 bytes) const
 {
     // PCIe time is physical, not a driver-call cost: the Table-3
     // sensitivity scale does not apply.
-    return bandwidthNs(bytes, copy_.d2h_bytes_per_s, copy_.launch_ns);
+    return copy_.dtohNs(bytes);
 }
 
 TimeNs
 LatencyModel::copyHtoDCost(u64 bytes) const
 {
-    return bandwidthNs(bytes, copy_.h2d_bytes_per_s, copy_.launch_ns);
+    return copy_.htodNs(bytes);
 }
 
 TimeNs

@@ -44,6 +44,14 @@ class LatencyModel
         double d2h_bytes_per_s = 24e9;
         double h2d_bytes_per_s = 26e9;
         TimeNs launch_ns = 8 * kUsec;
+
+        /** Device -> host copy of @p bytes: the launch cost plus the
+         *  bytes at the link's bandwidth — the project's one PCIe
+         *  copy formula (perf::PcieSpec and the paged runtime's swaps
+         *  price copies through it too). */
+        TimeNs dtohNs(u64 bytes) const;
+        /** Host -> device copy of @p bytes, by the same formula. */
+        TimeNs htodNs(u64 bytes) const;
     };
 
     /** Latency of @p api when operating on @p pg sized page-groups. */

@@ -72,57 +72,10 @@ ModelSpec::withSlidingWindowInterleave(i64 window_tokens,
     return spec;
 }
 
-bool
-ModelSpec::hasSlidingLayers() const
-{
-    for (i64 window : layer_window_tokens) {
-        if (window > 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-i64
-ModelSpec::windowTokensOf(int layer) const
-{
-    if (layer_window_tokens.empty()) {
-        return 0;
-    }
-    fatal_if(layer < 0 ||
-                 static_cast<std::size_t>(layer) >=
-                     layer_window_tokens.size(),
-             "layer ", layer, " out of range for the ",
-             layer_window_tokens.size(), "-entry window list");
-    return layer_window_tokens[static_cast<std::size_t>(layer)];
-}
-
 std::vector<ModelSpec::WindowClass>
 ModelSpec::windowClasses() const
 {
-    std::vector<WindowClass> classes;
-    for (int layer = 0; layer < num_layers; ++layer) {
-        const i64 window = windowTokensOf(layer);
-        bool found = false;
-        for (WindowClass &cls : classes) {
-            if (cls.window_tokens == window) {
-                ++cls.layers;
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            classes.push_back(WindowClass{window, 1});
-        }
-    }
-    // Full attention first for stable reporting order.
-    for (std::size_t i = 1; i < classes.size(); ++i) {
-        if (classes[i].window_tokens == 0) {
-            std::swap(classes[0], classes[i]);
-            break;
-        }
-    }
-    return classes;
+    return vattn::windowClasses(layer_window_tokens, num_layers);
 }
 
 double

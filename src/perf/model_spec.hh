@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/layer_windows.hh"
 #include "common/types.hh"
 
 namespace vattn::perf
@@ -59,18 +60,8 @@ struct ModelSpec
     ModelSpec withSlidingWindowInterleave(i64 window_tokens,
                                           int period = 2) const;
 
-    /** Any sliding-window layer in the spec? */
-    bool hasSlidingLayers() const;
-
-    /** Window width of @p layer (0 = full attention). */
-    i64 windowTokensOf(int layer) const;
-
     /** One attention-shape class: all layers sharing a window. */
-    struct WindowClass
-    {
-        i64 window_tokens = 0; ///< 0 = full attention
-        int layers = 0;        ///< layers with this window
-    };
+    using WindowClass = vattn::WindowClass;
 
     /** Layers grouped by window width (full class first when present);
      *  a single class {0, num_layers} for uniform models. */

@@ -14,29 +14,16 @@ PcieSpec::gen4x16()
     };
 }
 
-namespace
-{
-
-TimeNs
-copyNs(u64 bytes, double bytes_per_s, TimeNs launch_ns)
-{
-    return launch_ns +
-           static_cast<TimeNs>(static_cast<double>(bytes) /
-                               bytes_per_s * 1e9);
-}
-
-} // namespace
-
 TimeNs
 PcieSpec::dtohNs(u64 bytes) const
 {
-    return copyNs(bytes, d2h_bytes_per_s, launch_ns);
+    return toCopyModel().dtohNs(bytes);
 }
 
 TimeNs
 PcieSpec::htodNs(u64 bytes) const
 {
-    return copyNs(bytes, h2d_bytes_per_s, launch_ns);
+    return toCopyModel().htodNs(bytes);
 }
 
 TimeNs

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "serving/paged_backend.hh"
 #include "serving/serving_audit.hh"
 
 namespace vattn::serving
@@ -514,9 +513,8 @@ Engine::account(const IterationPlan &plan,
     if (!config_.record_iterations) {
         return;
     }
-    const i64 groups = vattn_backend_ && !pure_prefill
-                           ? vattn_backend_->lastStep().handles_mapped
-                           : 0;
+    const i64 groups =
+        pure_prefill ? 0 : backend_->lastStep().handles_mapped;
     i64 prefill_tokens = 0;
     for (const perf::ChunkShape &chunk : iter_chunks_) {
         prefill_tokens += chunk.tokens;

@@ -43,7 +43,7 @@
 #include "serving/metrics.hh"
 #include "serving/router.hh"
 #include "serving/scheduler.hh"
-#include "serving/vattn_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "serving/workload.hh"
 
 namespace vattn::serving

@@ -1,22 +1,25 @@
 /**
  * @file
  * The memory-management interface the serving engine programs against:
- * a pure contract with exactly two implementations, which reproduce
- * the paper's comparison:
+ * a pure contract with exactly one implementation, the lockstep
+ * adapter of serving/lockstep_backend.hh, instantiated over the two KV
+ * runtimes whose comparison the paper reproduces:
  *
- *  - PagedBackend     : user-space block management (vLLM model; the
- *    whole KV region is committed up-front, blocks are CPU-side
- *    bookkeeping, so ensure() never pays driver latency).
- *  - VAttentionBackend: the paper's system — physical memory is
- *    committed page-group by page-group through the (simulated) CUDA
- *    VMM driver, with latency hidden by the §6.1 optimizations.
+ *  - PagedBackend (paged::PagedRuntime): user-space block management
+ *    (vLLM model; the whole KV region is committed up-front, blocks
+ *    are CPU-side bookkeeping, so ensure() never pays driver latency).
+ *  - VAttentionBackend (core::VAttention per TP worker): the paper's
+ *    system — physical memory is committed page-group by page-group
+ *    through the (simulated) CUDA VMM driver, with latency hidden by
+ *    the §6.1 optimizations.
  *
- * Both implement every method: slot lifecycle and per-iteration
- * ensure(), prefix caching (§8.1, a no-op unless enabled), the host
- * swap tier and cross-replica migration of swapped KV (refused unless
- * a host tier is configured, see hasHostTier()), and the invariant
- * audit. Both hold one lockstep replica of their state per TP worker
- * (common/lockstep.hh); sizes and bytes below are per worker.
+ * Both runtimes implement every operation: slot lifecycle and
+ * per-iteration ensure(), prefix caching (§8.1, a no-op unless
+ * enabled), the host swap tier and cross-replica migration of swapped
+ * KV (refused unless a host tier is configured, see hasHostTier()),
+ * and the invariant audit. The adapter holds one lockstep replica of
+ * the runtime per TP worker (common/lockstep.hh); sizes and bytes
+ * below are per worker.
  */
 
 #ifndef VATTN_SERVING_MEMORY_BACKEND_HH
@@ -27,6 +30,7 @@
 
 #include "common/audit.hh"
 #include "common/kv_image.hh"
+#include "common/kv_results.hh"
 #include "common/prefix_hash.hh"
 #include "common/status.hh"
 #include "common/types.hh"
@@ -36,40 +40,6 @@ namespace vattn::serving
 
 /** (slot, context length) pairs for the active batch. */
 using ActiveLens = std::vector<std::pair<int, i64>>;
-
-/** Result of a prefix-aware slot allocation. */
-struct SlotLease
-{
-    int slot = -1;
-    /** Prompt tokens whose KV the request inherits from the prefix
-     *  cache (prefill starts at this offset). */
-    i64 cached_tokens = 0;
-    /** Critical-path latency of establishing the reuse (aliasing
-     *  driver calls; 0 for CPU-side block sharing). */
-    TimeNs alloc_ns = 0;
-
-    bool operator==(const SlotLease &) const = default;
-};
-
-/** Cumulative prefix-cache counters of one backend. */
-struct BackendPrefixStats
-{
-    /** Bytes mapped into more than one request's virtual range
-     *  (vAttention aliasing) or shared via block refcounts (paged). */
-    u64 aliased_bytes = 0;
-    /** Bytes of partial trailing groups copied on hits. */
-    u64 copied_bytes = 0;
-};
-
-/** Outcome of one slot swap (out or in). */
-struct SwapResult
-{
-    /** KV bytes moved over PCIe. */
-    u64 bytes = 0;
-    /** Synchronous latency of the swap (copies plus any driver
-     *  map/unmap work) — the engine's swap-stall time. */
-    TimeNs stall_ns = 0;
-};
 
 /** KV memory manager abstraction used by the engine. */
 class MemoryBackend
@@ -172,6 +142,10 @@ class MemoryBackend
     /** Grant the backend the iteration's compute window for
      *  background work (no-op for the paged backend). */
     virtual void computeWindow(TimeNs window_ns) = 0;
+
+    /** The most recent ensure()'s step (for iteration traces: the
+     *  page-groups it mapped, always 0 for paged blocks). */
+    virtual const StepStats &lastStep() const = 0;
 
     /** Physical KV bytes currently committed to live requests. */
     virtual u64 bytesInUse() const = 0;

@@ -92,17 +92,17 @@ TEST_F(PrefixReuseTest, CachedSlotReusedInPlaceOnFullMatch)
 
     // Same prompt arrives: the cached slot is handed back with its
     // prefix KV intact — tail included (it is mapped in place).
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(key, 4999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4999);
     ASSERT_TRUE(r2.isOk());
-    EXPECT_EQ(r2.value(), r1.value());
+    const i64 cached = r2.value().cached_tokens;
+    EXPECT_EQ(r2.value().slot, r1.value());
     // Capped at 4999: the full 2 aligned groups (4096 tokens) are
     // reusable; the 904-token tail would exceed the cap only if the
     // whole 5000 matched, so expect 4096 or the tail-trimmed value.
     EXPECT_EQ(cached, 4096);
     EXPECT_EQ(vattn.stats().prefix_hits, 1);
     EXPECT_EQ(vattn.stats().prefix_inplace_hits, 1);
-    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value(), 0, 0)),
+    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 0)),
               1u);
     EXPECT_TRUE(vattn.checkInvariants());
 }
@@ -125,9 +125,9 @@ TEST_F(PrefixReuseTest, InPlaceReuseKeepsMatchedTailWithinCap)
     // includes the partial tail group, reused in place.
     auto longer = tokens(6000);
     const auto long_key = keyFor(longer);
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(long_key, 5999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(long_key, 5999);
     ASSERT_TRUE(r2.isOk());
+    const i64 cached = r2.value().cached_tokens;
     EXPECT_EQ(cached, 5000);
     EXPECT_TRUE(vattn.checkInvariants());
 }
@@ -147,16 +147,16 @@ TEST_F(PrefixReuseTest, ActiveSourceAliasesGroupsIntoFreeSlot)
 
     // R1 is still ACTIVE (mid-decode): a second identical prompt must
     // alias, not steal, its groups.
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(r2.isOk());
-    EXPECT_NE(r2.value(), r1.value());
+    const i64 cached = r2.value().cached_tokens;
+    EXPECT_NE(r2.value().slot, r1.value());
     EXPECT_EQ(cached, 4096 - kTokensPerGroup); // capped below 4096
-    EXPECT_EQ(vattn.groupsMapped(r2.value()), 1);
+    EXPECT_EQ(vattn.groupsMapped(r2.value().slot), 1);
 
     // The §8.1 capability, observable at the driver: one physical
     // handle mapped at two virtual addresses.
-    const auto handle = vattn.handleAt(r2.value(), 0, 0);
+    const auto handle = vattn.handleAt(r2.value().slot, 0, 0);
     EXPECT_EQ(handle, vattn.handleAt(r1.value(), 0, 0));
     EXPECT_EQ(driver_.numMappings(handle), 2u);
     EXPECT_GT(vattn.aliasedBytes(), 0u);
@@ -182,15 +182,15 @@ TEST_F(PrefixReuseTest, AliasedTailCopyIsPrivate)
 
     auto longer = tokens(8000);
     const auto long_key = keyFor(longer);
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(long_key, 7999, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(long_key, 7999);
     ASSERT_TRUE(r2.isOk());
+    const i64 cached = r2.value().cached_tokens;
     EXPECT_EQ(cached, 5000); // aligned groups aliased + tail copied
-    EXPECT_EQ(vattn.groupsMapped(r2.value()), 3);
+    EXPECT_EQ(vattn.groupsMapped(r2.value().slot), 3);
     // Aligned groups are shared; the tail group is a private copy.
-    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value(), 0, 0)),
+    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 0)),
               2u);
-    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value(), 0, 2)),
+    EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 2)),
               1u);
     EXPECT_GT(vattn.stats().prefix_copied_handles, 0);
     EXPECT_TRUE(vattn.checkInvariants());
@@ -218,25 +218,25 @@ TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
     // instead: make the source active again through a hit, then
     // register and free to recreate the cached entry while the
     // sharer holds the aliased groups.
-    i64 cached = 0;
-    auto sharer = vattn.allocReqIdWithPrefix(key, 4095, &cached);
+    auto sharer = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(sharer.isOk());
-    ASSERT_EQ(sharer.value(), r1.value()); // in-place reuse
+    const i64 cached = sharer.value().cached_tokens;
+    ASSERT_EQ(sharer.value().slot, r1.value()); // in-place reuse
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
-    vattn.registerPrefix(sharer.value(), key, 4096);
+    vattn.registerPrefix(sharer.value().slot, key, 4096);
 
     // Second identical prompt aliases from the (now active) sharer.
-    i64 cached2 = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached2);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(r2.isOk());
-    ASSERT_NE(r2.value(), sharer.value());
+    const i64 cached2 = r2.value().cached_tokens;
+    ASSERT_NE(r2.value().slot, sharer.value().slot);
     ASSERT_EQ(cached2, kTokensPerGroup);
-    const auto pinned = vattn.handleAt(r2.value(), 0, 0);
+    const auto pinned = vattn.handleAt(r2.value().slot, 0, 0);
     ASSERT_EQ(driver_.numMappings(pinned), 2u);
 
     // The original holder completes: its slot is cached with the
     // aliased group still pinned by r2.
-    ASSERT_TRUE(vattn.freeReqId(sharer.value()).isOk());
+    ASSERT_TRUE(vattn.freeReqId(sharer.value().slot).isOk());
 
     // Demand beyond the pool's free handles: the steal loop reclaims
     // the cached slot's groups, including the shared one. Stealing
@@ -261,17 +261,17 @@ TEST_F(PrefixReuseTest, FreeReqIdOfSharingRequestKeepsSource)
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
     vattn.registerPrefix(r1.value(), key, 4096);
 
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(r2.isOk());
-    const auto handle = vattn.handleAt(r2.value(), 0, 0);
+    const i64 cached = r2.value().cached_tokens;
+    const auto handle = vattn.handleAt(r2.value().slot, 0, 0);
     ASSERT_EQ(driver_.numMappings(handle), 2u);
     const u64 phys_before = driver_.physBytesInUse();
 
     // The sharer dies first (deferred reclamation caches its slot,
     // alias included). Source keeps its mapping and the physical
     // bytes are unchanged; invariants hold throughout.
-    ASSERT_TRUE(vattn.freeReqId(r2.value()).isOk());
+    ASSERT_TRUE(vattn.freeReqId(r2.value().slot).isOk());
     EXPECT_EQ(driver_.physBytesInUse(), phys_before);
     EXPECT_GE(driver_.numMappings(handle), 1u);
     EXPECT_TRUE(vattn.checkInvariants());
@@ -295,9 +295,9 @@ TEST_F(PrefixReuseTest, WatermarkRefillWithPinnedEntries)
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
     vattn.registerPrefix(r1.value(), key, 4096);
 
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(key, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(r2.isOk());
+    const i64 cached = r2.value().cached_tokens;
     ASSERT_GT(cached, 0);
 
     // Cache the source; the background reclaimer then chews on it
@@ -307,7 +307,7 @@ TEST_F(PrefixReuseTest, WatermarkRefillWithPinnedEntries)
     // Reclamation must terminate, keep invariants, and never free
     // pinned physical memory out from under the sharer.
     EXPECT_TRUE(vattn.checkInvariants());
-    EXPECT_GE(driver_.numMappings(vattn.handleAt(r2.value(), 0, 0)),
+    EXPECT_GE(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 0)),
               1u);
     ASSERT_TRUE(vattn.step(lens(0, 4097)).status.isOk());
     EXPECT_TRUE(vattn.checkInvariants());
@@ -329,11 +329,11 @@ TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
 
     auto longer = tokens(6000);
     const auto long_key = keyFor(longer);
-    i64 cached = 0;
-    auto t = vattn.allocReqIdWithPrefix(long_key, 5999, &cached);
+    auto t = vattn.allocReqIdWithPrefix(long_key, 5999);
     ASSERT_TRUE(t.isOk());
+    const i64 cached = t.value().cached_tokens;
     ASSERT_EQ(cached, 4096);
-    const auto shared1 = vattn.handleAt(t.value(), 0, 1);
+    const auto shared1 = vattn.handleAt(t.value().slot, 0, 1);
     ASSERT_EQ(driver_.numMappings(shared1), 2u);
 
     // S completes and is cached; a prompt sharing only the FIRST
@@ -346,20 +346,20 @@ TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
         diverging[i] += 500000;
     }
     const auto div_key = keyFor(diverging);
-    i64 cached2 = 0;
-    auto u = vattn.allocReqIdWithPrefix(div_key, 4095, &cached2);
+    auto u = vattn.allocReqIdWithPrefix(div_key, 4095);
     ASSERT_TRUE(u.isOk());
-    EXPECT_EQ(u.value(), s.value()); // in-place reuse of S
+    const i64 cached2 = u.value().cached_tokens;
+    EXPECT_EQ(u.value().slot, s.value()); // in-place reuse of S
     EXPECT_EQ(cached2, kTokensPerGroup);
 
     // T's aliased group-1 handle is now T's alone; U's group 1 is a
     // fresh private handle it may write into.
     EXPECT_EQ(driver_.numMappings(shared1), 1u);
-    const auto replaced = vattn.handleAt(u.value(), 0, 1);
+    const auto replaced = vattn.handleAt(u.value().slot, 0, 1);
     EXPECT_NE(replaced, shared1);
     EXPECT_EQ(driver_.numMappings(replaced), 1u);
     // Group 0 stays legitimately shared (read-only prefix).
-    EXPECT_EQ(driver_.numMappings(vattn.handleAt(u.value(), 0, 0)),
+    EXPECT_EQ(driver_.numMappings(vattn.handleAt(u.value().slot, 0, 0)),
               2u);
     EXPECT_TRUE(vattn.checkInvariants());
 }
@@ -380,9 +380,9 @@ TEST_F(PrefixReuseTest, MissWithDifferentTokensAllocatesFresh)
 
     const auto other = tokens(4096, /*salt=*/100000);
     const auto other_key = keyFor(other);
-    i64 cached = 0;
-    auto r2 = vattn.allocReqIdWithPrefix(other_key, 4095, &cached);
+    auto r2 = vattn.allocReqIdWithPrefix(other_key, 4095);
     ASSERT_TRUE(r2.isOk());
+    const i64 cached = r2.value().cached_tokens;
     EXPECT_EQ(cached, 0);
     EXPECT_EQ(vattn.stats().prefix_hits, 0);
     EXPECT_TRUE(vattn.checkInvariants());

@@ -150,30 +150,30 @@ TEST_F(CoreSwapTest, RefusesWhileAnotherSlotMapsThePages)
     // r1's aligned group via a live-to-live prefix hit.
     std::vector<i32> longer = ids;
     longer.resize(4000, 7);
-    i64 cached = 0;
     auto r2 = vattn.allocReqIdWithPrefix(PrefixKey{longer.data(), 4000},
-                                         3999, &cached);
+                                         3999);
     ASSERT_TRUE(r2.isOk());
+    const i64 cached = r2.value().cached_tokens;
     ASSERT_EQ(cached, 2048);
     ASSERT_GT(vattn.aliasedBytes(), 0u);
 
     // Neither end of the alias may swap out while the other maps the
     // physical group.
     EXPECT_FALSE(vattn.canSwapOut(r1));
-    EXPECT_FALSE(vattn.canSwapOut(r2.value()));
+    EXPECT_FALSE(vattn.canSwapOut(r2.value().slot));
     EXPECT_EQ(vattn.swapOutReq(r1).status.code(),
               ErrorCode::kFailedPrecondition);
-    EXPECT_EQ(vattn.swapOutReq(r2.value()).status.code(),
+    EXPECT_EQ(vattn.swapOutReq(r2.value().slot).status.code(),
               ErrorCode::kFailedPrecondition);
     EXPECT_EQ(driver_.counters().copy_dtoh, 0u);
 
     // Freeing r2 parks its slot as a cached prefix entry that still
     // aliases r1's group. Only a live sharer pins r1: swap-out frees
     // the cached entry, and r1's pages leave the device.
-    ASSERT_TRUE(vattn.freeReqId(r2.value()).isOk());
+    ASSERT_TRUE(vattn.freeReqId(r2.value().slot).isOk());
     EXPECT_TRUE(vattn.canSwapOut(r1));
     EXPECT_TRUE(vattn.swapOutReq(r1).status.isOk());
-    EXPECT_EQ(vattn.slots().state(r2.value()), SlotState::kFree);
+    EXPECT_EQ(vattn.slots().state(r2.value().slot), SlotState::kFree);
     EXPECT_EQ(vattn.aliasedBytes(), 0u);
     EXPECT_EQ(vattn.physBytesMapped(), 0u);
     EXPECT_TRUE(vattn.checkInvariants());

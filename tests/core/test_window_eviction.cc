@@ -179,11 +179,10 @@ TEST_F(WindowEvictionTest, AliasedLeadingGroupsSurviveUntilLastSharer)
 
     // Request B adopts the prefix: A's groups 0..1 are aliased into
     // B's virtual ranges on every buffer.
-    i64 cached = 0;
-    auto req_b_result =
-        vattn.allocReqIdWithPrefix(key, 4096, &cached);
+    auto req_b_result = vattn.allocReqIdWithPrefix(key, 4096);
     ASSERT_TRUE(req_b_result.isOk());
-    const int req_b = req_b_result.value();
+    const i64 cached = req_b_result.value().cached_tokens;
+    const int req_b = req_b_result.value().slot;
     ASSERT_EQ(cached, 4096);
     ASSERT_EQ(vattn.handleAt(req_a, 1, 0), vattn.handleAt(req_b, 1, 0));
 

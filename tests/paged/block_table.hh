@@ -10,6 +10,11 @@
  *    but requiring per-iteration object creation/deletion.
  *
  * vAttention needs neither — the whole point of virtual contiguity.
+ *
+ * Test-only: no serving path builds block tables (the paged runtime
+ * prices them through perf::OverheadModel), so it lives under
+ * tests/paged/, which the test binaries have on their include path,
+ * and is included as "paged/block_table.hh".
  */
 
 #ifndef VATTN_PAGED_BLOCK_TABLE_HH

@@ -24,19 +24,19 @@ namespace
 TEST(ModelSpecWindows, InterleaveMarksOddLayers)
 {
     const auto base = ModelSpec::yi6B();
-    EXPECT_FALSE(base.hasSlidingLayers());
-    EXPECT_EQ(base.windowTokensOf(0), 0);
+    EXPECT_TRUE(base.layer_window_tokens.empty());
     EXPECT_EQ(base.windowClasses().size(), 1u);
     EXPECT_EQ(base.windowClasses()[0].layers, base.num_layers);
 
     const auto swa = base.withSlidingWindowInterleave(4096);
-    EXPECT_TRUE(swa.hasSlidingLayers());
+    ASSERT_EQ(static_cast<int>(swa.layer_window_tokens.size()),
+              swa.num_layers);
     EXPECT_EQ(swa.name, base.name + "-swa4096");
     // Every period-th layer keeps full attention; the rest slide.
-    EXPECT_EQ(swa.windowTokensOf(0), 0);
-    EXPECT_EQ(swa.windowTokensOf(1), 4096);
-    EXPECT_EQ(swa.windowTokensOf(2), 0);
-    EXPECT_EQ(swa.windowTokensOf(3), 4096);
+    EXPECT_EQ(swa.layer_window_tokens[0], 0);
+    EXPECT_EQ(swa.layer_window_tokens[1], 4096);
+    EXPECT_EQ(swa.layer_window_tokens[2], 0);
+    EXPECT_EQ(swa.layer_window_tokens[3], 4096);
 
     const auto classes = swa.windowClasses();
     ASSERT_EQ(classes.size(), 2u);

@@ -24,7 +24,7 @@
 
 #include "alloc_counter.hh"
 #include "serving/engine.hh"
-#include "serving/vattn_backend.hh"
+#include "serving/lockstep_backend.hh"
 
 // ---- The regression tests ------------------------------------------
 

@@ -8,11 +8,13 @@
  * without a host tier refuses swaps and imports, a prefix hit is
  * served at the backend's own granularity, a prefix-shared slot never
  * swaps out while its sharer runs, canSwapOut predicts every
- * swapOut refusal, and a sliding-window slot holds, swaps and regrows
- * only its live window. Every case ends with a clean audit, so the TP-2
- * cases also check the cross-worker lockstep state. The paged
- * fault-injection tests at the end corrupt one TP worker and check
- * that the audit localizes it.
+ * swapOut refusal, a sliding-window slot holds, swaps and regrows
+ * only its live window, a slot's lifecycle keeps the admission
+ * watermark and the budget, and both refuse the same malformed window
+ * lists. Every case ends with a clean audit, so the TP-2 cases also
+ * check the cross-worker lockstep state. The paged fault-injection
+ * tests at the end corrupt one TP worker and check that the audit
+ * localizes it.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "serving/paged_backend.hh"
-#include "serving/vattn_backend.hh"
+#include "common/layer_windows.hh"
+#include "serving/lockstep_backend.hh"
+#include "test_util.hh"
 
 namespace vattn::serving::contract
 {
@@ -52,8 +55,20 @@ struct Paged
 
     static i64 pageTokens(const Backend &backend)
     {
-        return backend.blockSize();
+        return backend.runtime().blockSize();
     }
+
+    /** Pages the pool holds. */
+    static i64 poolPages(const Backend &backend)
+    {
+        return backend.runtime().groupManager(0).numBlocks();
+    }
+    /** Admission keeps one block of headroom per running request. */
+    static constexpr i64 kHeadroomPagesPerSlot = 1;
+    /** Blocks are CPU bookkeeping over a committed pool. */
+    static constexpr bool kEnsurePaysDriverTime = false;
+    /** A freed slot's blocks return to the pool. */
+    static constexpr bool kFreeKeepsMapping = false;
 
     /** Four whole blocks: every one of them shareable. */
     static i64 sharedPromptTokens(const Backend &) { return 64; }
@@ -61,24 +76,18 @@ struct Paged
     /** A hit serves whole blocks and copies nothing. */
     static i64 servedTokens(const Backend &backend, i64 shared)
     {
-        return shared / backend.blockSize() * backend.blockSize();
+        return shared / pageTokens(backend) * pageTokens(backend);
     }
     static constexpr bool kCopiesTail = false;
-
-    static i64
-    liveSlots(Backend &backend)
-    {
-        return backend.workers().lead().live_slots;
-    }
 
     /** One unit per window class, cut into blocks. */
     static void
     expectOwnImage(const Backend &backend, const SwappedKvImage &image)
     {
         EXPECT_EQ(static_cast<int>(image.units.size()),
-                  backend.numLayerGroups());
+                  backend.runtime().numLayerGroups());
         for (const SwappedKvImage::Unit &unit : image.units) {
-            EXPECT_EQ(unit.layout.tokens_per_page, backend.blockSize());
+            EXPECT_EQ(unit.layout.tokens_per_page, pageTokens(backend));
         }
     }
 };
@@ -112,6 +121,19 @@ struct VAttn
         return backend.runtime().geometry().tokensPerGroup();
     }
 
+    /** Page-group rows (one group on every buffer) the pool holds. */
+    static i64 poolPages(const Backend &backend)
+    {
+        return backend.runtime().poolAvailableHandles() /
+               backend.runtime().geometry().numBuffers();
+    }
+    /** Admission reserves nothing beyond the prompt's page-groups. */
+    static constexpr i64 kHeadroomPagesPerSlot = 0;
+    /** Each new page-group is a driver map on the critical path. */
+    static constexpr bool kEnsurePaysDriverTime = true;
+    /** Deferred reclamation keeps a freed slot's groups mapped. */
+    static constexpr bool kFreeKeepsMapping = true;
+
     /** One fully written page-group plus change. */
     static i64
     sharedPromptTokens(const Backend &backend)
@@ -122,12 +144,6 @@ struct VAttn
     /** A hit aliases the page-group and copies the partial tail. */
     static i64 servedTokens(const Backend &, i64 shared) { return shared; }
     static constexpr bool kCopiesTail = true;
-
-    static i64
-    liveSlots(Backend &backend)
-    {
-        return backend.runtime().slots().numActive();
-    }
 
     /** One unit per KV buffer, cut into page-groups. */
     static void
@@ -254,14 +270,14 @@ TYPED_TEST(BackendContract, ImageFromOtherTpDegreeOnlyWhenPagesMatch)
     auto imported = target->importSwapped(image);
     if (Family::kImageCrossesTp) {
         ASSERT_TRUE(imported.isOk());
-        EXPECT_EQ(Family::liveSlots(*target), 1);
+        EXPECT_EQ(target->liveSlots(), 1);
         auto in = target->swapIn(imported.value());
         ASSERT_TRUE(in.isOk());
         EXPECT_GT(target->bytesInUse(), 0u);
         target->freeSlot(imported.value());
     } else {
         EXPECT_EQ(imported.code(), ErrorCode::kInvalidArgument);
-        EXPECT_EQ(Family::liveSlots(*target), 0);
+        EXPECT_EQ(target->liveSlots(), 0);
     }
     expectAuditClean(*target);
 }
@@ -277,7 +293,7 @@ TYPED_TEST(BackendContract, OtherFamilyImageRefused)
     EXPECT_FALSE(target->canImportSwapped(image));
     EXPECT_EQ(target->importSwapped(image).code(),
               ErrorCode::kInvalidArgument);
-    EXPECT_EQ(Other::liveSlots(*target), 0);
+    EXPECT_EQ(target->liveSlots(), 0);
     expectAuditClean(*target);
     // The donor still takes its own image back.
     EXPECT_TRUE(donor->canImportSwapped(image));
@@ -490,8 +506,12 @@ TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
     ASSERT_EQ(Family::pageTokens(*backend), page);
     const int slot = backend->allocSlot().value();
     ASSERT_TRUE(backend->ensure({{slot, kContext}}).isOk());
+    // Each layer is billed for what it keeps: the full-attention half
+    // the whole context, each sliding layer only its 4K live window
+    // (billing every layer for the context would say uniform_bytes).
     const u64 resident = backend->slotPhysBytes(slot);
-    EXPECT_LT(resident, uniform_bytes);
+    EXPECT_EQ(resident,
+              uniform_bytes / 2 + uniform_bytes / 2 / kContext * 4096);
 
     // Only the live window crosses PCIe, both ways.
     ASSERT_TRUE(backend->canSwapOut(slot));
@@ -511,6 +531,93 @@ TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
     EXPECT_EQ(backend->slotPhysBytes(slot),
               resident + uniform_page_bytes / 2);
     expectAuditClean(*backend);
+}
+
+TYPED_TEST(BackendContract, SlotLifecycleKeepsTheWatermarkAndTheBudget)
+{
+    using Family = typename TypeParam::Family;
+    auto backend = Family::make(TypeParam::tp, 0, false);
+    const i64 page = Family::pageTokens(*backend);
+    // Every page holds its tokens on every layer of this worker.
+    const u64 page_bytes =
+        static_cast<u64>(page) *
+        perf::ModelSpec::yi6B().kvBytesPerTokenPerWorker(TypeParam::tp);
+    const i64 budget_pages =
+        static_cast<i64>(backend->budgetBytes() / page_bytes);
+    EXPECT_EQ(Family::poolPages(*backend), budget_pages);
+
+    // An idle backend admits a prompt one page short of the budget and
+    // refuses one a page longer than it.
+    EXPECT_TRUE(backend->canAdmit((budget_pages - 1) * page));
+    EXPECT_FALSE(backend->canAdmit((budget_pages + 1) * page));
+
+    // Six pages and change occupy seven.
+    auto slot = backend->allocSlot();
+    ASSERT_TRUE(slot.isOk());
+    EXPECT_EQ(backend->liveSlots(), 1);
+    auto ensured = backend->ensure({{slot.value(), 6 * page + 4}});
+    ASSERT_TRUE(ensured.isOk());
+    EXPECT_EQ(ensured.value() > 0, Family::kEnsurePaysDriverTime);
+    EXPECT_EQ(backend->bytesInUse(), 7 * page_bytes);
+    EXPECT_EQ(backend->slotPhysBytes(slot.value()), 7 * page_bytes);
+
+    // Admission now counts the pages held plus the headroom each
+    // running request reserves.
+    const i64 admissible =
+        budget_pages - 7 - Family::kHeadroomPagesPerSlot;
+    EXPECT_TRUE(backend->canAdmit(admissible * page));
+    EXPECT_FALSE(backend->canAdmit((admissible + 1) * page));
+
+    backend->freeSlot(slot.value());
+    EXPECT_EQ(backend->liveSlots(), 0);
+    EXPECT_EQ(backend->bytesInUse(),
+              Family::kFreeKeepsMapping ? 7 * page_bytes : 0u);
+    expectAuditClean(*backend);
+
+    // Growth past the budget is kOutOfMemory, which the engine answers
+    // by preempting; freeing the slot leaves a clean state.
+    auto big = backend->allocSlot();
+    ASSERT_TRUE(big.isOk());
+    EXPECT_EQ(backend->ensure({{big.value(), (budget_pages + 1) * page}})
+                  .code(),
+              ErrorCode::kOutOfMemory);
+    backend->freeSlot(big.value());
+    EXPECT_EQ(backend->liveSlots(), 0);
+    expectAuditClean(*backend);
+}
+
+TYPED_TEST(BackendContract, RefusesTheWindowListsTheRuntimeConfigRefuses)
+{
+    // A window list is checked where a runtime is built, by the rules
+    // core::Config applies, so both families refuse the same lists
+    // with the same message.
+    using Family = typename TypeParam::Family;
+    const perf::ModelSpec yi = perf::ModelSpec::yi6B();
+    perf::ModelSpec negative = yi;
+    negative.layer_window_tokens.assign(32, 0);
+    negative.layer_window_tokens[1] = -5;
+    perf::ModelSpec too_many = yi;
+    too_many.layer_window_tokens.assign(40, 4096);
+    perf::ModelSpec too_wide = yi;
+    too_wide.layer_window_tokens.assign(32, 0);
+    too_wide.layer_window_tokens[1] = yi.max_context_len + 1;
+
+    test::ScopedThrowErrors guard;
+    for (const perf::ModelSpec &model : {negative, too_many, too_wide}) {
+        const Status refusal = validateLayerWindows(
+            model.layer_window_tokens, model.num_layers,
+            model.max_context_len);
+        ASSERT_FALSE(refusal.isOk());
+        SCOPED_TRACE(refusal.message());
+        try {
+            Family::make(TypeParam::tp, 0, false, model);
+            ADD_FAILURE() << "the backend was built";
+        } catch (const SimError &error) {
+            EXPECT_NE(error.message.find(refusal.message()),
+                      std::string::npos)
+                << error.message;
+        }
+    }
 }
 
 // ---- Paged TP-2 audit: corruption of a single worker ---------------
@@ -544,7 +651,8 @@ class PagedBackendAudit : public ::testing::Test
 TEST_F(PagedBackendAudit, LocalizesInjectedWorkerDesync)
 {
     // Worker 1 alone grows the slot past the group-agreed length.
-    ASSERT_TRUE(backend_.workers().worker(1).ensureSlot(slot_, 500).isOk());
+    ASSERT_TRUE(
+        backend_.workerGroup().worker(1).ensureSlot(slot_, 500).isOk());
     const std::string text = auditText();
     EXPECT_NE(text.find("worker 1 group 0 has"), std::string::npos)
         << text;
@@ -559,7 +667,7 @@ TEST_F(PagedBackendAudit, CatchesPerWorkerRefcountLeak)
 {
     // A block reference taken outside every slot on worker 1: its
     // manager counts one more reference than the slots hold.
-    auto &manager = backend_.workers().worker(1).groups[0].manager;
+    auto &manager = backend_.workerGroup().worker(1).groupManager(0);
     ASSERT_TRUE(manager.allocBlock().isOk());
     const std::string text = auditText();
     EXPECT_NE(text.find("worker 1 group 0 slots hold"), std::string::npos)
@@ -572,7 +680,7 @@ TEST_F(PagedBackendAudit, CatchesPerWorkerRefcountLeak)
 TEST_F(PagedBackendAudit, CatchesLifecycleDesync)
 {
     // Worker 1 frees the request while worker 0 keeps it live.
-    backend_.workers().worker(1).freeSlot(slot_);
+    ASSERT_TRUE(backend_.workerGroup().worker(1).freeReqId(slot_).isOk());
     const std::string text = auditText();
     EXPECT_NE(text.find("worker 1 is missing slot " +
                         std::to_string(slot_)),

@@ -1,34 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "serving/engine.hh"
-#include "serving/paged_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "test_util.hh"
 
 namespace vattn::serving
 {
 namespace
 {
-
-TEST(PagedBackendTest, AdmissionAndGrowth)
-{
-    // Yi-6B, 64KB/token, block 16 => 1MB per block. Budget 64 blocks.
-    PagedBackend backend(perf::ModelSpec::yi6B(), 1, 16, 64 * MiB);
-    EXPECT_EQ(backend.blockManager().numBlocks(), 64);
-    EXPECT_TRUE(backend.canAdmit(16 * 63));
-    EXPECT_FALSE(backend.canAdmit(16 * 65));
-
-    auto slot = backend.allocSlot();
-    ASSERT_TRUE(slot.isOk());
-    ASSERT_TRUE(backend.ensure({{slot.value(), 100}}).isOk());
-    EXPECT_EQ(backend.blocksHeld(slot.value()), 7);
-    EXPECT_EQ(backend.bytesInUse(), 7 * MiB);
-    // Watermark: admission now reserves headroom for the running req.
-    EXPECT_FALSE(backend.canAdmit(16 * 57));
-    EXPECT_TRUE(backend.canAdmit(16 * 56));
-
-    backend.freeSlot(slot.value());
-    EXPECT_EQ(backend.bytesInUse(), 0u);
-}
 
 TEST(PagedBackendTest, EnsureOomSurfaces)
 {
@@ -47,29 +26,6 @@ TEST(PagedBackendTest, EnsureCostsNoDriverTime)
     auto r = backend.ensure({{slot.value(), 1000}});
     ASSERT_TRUE(r.isOk());
     EXPECT_EQ(r.value(), 0u); // pool committed up-front
-}
-
-TEST(VAttentionBackendTest, EndToEndSlotLifecycle)
-{
-    VAttentionBackend::Options options;
-    options.max_batch_size = 4;
-    options.page_group = PageGroup::k2MB;
-    options.overlap_allocation = false;
-    options.eager_allocation = false;
-    VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, options,
-                              512 * MiB);
-
-    EXPECT_TRUE(backend.canAdmit(4096));
-    auto slot = backend.allocSlot();
-    ASSERT_TRUE(slot.isOk());
-    auto r = backend.ensure({{slot.value(), 4096}});
-    ASSERT_TRUE(r.isOk());
-    EXPECT_GT(r.value(), 0u); // real driver latency on this path
-    // 4096 tokens = 2 groups x 64 buffers x 2MB.
-    EXPECT_EQ(backend.bytesInUse(), 2u * 64 * 2 * MiB);
-    backend.freeSlot(slot.value());
-    // Deferred reclamation keeps it mapped.
-    EXPECT_EQ(backend.bytesInUse(), 2u * 64 * 2 * MiB);
 }
 
 EngineConfig

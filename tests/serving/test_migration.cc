@@ -10,8 +10,7 @@
 
 #include "serving/cluster.hh"
 #include "serving/engine.hh"
-#include "serving/paged_backend.hh"
-#include "serving/vattn_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "serving/workload.hh"
 #include "test_util.hh"
 

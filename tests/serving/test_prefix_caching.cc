@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "serving/engine.hh"
-#include "serving/paged_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "serving/workload.hh"
 #include "test_util.hh"
 
@@ -263,7 +263,7 @@ TEST(PrefixCachingPaged, BlockManagerInvariantsHoldAcrossAServingRun)
     auto *backend =
         dynamic_cast<PagedBackend *>(&engine.backend());
     ASSERT_NE(backend, nullptr);
-    EXPECT_TRUE(backend->blockManager().checkInvariants());
+    EXPECT_TRUE(backend->runtime().groupManager(0).checkInvariants());
 }
 
 } // namespace

@@ -1,20 +1,18 @@
 /**
  * @file
  * Sliding-window geometries at the serving-backend level:
- * layer-grouped block pools on the paged backend, window-aware
- * slotPhysBytes on both backends (regression tests pinning the
- * per-layer values the old uniform arithmetic got wrong), one window
- * check shared by both backends, and the paged prefix-caching
- * incompatibility. Swap round trips of windowed slots are part of
- * the backend contract suite.
+ * layer-grouped block pools on the paged backend, uniform billing on
+ * vAttention, one window check shared by both backends, the paged
+ * prefix-caching incompatibility and the paged step's ensure skip.
+ * Per-layer slotPhysBytes and swap round trips of windowed slots are
+ * part of the backend contract suite.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/audit.hh"
 #include "common/rng.hh"
-#include "serving/paged_backend.hh"
-#include "serving/vattn_backend.hh"
+#include "serving/lockstep_backend.hh"
 #include "test_util.hh"
 
 namespace vattn::serving
@@ -33,17 +31,17 @@ interleaved()
 TEST(PagedWindowBackend, GroupsLayersByWindowClass)
 {
     PagedBackend uniform(perf::ModelSpec::yi6B(), 1, 16, 1 * GiB);
-    EXPECT_EQ(uniform.numLayerGroups(), 1);
-    EXPECT_EQ(uniform.groupWindowTokens(0), 0);
+    EXPECT_EQ(uniform.runtime().numLayerGroups(), 1);
+    EXPECT_EQ(uniform.runtime().groupWindowTokens(0), 0);
 
     PagedBackend backend(interleaved(), 1, 16, 8 * GiB);
-    ASSERT_EQ(backend.numLayerGroups(), 2);
-    EXPECT_EQ(backend.groupWindowTokens(0), 0);
-    EXPECT_EQ(backend.groupWindowTokens(1), kWindow);
+    ASSERT_EQ(backend.runtime().numLayerGroups(), 2);
+    EXPECT_EQ(backend.runtime().groupWindowTokens(0), 0);
+    EXPECT_EQ(backend.runtime().groupWindowTokens(1), kWindow);
     // The 1:1 interleave splits the budget pro rata: equal block
     // counts in both class pools.
-    EXPECT_EQ(backend.groupManager(0).numBlocks(),
-              backend.groupManager(1).numBlocks());
+    EXPECT_EQ(backend.runtime().groupManager(0).numBlocks(),
+              backend.runtime().groupManager(1).numBlocks());
 }
 
 TEST(PagedWindowBackend, EnsureFreesDeadLeadingBlocks)
@@ -86,7 +84,7 @@ TEST(WindowedModel, BothBackendsAcceptTheSameWindows)
     // A window as wide as the context builds on both.
     const perf::ModelSpec widest = model.withSlidingWindowInterleave(4096);
     PagedBackend paged(widest, 1, 16, 1 * GiB);
-    EXPECT_EQ(paged.groupWindowTokens(1), 4096);
+    EXPECT_EQ(paged.runtime().groupWindowTokens(1), 4096);
     VAttentionBackend vattn(widest, 1, {}, 1 * GiB);
     EXPECT_EQ(vattn.runtime().geometry().windowTokens(1), 4096);
 }
@@ -102,29 +100,6 @@ TEST(PagedWindowBackend, PrefixCachingRefusesSlidingLayers)
                  SimError);
 }
 
-TEST(VAttnWindowBackend, SlotPhysBytesCountsPerLayerMappings)
-{
-    // Regression for the uniformity bug: slotPhysBytes used to charge
-    // frontier-groups x numBuffers x groupBytes, overbilling windowed
-    // slots whose leading groups are unmapped.
-    VAttentionBackend backend(interleaved(), 1, {}, 8ULL * GiB);
-    const int slot = backend.allocSlot().value();
-    ASSERT_TRUE(backend.ensure({{slot, 16 * 1024}}).isOk());
-
-    // 2MB groups hold 2048 tokens of one layer's K or V (1KiB/token).
-    // Full-layer buffers (32 of 64) map 8 groups each; sliding-layer
-    // buffers map only the live 2 (dead lead = (16384-4096)/2048 = 6).
-    const u64 group_bytes = 2 * MiB;
-    EXPECT_EQ(backend.slotPhysBytes(slot),
-              (32 * 8 + 32 * 2) * group_bytes);
-    // The old arithmetic would have said 64 x 8 groups:
-    EXPECT_NE(backend.slotPhysBytes(slot), 64 * 8 * group_bytes);
-
-    audit::AuditReport report;
-    backend.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
 TEST(VAttnWindowBackend, UniformModelsKeepTheHistoricalBilling)
 {
     VAttentionBackend backend(perf::ModelSpec::yi6B(), 1, {}, 4ULL * GiB);
@@ -137,7 +112,7 @@ TEST(VAttnWindowBackend, UniformModelsKeepTheHistoricalBilling)
 
 // ---- Paged ensure skip ------------------------------------------------
 //
-// PagedBackend::ensure skips a slot whose block lists already cover
+// The paged runtime's step skips a slot whose block lists already cover
 // the context and whose window leads would not advance. These cases
 // pin the predicate to exactly the calls that change nothing, under
 // TP lockstep and on a sliding-window geometry.
@@ -174,14 +149,14 @@ class PagedEnsureSkip : public ::testing::TestWithParam<SkipCase>
     {
         std::vector<i64> state;
         for (int w = 0; w < backend.numWorkers(); ++w) {
-            const auto &pool = backend.workers().worker(w);
-            for (const auto &group : pool.groups) {
-                state.push_back(group.manager.numFree());
-                state.push_back(group.manager.numEvictable());
+            const auto &pool = backend.workerGroup().worker(w);
+            for (int g = 0; g < pool.numLayerGroups(); ++g) {
+                state.push_back(pool.groupManager(g).numFree());
+                state.push_back(pool.groupManager(g).numEvictable());
             }
             for (int slot : slots) {
-                for (const auto &list :
-                     pool.slots[static_cast<std::size_t>(slot)].blocks) {
+                for (int g = 0; g < pool.numLayerGroups(); ++g) {
+                    const auto &list = pool.slotBlocks(slot, g);
                     state.push_back(
                         static_cast<i64>(list.blocks().size()));
                     state.push_back(list.lead());
@@ -195,9 +170,9 @@ class PagedEnsureSkip : public ::testing::TestWithParam<SkipCase>
     static bool
     skips(PagedBackend &backend, int slot, i64 len)
     {
-        const bool lead = backend.workers().lead().ensureIsNoop(slot, len);
+        const bool lead = backend.workerGroup().lead().ensureIsNoop(slot, len);
         for (int w = 1; w < backend.numWorkers(); ++w) {
-            EXPECT_EQ(backend.workers().worker(w).ensureIsNoop(slot, len),
+            EXPECT_EQ(backend.workerGroup().worker(w).ensureIsNoop(slot, len),
                       lead)
                 << "worker " << w;
         }
@@ -212,31 +187,31 @@ TEST_P(PagedEnsureSkip, LeadCrossingWithoutANewBlockIsNotSkipped)
     // 129 tokens: 9 blocks; a 64-token window kills (129-64)/16 = 4.
     ASSERT_TRUE(backend.ensure({{slot, 129}}).isOk());
     EXPECT_TRUE(skips(backend, slot, 129));
-    const i64 full_free = backend.groupManager(0).numFree();
+    const i64 full_free = backend.runtime().groupManager(0).numFree();
 
     // 144 tokens still fit in 9 blocks, but on a window geometry the
     // dead lead reaches 5: that call must run and free the block.
     if (GetParam().window) {
-        const i64 window_free = backend.groupManager(1).numFree();
+        const i64 window_free = backend.runtime().groupManager(1).numFree();
         EXPECT_FALSE(skips(backend, slot, 144));
         ASSERT_TRUE(backend.ensure({{slot, 144}}).isOk());
-        EXPECT_EQ(backend.groupManager(1).numFree(), window_free + 1);
+        EXPECT_EQ(backend.runtime().groupManager(1).numFree(), window_free + 1);
         for (int w = 0; w < backend.numWorkers(); ++w) {
-            EXPECT_EQ(backend.workers().worker(w).slots[slot].blocks[1]
-                          .lead(),
-                      5);
+            EXPECT_EQ(
+                backend.workerGroup().worker(w).slotBlocks(slot, 1).lead(),
+                5);
         }
     } else {
         EXPECT_TRUE(skips(backend, slot, 144));
         ASSERT_TRUE(backend.ensure({{slot, 144}}).isOk());
     }
-    EXPECT_EQ(backend.groupManager(0).numFree(), full_free);
+    EXPECT_EQ(backend.runtime().groupManager(0).numFree(), full_free);
     EXPECT_TRUE(skips(backend, slot, 144));
 
     // One token past the block: a new block in every group.
     EXPECT_FALSE(skips(backend, slot, 145));
     ASSERT_TRUE(backend.ensure({{slot, 145}}).isOk());
-    EXPECT_EQ(backend.groupManager(0).numFree(), full_free - 1);
+    EXPECT_EQ(backend.runtime().groupManager(0).numFree(), full_free - 1);
 
     audit::AuditReport report;
     backend.auditInto(report);
@@ -272,10 +247,10 @@ TEST_P(PagedEnsureSkip, AuditNetPanicsWhenASkipWouldHaveChangedTheSlot)
     const int slot = backend.allocSlot().value();
     ASSERT_TRUE(backend.ensure({{slot, 129}}).isOk());
     for (int w = 0; w < backend.numWorkers(); ++w) {
-        backend.workers().worker(w).checkSkippedEnsure(slot, 129, w);
+        backend.workerGroup().worker(w).checkSkippedEnsure(slot, 129);
     }
     test::ScopedThrowErrors guard;
-    EXPECT_THROW(backend.workers().lead().checkSkippedEnsure(slot, 145, 0),
+    EXPECT_THROW(backend.workerGroup().lead().checkSkippedEnsure(slot, 145),
                  SimError);
 }
 

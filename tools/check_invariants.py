@@ -59,8 +59,8 @@ Machine-checks the conventions the simulator's correctness leans on:
                 src/, bench/ or examples/ other than its own .cc: a
                 header only tests include is test scaffolding (it
                 belongs under tests/), and one nothing includes is dead
-                code. REACH_ALLOWED lists the two exceptions, each
-                with the paper argument that keeps it.
+                code. REACH_ALLOWED lists the one exception, with
+                the paper argument that keeps it.
   8. slots    — in src/core/vattention.cc no loop header mentions
                 `max_batch_size`: engines size the reqId table B at
                 their sequence cap (256) while a handful of requests
@@ -218,9 +218,6 @@ FUNCTION_RE = re.compile(r"std::function\b|#\s*include\s*<functional>")
 REACH_ALLOWED = {
     "cuvmm/managed.hh": "the §8.1 argument against UVM-backed KV,"
                         " measured by tests/cuvmm/test_managed.cc",
-    "paged/block_table.hh": "the §3.3.2 per-request block tables"
-                            " PagedAttention kernels read, pinned by"
-                            " tests/paged/test_paged.cc",
 }
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
