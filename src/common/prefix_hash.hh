@@ -7,6 +7,13 @@
  * commits to every token in chunks [0, i]. Both memory backends key
  * their prefix stores on these chained hashes — the paged backend at
  * block granularity, the vAttention backend at page-group granularity.
+ *
+ * Only hash equality is modeled: no modeled number depends on the hash
+ * values, so the link function is picked for speed. It packs two token
+ * ids per 64-bit word into four independent xxh64-style
+ * multiply-rotate lanes (eight tokens a round) seeded from the previous
+ * link, merges the lanes with the splitmix64 finalizer, mixes the last
+ * n mod 8 tokens in one at a time, then the length.
  */
 
 #ifndef VATTN_COMMON_PREFIX_HASH_HH
@@ -23,7 +30,8 @@ namespace vattn
 constexpr u64 kPrefixHashSeed = 0x9e3779b97f4a7c15ULL;
 
 /** Chain @p n token ids onto @p prev (order-sensitive, avalanche
- *  mixed so single-token differences flip the whole hash). */
+ *  mixed so single-token differences flip the whole hash; the lane
+ *  scheme is in the file comment). */
 u64 chainTokenHash(u64 prev, const i32 *tokens, i64 n);
 
 /**

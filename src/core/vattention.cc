@@ -552,27 +552,32 @@ VAttention::matchPrefix(const PrefixKey &key) const
         if (chain.empty()) {
             return;
         }
-        // Aligned groups: longest common prefix of the hash chains,
-        // bounded by what the slot still has mapped.
-        const i64 limit = std::min<i64>(
-            {static_cast<i64>(chain.hashes.size()),
-             static_cast<i64>(hashes.size()),
-             allocator_.groupsMapped(slot)});
+        // Aligned groups: longest common prefix of the hash chains.
+        const i64 chain_groups = static_cast<i64>(chain.hashes.size());
+        const i64 common =
+            std::min(chain_groups, static_cast<i64>(hashes.size()));
         i64 groups = 0;
-        while (groups < limit &&
+        while (groups < common &&
                chain.hashes[static_cast<std::size_t>(groups)] ==
                    hashes[static_cast<std::size_t>(groups)]) {
             ++groups;
         }
+        // Partial tail: a candidate only when the whole aligned chain
+        // matched; the tail is COPIED on a hit, never aliased (it will
+        // be appended to).
+        const i64 tail_tokens = chain.tokens - chain_groups * tpg;
+        const bool tail_candidate = groups == chain_groups &&
+                                    tail_tokens > 0 &&
+                                    key.size >= chain.tokens;
+        if (groups == 0 && !tail_candidate) {
+            return;
+        }
+        // Both parts are bounded by what the slot still has mapped;
+        // the tail needs its own group mapped past the aligned chain.
+        const i64 mapped = allocator_.groupsMapped(slot);
+        groups = std::min(groups, mapped);
         i64 tokens = groups * tpg;
-        // Partial tail: only when the whole aligned chain matched and
-        // the slot's tail group is still mapped; the tail is COPIED on
-        // a hit, never aliased (it will be appended to).
-        const i64 tail_tokens = chain.tokens -
-            static_cast<i64>(chain.hashes.size()) * tpg;
-        if (groups == static_cast<i64>(chain.hashes.size()) &&
-            tail_tokens > 0 && allocator_.groupsMapped(slot) > groups &&
-            key.size >= chain.tokens) {
+        if (tail_candidate && mapped > chain_groups) {
             const u64 prev =
                 groups > 0
                     ? chain.hashes[static_cast<std::size_t>(groups - 1)]
@@ -816,8 +821,9 @@ VAttention::step(std::span<const std::pair<int, i64>> active)
         result.status = growStealing(
             [&] { return allocator_.ensureTokens(slot, len); },
             &result.handles_stolen);
-        if (result.status.isOk() && allocator_.geometry().hasWindows()) {
-            // A window trim voids the slot's shareable prefix.
+        if (allocator_.geometry().hasWindows()) {
+            // A window trim voids the slot's shareable prefix, also
+            // when the growth after it ran out of memory.
             clampChainToMapped(slot);
         }
     });

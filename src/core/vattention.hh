@@ -264,6 +264,12 @@ class VAttention
     {
         return allocator_.groupsMapped(req_id);
     }
+    /** Leading page-groups mapped in every buffer, 0 once a window
+     *  trim advanced any buffer's lead: what a prefix may cover. */
+    i64 prefixGroupsMapped(int req_id) const
+    {
+        return allocator_.prefixGroupsMapped(req_id);
+    }
     /** Page-group mappings the request holds across all buffers (the
      *  real footprint under per-layer window trims). */
     i64 mappedHandles(int req_id) const

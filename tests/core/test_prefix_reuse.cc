@@ -222,6 +222,8 @@ TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
     ASSERT_TRUE(sharer.isOk());
     const i64 cached = sharer.value().cached_tokens;
     ASSERT_EQ(sharer.value().slot, r1.value()); // in-place reuse
+    // The 4095-token cap drops the second group: one group is reused.
+    ASSERT_EQ(cached, kTokensPerGroup);
     ASSERT_TRUE(vattn.step(lens(4096)).status.isOk());
     vattn.registerPrefix(sharer.value().slot, key, 4096);
 
@@ -264,6 +266,7 @@ TEST_F(PrefixReuseTest, FreeReqIdOfSharingRequestKeepsSource)
     auto r2 = vattn.allocReqIdWithPrefix(key, 4095);
     ASSERT_TRUE(r2.isOk());
     const i64 cached = r2.value().cached_tokens;
+    EXPECT_EQ(cached, kTokensPerGroup); // capped below the second group
     const auto handle = vattn.handleAt(r2.value().slot, 0, 0);
     ASSERT_EQ(driver_.numMappings(handle), 2u);
     const u64 phys_before = driver_.physBytesInUse();

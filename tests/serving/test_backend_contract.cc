@@ -9,7 +9,8 @@
  * served at the backend's own granularity, a prefix-shared slot never
  * swaps out while its sharer runs, canSwapOut predicts every
  * swapOut refusal, a sliding-window slot holds, swaps and regrows
- * only its live window, a slot's lifecycle keeps the admission
+ * only its live window and frees its dead leading pages as it grows,
+ * a slot's lifecycle keeps the admission
  * watermark and the budget, and both refuse the same malformed window
  * lists. Every case ends with a clean audit, so the TP-2 cases also
  * check the cross-worker lockstep state. The paged fault-injection
@@ -530,6 +531,44 @@ TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
     ASSERT_TRUE(backend->ensure({{slot, kContext + page}}).isOk());
     EXPECT_EQ(backend->slotPhysBytes(slot),
               resident + uniform_page_bytes / 2);
+    expectAuditClean(*backend);
+}
+
+TYPED_TEST(BackendContract, EnsureFreesDeadLeadingPages)
+{
+    // Yi-6B with a 1:1 full/4K-window interleave at a 64K-token
+    // context: the full-attention half holds every page, each sliding
+    // layer only the pages its window still reads, and no more than
+    // that is billed to the pool.
+    using Family = typename TypeParam::Family;
+    constexpr i64 kContext = 64 * 1024;
+    constexpr i64 kWindow = 4096;
+    auto backend = Family::make(
+        TypeParam::tp, 0, false,
+        perf::ModelSpec::yi6B().withSlidingWindowInterleave(kWindow),
+        8 * GiB);
+    const i64 page = Family::pageTokens(*backend);
+    // One page on one half of the layers.
+    const u64 half_page_bytes =
+        static_cast<u64>(page) *
+        perf::ModelSpec::yi6B().kvBytesPerTokenPerWorker(TypeParam::tp) / 2;
+    const int slot = backend->allocSlot().value();
+    ASSERT_TRUE(backend->ensure({{slot, kContext}}).isOk());
+    const u64 resident =
+        static_cast<u64>(kContext / page + kWindow / page) * half_page_bytes;
+    EXPECT_EQ(backend->slotPhysBytes(slot), resident);
+    EXPECT_EQ(backend->bytesInUse(), resident);
+
+    // Growth keeps trimming: one more page of context adds a page to
+    // the full half and moves each sliding layer's dead lead by one.
+    ASSERT_TRUE(backend->ensure({{slot, kContext + page}}).isOk());
+    EXPECT_EQ(backend->slotPhysBytes(slot), resident + half_page_bytes);
+    EXPECT_EQ(backend->bytesInUse(), resident + half_page_bytes);
+    expectAuditClean(*backend);
+
+    backend->freeSlot(slot);
+    EXPECT_EQ(backend->bytesInUse(),
+              Family::kFreeKeepsMapping ? resident + half_page_bytes : 0u);
     expectAuditClean(*backend);
 }
 

@@ -4,8 +4,9 @@
  * layer-grouped block pools on the paged backend, uniform billing on
  * vAttention, one window check shared by both backends, the paged
  * prefix-caching incompatibility and the paged step's ensure skip.
- * Per-layer slotPhysBytes and swap round trips of windowed slots are
- * part of the backend contract suite.
+ * Per-layer slotPhysBytes, the freeing of dead leading pages and swap
+ * round trips of windowed slots are part of the backend contract
+ * suite.
  */
 
 #include <gtest/gtest.h>
@@ -42,34 +43,6 @@ TEST(PagedWindowBackend, GroupsLayersByWindowClass)
     // counts in both class pools.
     EXPECT_EQ(backend.runtime().groupManager(0).numBlocks(),
               backend.runtime().groupManager(1).numBlocks());
-}
-
-TEST(PagedWindowBackend, EnsureFreesDeadLeadingBlocks)
-{
-    // Yi-6B interleaved: each 16-layer class stores 32KiB/token, so a
-    // 16-token block is 512KiB per class.
-    PagedBackend backend(interleaved(), 1, 16, 48ULL * GiB);
-    const int slot = backend.allocSlot().value();
-    ASSERT_TRUE(backend.ensure({{slot, 64 * 1024}}).isOk());
-
-    // Full class: 4096 blocks. Sliding class: the window kills
-    // floor((65536 - 4096) / 16) = 3840 leading blocks, 256 live.
-    const u64 block_bytes = 512 * KiB;
-    EXPECT_EQ(backend.slotPhysBytes(slot),
-              (4096 + 256) * block_bytes);
-    EXPECT_EQ(backend.bytesInUse(), (4096 + 256) * block_bytes);
-
-    // Growth keeps trimming: one more block of context advances the
-    // dead lead by one block.
-    ASSERT_TRUE(backend.ensure({{slot, 64 * 1024 + 16}}).isOk());
-    EXPECT_EQ(backend.slotPhysBytes(slot),
-              (4097 + 256) * block_bytes);
-
-    audit::AuditReport report;
-    backend.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
-    backend.freeSlot(slot);
-    EXPECT_EQ(backend.bytesInUse(), 0u);
 }
 
 TEST(WindowedModel, BothBackendsAcceptTheSameWindows)
