@@ -10,20 +10,33 @@
  * core::WorkerGroup's vAttention workers alike — and each
  * MemoryBackend op is one apply() call:
  *
- *  - apply() runs one mutation on every worker, compares each
+ *  - apply() runs one mutation on every built worker, compares each
  *    follower's result with worker 0's (operator==) and panics with
  *    the op name and the diverging worker index — a divergence is a
  *    determinism bug, never an outcome;
  *  - lead() answers symmetric queries, which lockstep makes identical
  *    on every worker by construction;
- *  - auditInto() runs every worker's own audit, then pairs each
+ *  - auditInto() runs every built worker's own audit, then pairs each
  *    follower with worker 0 (Worker::auditAgainstLead), reporting
  *    drift instead of panicking so corruption can be localized.
+ *
+ * Where followers are built. A group replicates fully (Replication::
+ * kFull) or builds worker 0 alone (kLeadOnly). Since followers only
+ * repeat the lead's work, a lead-only group is the same simulation for
+ * 1/tp of the work: size() still reports the TP degree and
+ * forRank(w) answers every rank with the lead, so a sum over ranks
+ * reads tp x the lead's value. What a lead-only group gives up is the
+ * check itself: no follower result to compare and no follower to
+ * audit. Groups built from a worker list, and in-place groups that ask
+ * for it, replicate fully; the serving adapter picks lead-only for
+ * Release serving and full replication for VATTN_AUDIT builds and the
+ * tests that reach followers.
  *
  * Workers are built in place (a runtime owning a simulated GPU and
  * driver cannot move) and never relocate. Allocation-free per op: ops
  * are template callables invoked in place (no std::function), because
- * engine steps call apply() every iteration.
+ * engine steps call apply() every iteration; a lead-only group's
+ * follower loop has no iterations, so it adds no per-op branch.
  */
 
 #ifndef VATTN_COMMON_LOCKSTEP_HH
@@ -42,58 +55,94 @@
 namespace vattn
 {
 
+/** Which workers of a Lockstep group are built. */
+enum class Replication
+{
+    /** Every worker; each op runs on all and followers are checked. */
+    kFull,
+    /** Worker 0 alone, standing for every rank of the group. */
+    kLeadOnly,
+};
+
 /** A fixed set of workers driven in lockstep; worker 0 leads. */
 template <typename Worker>
 class Lockstep
 {
   public:
-    /** Take ownership of ready-made (movable) workers. */
+    /** Take ownership of ready-made (movable) workers; replicates
+     *  fully. */
     explicit Lockstep(std::vector<Worker> workers)
         : workers_(std::make_move_iterator(workers.begin()),
-                   std::make_move_iterator(workers.end()))
+                   std::make_move_iterator(workers.end())),
+          size_(static_cast<int>(workers_.size()))
     {
         panic_if(workers_.empty(), "Lockstep needs >= 1 worker");
     }
 
-    /** Build @p num_workers workers in place, worker w as
-     *  Worker(w, args...). */
+    /** A group of @p num_workers workers, built in place as
+     *  Worker(w, args...): every worker under kFull, worker 0 alone
+     *  under kLeadOnly. */
     template <typename... Args>
-    Lockstep(std::in_place_t, int num_workers, const Args &...args)
+    Lockstep(std::in_place_t, Replication replication, int num_workers,
+             const Args &...args)
+        : size_(num_workers)
     {
         panic_if(num_workers <= 0, "Lockstep needs >= 1 worker");
-        for (int w = 0; w < num_workers; ++w) {
+        const int built =
+            replication == Replication::kFull ? num_workers : 1;
+        for (int w = 0; w < built; ++w) {
             workers_.emplace_back(w, args...);
         }
     }
 
-    int size() const { return static_cast<int>(workers_.size()); }
+    /** The TP degree, whether or not the followers are built. */
+    int size() const { return size_; }
 
+    /** kLeadOnly iff followers exist but are not built (a one-worker
+     *  group is fully replicated either way). */
+    Replication
+    replication() const
+    {
+        return static_cast<int>(workers_.size()) == size_
+                   ? Replication::kFull
+                   : Replication::kLeadOnly;
+    }
+
+    /** Worker @p w; panics if it is not built (a lead-only group's
+     *  follower). */
     Worker &
     worker(int w)
     {
-        panic_if(w < 0 || w >= size(), "bad worker index ", w);
-        return workers_[static_cast<std::size_t>(w)];
+        return workers_[builtIndex(w)];
     }
 
     const Worker &
     worker(int w) const
     {
+        return workers_[builtIndex(w)];
+    }
+
+    /** The worker standing for rank @p w: worker w itself when the
+     *  group replicates fully, the lead otherwise (every rank's state
+     *  equals the lead's by construction). */
+    Worker &
+    forRank(int w)
+    {
         panic_if(w < 0 || w >= size(), "bad worker index ", w);
-        return workers_[static_cast<std::size_t>(w)];
+        return replication() == Replication::kFull
+                   ? workers_[static_cast<std::size_t>(w)]
+                   : workers_.front();
     }
 
     /** Worker 0, which answers the group's symmetric queries. */
     Worker &lead() { return workers_.front(); }
     const Worker &lead() const { return workers_.front(); }
 
-    auto begin() const { return workers_.begin(); }
-    auto end() const { return workers_.end(); }
-
     /**
-     * Run @p op on every worker in index order and return worker 0's
-     * result; panics naming @p op_name and the worker if a follower's
-     * result differs from worker 0's. A void @p op has nothing to
-     * compare and just runs on every worker.
+     * Run @p op on every built worker in index order and return
+     * worker 0's result; panics naming @p op_name and the worker if a
+     * follower's result differs from worker 0's. A void @p op has
+     * nothing to compare and just runs on every built worker.
      */
     template <typename Op>
     auto
@@ -115,7 +164,8 @@ class Lockstep
         }
     }
 
-    /** Call @p fn(w, worker(w), worker(0)) for every follower w. */
+    /** Call @p fn(w, worker(w), worker(0)) for every built
+     *  follower w. */
     template <typename Fn>
     void
     forEachFollower(Fn &&fn) const
@@ -125,7 +175,8 @@ class Lockstep
         }
     }
 
-    /** Every worker's own auditInto(), then the cross-worker check. */
+    /** Every built worker's own auditInto(), then the cross-worker
+     *  check. */
     void
     auditInto(audit::AuditReport &report) const
     {
@@ -150,7 +201,20 @@ class Lockstep
     }
 
   private:
+    std::size_t
+    builtIndex(int w) const
+    {
+        panic_if(w < 0 || w >= size(), "bad worker index ", w);
+        panic_if(w >= static_cast<int>(workers_.size()), "worker ", w,
+                 " is not built: in lead-only mode worker 0 stands for "
+                 "all ",
+                 size(), " TP ranks");
+        return static_cast<std::size_t>(w);
+    }
+
+    /** The built workers: all size_ of them, or worker 0 alone. */
     std::deque<Worker> workers_;
+    int size_;
 };
 
 } // namespace vattn

@@ -102,8 +102,9 @@ TpWorker::auditAgainstLead(const TpWorker &lead, std::size_t w,
 }
 
 WorkerGroup::WorkerGroup(int num_workers, const Config &config,
-                         u64 device_mem_bytes)
-    : Lockstep(std::in_place, checkedWorkers(num_workers, config), config,
+                         u64 device_mem_bytes, Replication replication)
+    : Lockstep(std::in_place, replication,
+               checkedWorkers(num_workers, config), config,
                device_mem_bytes)
 {
 }

@@ -16,6 +16,15 @@
  * (serving/lockstep_backend.hh) drives it exactly as it drives the
  * paged runtime's block pools.
  *
+ * Where followers are built: a group replicates fully unless it is
+ * built lead-only. Release serving builds it lead-only — one GPU,
+ * driver and VAttention stand for every rank, since the followers
+ * would only repeat the lead's work — while VATTN_AUDIT builds and
+ * the tests that check followers build every worker. numWorkers()
+ * is the TP degree either way, and driver(w) answers every rank with
+ * the lead's driver, so a sum of driver counters over the ranks reads
+ * tp x the lead's in both modes.
+ *
  * Workers allocate physical memory in parallel, so the group's
  * aggregate allocation bandwidth scales with TP (Table 9) while the
  * critical-path latency per iteration stays that of one worker.
@@ -91,20 +100,24 @@ class WorkerGroup : public Lockstep<TpWorker>
      * @param config per-worker configuration (H must already be the
      *        per-worker head count; §5.1.3)
      * @param device_mem_bytes memory of each worker's GPU
+     * @param replication kLeadOnly builds worker 0 alone
      */
     WorkerGroup(int num_workers, const Config &config,
-                u64 device_mem_bytes);
+                u64 device_mem_bytes,
+                Replication replication = Replication::kFull);
 
+    /** The TP degree (built workers or not). */
     int numWorkers() const { return size(); }
-    cuvmm::Driver &driver(int index) { return worker(index).driver(); }
+    /** Rank @p index's driver: the lead's in a lead-only group. */
+    cuvmm::Driver &driver(int index) { return forRank(index).driver(); }
     /** Worker 0's lifetime counters (the workers' are identical). */
     const RuntimeStats &stats() const { return lead().stats(); }
 
     /**
-     * Are all workers in identical states (slot states, group counts,
-     * pool levels)? True by construction; a false return indicates a
-     * determinism bug. The cross-worker half of auditInto, reporting
-     * nothing.
+     * Are all built workers in identical states (slot states, group
+     * counts, pool levels)? True by construction; a false return
+     * indicates a determinism bug. The cross-worker half of
+     * auditInto, reporting nothing.
      */
     bool inLockstep() const;
 

@@ -89,9 +89,11 @@ struct EngineConfig
 {
     perf::ModelSpec model = perf::ModelSpec::yi6B();
     perf::GpuSpec gpu = perf::GpuSpec::a100();
-    /** Tensor-parallel degree: the replica runs one lockstep worker
-     *  per rank (num_kv_heads/tp KV shards, §5.3); kernel times use
-     *  the per-worker head counts and commTime adds the all-reduces. */
+    /** Tensor-parallel degree: the replica's KV is a lockstep group
+     *  of num_kv_heads/tp shards, one per rank (§5.3; Release builds
+     *  simulate rank 0 alone, see serving/lockstep_backend.hh);
+     *  kernel times use the per-worker head counts and commTime adds
+     *  the all-reduces. */
     int tp_degree = 1;
     perf::BackendKind backend = perf::BackendKind::kFa2VAttention;
     /** Interconnect collective cost model for TP all-reduces. The

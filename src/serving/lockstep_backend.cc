@@ -1,15 +1,46 @@
 #include "serving/lockstep_backend.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace vattn::serving
 {
 
+namespace
+{
+
+/** Is a ReplicateFollowers alive on this thread? */
+thread_local bool replicate_followers = false;
+
+} // namespace
+
+ReplicateFollowers::ReplicateFollowers()
+    : outer_(std::exchange(replicate_followers, true))
+{
+}
+
+ReplicateFollowers::~ReplicateFollowers()
+{
+    replicate_followers = outer_;
+}
+
+Replication
+ReplicateFollowers::current()
+{
+#if VATTN_AUDIT
+    return Replication::kFull;
+#else
+    return replicate_followers ? Replication::kFull
+                               : Replication::kLeadOnly;
+#endif
+}
+
 LockstepTraits<paged::PagedRuntime>::Workers
 LockstepTraits<paged::PagedRuntime>::make(
     const perf::ModelSpec &model, int tp, Options block_size,
     u64 budget_bytes, bool enable_prefix_caching, u64 host_swap_bytes,
-    const perf::PcieSpec &pcie)
+    const perf::PcieSpec &pcie, Replication replication)
 {
     fatal_if(tp <= 0, "PagedBackend needs tp >= 1");
     paged::PagedRuntime::Config config;
@@ -28,14 +59,14 @@ LockstepTraits<paged::PagedRuntime>::make(
     config.prefix_caching = enable_prefix_caching;
     config.host_swap_bytes = host_swap_bytes;
     config.copy = pcie.toCopyModel();
-    return Workers(std::in_place, tp, config);
+    return Workers(std::in_place, replication, tp, config);
 }
 
 LockstepTraits<core::TpWorker>::Workers
 LockstepTraits<core::TpWorker>::make(
     const perf::ModelSpec &model, int tp, const Options &options,
     u64 budget_bytes, bool enable_prefix_caching, u64 host_swap_bytes,
-    const perf::PcieSpec &pcie)
+    const perf::PcieSpec &pcie, Replication replication)
 {
     core::Config config;
     config.num_layers = model.num_layers;
@@ -57,10 +88,11 @@ LockstepTraits<core::TpWorker>::make(
     // Each device needs room for its worker's KV shard budget;
     // weights/activations are modelled by the budget split in the
     // engine, not materialized.
-    Workers group(tp, config, roundUp(budget_bytes + 64 * MiB, 2 * MiB));
-    for (int w = 0; w < group.numWorkers(); ++w) {
-        group.driver(w).latency().setCopyModel(pcie.toCopyModel());
-    }
+    Workers group(tp, config, roundUp(budget_bytes + 64 * MiB, 2 * MiB),
+                  replication);
+    group.apply("setCopyModel", [&](core::TpWorker &worker) {
+        worker.driver().latency().setCopyModel(pcie.toCopyModel());
+    });
     return group;
 }
 

@@ -13,14 +13,23 @@
  *    runtime per worker, committing physical memory page-group by
  *    page-group with the §6.1 optimizations hiding the latency.
  *
- * Tensor parallelism (§5.3): the adapter holds one runtime per TP
- * worker, each with a num_kv_heads/tp KV shard, in a Lockstep group
- * (common/lockstep.hh). Each MemoryBackend mutation is one apply()
- * call on every worker, which panics if a follower's result differs
- * from worker 0's; every symmetric query reads worker 0, and
- * auditInto() checks every worker and that the followers still equal
- * worker 0. Workers run concurrently, so worker 0's latencies are the
- * group's, and sizes and bytes are per worker.
+ * Tensor parallelism (§5.3): each TP worker holds a num_kv_heads/tp
+ * KV shard, and the workers form a Lockstep group (common/lockstep.hh).
+ * Each MemoryBackend mutation is one apply() call, every symmetric
+ * query reads worker 0, and auditInto() checks every built worker.
+ * Workers run concurrently, so worker 0's latencies are the group's,
+ * and sizes and bytes are per worker.
+ *
+ * Where followers are built. Identical control inputs keep every
+ * worker in worker 0's state (the paper models one worker "for
+ * simplicity; all workers behave the same"), so in Release serving a
+ * follower would only repeat the lead's work: the adapter builds the
+ * lead alone, one runtime for the whole group, and every op runs
+ * once. The price is the check: a Release TP run has no follower to
+ * diverge. VATTN_AUDIT builds replicate fully, so there apply() panics
+ * on a follower whose result differs from worker 0's and the audit
+ * compares each follower with worker 0; tests get the same through
+ * ReplicateFollowers. numWorkers() is the TP degree either way.
  *
  * Both runtimes take the same operations (common/kv_results.hh), so
  * the adapter has no per-runtime code paths. What differs per runtime
@@ -58,6 +67,29 @@ struct VAttentionOptions
 };
 
 /**
+ * While one lives on a thread, every LockstepBackend built on that
+ * thread — directly or inside an Engine — builds and checks all its TP
+ * workers, as VATTN_AUDIT builds always do. Tests that reach a
+ * follower, or compare lead-only with full replication, hold one.
+ */
+class ReplicateFollowers
+{
+  public:
+    ReplicateFollowers();
+    ~ReplicateFollowers();
+    ReplicateFollowers(const ReplicateFollowers &) = delete;
+    ReplicateFollowers &operator=(const ReplicateFollowers &) = delete;
+
+    /** The replication of a LockstepBackend built now: full in
+     *  VATTN_AUDIT builds and under a ReplicateFollowers, else
+     *  lead-only. */
+    static Replication current();
+
+  private:
+    bool outer_;
+};
+
+/**
  * How the workers of one runtime are built: the lockstep group type,
  * the runtime's own settings, and make(), which derives each worker's
  * runtime config from the model (perf/ sits above paged/ and core/,
@@ -76,7 +108,8 @@ struct LockstepTraits<paged::PagedRuntime>
     static Workers make(const perf::ModelSpec &model, int tp,
                         Options block_size, u64 budget_bytes,
                         bool enable_prefix_caching, u64 host_swap_bytes,
-                        const perf::PcieSpec &pcie);
+                        const perf::PcieSpec &pcie,
+                        Replication replication);
 };
 
 template <>
@@ -88,10 +121,11 @@ struct LockstepTraits<core::TpWorker>
     static Workers make(const perf::ModelSpec &model, int tp,
                         const Options &options, u64 budget_bytes,
                         bool enable_prefix_caching, u64 host_swap_bytes,
-                        const perf::PcieSpec &pcie);
+                        const perf::PcieSpec &pcie,
+                        Replication replication);
 };
 
-/** A MemoryBackend over one lockstep runtime per TP worker. */
+/** A MemoryBackend over a lockstep group of per-worker runtimes. */
 template <typename Runtime>
 class LockstepBackend final : public MemoryBackend
 {
@@ -101,8 +135,9 @@ class LockstepBackend final : public MemoryBackend
 
     /**
      * @param model model architecture (per-token KV bytes, windows)
-     * @param tp tensor-parallel degree: one lockstep runtime per rank,
-     *        each holding a num_kv_heads/tp shard
+     * @param tp tensor-parallel degree: each rank's runtime holds a
+     *        num_kv_heads/tp shard (only the lead's is built unless
+     *        ReplicateFollowers::current() says kFull)
      * @param options the runtime's own settings (paged: tokens per
      *        block)
      * @param budget_bytes per-worker KV pool bytes
@@ -119,7 +154,7 @@ class LockstepBackend final : public MemoryBackend
                     perf::PcieSpec pcie = perf::PcieSpec::gen4x16())
         : workers_(LockstepTraits<Runtime>::make(
               model, tp, options, budget_bytes, enable_prefix_caching,
-              host_swap_bytes, pcie))
+              host_swap_bytes, pcie, ReplicateFollowers::current()))
     {
     }
 
@@ -239,6 +274,7 @@ class LockstepBackend final : public MemoryBackend
 
     /** Leased slots, swapped-out ones included. */
     i64 liveSlots() const { return lead().liveSlots(); }
+    /** The TP degree (built workers or not). */
     int numWorkers() const { return workers_.size(); }
 
     /** Worker 0's runtime, which answers for the group (tests and
@@ -247,7 +283,7 @@ class LockstepBackend final : public MemoryBackend
     const Runtime &runtime() const { return workers_.lead(); }
 
     /** The lockstep workers (tests reach a single worker through
-     *  worker(w)). */
+     *  worker(w), a follower only under ReplicateFollowers). */
     Workers &workerGroup() { return workers_; }
 
   private:

@@ -17,9 +17,10 @@
  * per-iteration ensure(), prefix caching (§8.1, a no-op unless
  * enabled), the host swap tier and cross-replica migration of swapped
  * KV (refused unless a host tier is configured, see hasHostTier()),
- * and the invariant audit. The adapter holds one lockstep replica of
- * the runtime per TP worker (common/lockstep.hh); sizes and bytes
- * below are per worker.
+ * and the invariant audit. The adapter holds a lockstep group of the
+ * runtime with one shard per TP worker (common/lockstep.hh; Release
+ * serving builds only worker 0's); sizes and bytes below are per
+ * worker.
  */
 
 #ifndef VATTN_SERVING_MEMORY_BACKEND_HH

@@ -35,6 +35,8 @@ struct IterationRecord
     /** Interconnect time on this iteration's critical path (the
      *  all-reduce cost at TP > 1, minus any overlapped portion). */
     TimeNs comm_ns = 0;
+
+    bool operator==(const IterationRecord &) const = default;
 };
 
 /** Result of one engine run. */

@@ -2,12 +2,14 @@
  * @file
  * Lockstep<Worker>: one mutation reaches every worker, worker 0's
  * result comes back, and a follower whose result differs panics with
- * the op name and its own index.
+ * the op name and its own index. A lead-only group builds worker 0
+ * alone and lets it stand for every rank.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/lockstep.hh"
@@ -87,6 +89,63 @@ TEST(Lockstep, RejectsEmptyGroupsAndBadIndices)
     EXPECT_NE(panicMessage([&] { workers.worker(1); }).find(
                   "bad worker index 1"),
               std::string::npos);
+}
+
+/** A worker built in place: its rank and a value ops change. */
+struct Counter
+{
+    Counter(int index, int start) : rank(index), value(start) {}
+
+    int rank;
+    int value;
+};
+
+TEST(Lockstep, LeadOnlyGroupBuildsWorkerZeroForEveryRank)
+{
+    Lockstep<Counter> group(std::in_place, Replication::kLeadOnly, 3, 5);
+    EXPECT_EQ(group.size(), 3);
+    EXPECT_EQ(group.replication(), Replication::kLeadOnly);
+    // The op runs once, on the lead.
+    int calls = 0;
+    const int result = group.apply("add", [&](Counter &counter) {
+        ++calls;
+        return counter.value += 2;
+    });
+    EXPECT_EQ(result, 7);
+    EXPECT_EQ(calls, 1);
+    int followers = 0;
+    group.forEachFollower(
+        [&](std::size_t, const Counter &, const Counter &) { ++followers; });
+    EXPECT_EQ(followers, 0);
+    // Every rank reads the lead.
+    for (int w = 0; w < group.size(); ++w) {
+        EXPECT_EQ(&group.forRank(w), &group.lead());
+    }
+    EXPECT_EQ(group.worker(0).rank, 0);
+
+    const std::string message = panicMessage([&] { group.worker(1); });
+    EXPECT_NE(message.find("lead-only mode"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("worker 1"), std::string::npos) << message;
+    EXPECT_NE(panicMessage([&] { group.forRank(3); }).find(
+                  "bad worker index 3"),
+              std::string::npos);
+}
+
+TEST(Lockstep, FullInPlaceGroupBuildsAndAnswersEveryRank)
+{
+    Lockstep<Counter> group(std::in_place, Replication::kFull, 3, 5);
+    EXPECT_EQ(group.replication(), Replication::kFull);
+    int calls = 0;
+    group.apply("bump", [&](Counter &counter) {
+        ++calls;
+        ++counter.value;
+    });
+    EXPECT_EQ(calls, 3);
+    for (int w = 0; w < group.size(); ++w) {
+        EXPECT_EQ(group.forRank(w).rank, w);
+        EXPECT_EQ(group.worker(w).value, 6);
+    }
 }
 
 } // namespace

@@ -113,6 +113,9 @@ TEST(Units, PageSizesAndGroups)
     EXPECT_TRUE(isCudaNative(PageGroup::k2MB));
     EXPECT_FALSE(isCudaNative(PageGroup::k64KB));
     EXPECT_STREQ(toString(PageGroup::k256KB), "256KB");
+    EXPECT_STREQ(toString(PageSize::k4KB), "4KB");
+    EXPECT_STREQ(toString(PageSize::k64KB), "64KB");
+    EXPECT_STREQ(toString(PageSize::k2MB), "2MB");
 }
 
 TEST(Units, MathHelpers)

@@ -189,6 +189,23 @@ TEST(RunningStat, BasicMoments)
     EXPECT_NEAR(stat.stddev(), 2.138, 1e-3); // sample stddev
 }
 
+TEST(RunningStat, ResetForgetsEverySample)
+{
+    RunningStat stat;
+    for (double x : {-3.0, 8.0, 100.0}) {
+        stat.add(x);
+    }
+    stat.reset();
+    EXPECT_EQ(stat.count(), 0u);
+    EXPECT_EQ(stat.sum(), 0.0);
+    EXPECT_EQ(stat.variance(), 0.0);
+    // The extremes restart too: the old -3 and 100 do not survive.
+    stat.add(5.0);
+    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
+    EXPECT_DOUBLE_EQ(stat.min(), 5.0);
+    EXPECT_DOUBLE_EQ(stat.max(), 5.0);
+}
+
 TEST(RunningStat, EmptyIsSafe)
 {
     RunningStat stat;

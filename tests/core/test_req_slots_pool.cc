@@ -21,11 +21,13 @@ TEST(ReqSlots, LifecycleTransitions)
 
     ASSERT_TRUE(slots.activate(0).isOk());
     EXPECT_EQ(slots.state(0), SlotState::kActive);
+    EXPECT_STREQ(toString(slots.state(0)), "Active");
     EXPECT_EQ(slots.numActive(), 1);
     EXPECT_EQ(slots.firstFree(), 1);
 
     ASSERT_TRUE(slots.moveToCached(0).isOk());
     EXPECT_EQ(slots.state(0), SlotState::kCached);
+    EXPECT_STREQ(toString(slots.state(0)), "Cached");
     EXPECT_EQ(slots.numCached(), 1);
 
     // Cached slots can be re-activated (deferred reclamation reuse).
@@ -33,6 +35,7 @@ TEST(ReqSlots, LifecycleTransitions)
     EXPECT_EQ(slots.state(0), SlotState::kActive);
 
     ASSERT_TRUE(slots.moveToFree(0).isOk());
+    EXPECT_STREQ(toString(slots.state(0)), "Free");
     EXPECT_EQ(slots.numFree(), 4);
 }
 

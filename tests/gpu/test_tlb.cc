@@ -108,6 +108,22 @@ TEST(Tlb, CoverageAdvantageOfLargePages)
     EXPECT_GT(small_walks, tlb2.pageWalks());
 }
 
+TEST(Tlb, FlushDropsEveryTranslationButKeepsTheStats)
+{
+    Tlb tlb;
+    tlb.access(0x0, PageSize::k64KB);
+    tlb.access(0x0, PageSize::k2MB);
+    ASSERT_EQ(tlb.access(0x0, PageSize::k64KB), 1);
+    ASSERT_EQ(tlb.pageWalks(), 2u);
+    tlb.flush();
+    // Both classes walk again: neither level kept an entry.
+    EXPECT_EQ(tlb.access(0x0, PageSize::k64KB), 0);
+    EXPECT_EQ(tlb.access(0x0, PageSize::k2MB), 0);
+    EXPECT_EQ(tlb.pageWalks(), 4u);
+    EXPECT_EQ(tlb.l1Stats(PageSize::k64KB).hits, 1u);
+    EXPECT_EQ(tlb.l1Stats(PageSize::k64KB).misses, 2u);
+}
+
 TEST(Tlb, ResetStats)
 {
     Tlb tlb;

@@ -15,7 +15,8 @@
  * lists. Every case ends with a clean audit, so the TP-2 cases also
  * check the cross-worker lockstep state. The paged fault-injection
  * tests at the end corrupt one TP worker and check that the audit
- * localizes it.
+ * localizes it. Every backend here replicates fully
+ * (ReplicateFollowers), so a TP-2 case has a real follower to check.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +51,7 @@ struct Paged
          const perf::ModelSpec &model = perf::ModelSpec::yi6B(),
          u64 budget_bytes = 64 * MiB)
     {
+        const ReplicateFollowers replicate;
         return std::make_unique<Backend>(model, tp, 16, budget_bytes,
                                          prefix_caching, host_swap_bytes);
     }
@@ -113,6 +115,7 @@ struct VAttn
         options.page_group = PageGroup::k64KB;
         options.eager_allocation = false;
         options.overlap_allocation = false;
+        const ReplicateFollowers replicate;
         return std::make_unique<Backend>(model, tp, options, budget_bytes,
                                          prefix_caching, host_swap_bytes);
     }
@@ -683,6 +686,8 @@ class PagedBackendAudit : public ::testing::Test
         return report.toString();
     }
 
+    /** Worker 1 is corrupted, so it must be built. */
+    ReplicateFollowers replicate_;
     PagedBackend backend_;
     int slot_ = -1;
 };

@@ -268,6 +268,7 @@ TEST(EngineTest, BothBackendsTakeTheSameTierAndPrefixSettings)
 TEST(VAttentionBackendTest, EveryWorkerPricesCopiesOnTheGivenLink)
 {
     const perf::PcieSpec pcie{"slow-link", 5e9, 3e9, 20 * kUsec};
+    const ReplicateFollowers replicate;
     VAttentionBackend backend(perf::ModelSpec::yi6B(), 2, {}, 512 * MiB,
                               false, 256 * MiB, pcie);
     core::WorkerGroup &group = backend.workerGroup();

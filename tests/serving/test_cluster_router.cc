@@ -43,6 +43,12 @@ flatEstimate(TimeNs service_ns, u64 kv_bytes)
 
 // ---- Router unit tests ---------------------------------------------
 
+TEST(Router, RoutingModesPrintTheirNames)
+{
+    EXPECT_STREQ(toString(RoutingMode::kStatic), "static");
+    EXPECT_STREQ(toString(RoutingMode::kLive), "live");
+}
+
 TEST(Router, RoundRobinCycles)
 {
     Router router(RoutingPolicy::kRoundRobin,

@@ -110,6 +110,8 @@ class PagedEnsureSkip : public ::testing::TestWithParam<SkipCase>
                 ? perf::ModelSpec::yi6B().withSlidingWindowInterleave(
                       kSkipWindow)
                 : perf::ModelSpec::yi6B();
+        // The per-worker checks below read every follower.
+        const ReplicateFollowers replicate;
         return PagedBackend(model, GetParam().tp, kSkipBlock, 2 * GiB,
                             /*enable_prefix_caching=*/false,
                             /*host_swap_bytes=*/256 * MiB);
