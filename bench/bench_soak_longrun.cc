@@ -252,9 +252,9 @@ main()
             std::chrono::steady_clock::now() - wall_start)
             .count();
 
-    // Modeled and counted results only: stdout stays byte-identical
-    // across runs. The host-dependent wall-clock figures go to stderr
-    // (and to the JSON metrics below, which diff tools skip).
+    // Modeled and counted results only: stdout and the JSON report
+    // stay byte-identical across runs. The host-dependent wall-clock
+    // figures go to stderr.
     Table table({"requests", "owned high-water", "steady steps",
                  "steady allocs", "decode tok/s (sim)"});
     table.addRow({std::to_string(report.num_requests),
@@ -275,9 +275,6 @@ main()
                 static_cast<i64>(steady_steps));
     json.metric("decode_tokens_per_s_sim",
                 report.decodeTokensPerSecond());
-    json.metric("wall_s", wall_s);
-    json.metric("requests_per_s_wall",
-                static_cast<double>(total) / wall_s);
 
     int failures = 0;
     const auto expect = [&failures](bool ok, const char *what) {
