@@ -4,8 +4,8 @@
  * state (driver ledgers, page pool, KV allocator, block manager,
  * scheduler queues) implements an `auditInto(AuditReport &)` that
  * re-derives its invariants from first principles and records every
- * violation with an actionable message — generalizing the older
- * boolean `checkInvariants()` predicates, which now wrap auditInto.
+ * violation with an actionable message. Tests assert a clean audit
+ * through vattn::test::auditClean, which prints the report on failure.
  *
  * Audit functions are always compiled (tests inject corruption and
  * assert on the produced report); only the engine's per-iteration

@@ -27,10 +27,9 @@
  * forRank(w) answers every rank with the lead, so a sum over ranks
  * reads tp x the lead's value. What a lead-only group gives up is the
  * check itself: no follower result to compare and no follower to
- * audit. Groups built from a worker list, and in-place groups that ask
- * for it, replicate fully; the serving adapter picks lead-only for
- * Release serving and full replication for VATTN_AUDIT builds and the
- * tests that reach followers.
+ * audit. The serving adapter picks lead-only for Release serving and
+ * full replication for VATTN_AUDIT builds and the tests that reach
+ * followers.
  *
  * Workers are built in place (a runtime owning a simulated GPU and
  * driver cannot move) and never relocate. Allocation-free per op: ops
@@ -44,10 +43,8 @@
 
 #include <cstddef>
 #include <deque>
-#include <iterator>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/audit.hh"
 #include "common/logging.hh"
@@ -69,16 +66,6 @@ template <typename Worker>
 class Lockstep
 {
   public:
-    /** Take ownership of ready-made (movable) workers; replicates
-     *  fully. */
-    explicit Lockstep(std::vector<Worker> workers)
-        : workers_(std::make_move_iterator(workers.begin()),
-                   std::make_move_iterator(workers.end())),
-          size_(static_cast<int>(workers_.size()))
-    {
-        panic_if(workers_.empty(), "Lockstep needs >= 1 worker");
-    }
-
     /** A group of @p num_workers workers, built in place as
      *  Worker(w, args...): every worker under kFull, worker 0 alone
      *  under kLeadOnly. */

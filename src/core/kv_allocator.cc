@@ -605,14 +605,6 @@ KvAllocator::physBytesMapped() const
            geom_.groupBytes();
 }
 
-bool
-KvAllocator::checkInvariants() const
-{
-    audit::AuditReport report;
-    auditInto(report);
-    return report.ok();
-}
-
 void
 KvAllocator::auditInto(audit::AuditReport &report) const
 {

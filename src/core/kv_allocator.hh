@@ -232,10 +232,6 @@ class KvAllocator
      */
     void auditInto(audit::AuditReport &report) const;
 
-    /** Every mapped group must be RW-accessible; per-slot counts must
-     *  be consistent with the page table. Wraps auditInto. */
-    bool checkInvariants() const;
-
   private:
     /** Corruption-injection tests reach the horizon and mapped-count
      *  caches through this. */

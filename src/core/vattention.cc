@@ -1009,14 +1009,6 @@ VAttention::cachedHandles() const
     return total;
 }
 
-bool
-VAttention::checkInvariants() const
-{
-    audit::AuditReport report;
-    auditInto(report);
-    return report.ok();
-}
-
 void
 VAttention::auditInto(audit::AuditReport &report) const
 {

@@ -293,9 +293,6 @@ class VAttention
      */
     void auditInto(audit::AuditReport &report) const;
 
-    /** True when auditInto records no violation. */
-    bool checkInvariants() const;
-
     /** Bytes currently mapped into more than one virtual range. */
     u64 aliasedBytes() const
     {

@@ -109,20 +109,4 @@ WorkerGroup::WorkerGroup(int num_workers, const Config &config,
 {
 }
 
-bool
-WorkerGroup::inLockstep() const
-{
-    audit::AuditReport report;
-    auditFollowersInto(report);
-    return report.ok();
-}
-
-bool
-WorkerGroup::checkInvariants() const
-{
-    audit::AuditReport report;
-    auditInto(report);
-    return report.ok();
-}
-
 } // namespace vattn::core

@@ -112,17 +112,6 @@ class WorkerGroup : public Lockstep<TpWorker>
     cuvmm::Driver &driver(int index) { return forRank(index).driver(); }
     /** Worker 0's lifetime counters (the workers' are identical). */
     const RuntimeStats &stats() const { return lead().stats(); }
-
-    /**
-     * Are all built workers in identical states (slot states, group
-     * counts, pool levels)? True by construction; a false return
-     * indicates a determinism bug. The cross-worker half of
-     * auditInto, reporting nothing.
-     */
-    bool inLockstep() const;
-
-    /** auditInto reports nothing. */
-    bool checkInvariants() const;
 };
 
 } // namespace vattn::core

@@ -255,14 +255,6 @@ BlockManager::refCount(i32 block) const
     return ref_counts_[static_cast<std::size_t>(block)];
 }
 
-bool
-BlockManager::checkInvariants() const
-{
-    audit::AuditReport report;
-    auditInto(report);
-    return report.ok();
-}
-
 i64
 BlockManager::totalRefCount() const
 {

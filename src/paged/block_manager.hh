@@ -133,9 +133,6 @@ class BlockManager
      */
     void auditInto(audit::AuditReport &report) const;
 
-    /** Conservation check for tests. Wraps auditInto. */
-    bool checkInvariants() const;
-
     /** Sum of refcounts over all blocks (cross-layer audits compare
      *  it against the holds the serving layer can account for). */
     i64 totalRefCount() const;

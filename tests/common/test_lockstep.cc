@@ -34,32 +34,54 @@ panicMessage(Fn &&fn)
     return "";
 }
 
+/** A worker built in place: its rank and a value ops change. */
+struct Counter
+{
+    Counter(int index, int start) : rank(index), value(start) {}
+
+    int rank;
+    int value;
+};
+
+/** A fully replicated group whose worker w holds @p values[w]. */
+Lockstep<Counter>
+groupOf(const std::vector<int> &values)
+{
+    Lockstep<Counter> group(std::in_place, Replication::kFull,
+                            static_cast<int>(values.size()), 0);
+    for (int w = 0; w < group.size(); ++w) {
+        group.worker(w).value = values[static_cast<std::size_t>(w)];
+    }
+    return group;
+}
+
 TEST(Lockstep, AppliesToEveryWorkerAndReturnsTheLeadResult)
 {
-    Lockstep<int> workers(std::vector<int>{5, 5, 5});
+    auto workers = groupOf({5, 5, 5});
     ASSERT_EQ(workers.size(), 3);
-    const int result =
-        workers.apply("add", [](int &value) { return value += 2; });
+    const int result = workers.apply(
+        "add", [](Counter &counter) { return counter.value += 2; });
     EXPECT_EQ(result, 7);
     for (int w = 0; w < workers.size(); ++w) {
-        EXPECT_EQ(workers.worker(w), 7);
+        EXPECT_EQ(workers.worker(w).value, 7);
     }
-    EXPECT_EQ(workers.lead(), 7);
+    EXPECT_EQ(workers.lead().value, 7);
 }
 
 TEST(Lockstep, VoidOpsRunOnEveryWorker)
 {
-    Lockstep<int> workers(std::vector<int>{0, 1});
-    workers.apply("bump", [](int &value) { ++value; });
-    EXPECT_EQ(workers.worker(0), 1);
-    EXPECT_EQ(workers.worker(1), 2);
+    auto workers = groupOf({0, 1});
+    workers.apply("bump", [](Counter &counter) { ++counter.value; });
+    EXPECT_EQ(workers.worker(0).value, 1);
+    EXPECT_EQ(workers.worker(1).value, 2);
 }
 
 TEST(Lockstep, DivergencePanicsNamingTheOpAndTheWorker)
 {
-    Lockstep<int> workers(std::vector<int>{1, 1, 2});
+    auto workers = groupOf({1, 1, 2});
     const std::string message = panicMessage([&] {
-        workers.apply("readValue", [](int &value) { return value; });
+        workers.apply("readValue",
+                      [](Counter &counter) { return counter.value; });
     });
     EXPECT_NE(message.find("diverged in readValue"), std::string::npos)
         << message;
@@ -70,35 +92,25 @@ TEST(Lockstep, DivergencePanicsNamingTheOpAndTheWorker)
 
 TEST(Lockstep, ForEachFollowerPairsEveryFollowerWithTheLead)
 {
-    const Lockstep<int> workers(std::vector<int>{3, 4, 5});
+    const auto workers = groupOf({3, 4, 5});
     std::vector<int> seen;
-    workers.forEachFollower(
-        [&](std::size_t w, const int &follower, const int &lead) {
-            EXPECT_EQ(lead, 3);
-            EXPECT_EQ(follower, 3 + static_cast<int>(w));
-            seen.push_back(follower);
-        });
+    workers.forEachFollower([&](std::size_t w, const Counter &follower,
+                                const Counter &lead) {
+        EXPECT_EQ(lead.value, 3);
+        EXPECT_EQ(follower.value, 3 + static_cast<int>(w));
+        seen.push_back(follower.value);
+    });
     EXPECT_EQ(seen, (std::vector<int>{4, 5}));
 }
 
 TEST(Lockstep, RejectsEmptyGroupsAndBadIndices)
 {
-    EXPECT_NE(panicMessage([] { Lockstep<int> none(std::vector<int>{}); }),
-              "");
-    Lockstep<int> workers(std::vector<int>{1});
+    EXPECT_NE(panicMessage([] { groupOf({}); }), "");
+    auto workers = groupOf({1});
     EXPECT_NE(panicMessage([&] { workers.worker(1); }).find(
                   "bad worker index 1"),
               std::string::npos);
 }
-
-/** A worker built in place: its rank and a value ops change. */
-struct Counter
-{
-    Counter(int index, int start) : rank(index), value(start) {}
-
-    int rank;
-    int value;
-};
 
 TEST(Lockstep, LeadOnlyGroupBuildsWorkerZeroForEveryRank)
 {

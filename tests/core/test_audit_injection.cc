@@ -293,7 +293,7 @@ TEST_F(AuditInjectionTest, StaleGrowHorizonIsReported)
         << report.toString();
 
     horizon.grow = fresh;
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
@@ -323,7 +323,7 @@ TEST_F(AuditInjectionTest, StaleTrimHorizonIsReported)
         << report.toString();
 
     horizon.trim = fresh;
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(AuditInjectionTest, StaleMappedHandleCountIsReported)
@@ -355,7 +355,7 @@ TEST_F(AuditInjectionTest, StaleMappedHandleCountIsReported)
         << report.toString();
 
     mapped = fresh;
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(AuditInjectionTest, LeadOnWindowFreeHeterogeneousBufferIsReported)
@@ -364,7 +364,7 @@ TEST_F(AuditInjectionTest, LeadOnWindowFreeHeterogeneousBufferIsReported)
     PagePool pool(driver_, config.page_group, 8 * MiB);
     KvAllocator allocator(driver_, config, pool);
     ASSERT_TRUE(allocator.ensureTokens(0, 4096).isOk());
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 
     // Injection: without sliding windows no lead may move.
     i64 &lead = core::KvAllocatorTestPeer::lead(allocator, 0, 0);
@@ -378,7 +378,7 @@ TEST_F(AuditInjectionTest, LeadOnWindowFreeHeterogeneousBufferIsReported)
         << report.toString();
 
     lead = 0;
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(AuditInjectionTest, PhysBytesDriftBehindThePoolIsReported)
@@ -386,7 +386,7 @@ TEST_F(AuditInjectionTest, PhysBytesDriftBehindThePoolIsReported)
     auto config = smallConfig();
     config.phys_budget_bytes = 8 * MiB;
     VAttention vattn(driver_, config);
-    ASSERT_TRUE(vattn.checkInvariants());
+    ASSERT_TRUE(test::auditClean(vattn));
 
     // Injection: a rogue physical allocation on the runtime's driver
     // that the page pool knows nothing about — the driver's ledger is
@@ -400,10 +400,9 @@ TEST_F(AuditInjectionTest, PhysBytesDriftBehindThePoolIsReported)
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(report.contains("bypassed the pool"))
         << report.toString();
-    EXPECT_FALSE(vattn.checkInvariants());
 
     ASSERT_EQ(driver_.cuMemRelease(rogue), cuvmm::CuResult::kSuccess);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST(ServingAudit, RequestInTwoQueuesIsReported)

@@ -79,7 +79,7 @@ TEST_F(KvAllocatorTest, GrowMapsLockstepAcrossBuffers)
     EXPECT_EQ(allocator.totalHandlesMapped(), 8);
     EXPECT_EQ(pool.groupsInUse(), 8);
     EXPECT_EQ(allocator.physBytesMapped(), 8 * 64 * KiB);
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 
     // Growing to a smaller target is a no-op.
     ASSERT_TRUE(allocator.growTo(0, 1).isOk());
@@ -127,7 +127,7 @@ TEST_F(KvAllocatorTest, ShrinkTailReturnsGroups)
     ASSERT_TRUE(allocator.shrinkTail(0).isOk());
     EXPECT_EQ(allocator.groupsMapped(0), 2);
     EXPECT_EQ(pool.groupsInUse(), 8);
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
     ASSERT_TRUE(allocator.shrinkTail(0).isOk());
     ASSERT_TRUE(allocator.shrinkTail(0).isOk());
     EXPECT_EQ(allocator.groupsMapped(0), 0);
@@ -150,7 +150,7 @@ TEST_F(KvAllocatorTest, OomRollsBackPartialGroup)
     EXPECT_EQ(allocator.groupsMapped(0), 1);
     EXPECT_EQ(pool.groupsInUse(), 4);
     EXPECT_EQ(pool.availableGroups(), 2);
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(KvAllocatorTest, SlotsAreIsolated)
@@ -230,7 +230,7 @@ TEST_F(KvAllocatorTest, TensorSlicingLayout)
     EXPECT_FLOAT_EQ(k_layer0.readElem({5, 1, 2}), 1.5f);
     EXPECT_FLOAT_EQ(k_layer1.readElem({5, 1, 2}), -1.5f);
     EXPECT_EQ(allocator.totalHandlesMapped(), 2); // K + V only
-    EXPECT_TRUE(allocator.checkInvariants());
+    EXPECT_TRUE(test::auditClean(allocator));
 }
 
 TEST_F(KvAllocatorTest, SlicedLayerViewsInterleaveInMemory)
@@ -483,9 +483,7 @@ TEST_P(KvHorizonDifferential, CachedChecksMatchPerBufferScan)
             SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
                          std::to_string(op) + " " + what + " slot " +
                          std::to_string(slot));
-            audit::AuditReport report;
-            allocator.auditInto(report);
-            ASSERT_TRUE(report.ok()) << report.toString();
+            ASSERT_TRUE(test::auditClean(allocator));
             for (int s = 0; s < slots; ++s) {
                 for (const i64 t : probes) {
                     const bool grow = scanNeedsGrowth(allocator, s, t);

@@ -104,7 +104,7 @@ TEST_F(PrefixReuseTest, CachedSlotReusedInPlaceOnFullMatch)
     EXPECT_EQ(vattn.stats().prefix_inplace_hits, 1);
     EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 0)),
               1u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, InPlaceReuseKeepsMatchedTailWithinCap)
@@ -129,7 +129,7 @@ TEST_F(PrefixReuseTest, InPlaceReuseKeepsMatchedTailWithinCap)
     ASSERT_TRUE(r2.isOk());
     const i64 cached = r2.value().cached_tokens;
     EXPECT_EQ(cached, 5000);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, ActiveSourceAliasesGroupsIntoFreeSlot)
@@ -160,11 +160,11 @@ TEST_F(PrefixReuseTest, ActiveSourceAliasesGroupsIntoFreeSlot)
     EXPECT_EQ(handle, vattn.handleAt(r1.value(), 0, 0));
     EXPECT_EQ(driver_.numMappings(handle), 2u);
     EXPECT_GT(vattn.aliasedBytes(), 0u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 
     // Both requests step; aliased groups serve both contexts.
     ASSERT_TRUE(vattn.step(lens(4097, 4096)).status.isOk());
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, AliasedTailCopyIsPrivate)
@@ -193,7 +193,7 @@ TEST_F(PrefixReuseTest, AliasedTailCopyIsPrivate)
     EXPECT_EQ(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 2)),
               1u);
     EXPECT_GT(vattn.stats().prefix_copied_handles, 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
@@ -247,7 +247,7 @@ TEST_F(PrefixReuseTest, StealFromCachedSourceWhilePrefixPinned)
     ASSERT_TRUE(vattn.step(lens(0, 4096 * 4)).status.isOk());
     EXPECT_EQ(driver_.handleSize(pinned), 64 * KiB); // still live
     EXPECT_GE(driver_.numMappings(pinned), 1u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, FreeReqIdOfSharingRequestKeepsSource)
@@ -277,11 +277,11 @@ TEST_F(PrefixReuseTest, FreeReqIdOfSharingRequestKeepsSource)
     ASSERT_TRUE(vattn.freeReqId(r2.value().slot).isOk());
     EXPECT_EQ(driver_.physBytesInUse(), phys_before);
     EXPECT_GE(driver_.numMappings(handle), 1u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 
     // Now the source dies too; everything still consistent.
     ASSERT_TRUE(vattn.freeReqId(r1.value()).isOk());
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, WatermarkRefillWithPinnedEntries)
@@ -309,11 +309,11 @@ TEST_F(PrefixReuseTest, WatermarkRefillWithPinnedEntries)
     vattn.computePhase(1'000'000'000); // ample window
     // Reclamation must terminate, keep invariants, and never free
     // pinned physical memory out from under the sharer.
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
     EXPECT_GE(driver_.numMappings(vattn.handleAt(r2.value().slot, 0, 0)),
               1u);
     ASSERT_TRUE(vattn.step(lens(0, 4097)).status.isOk());
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
@@ -364,7 +364,7 @@ TEST_F(PrefixReuseTest, InPlaceReusePrivatizesStaleSharedGroups)
     // Group 0 stays legitimately shared (read-only prefix).
     EXPECT_EQ(driver_.numMappings(vattn.handleAt(u.value().slot, 0, 0)),
               2u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(PrefixReuseTest, MissWithDifferentTokensAllocatesFresh)
@@ -388,7 +388,7 @@ TEST_F(PrefixReuseTest, MissWithDifferentTokensAllocatesFresh)
     const i64 cached = r2.value().cached_tokens;
     EXPECT_EQ(cached, 0);
     EXPECT_EQ(vattn.stats().prefix_hits, 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 } // namespace

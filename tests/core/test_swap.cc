@@ -91,7 +91,7 @@ TEST_F(CoreSwapTest, SwapOutFreesDeviceAndStashesOnHost)
     EXPECT_EQ(driver_.counters().copy_dtoh, 8u);
     // The slot stays leased: it cannot be handed to a new request.
     EXPECT_EQ(vattn.slots().state(r1), SlotState::kActive);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, SwapInRemapsAndRestores)
@@ -116,7 +116,7 @@ TEST_F(CoreSwapTest, SwapInRemapsAndRestores)
     const auto step = vattn.step(lens(3000));
     ASSERT_TRUE(step.status.isOk());
     EXPECT_EQ(step.handles_mapped, 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, SwapRoundTripKeepsVirtualAddresses)
@@ -176,7 +176,7 @@ TEST_F(CoreSwapTest, RefusesWhileAnotherSlotMapsThePages)
     EXPECT_EQ(vattn.slots().state(r2.value().slot), SlotState::kFree);
     EXPECT_EQ(vattn.aliasedBytes(), 0u);
     EXPECT_EQ(vattn.physBytesMapped(), 0u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, HostBudgetBoundsSwapOut)
@@ -192,7 +192,7 @@ TEST_F(CoreSwapTest, HostBudgetBoundsSwapOut)
     // Nothing moved, nothing leaked.
     EXPECT_EQ(vattn.hostGroupsInUse(), 0);
     EXPECT_EQ(vattn.groupsMapped(r1), 2);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, DisabledTierRefusesSwaps)
@@ -230,7 +230,7 @@ TEST_F(CoreSwapTest, SwapInStealsCachedGroupsLikeStep)
     ASSERT_TRUE(in.status.isOk()) << in.status.message();
     EXPECT_EQ(vattn.groupsMapped(r1), 2);
     EXPECT_LT(vattn.cachedHandles(), 16);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, FreeReqIdAbandonsStash)
@@ -246,7 +246,7 @@ TEST_F(CoreSwapTest, FreeReqIdAbandonsStash)
     // the slot is reusable (no mappings survived the swap-out).
     EXPECT_EQ(vattn.hostGroupsInUse(), 0);
     EXPECT_EQ(vattn.slots().state(r1), SlotState::kFree);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(CoreSwapTest, DoubleSwapAndBadStatesAreErrors)

@@ -67,7 +67,7 @@ TEST_F(VAttentionTest, InitReturnsKvCacheTensors)
     EXPECT_EQ(vattn.poolFreeHandles(), 128); // 8MB / 64KB
     EXPECT_GT(vattn.stats().init_ns, 0u);
     EXPECT_EQ(vattn.stats().critical_ns, 0u);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, AlgorithmOneFlow)
@@ -104,7 +104,7 @@ TEST_F(VAttentionTest, AlgorithmOneFlow)
 
     // Completion (line 19).
     ASSERT_TRUE(vattn.freeReqId(r1).isOk());
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, StepValidatesInput)
@@ -142,7 +142,7 @@ TEST_F(VAttentionTest, BWideStepFailsBeforeAnyDriverWork)
               ErrorCode::kInvalidArgument);
     EXPECT_EQ(driver_.counters(), before);
     EXPECT_EQ(vattn.groupsMapped(req), 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, SparseStepRejectsBadEntriesWithoutDriverWork)
@@ -175,7 +175,7 @@ TEST_F(VAttentionTest, SparseStepRejectsBadEntriesWithoutDriverWork)
     // A rejected duplicate leaves no stale mark behind.
     EXPECT_TRUE(vattn.step({{{r1, 3000}, {r0, 5000}}}).status.isOk());
     EXPECT_GT(vattn.groupsMapped(r0), groups0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, SparseAndBWideStepsAgreeOnASeededTrace)
@@ -278,7 +278,7 @@ TEST_F(VAttentionTest, SparseAndBWideStepsAgreeOnASeededTrace)
         }
         ASSERT_EQ(driver_.counters(), wide_driver.counters())
             << "op " << op;
-        ASSERT_TRUE(sparse.checkInvariants()) << "op " << op;
+        ASSERT_TRUE(test::auditClean(sparse)) << "op " << op;
     }
     EXPECT_EQ(sparse.stats().steps, wide.stats().steps);
     EXPECT_EQ(sparse.stats().sync_handles, wide.stats().sync_handles);
@@ -350,7 +350,7 @@ TEST_F(VAttentionTest, ReclamationDisabledFreesEagerly)
     // All 8 handles became available again (the small-page path
     // destroys them; the budget slots reopen).
     EXPECT_EQ(vattn.poolAvailableHandles(), available_before + 8);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, OomTriggersStealFromCached)
@@ -387,7 +387,7 @@ TEST_F(VAttentionTest, OomTriggersStealFromCached)
     stats = vattn.step(only);
     EXPECT_TRUE(stats.status.isOk());
     EXPECT_GT(stats.handles_stolen, 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, CanAllocateAccountsCachedAndPool)
@@ -521,7 +521,7 @@ TEST_F(VAttentionTest, WatermarkReclamationRefillsPool)
     vattn.computePhase(100 * kMsec);
     EXPECT_GE(vattn.poolAvailableHandles(), 4);
     EXPECT_LT(vattn.cachedHandles(), 8);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, EagerGroupsClampedToRequestMaximum)
@@ -535,7 +535,7 @@ TEST_F(VAttentionTest, EagerGroupsClampedToRequestMaximum)
     VAttention vattn(driver_, config);
     vattn.computePhase(100 * kMsec);
     EXPECT_LE(vattn.cachedHandles(), 4 * 4);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, EagerKeepsExactlyOneWarmSlot)
@@ -552,7 +552,7 @@ TEST_F(VAttentionTest, EagerKeepsExactlyOneWarmSlot)
     }
     EXPECT_EQ(vattn.slots().numCached(), 1);
     EXPECT_EQ(vattn.cachedHandles(), 4); // one group row
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(VAttentionTest, StatsAccumulate)

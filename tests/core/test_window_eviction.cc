@@ -85,7 +85,7 @@ TEST_F(WindowEvictionTest, PromptShorterThanWindowUnmapsNothing)
         EXPECT_NE(vattn.handleAt(req, buffer, 0), cuvmm::kInvalidHandle);
         EXPECT_NE(vattn.handleAt(req, buffer, 1), cuvmm::kInvalidHandle);
     }
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, StraddledLeadingGroupStaysMapped)
@@ -107,7 +107,7 @@ TEST_F(WindowEvictionTest, StraddledLeadingGroupStaysMapped)
     EXPECT_EQ(vattn.handleAt(req, 3, 0), cuvmm::kInvalidHandle);
     EXPECT_NE(vattn.handleAt(req, 0, 0), cuvmm::kInvalidHandle);
     EXPECT_EQ(liveHandles(vattn, req), 2 * 4 + 2 * 2);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, FreshLongPromptNeverMapsTheDeadRegion)
@@ -121,7 +121,7 @@ TEST_F(WindowEvictionTest, FreshLongPromptNeverMapsTheDeadRegion)
     EXPECT_EQ(liveHandles(vattn, req), 12);
     EXPECT_EQ(vattn.stats().sync_handles, 12);
     EXPECT_EQ(pool_before - vattn.poolAvailableHandles(), 12);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, SwapRoundTripsTheLiveWindowExactly)
@@ -142,7 +142,7 @@ TEST_F(WindowEvictionTest, SwapRoundTripsTheLiveWindowExactly)
     EXPECT_EQ(out.bytes, static_cast<u64>(12) * 64 * KiB);
     EXPECT_EQ(vattn.hostGroupsInUse(), 12);
     EXPECT_EQ(liveHandles(vattn, req), 0);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 
     const auto in = vattn.swapInReq(req);
     ASSERT_TRUE(in.status.isOk()) << in.status.message();
@@ -155,7 +155,7 @@ TEST_F(WindowEvictionTest, SwapRoundTripsTheLiveWindowExactly)
     EXPECT_EQ(liveHandles(vattn, req), 12);
     // The runtime can keep stepping where it left off.
     ASSERT_TRUE(vattn.step(lens(8200)).status.isOk());
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, AliasedLeadingGroupsSurviveUntilLastSharer)
@@ -193,7 +193,7 @@ TEST_F(WindowEvictionTest, AliasedLeadingGroupsSurviveUntilLastSharer)
     ASSERT_TRUE(vattn.step(lens(8192, 4096)).status.isOk());
     EXPECT_EQ(vattn.handleAt(req_a, 1, 0), cuvmm::kInvalidHandle);
     EXPECT_NE(vattn.handleAt(req_b, 1, 0), cuvmm::kInvalidHandle);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
     // A's growth maps 8 fresh groups (frontier groups 2-3 on all four
     // buffers); dropping A's aliased windowed-lead mappings returns
     // NOTHING — B still holds references to those handles.
@@ -205,7 +205,7 @@ TEST_F(WindowEvictionTest, AliasedLeadingGroupsSurviveUntilLastSharer)
     // under A.
     ASSERT_TRUE(vattn.freeReqId(req_b).isOk());
     EXPECT_EQ(vattn.poolAvailableHandles(), pool_after_alias - 4);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, RecycledWarmSlotStillSkipsTheDeadRegion)
@@ -234,7 +234,7 @@ TEST_F(WindowEvictionTest, RecycledWarmSlotStillSkipsTheDeadRegion)
     }
     // 2 full buffers x 6 groups + 2 windowed x 2 live groups.
     EXPECT_EQ(liveHandles(vattn, req2), 2 * 6 + 2 * 2);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 TEST_F(WindowEvictionTest, RogueWindowTailMappingIsCaughtAndNamed)
@@ -242,7 +242,7 @@ TEST_F(WindowEvictionTest, RogueWindowTailMappingIsCaughtAndNamed)
     VAttention vattn(driver_, windowConfig());
     const int req = vattn.allocReqId().value();
     ASSERT_TRUE(vattn.step(lens(8192)).status.isOk());
-    ASSERT_TRUE(vattn.checkInvariants());
+    ASSERT_TRUE(test::auditClean(vattn));
 
     // Injection: re-map a live handle at the window-dead VA of the
     // sliding layer's K tensor (group 0 of buffer 1) directly through
@@ -260,7 +260,7 @@ TEST_F(WindowEvictionTest, RogueWindowTailMappingIsCaughtAndNamed)
 
     // Repair: unmap the rogue VA; the stack audits clean again.
     ASSERT_EQ(driver_.vMemUnmap(dead_va), cuvmm::CuResult::kSuccess);
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
 }
 
 } // namespace

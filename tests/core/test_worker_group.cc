@@ -102,7 +102,7 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
 {
     WorkerGroup group(2, tpConfig(), 64 * MiB);
     ASSERT_EQ(group.numWorkers(), 2);
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
 
     auto req = allocReqId(group);
     ASSERT_TRUE(req.isOk());
@@ -111,16 +111,16 @@ TEST(WorkerGroup, LockstepThroughBasicLifecycle)
     auto stats = step(group, lens);
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 8); // per worker: 2 groups x 4 buf
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
 
     // Aggregate physical bytes = workers x per-worker bytes.
     EXPECT_EQ(physBytesMappedTotal(group),
               2 * group.worker(0).physBytesMapped());
 
     computePhase(group, 20 * kMsec);
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
     ASSERT_TRUE(freeReqId(group, req.value()).isOk());
-    EXPECT_TRUE(group.checkInvariants());
+    EXPECT_TRUE(test::auditClean(group));
 }
 
 TEST(WorkerGroup, LockstepUnderRandomTraffic)
@@ -161,7 +161,7 @@ TEST(WorkerGroup, LockstepUnderRandomTraffic)
                 active.pop_back();
             }
         }
-        ASSERT_TRUE(group.checkInvariants()) << "round " << round;
+        ASSERT_TRUE(test::auditClean(group)) << "round " << round;
     }
 }
 
@@ -232,7 +232,7 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     // Preempt mid-flight: mappings are retained (deferred
     // reclamation), every worker parks the same cached slot.
     ASSERT_TRUE(freeReqId(group, r1).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
     EXPECT_GT(group.worker(0).cachedHandles(), 0);
 
     // Re-admission reuses the same reqId on all workers (the group
@@ -245,7 +245,7 @@ TEST(WorkerGroup, LockstepAcrossPreemptionCycles)
     auto stats = step(group, lens);
     ASSERT_TRUE(stats.status.isOk());
     EXPECT_EQ(stats.handles_mapped, 0);
-    EXPECT_TRUE(group.checkInvariants());
+    EXPECT_TRUE(test::auditClean(group));
 }
 
 TEST(WorkerGroup, LockstepAcrossSwapCycles)
@@ -265,7 +265,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     const auto out = swapOutReq(group, r1);
     ASSERT_TRUE(out.status.isOk()) << out.status.message();
     EXPECT_EQ(out.handles, 8); // per worker: 2 groups x 4 buffers
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
     EXPECT_EQ(group.worker(0).groupsMapped(r1), 0);
     EXPECT_EQ(group.worker(1).swappedGroups(r1), 2);
 
@@ -274,7 +274,7 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     lens[static_cast<std::size_t>(r2)] = 2500;
     ASSERT_TRUE(step(group, lens).status.isOk());
     ASSERT_TRUE(freeReqId(group, r2).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
 
     // Swap back in and resume: same reqId, same virtual layout, no
     // divergence.
@@ -284,9 +284,9 @@ TEST(WorkerGroup, LockstepAcrossSwapCycles)
     lens[static_cast<std::size_t>(r2)] = 0;
     lens[static_cast<std::size_t>(r1)] = 3001;
     ASSERT_TRUE(step(group, lens).status.isOk());
-    EXPECT_TRUE(group.checkInvariants());
+    EXPECT_TRUE(test::auditClean(group));
     ASSERT_TRUE(freeReqId(group, r1).isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
 }
 
 TEST(WorkerGroup, AuditPassesOnHealthyGroup)
@@ -297,9 +297,7 @@ TEST(WorkerGroup, AuditPassesOnHealthyGroup)
     lens[static_cast<std::size_t>(r1)] = 3000;
     ASSERT_TRUE(step(group, lens).status.isOk());
 
-    audit::AuditReport report;
-    group.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
+    EXPECT_TRUE(test::auditClean(group));
 }
 
 TEST(WorkerGroup, AuditLocalizesInjectedWorkerDesync)
@@ -314,14 +312,13 @@ TEST(WorkerGroup, AuditLocalizesInjectedWorkerDesync)
     std::vector<i64> lens(4, 0);
     lens[static_cast<std::size_t>(r1)] = 1000;
     ASSERT_TRUE(step(group, lens).status.isOk());
-    EXPECT_TRUE(group.inLockstep());
+    EXPECT_TRUE(test::auditClean(group));
 
     // Worker 1 silently steps ahead: its slot maps more groups and
     // more physical bytes than worker 0's.
     std::vector<i64> ahead = lens;
     ahead[static_cast<std::size_t>(r1)] = 5000;
     ASSERT_TRUE(group.worker(1).step(ahead).status.isOk());
-    EXPECT_FALSE(group.inLockstep());
 
     audit::AuditReport report;
     group.auditInto(report);
@@ -345,7 +342,6 @@ TEST(WorkerGroup, AuditCatchesLifecycleDesync)
     ASSERT_TRUE(step(group, lens).status.isOk());
 
     ASSERT_TRUE(group.worker(2).freeReqId(r1).isOk());
-    EXPECT_FALSE(group.inLockstep());
 
     audit::AuditReport report;
     group.auditInto(report);

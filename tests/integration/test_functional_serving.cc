@@ -156,7 +156,7 @@ TEST_P(FunctionalServing, MatchesHostReference)
                     << "iter " << iter << " layer " << layer;
             }
         }
-        ASSERT_TRUE(vattn.checkInvariants());
+        ASSERT_TRUE(test::auditClean(vattn));
     }
 
     // ---- Completion + slot reuse -------------------------------------

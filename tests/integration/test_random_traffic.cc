@@ -111,14 +111,14 @@ TEST_P(RandomTrafficTest, VattnInvariantsHoldUnderChaos)
                 active.erase(victim);
             }
         }
-        ASSERT_TRUE(vattn.checkInvariants()) << "step " << step;
+        ASSERT_TRUE(test::auditClean(vattn)) << "step " << step;
     }
 
     // Drain: free everything; all memory must be reclaimable.
     for (const auto &[id, len] : active) {
         EXPECT_TRUE(vattn.freeReqId(id).isOk());
     }
-    EXPECT_TRUE(vattn.checkInvariants());
+    EXPECT_TRUE(test::auditClean(vattn));
     // Every mapped group is now cached (stealable), so a request
     // using the whole budget must be admissible.
     const i64 budget_tokens =

@@ -18,7 +18,7 @@ TEST(BlockCache, DisabledModeFreesEagerly)
     EXPECT_EQ(manager.numFree(), 8);
     EXPECT_EQ(manager.numEvictable(), 0);
     EXPECT_EQ(manager.lookupHash(42), -1);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockCache, HashedBlockParksOnReleaseAndRevives)
@@ -40,7 +40,7 @@ TEST(BlockCache, HashedBlockParksOnReleaseAndRevives)
     EXPECT_EQ(manager.refCount(block.value()), 1);
     EXPECT_EQ(manager.numEvictable(), 0);
     EXPECT_EQ(manager.lookupHash(7), block.value());
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockCache, SharedLiveBlockRefCounts)
@@ -59,7 +59,7 @@ TEST(BlockCache, SharedLiveBlockRefCounts)
     // Last reference: parked for future hits.
     ASSERT_TRUE(manager.freeBlock(block.value()).isOk());
     EXPECT_EQ(manager.numEvictable(), 1);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockCache, AllocationEvictsLruCachedBlock)
@@ -81,7 +81,7 @@ TEST(BlockCache, AllocationEvictsLruCachedBlock)
     EXPECT_EQ(c.value(), a.value()); // oldest parked block reused
     EXPECT_EQ(manager.lookupHash(1), -1);
     EXPECT_EQ(manager.lookupHash(2), b.value());
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 
     // Exhaust the rest, then genuinely OOM.
     auto d = manager.allocBlock();
@@ -106,7 +106,7 @@ TEST(BlockCache, NewerBlockSupersedesHashMapping)
     EXPECT_EQ(manager.numFree(), 3);
     ASSERT_TRUE(manager.freeBlock(b.value()).isOk());
     EXPECT_EQ(manager.numEvictable(), 1);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockCache, SetBlockHashUnparksSupersededEvictableHolder)
@@ -128,9 +128,9 @@ TEST(BlockCache, SetBlockHashUnparksSupersededEvictableHolder)
     EXPECT_EQ(manager.lookupHash(21), b.value());
     EXPECT_EQ(manager.numEvictable(), 0);
     EXPECT_EQ(manager.numFree(), 3);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
     ASSERT_TRUE(manager.freeBlock(b.value()).isOk());
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockCache, AdoptedSharedBlocksSurviveParentRelease)
@@ -153,7 +153,7 @@ TEST(BlockCache, AdoptedSharedBlocksSurviveParentRelease)
     EXPECT_EQ(manager.numLive(), 2);
     child.releaseAll();
     EXPECT_EQ(manager.numEvictable(), 2);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockSwap, RoundTripMovesBlocksThroughTheCpuPool)
@@ -170,13 +170,13 @@ TEST(BlockSwap, RoundTripMovesBlocksThroughTheCpuPool)
     // The device block is free again, the CPU block is occupied.
     EXPECT_EQ(manager.numFree(), 4);
     EXPECT_EQ(manager.numCpuInUse(), 1);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 
     auto back = manager.swapInBlock(cpu.value());
     ASSERT_TRUE(back.isOk());
     EXPECT_EQ(manager.refCount(back.value()), 1);
     EXPECT_EQ(manager.numCpuFree(), 2);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
     manager.freeBlock(back.value()).expectOk("free");
 }
 
@@ -199,7 +199,7 @@ TEST(BlockSwap, RefusesSharedAndFreeBlocks)
     manager.freeBlock(other.value()).expectOk("free");
     EXPECT_EQ(manager.swapOutBlock(other.value()).code(),
               ErrorCode::kFailedPrecondition);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockSwap, SwapOutDropsTheBlockHash)
@@ -216,7 +216,7 @@ TEST(BlockSwap, SwapOutDropsTheBlockHash)
     EXPECT_EQ(manager.lookupHash(0xabcu), -1);
     manager.freeCpuBlock(cpu.value()).expectOk("drop CPU block");
     EXPECT_EQ(manager.numCpuFree(), 2);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockSwap, CpuPoolExhaustionAndDisabledPool)
@@ -263,7 +263,7 @@ TEST(BlockSwap, SwapInEvictsCachedBlocksWhenDeviceIsFull)
     auto back = manager.swapInBlock(cpu.value());
     ASSERT_TRUE(back.isOk());
     EXPECT_EQ(manager.numEvictable(), 1);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 } // namespace

@@ -23,7 +23,7 @@ TEST(BlockManager, AllocFreeCycle)
     EXPECT_EQ(manager.numFree(), 6);
     EXPECT_TRUE(manager.freeBlock(a.value()).isOk());
     EXPECT_EQ(manager.numFree(), 7);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(BlockManager, ExhaustionReturnsOom)

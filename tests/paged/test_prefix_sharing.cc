@@ -54,7 +54,7 @@ TEST_F(PrefixSharingTest, ShareFromRefCountsWholeBlocks)
     EXPECT_EQ(manager.refCount(parent.blocks()[2]), 1);
     // Shared blocks don't consume new pool capacity.
     EXPECT_EQ(manager.numAllocated(), 4);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST_F(PrefixSharingTest, ShareFromValidation)
@@ -168,7 +168,7 @@ TEST_F(PrefixSharingTest, ReleaseOrderIndependent)
         // Child died: everything back.
         EXPECT_EQ(manager.numAllocated(), 0);
     }
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST_F(PrefixSharingTest, CowUnderPoolPressure)

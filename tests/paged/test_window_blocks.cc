@@ -59,7 +59,7 @@ TEST(RequestBlocksLead, FreshRequestSkipsTheDeadRegion)
     EXPECT_EQ(blocks.liveBlockCount(), 2);
     EXPECT_EQ(blocks.blocks()[4], RequestBlocks::kNoBlock);
     EXPECT_NE(blocks.blocks()[5], RequestBlocks::kNoBlock);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(RequestBlocksLead, HashCachedBlocksParkInsteadOfFreeing)
@@ -77,7 +77,7 @@ TEST(RequestBlocksLead, HashCachedBlocksParkInsteadOfFreeing)
     EXPECT_EQ(manager.numEvictable(), 1);
     EXPECT_EQ(manager.lookupHash(0xabcdu), hashed);
     EXPECT_EQ(manager.refCount(hashed), 0);
-    EXPECT_TRUE(manager.checkInvariants());
+    EXPECT_TRUE(test::auditClean(manager));
 }
 
 TEST(RequestBlocksLead, ShareFromRejectsTrimmedParents)

@@ -186,14 +186,6 @@ struct VAttentionTp2 : vattn::serving::contract::Case<
 namespace vattn::serving::contract
 {
 
-void
-expectAuditClean(const MemoryBackend &backend)
-{
-    audit::AuditReport report;
-    backend.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
 template <typename T>
 class BackendContract : public ::testing::Test
 {
@@ -229,7 +221,7 @@ TYPED_TEST(BackendContract, SwapExportImportRoundTripMovesEqualBytes)
     EXPECT_EQ(image.value().bytes, out.value().bytes);
     EXPECT_FALSE(image.value().empty());
     Family::expectOwnImage(*donor, image.value());
-    expectAuditClean(*donor);
+    EXPECT_TRUE(test::auditClean(*donor));
 
     ASSERT_TRUE(target->canImportSwapped(image.value()));
     auto imported = target->importSwapped(image.value());
@@ -240,9 +232,9 @@ TYPED_TEST(BackendContract, SwapExportImportRoundTripMovesEqualBytes)
     EXPECT_EQ(in.value().bytes, out.value().bytes);
     // The same live ranges are resident on the target as the donor held.
     EXPECT_EQ(target->bytesInUse(), device_bytes);
-    expectAuditClean(*target);
+    EXPECT_TRUE(test::auditClean(*target));
     target->freeSlot(imported.value());
-    expectAuditClean(*target);
+    EXPECT_TRUE(test::auditClean(*target));
 }
 
 /** A swapped-out image of a @p tokens-token request on @p donor. */
@@ -283,7 +275,7 @@ TYPED_TEST(BackendContract, ImageFromOtherTpDegreeOnlyWhenPagesMatch)
         EXPECT_EQ(imported.code(), ErrorCode::kInvalidArgument);
         EXPECT_EQ(target->liveSlots(), 0);
     }
-    expectAuditClean(*target);
+    EXPECT_TRUE(test::auditClean(*target));
 }
 
 TYPED_TEST(BackendContract, OtherFamilyImageRefused)
@@ -298,7 +290,7 @@ TYPED_TEST(BackendContract, OtherFamilyImageRefused)
     EXPECT_EQ(target->importSwapped(image).code(),
               ErrorCode::kInvalidArgument);
     EXPECT_EQ(target->liveSlots(), 0);
-    expectAuditClean(*target);
+    EXPECT_TRUE(test::auditClean(*target));
     // The donor still takes its own image back.
     EXPECT_TRUE(donor->canImportSwapped(image));
 }
@@ -327,7 +319,7 @@ TYPED_TEST(BackendContract, NoHostTierRefusesSwapAndImport)
     ASSERT_TRUE(image.isOk());
     EXPECT_FALSE(no_tier->canImportSwapped(image.value()));
     EXPECT_FALSE(no_tier->importSwapped(image.value()).isOk());
-    expectAuditClean(*no_tier);
+    EXPECT_TRUE(test::auditClean(*no_tier));
 }
 
 TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
@@ -362,7 +354,7 @@ TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
               ErrorCode::kFailedPrecondition);
     EXPECT_EQ(backend->swapOut(b.value().slot).code(),
               ErrorCode::kFailedPrecondition);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 
     // Releasing one side unpins the other: a finished sharer's KV is
     // only a prefix-cache entry, which the swap-out gives up.
@@ -373,7 +365,7 @@ TYPED_TEST(BackendContract, PrefixSharedSlotRefusesSwapOut)
     EXPECT_GT(out.value().bytes, 0u);
     EXPECT_GT(out.value().stall_ns, 0);
     EXPECT_EQ(backend->bytesInUse(), 0u);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 }
 
 TYPED_TEST(BackendContract, PrefixHitIsServedAndAudited)
@@ -411,12 +403,12 @@ TYPED_TEST(BackendContract, PrefixHitIsServedAndAudited)
         ASSERT_TRUE(
             backend->ensure({{a, shared}, {b.value().slot, b_tokens}})
                 .isOk());
-        expectAuditClean(*backend);
+        EXPECT_TRUE(test::auditClean(*backend));
 
         backend->freeSlot(free_source_first ? a : b.value().slot);
-        expectAuditClean(*backend);
+        EXPECT_TRUE(test::auditClean(*backend));
         backend->freeSlot(free_source_first ? b.value().slot : a);
-        expectAuditClean(*backend);
+        EXPECT_TRUE(test::auditClean(*backend));
     }
 }
 
@@ -481,7 +473,7 @@ TYPED_TEST(BackendContract, CanSwapOutPredictsEverySwapOutRefusal)
     ASSERT_GT(b.value().cached_tokens, 0);
     expectSwapOutPredicted(*backend, a, false);
     expectSwapOutPredicted(*backend, b.value().slot, false);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 }
 
 TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
@@ -534,7 +526,7 @@ TYPED_TEST(BackendContract, WindowedSlotHoldsSwapsAndRegrowsItsLiveWindow)
     ASSERT_TRUE(backend->ensure({{slot, kContext + page}}).isOk());
     EXPECT_EQ(backend->slotPhysBytes(slot),
               resident + uniform_page_bytes / 2);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 }
 
 TYPED_TEST(BackendContract, EnsureFreesDeadLeadingPages)
@@ -567,12 +559,12 @@ TYPED_TEST(BackendContract, EnsureFreesDeadLeadingPages)
     ASSERT_TRUE(backend->ensure({{slot, kContext + page}}).isOk());
     EXPECT_EQ(backend->slotPhysBytes(slot), resident + half_page_bytes);
     EXPECT_EQ(backend->bytesInUse(), resident + half_page_bytes);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 
     backend->freeSlot(slot);
     EXPECT_EQ(backend->bytesInUse(),
               Family::kFreeKeepsMapping ? resident + half_page_bytes : 0u);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 }
 
 TYPED_TEST(BackendContract, SlotLifecycleKeepsTheWatermarkAndTheBudget)
@@ -614,7 +606,7 @@ TYPED_TEST(BackendContract, SlotLifecycleKeepsTheWatermarkAndTheBudget)
     EXPECT_EQ(backend->liveSlots(), 0);
     EXPECT_EQ(backend->bytesInUse(),
               Family::kFreeKeepsMapping ? 7 * page_bytes : 0u);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 
     // Growth past the budget is kOutOfMemory, which the engine answers
     // by preempting; freeing the slot leaves a clean state.
@@ -625,7 +617,7 @@ TYPED_TEST(BackendContract, SlotLifecycleKeepsTheWatermarkAndTheBudget)
               ErrorCode::kOutOfMemory);
     backend->freeSlot(big.value());
     EXPECT_EQ(backend->liveSlots(), 0);
-    expectAuditClean(*backend);
+    EXPECT_TRUE(test::auditClean(*backend));
 }
 
 TYPED_TEST(BackendContract, RefusesTheWindowListsTheRuntimeConfigRefuses)
@@ -672,9 +664,7 @@ class PagedBackendAudit : public ::testing::Test
     {
         slot_ = backend_.allocSlot().value();
         backend_.ensure({{slot_, 100}}).status().expectOk("ensure");
-        audit::AuditReport report;
-        backend_.auditInto(report);
-        EXPECT_TRUE(report.ok()) << report.toString();
+        EXPECT_TRUE(test::auditClean(backend_));
     }
 
     std::string

@@ -249,7 +249,7 @@ TEST(PrefixCachingVAttention, InvariantsHoldAcrossAServingRun)
     EXPECT_EQ(report.num_requests, 48);
     EXPECT_GT(report.prefix_hits, 0);
     ASSERT_NE(engine.vattnBackend(), nullptr);
-    EXPECT_TRUE(engine.vattnBackend()->runtime().checkInvariants());
+    EXPECT_TRUE(test::auditClean(engine.vattnBackend()->runtime()));
 }
 
 TEST(PrefixCachingPaged, BlockManagerInvariantsHoldAcrossAServingRun)
@@ -263,7 +263,7 @@ TEST(PrefixCachingPaged, BlockManagerInvariantsHoldAcrossAServingRun)
     auto *backend =
         dynamic_cast<PagedBackend *>(&engine.backend());
     ASSERT_NE(backend, nullptr);
-    EXPECT_TRUE(backend->runtime().groupManager(0).checkInvariants());
+    EXPECT_TRUE(test::auditClean(backend->runtime().groupManager(0)));
 }
 
 } // namespace

@@ -188,9 +188,7 @@ TEST_P(PagedEnsureSkip, LeadCrossingWithoutANewBlockIsNotSkipped)
     ASSERT_TRUE(backend.ensure({{slot, 145}}).isOk());
     EXPECT_EQ(backend.runtime().groupManager(0).numFree(), full_free - 1);
 
-    audit::AuditReport report;
-    backend.auditInto(report);
-    EXPECT_TRUE(report.ok()) << report.toString();
+    EXPECT_TRUE(test::auditClean(backend));
 }
 
 TEST_P(PagedEnsureSkip, SwappedOutSlotIsNotSkipped)
@@ -280,9 +278,7 @@ TEST_P(PagedEnsureSkip, RandomWalkMatchesABlockAtATimeReference)
     EXPECT_GT(ran, 100);
 
     for (PagedBackend *b : {&backend, &reference}) {
-        audit::AuditReport report;
-        b->auditInto(report);
-        EXPECT_TRUE(report.ok()) << report.toString();
+        EXPECT_TRUE(test::auditClean(*b));
     }
 }
 
