@@ -21,6 +21,17 @@ namespace vattn
 namespace
 {
 
+/** Smoke mode (VATTN_BENCH_SMOKE=1) gives each case a token minimum
+ *  run time, so the binary runs end to end in well under a second: its
+ *  smoke run checks that it still works, not how fast. */
+void
+smokeSized(benchmark::internal::Benchmark *b)
+{
+    if (bench::smokeMode()) {
+        b->MinTime(0.001);
+    }
+}
+
 gpu::GpuDevice::Config
 benchDeviceConfig()
 {
@@ -66,7 +77,11 @@ BM_FlashPrefillContiguous(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * len);
 }
-BENCHMARK(BM_FlashPrefillContiguous)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_FlashPrefillContiguous)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Apply(smokeSized);
 
 void
 BM_FlashDecodePagedVsContiguous(benchmark::State &state)
@@ -125,7 +140,7 @@ BM_FlashDecodePagedVsContiguous(benchmark::State &state)
     }
     state.SetLabel(paged ? "paged" : "contiguous");
 }
-BENCHMARK(BM_FlashDecodePagedVsContiguous)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlashDecodePagedVsContiguous)->Arg(0)->Arg(1)->Apply(smokeSized);
 
 void
 BM_BuddyAllocFree(benchmark::State &state)
@@ -138,7 +153,10 @@ BM_BuddyAllocFree(benchmark::State &state)
         buddy.free(addr.value(), block).expectOk("bench free");
     }
 }
-BENCHMARK(BM_BuddyAllocFree)->Arg(64 * KiB)->Arg(2 * MiB);
+BENCHMARK(BM_BuddyAllocFree)
+    ->Arg(64 * KiB)
+    ->Arg(2 * MiB)
+    ->Apply(smokeSized);
 
 void
 BM_DriverMapUnmap64KB(benchmark::State &state)
@@ -155,7 +173,7 @@ BM_DriverMapUnmap64KB(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DriverMapUnmap64KB);
+BENCHMARK(BM_DriverMapUnmap64KB)->Apply(smokeSized);
 
 void
 BM_PageTableTranslate(benchmark::State &state)
@@ -178,7 +196,7 @@ BM_PageTableTranslate(benchmark::State &state)
         benchmark::DoNotOptimize(device.pageTable().translate(va));
     }
 }
-BENCHMARK(BM_PageTableTranslate);
+BENCHMARK(BM_PageTableTranslate)->Apply(smokeSized);
 
 } // namespace
 } // namespace vattn

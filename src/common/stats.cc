@@ -43,13 +43,6 @@ RunningStat::reset()
 }
 
 void
-Percentiles::add(double x)
-{
-    samples_.push_back(x);
-    sorted_ = false;
-}
-
-void
 Percentiles::append(const Percentiles &other)
 {
     panic_if(&other == this, "Percentiles::append onto itself");

@@ -49,7 +49,13 @@ class RunningStat
 class Percentiles
 {
   public:
-    void add(double x);
+    /** Inline: the engine adds one sample per emitted token. */
+    void
+    add(double x)
+    {
+        samples_.push_back(x);
+        sorted_ = false;
+    }
     /** Add every sample of @p other, in @p other's storage order
      *  (bulk insert; nothing is sorted here — the reader's first
      *  query sorts once). Quantiles and cdfAt see the union

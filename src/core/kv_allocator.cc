@@ -348,6 +348,20 @@ KvAllocator::needsGrowthForTokens(int slot, i64 tokens) const
     return tokens > slots_[static_cast<std::size_t>(slot)].horizon.grow;
 }
 
+i64
+KvAllocator::nextEnsureTokens(int slot) const
+{
+    const Horizon &horizon =
+        slots_[static_cast<std::size_t>(slot)].horizon;
+    return std::min(horizon.grow + 1, horizon.trim);
+}
+
+i64
+KvAllocator::nextGrowthTokens(int slot) const
+{
+    return slots_[static_cast<std::size_t>(slot)].horizon.grow + 1;
+}
+
 KvAllocator::Horizon
 KvAllocator::horizonOf(const SlotMappings &mappings) const
 {

@@ -138,6 +138,13 @@ class KvAllocator
      *  must never trim groups the current iteration still reads.) */
     bool needsGrowthForTokens(int slot, i64 tokens) const;
 
+    /** The smallest t with needsEnsureTokens(slot, t): min(H_g + 1,
+     *  H_t). Both predicates are thresholds in t, so every shorter
+     *  context is a no-op. */
+    i64 nextEnsureTokens(int slot) const;
+    /** The smallest t with needsGrowthForTokens(slot, t): H_g + 1. */
+    i64 nextGrowthTokens(int slot) const;
+
     /** Map the single lowest missing group row toward the frontier
      *  for @p tokens (incremental overlap-allocation step). */
     Status growOneRowForTokens(int slot, i64 tokens);

@@ -849,6 +849,44 @@ VAttention::step(std::span<const std::pair<int, i64>> active)
     return result;
 }
 
+bool
+VAttention::prefetchPending(int slot, i64 len) const
+{
+    return len > 0 && len < config_.max_context_len &&
+           allocator_.needsGrowthForTokens(slot, len + 1);
+}
+
+bool
+VAttention::stepIsNoop(int req_id, i64 len) const
+{
+    if (req_id < 0 || req_id >= config_.max_batch_size ||
+        slots_.state(req_id) != SlotState::kActive) {
+        return false;
+    }
+    return !allocator_.needsEnsureTokens(req_id, len) &&
+           !(config_.overlap_allocation && prefetchPending(req_id, len));
+}
+
+i64
+VAttention::nextWorkLen(int req_id, i64 len) const
+{
+    if (req_id < 0 || req_id >= config_.max_batch_size ||
+        slots_.state(req_id) != SlotState::kActive) {
+        return len;
+    }
+    i64 next = allocator_.nextEnsureTokens(req_id);
+    if (config_.overlap_allocation) {
+        // prefetchPending(L) <=> 0 < L < max_context_len and
+        // L + 1 >= nextGrowthTokens: the one-ahead rule.
+        const i64 ahead =
+            std::max<i64>(allocator_.nextGrowthTokens(req_id) - 1, 1);
+        if (ahead < config_.max_context_len) {
+            next = std::min(next, ahead);
+        }
+    }
+    return std::max(len, next);
+}
+
 TimeNs
 VAttention::mapAllBuffersCost() const
 {
@@ -870,14 +908,9 @@ VAttention::computePhase(TimeNs window_ns)
         slots_.forEachActive([&](int slot) {
             const i64 len =
                 last_seq_lens_[static_cast<std::size_t>(slot)];
-            if (!window_open || len <= 0 ||
-                len >= config_.max_context_len) {
-                return;
-            }
             // Growth only: trimming the slot toward len + 1 here
             // would unmap groups the in-flight iteration still reads.
-            while (window_open &&
-                   allocator_.needsGrowthForTokens(slot, len + 1)) {
+            while (window_open && prefetchPending(slot, len)) {
                 // Gate on the estimated cost first: a real background
                 // thread that runs out of iteration time simply leaves
                 // the work for the next step()'s critical path.

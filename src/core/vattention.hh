@@ -236,6 +236,23 @@ class VAttention
     StepStats step(const std::vector<i64> &seq_lens);
 
     /**
+     * Would step() with @p req_id at @p len, followed by the
+     * computePhase() prefetch from the length step() records, leave
+     * @p req_id unchanged? True iff the slot's mappings back @p len
+     * with no sliding-window trim due and, under overlap allocation,
+     * also back len + 1 (§6.1.1: the background thread maps the next
+     * iteration's group from the last stepped length, so a skipped
+     * step would move that map onto the critical path). False for a
+     * reqId that is not active.
+     */
+    bool stepIsNoop(int req_id, i64 len) const;
+
+    /** The smallest length >= @p len at which stepIsNoop(@p req_id)
+     *  turns false, in O(1) from the slot's cached horizons; @p len
+     *  itself for a reqId that is not active. */
+    i64 nextWorkLen(int req_id, i64 len) const;
+
+    /**
      * Model the background thread running during an iteration whose
      * compute lasts @p window_ns: prefetch next-iteration decode
      * groups, keep the eager slot warm, refill the pool from cached
@@ -321,6 +338,10 @@ class VAttention
     /** Reclaim one group-row from the oldest cached slot; returns the
      *  number of handle mappings freed (0 = nothing left to steal). */
     i64 stealOneCachedGroup();
+
+    /** Would computePhase's decode prefetch map a group for @p slot
+     *  stepped at @p len (it grows toward len + 1)? */
+    bool prefetchPending(int slot, i64 len) const;
 
     /** Estimated driver cost of mapping one group on every buffer. */
     TimeNs mapAllBuffersCost() const;

@@ -1,6 +1,7 @@
 #include "paged/paged_runtime.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/layer_windows.hh"
 #include "common/logging.hh"
@@ -298,6 +299,30 @@ PagedRuntime::ensureIsNoop(int slot, i64 len) const
         }
     }
     return true;
+}
+
+i64
+PagedRuntime::nextWorkLen(int slot, i64 len) const
+{
+    const Slot *state = find(slot);
+    if (state == nullptr) {
+        return len;
+    }
+    const i64 bs = config_.block_size;
+    i64 next = std::numeric_limits<i64>::max();
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+        const RequestBlocks &list = state->groups[g].blocks;
+        // blocksFor(L) > blocks  <=>  L > blocks * block_size.
+        next = std::min(next,
+                        static_cast<i64>(list.blocks().size()) * bs + 1);
+        // deadLeadBlocks(L) > lead  <=>  L >= window + (lead + 1) *
+        // block_size.
+        const i64 window = groups_[g].window_tokens;
+        if (window > 0) {
+            next = std::min(next, window + (list.lead() + 1) * bs);
+        }
+    }
+    return std::max(len, next);
 }
 
 void

@@ -138,6 +138,11 @@ class PagedRuntime
      *  mutates. False for an unknown slot, so the call still reaches
      *  ensureSlot and panics there. */
     bool ensureIsNoop(int slot, i64 len) const;
+    /** The smallest length >= @p len at which ensureIsNoop(@p slot)
+     *  turns false: the next block boundary or the next dead-lead
+     *  advance of a sliding class, whichever comes first (@p len
+     *  itself for an unknown slot). */
+    i64 nextWorkLen(int slot, i64 len) const;
     /** Run ensureSlot on a slot ensureIsNoop skipped and panic if any
      *  class's block count, lead or free-block count moved (step runs
      *  it on every skip in VATTN_AUDIT builds). */

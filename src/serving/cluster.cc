@@ -259,9 +259,7 @@ ServingCluster::advanceAllTo(TimeNs horizon_ns)
     // Replicas are independent within the window, so stepping them
     // one after another is as good as any interleaving.
     for (const auto &engine : engines_) {
-        while (engine->runActive() && engine->nextEventNs() < horizon_ns) {
-            engine->stepRun();
-        }
+        engine->advanceTo(horizon_ns);
     }
 }
 

@@ -208,7 +208,7 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
         backend_->canSwapOut(victim->slot)) {
         // canSwapOut is exact: the swap cannot be refused now.
         const SwapResult swap = backend_->swapOut(victim->slot).value();
-        std::erase(running_, victim);
+        stopRunning(victim);
         ++victim->preemptions;
         // Computed state survives: the victim resumes where it
         // stopped, recomputing nothing. The TBT chain restarts like
@@ -229,7 +229,7 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
     // Recompute (also the fallback when the victim cannot be swapped:
     // prefix-aliased pages, host tier full): free the KV and restart
     // from prompt token 0 later (a half-prefilled victim included).
-    running_.erase(std::find(running_.begin(), running_.end(), victim));
+    stopRunning(victim);
     backend_->freeSlot(victim->slot);
     victim->resetComputedState();
     ++victim->preemptions;
@@ -239,7 +239,8 @@ Engine::preemptOne(RunReport &report, TimeNs *swap_stall_ns)
 void
 Engine::dropRequest(Request *request, RunReport &report)
 {
-    std::erase(running_, request);
+    stopRunning(request);
+    ensure_slack_ = 0;
     if (request->slot >= 0) {
         backend_->freeSlot(request->slot);
     }
@@ -294,13 +295,32 @@ Engine::shedHopeless(RunReport &report)
 }
 
 TimeNs
+Engine::skipEnsure(const IterationPlan &plan)
+{
+    --ensure_slack_;
+#if VATTN_AUDIT
+    backend_->checkSkippedEnsure(activeLens(plan));
+#else
+    (void)plan;
+#endif
+    return backend_->skipEnsure();
+}
+
+TimeNs
 Engine::ensureWithPreemption(const IterationPlan &plan,
                              RunReport &report)
 {
+    // Decode-only iterations inside the growth horizon need no KV: no
+    // length reached a block or page-group boundary since the last
+    // real ensure.
+    if (plan.prefills.empty() && ensure_slack_ > 0) {
+        return skipEnsure(plan);
+    }
     TimeNs swap_ns = 0;
     while (true) {
         auto result = backend_->ensure(activeLens(plan));
         if (result.isOk()) {
+            ensure_slack_ = backend_->ensureSlack(active_lens_);
             return result.value() + swap_ns;
         }
         panic_if(result.code() != ErrorCode::kOutOfMemory,
@@ -339,13 +359,33 @@ Engine::swapInReady(RunReport &report)
         }
         scheduler_.popFrontSwapped();
         request->state = Request::State::kRunning;
-        running_.push_back(request);
+        startRunning(request);
         ++report.swap_ins;
         report.swap_in_bytes += result.value().bytes;
         report.swap_stall_ns += result.value().stall_ns;
         report.busy_ns += result.value().stall_ns;
         clock_.advance(result.value().stall_ns);
     }
+}
+
+void
+Engine::startRunning(Request *request)
+{
+    running_.push_back(request);
+    running_prefills_ += request->prefillComplete() ? 0 : 1;
+    // A new member's KV was never checked against the slack.
+    ensure_slack_ = 0;
+}
+
+void
+Engine::stopRunning(Request *request)
+{
+    const auto it = std::find(running_.begin(), running_.end(), request);
+    if (it == running_.end()) {
+        return;
+    }
+    running_.erase(it);
+    running_prefills_ -= request->prefillComplete() ? 0 : 1;
 }
 
 void
@@ -356,7 +396,7 @@ Engine::finishRequest(Request *request, RunReport &report)
     request->state = Request::State::kFinished;
     request->finish_ns = clock_.now();
     report.addRequest(*request);
-    running_.erase(std::find(running_.begin(), running_.end(), request));
+    stopRunning(request);
     if (request->stream != nullptr && request->stream->on_finish) {
         request->stream->on_finish(*request);
     }
@@ -416,7 +456,8 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
     if (plan.prefills.empty() && iter_decodes_.empty()) {
         return; // everything got preempted (pathological budget)
     }
-    account(plan, cost, mem_ns, report);
+    account(static_cast<i64>(plan.prefills.size()),
+            static_cast<i64>(plan.decodes.size()), cost, mem_ns, report);
     emit(report);
 }
 
@@ -454,7 +495,7 @@ Engine::admit(const IterationPlan &plan, RunReport &report)
         if (request->first_scheduled_ns == 0) {
             request->first_scheduled_ns = clock_.now();
         }
-        running_.push_back(request);
+        startRunning(request);
     }
     return alloc_ns;
 }
@@ -489,7 +530,7 @@ Engine::price(const IterationPlan &plan)
 }
 
 void
-Engine::account(const IterationPlan &plan,
+Engine::account(i64 planned_prefills, i64 planned_decodes,
                 const perf::IterationCost &cost, TimeNs mem_ns,
                 RunReport &report)
 {
@@ -500,10 +541,10 @@ Engine::account(const IterationPlan &plan,
     clock_.advance(mem_ns + gpu_ns + cost.cpu_ns);
     report.busy_ns += mem_ns + gpu_ns + cost.cpu_ns;
     report.comm_ns += cost.comm_exposed_ns;
-    const bool pure_prefill = plan.decodes.empty();
+    const bool pure_prefill = planned_decodes == 0;
     if (pure_prefill) {
         ++report.prefill_iterations;
-    } else if (plan.prefills.empty()) {
+    } else if (planned_prefills == 0) {
         ++report.decode_iterations;
     } else {
         ++report.mixed_iterations;
@@ -521,9 +562,8 @@ Engine::account(const IterationPlan &plan,
     }
     const i64 num_chunks = static_cast<i64>(iter_chunks_.size());
     const i64 decode_batch = static_cast<i64>(iter_decodes_.size());
-    const i64 batch = pure_prefill
-                          ? static_cast<i64>(plan.prefills.size())
-                          : decode_batch + num_chunks;
+    const i64 batch =
+        pure_prefill ? planned_prefills : decode_batch + num_chunks;
     report.iterations.push_back(IterationRecord{
         start, clock_.now() - start, pure_prefill, batch, mem_ns, groups,
         prefill_tokens, num_chunks, decode_batch,
@@ -543,6 +583,7 @@ Engine::emit(RunReport &report)
         Request *request = chunk->request;
         // min(): a prefix-cache hit at allocation may already have
         // advanced prefilled_tokens past what the plan assumed.
+        const bool was_prefilling = !request->prefillComplete();
         request->prefilled_tokens +=
             std::min(chunk->tokens,
                      request->prompt_tokens - request->prefilled_tokens);
@@ -556,6 +597,7 @@ Engine::emit(RunReport &report)
         if (!request->prefillComplete()) {
             continue;
         }
+        running_prefills_ -= was_prefilling ? 1 : 0;
         request->prefill_done_ns = clock_.now();
         request->generated = 1;
         recordToken(request, report);
@@ -594,6 +636,12 @@ Engine::auditTick()
     ++audit_iter_;
     audit::AuditReport report;
     auditServingState(running_, scheduler_, report);
+    const auto prefilling = std::count_if(
+        running_.begin(), running_.end(),
+        [](const Request *request) { return !request->prefillComplete(); });
+    report.check(prefilling == running_prefills_, "serving: ", prefilling,
+                 " running requests are mid-prefill but the engine counts ",
+                 running_prefills_);
     const auto observe = [this, &report](const Request *request) {
         if (request == nullptr) {
             return;
@@ -653,6 +701,74 @@ Engine::nextEventNs() const
     }
     panic_if(arrivals_.empty(), "engine idle with unfinished requests");
     return arrivals_.nextTimeNs();
+}
+
+bool
+Engine::decodeRunnable() const
+{
+    // Exactly the state in which stepRun() would admit, swap in and
+    // shed nothing and compose "every running request decodes", with
+    // ensure() inside the growth horizon.
+    return ensure_slack_ > 0 && !running_.empty() &&
+           running_prefills_ == 0 && !scheduler_.hasWaiting() &&
+           !scheduler_.hasSwapped() &&
+           (arrivals_.empty() || arrivals_.nextTimeNs() > clock_.now());
+}
+
+void
+Engine::runDecodes(TimeNs horizon)
+{
+    // The survivors of every iteration are the running set in order,
+    // so the pricer's inputs are kept in place: finished requests
+    // drop out and every other length grows by the one token emitted.
+    plan_.clear();
+    iter_prefills_.clear();
+    iter_chunks_.clear();
+    iter_decodes_.assign(running_.begin(), running_.end());
+    iter_kv_lens_.clear();
+    for (const Request *request : running_) {
+        iter_kv_lens_.push_back(request->contextLen());
+    }
+    while (decodeRunnable() && clock_.now() < horizon) {
+        const TimeNs mem_ns = skipEnsure(plan_);
+        const i64 decodes = static_cast<i64>(iter_decodes_.size());
+        const perf::IterationCost cost = perf::priceIteration(
+            kernel_, overhead_, config_.backend, block_size_,
+            config_.overlap_comm,
+            {iter_chunks_, iter_kv_lens_, 0, decodes});
+        account(0, decodes, cost, mem_ns, run_report_);
+        ++decode_run_iterations_;
+        const i64 finished_before = run_report_.num_requests;
+        emit(run_report_);
+        const i64 finished = run_report_.num_requests - finished_before;
+        run_finished_ += static_cast<std::size_t>(finished);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < iter_decodes_.size(); ++i) {
+            if (iter_decodes_[i]->state != Request::State::kRunning) {
+                continue; // finished this iteration
+            }
+            iter_decodes_[kept] = iter_decodes_[i];
+            iter_kv_lens_[kept] = iter_kv_lens_[i] + 1;
+            ++kept;
+        }
+        iter_decodes_.resize(kept);
+        iter_kv_lens_.resize(kept);
+#if VATTN_AUDIT
+        auditTick();
+#endif
+    }
+}
+
+void
+Engine::advanceTo(TimeNs horizon)
+{
+    while (runActive() && nextEventNs() < horizon) {
+        if (decodeRunnable()) {
+            runDecodes(horizon);
+        } else {
+            stepRun();
+        }
+    }
 }
 
 void
@@ -746,6 +862,7 @@ Engine::beginOnline(std::size_t expected_requests)
 #endif
     owned_.clear();
     arrivals_.clear();
+    ensure_slack_ = 0;
     run_report_ = RunReport{};
     run_total_ = 0;
     run_finished_ = 0;
@@ -873,6 +990,7 @@ Engine::adoptMigrant(Request request, bool swapped)
     // action off the iteration path
     owned_.push_back(std::move(request));
     Request *adopted = &owned_.back();
+    ensure_slack_ = 0;
     ++run_total_;
     ++run_report_.migrations_in;
     if (swapped) {
@@ -919,6 +1037,7 @@ Engine::migrateSwappedTo(Engine &target)
     if (!image.isOk()) {
         return false;
     }
+    ensure_slack_ = 0;
     if (!target.backend_->canImportSwapped(image.value())) {
         // Roll back: the donor just released these exact resources,
         // so re-importing its own image cannot fail. The victim never
@@ -960,9 +1079,7 @@ Engine::run(std::vector<Request> trace)
         submitOnline(std::move(request)).expectOk("Engine::run submit");
     }
     closeOnline();
-    while (runActive()) {
-        stepRun();
-    }
+    advanceTo(sim::kNoEventNs);
     return endRun();
 }
 
@@ -998,7 +1115,7 @@ Engine::decodeOnlyVaried(const std::vector<i64> &initial_ctx,
         request.slot = slot.value();
         request.state = Request::State::kRunning;
         request.generated = 1;
-        running_.push_back(&request);
+        startRunning(&request);
     }
     // Untimed prefill backing; preempts (drops) tail requests if the
     // whole batch cannot fit, exactly like the serving loop would.
@@ -1045,7 +1162,7 @@ Engine::decodeOnlyVaried(const std::vector<i64> &initial_ctx,
     // frame's storage). freeSlot on a swapped slot discards its stash.
     while (!running_.empty()) {
         Request *request = running_.back();
-        running_.pop_back();
+        stopRunning(request);
         backend_->freeSlot(request->slot);
     }
     while (scheduler_.hasSwapped()) {
@@ -1065,6 +1182,7 @@ Engine::prefillOnce(i64 ctx)
 
     PrefillRun result;
     ActiveLens active{{slot.value(), ctx}};
+    ensure_slack_ = 0; // this ensure bypasses the running set
     auto mem = backend_->ensure(active);
     panic_if(!mem.isOk(), "prefillOnce: prompt does not fit");
     result.mem_ns = mem.value();

@@ -18,6 +18,24 @@
  * prioritized iterations (vLLM v0.2.7) or as stall-free chunks riding
  * along with decodes (Sarathi-style hybrid batching, the paper's §7
  * serving harness).
+ *
+ * Growth horizon. A request needs new KV only when its length crosses
+ * a block or page-group boundary or a sliding window drops a block or
+ * group (for vAttention also one token early, so the §6.1.1 background
+ * thread can map the next group in time). After each real ensure the
+ * engine asks the backend for the slack, the number of decode
+ * iterations before any running request reaches such a length
+ * (MemoryBackend::ensureSlack), and skips ensure() for that many
+ * decode-only iterations. Admission, a prefill chunk, preemption,
+ * swap-in, a dropped request and migration force a real ensure().
+ *
+ * Decode runs. advanceTo(h) has stepRun()'s contract but, while
+ * nothing is waiting, swapped or due to arrive, every running request
+ * has finished its prefill and the slack lasts, it runs iterations as
+ * a tight price -> account -> emit loop: no composer, no admission or
+ * swap-in pass, and the pricer's per-request lengths kept in place
+ * (finished requests drop out, the rest grow by one token). Engine::run
+ * and ServingCluster drive replicas through advanceTo.
  */
 
 #ifndef VATTN_SERVING_ENGINE_HH
@@ -178,6 +196,16 @@ class Engine
     TimeNs nextEventNs() const;
     /** Execute one scheduling step (precondition: runActive()). */
     void stepRun();
+    /**
+     * Run until the engine's next event is at or past @p horizon
+     * (sim::kNoEventNs: until the run completes). The same contract,
+     * bit for bit, as
+     *   while (runActive() && nextEventNs() < horizon) stepRun();
+     * but stretches where every running request decodes and ensure()
+     * is inside the growth horizon run as decode runs: price, account
+     * and emit only, with no composer, admission or swap-in pass.
+     */
+    void advanceTo(TimeNs horizon);
     /** Finish the run and return the report. */
     RunReport endRun();
 
@@ -282,6 +310,10 @@ class Engine
      */
     audit::AuditReport auditNow() const;
 
+    /** Iterations advanceTo() has run as decode runs, over the
+     *  engine's lifetime (tests check that the fast path ran). */
+    u64 decodeRunIterations() const { return decode_run_iterations_; }
+
     const EngineConfig &config() const { return config_; }
     const perf::KernelModel &kernelModel() const { return kernel_; }
     MemoryBackend &backend() { return *backend_; }
@@ -308,9 +340,25 @@ class Engine
      *  reusable active_lens_ scratch (allocation-free steady state). */
     const ActiveLens &activeLens(const IterationPlan &plan);
     /** ensure() with preemption-on-OOM; returns critical ns (swap-out
-     *  stalls included — they happen inside the iteration). */
+     *  stalls included — they happen inside the iteration). A
+     *  decode-only plan inside the growth horizon skips it. */
     TimeNs ensureWithPreemption(const IterationPlan &plan,
                                 RunReport &report);
+    /** One ensure() the slack allows skipping: 0 ns plus any banked
+     *  swap time. VATTN_AUDIT builds run the real step for @p plan's
+     *  lengths and panic if it did anything. */
+    TimeNs skipEnsure(const IterationPlan &plan);
+    /** stepRun() would compose a decode-only iteration over the whole
+     *  running set and skip its ensure(): nothing waiting, swapped or
+     *  due, no running request mid-prefill, slack left. O(1). */
+    bool decodeRunnable() const;
+    /** Decode-only iterations while decodeRunnable() and the clock is
+     *  below @p horizon (advanceTo's inner loop). */
+    void runDecodes(TimeNs horizon);
+    /** Add @p request to the running set (forces the next ensure()). */
+    void startRunning(Request *request);
+    /** Remove @p request from the running set, if it is there. */
+    void stopRunning(Request *request);
     /** The running request the configured victim policy selects. */
     Request *pickVictim();
     /** Modeled GPU time of prefilling @p tokens from scratch, comm
@@ -346,8 +394,10 @@ class Engine
     TimeNs admit(const IterationPlan &plan, RunReport &report);
     /** Gather the survivors into the iter_* scratch and price them. */
     perf::IterationCost price(const IterationPlan &plan);
-    /** Advance the clock; account the iteration in @p report. */
-    void account(const IterationPlan &plan,
+    /** Advance the clock; account the iteration, planned with
+     *  @p planned_prefills chunks and @p planned_decodes decodes, in
+     *  @p report. */
+    void account(i64 planned_prefills, i64 planned_decodes,
                  const perf::IterationCost &cost, TimeNs mem_ns,
                  RunReport &report);
     /** Emit the survivors' tokens and finish completed requests. */
@@ -381,6 +431,14 @@ class Engine
     SimClock clock_;
     std::vector<Request *> running_; ///< admission order
     i64 block_size_ = 0;             ///< paged back-ends only
+    /** Running requests whose prefill is incomplete (startRunning,
+     *  stopRunning and emit keep it; decode runs need it at 0). */
+    i64 running_prefills_ = 0;
+    /** ensure() calls that may still be skipped: set from
+     *  MemoryBackend::ensureSlack after each real ensure(), one less
+     *  per skip, 0 after anything else touches the running slots. */
+    i64 ensure_slack_ = 0;
+    u64 decode_run_iterations_ = 0;
 
     // ---- Run state (stepRun/endRun) ----------------------------------
     sim::EventQueue<Request *> arrivals_;

@@ -41,6 +41,8 @@
 #ifndef VATTN_SERVING_LOCKSTEP_BACKEND_HH
 #define VATTN_SERVING_LOCKSTEP_BACKEND_HH
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/lockstep.hh"
@@ -257,6 +259,42 @@ class LockstepBackend final : public MemoryBackend
         // Time banked by failed swaps rides the next iteration's
         // critical path (0 in the common case).
         return last_step_.critical_ns + std::exchange(failed_swap_ns_, 0);
+    }
+    i64 ensureSlack(const ActiveLens &active) const override
+    {
+        i64 slack = std::numeric_limits<i64>::max();
+        for (const auto &[slot, len] : active) {
+            slack = std::min(slack,
+                             lead().nextWorkLen(slot, len) - len - 1);
+            if (slack <= 0) {
+                return 0;
+            }
+        }
+        return slack;
+    }
+    TimeNs skipEnsure() override
+    {
+        last_step_ = StepStats{};
+        return std::exchange(failed_swap_ns_, 0);
+    }
+    void checkSkippedEnsure(const ActiveLens &active) override
+    {
+        for (const auto &[slot, len] : active) {
+            panic_if(lead().nextWorkLen(slot, len) <= len,
+                     "skipped ensure: slot ", slot,
+                     " has work due at length ", len);
+        }
+        const u64 mapped_bytes = lead().physBytesMapped();
+        const StepStats step = workers_.apply(
+            "step", [&](Runtime &w) { return w.step(active); });
+        panic_if(!step.status.isOk() || step.critical_ns != 0 ||
+                     step.handles_mapped != 0 || step.handles_stolen != 0 ||
+                     lead().physBytesMapped() != mapped_bytes,
+                 "skipped ensure did work: status ", step.status.message(),
+                 ", critical ", step.critical_ns, " ns, mapped ",
+                 step.handles_mapped, ", stolen ", step.handles_stolen,
+                 ", bytes ", mapped_bytes, " -> ",
+                 lead().physBytesMapped());
     }
     void computeWindow(TimeNs window_ns) override
     {

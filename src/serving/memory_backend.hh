@@ -140,6 +140,46 @@ class MemoryBackend
      */
     virtual Result<TimeNs> ensure(const ActiveLens &active) = 0;
 
+    // ---- Growth horizon -----------------------------------------------
+    //
+    // A request needs new KV only at a block or page-group boundary
+    // (or when a sliding window drops a block or group), so most
+    // ensure() calls do nothing. After an ensure() succeeds the engine
+    // asks how many decode iterations may follow without one, skips
+    // ensure() for those, and forces a real one after anything else
+    // touches the backend's slots (admission, preemption, swap,
+    // migration, a dropped request).
+
+    /**
+     * The number of ensure() calls that may be skipped after one that
+     * just succeeded for @p active: the largest k >= 0 such that, for
+     * every j in [1, k], ensure() with each listed length raised by at
+     * most j would do no work — no map, unmap, steal, trim or driver
+     * time, and (vAttention) no change to what computeWindow()
+     * prefetches. It holds while no listed length shrinks and no
+     * other mutation reaches a listed slot; freeing another slot and
+     * computeWindow() keep it. Worker 0 answers: per slot it is the
+     * runtime's nextWorkLen(slot, len) - len - 1.
+     */
+    virtual i64 ensureSlack(const ActiveLens &active) const = 0;
+
+    /**
+     * Stand in for an ensure() the slack allows, calling no runtime:
+     * lastStep() then reads a zero StepStats, and the result is the
+     * time failed swaps banked for the next ensure() (0 in the common
+     * case), as a real ensure() would return.
+     */
+    virtual TimeNs skipEnsure() = 0;
+
+    /**
+     * The audit net under a skipped ensure(): run the real step for
+     * @p active on every built worker and panic if it mapped, stole,
+     * trimmed or charged anything, or if a listed slot had work due
+     * (vAttention's one-ahead prefetch included). VATTN_AUDIT engines
+     * call it on every skip.
+     */
+    virtual void checkSkippedEnsure(const ActiveLens &active) = 0;
+
     /** Grant the backend the iteration's compute window for
      *  background work (no-op for the paged backend). */
     virtual void computeWindow(TimeNs window_ns) = 0;

@@ -11,6 +11,9 @@
  *    both scheduling modes and on both KV backends (vAttention and
  *    paged), for a uniform and a sliding-window model, and for
  *    vAttention at TP 2 with its default 256-slot table;
+ *  - decode runs (Engine::advanceTo, which run() drives) perform zero
+ *    heap allocations end to end once a first session has seen the
+ *    batch shape, on both backends and in both scheduling modes;
  *  - BatchComposer::composeInto is allocation-free on the second
  *    composition of an identical shape, for both the prefill and the
  *    decode side of both modes.
@@ -173,6 +176,39 @@ expectAllocationFreeStreaming(const EngineConfig &config)
                           << " on " << toString(config.backend);
 }
 
+void
+expectAllocationFreeDecodeRuns(const EngineConfig &config)
+{
+    Engine engine(config);
+    const auto trace = steadyTrace();
+    // A first session through run() (itself advanceTo) reaches the
+    // high-water shape: slot tables, block lists and scratch.
+    ASSERT_EQ(engine.run(trace).num_requests, 4);
+    const u64 runs_before = engine.decodeRunIterations();
+    ASSERT_GT(runs_before, 100u) << "run() never ran a decode run";
+
+    // The second session: submission and the prefills may allocate
+    // (sample-store reservations); once every request decodes, the
+    // drain through advanceTo must not.
+    engine.beginOnline(trace.size());
+    for (const auto &request : trace) {
+        ASSERT_TRUE(engine.submitOnline(request).isOk());
+    }
+    engine.closeOnline();
+    while (engine.runActive() && engine.decodeRunIterations() == runs_before) {
+        engine.stepRun();
+        engine.advanceTo(engine.clock().now() + 1);
+    }
+    const long long before = allocCount();
+    engine.advanceTo(sim::kNoEventNs);
+    EXPECT_EQ(allocCount(), before)
+        << "decode runs allocated under "
+        << toString(config.scheduler.mode) << " on "
+        << toString(config.backend);
+    EXPECT_GT(engine.decodeRunIterations() - runs_before, 100u);
+    EXPECT_EQ(engine.endRun().num_requests, 4);
+}
+
 TEST_P(SteadyStateDecode, IterationsAreAllocationFree)
 {
     expectAllocationFreeDecode(config());
@@ -197,6 +233,16 @@ TEST_P(SteadyStateDecode, TensorParallelAtDefaultBatchSizeIsAllocationFree)
     ASSERT_EQ(config.scheduler.max_num_seqs, 256);
     ASSERT_EQ(config.vattn.max_batch_size, 256);
     expectAllocationFreeDecode(config);
+}
+
+TEST_P(SteadyStateDecode, DecodeRunsAreAllocationFree)
+{
+    expectAllocationFreeDecodeRuns(config());
+}
+
+TEST_P(PagedSteadyStateDecode, DecodeRunsAreAllocationFree)
+{
+    expectAllocationFreeDecodeRuns(config());
 }
 
 TEST_P(PagedSteadyStateDecode, IterationsAreAllocationFree)

@@ -10,6 +10,7 @@
  * swaps out while its sharer runs, canSwapOut predicts every
  * swapOut refusal, a sliding-window slot holds, swaps and regrows
  * only its live window and frees its dead leading pages as it grows,
+ * ensureSlack counts exactly the ensures that would do nothing,
  * a slot's lifecycle keeps the admission
  * watermark and the budget, and both refuse the same malformed window
  * lists. Every case ends with a clean audit, so the TP-2 cases also
@@ -564,6 +565,47 @@ TYPED_TEST(BackendContract, EnsureFreesDeadLeadingPages)
     backend->freeSlot(slot);
     EXPECT_EQ(backend->bytesInUse(),
               Family::kFreeKeepsMapping ? resident + half_page_bytes : 0u);
+    EXPECT_TRUE(test::auditClean(*backend));
+}
+
+TYPED_TEST(BackendContract, EnsureSlackCountsTheEnsuresThatDoNothing)
+{
+    // After a real ensure, ensureSlack says how many decode steps (each
+    // length one longer) may skip ensure: each of them is a no-op the
+    // audit net accepts, and the step after the last one has work.
+    using Family = typename TypeParam::Family;
+    auto backend = Family::make(TypeParam::tp, 0, false);
+    const i64 page = Family::pageTokens(*backend);
+    const int a = backend->allocSlot().value();
+    const int b = backend->allocSlot().value();
+    ActiveLens active{{a, 3 * page + 5}, {b, page - 3}};
+    ASSERT_TRUE(backend->ensure(active).isOk());
+    const i64 slack = backend->ensureSlack(active);
+    // b is 3 tokens short of its page: it needs the next page at
+    // page + 1 tokens, 4 decode steps on.
+    EXPECT_EQ(slack, 3);
+    EXPECT_EQ(backend->skipEnsure(), 0u);
+    EXPECT_EQ(backend->lastStep(), StepStats{});
+    const u64 bytes = backend->bytesInUse();
+    for (i64 j = 1; j <= slack; ++j) {
+        ActiveLens next = active;
+        for (auto &[slot, len] : next) {
+            len += j;
+        }
+        backend->checkSkippedEnsure(next);
+    }
+    EXPECT_EQ(backend->bytesInUse(), bytes);
+    for (auto &[slot, len] : active) {
+        len += slack + 1;
+    }
+    {
+        test::ScopedThrowErrors guard;
+        EXPECT_THROW(backend->checkSkippedEnsure(active), SimError);
+    }
+    ASSERT_TRUE(backend->ensure(active).isOk());
+    EXPECT_GT(backend->bytesInUse(), bytes);
+    // a, at 3 * page + 9 tokens, now reaches its next page first.
+    EXPECT_EQ(backend->ensureSlack(active), page - 9);
     EXPECT_TRUE(test::auditClean(*backend));
 }
 

@@ -13,14 +13,25 @@
  *    spinning.
  *  - The k-way iteration merge is pinned against its specification,
  *    a stable sort of the concatenated per-replica streams.
+ *  - Engine::advanceTo(h), which runs decode-only stretches as decode
+ *    runs with ensure() skipped inside the growth horizon, matches a
+ *    stepRun loop to the same horizons: RunReport, iteration records
+ *    and per-rank driver API counts, on both backends and in both
+ *    scheduling modes, with prefix caching, a sliding-window model,
+ *    swap preemption under live routing and migration, and TP 2.
  */
 
 #include <algorithm>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "serving/cluster.hh"
+#include "serving/lockstep_backend.hh"
+#include "serving/router.hh"
 #include "test_util.hh"
 
 namespace vattn::serving
@@ -281,6 +292,340 @@ TEST(EventLoopEquivalence, StepApiGuardsMisuse)
     fresh.closeOnline();
     EXPECT_EQ(fresh.endRun().num_requests, 0);
 }
+
+// ---- advanceTo vs the stepRun loop ----------------------------------
+
+enum class Feature
+{
+    kPrefix,
+    kWindow,
+    kSwapLive,
+    kTp2,
+};
+
+struct AdvanceCase
+{
+    Feature feature;
+    perf::BackendKind backend;
+    SchedulingMode mode;
+};
+
+std::string
+advanceCaseName(const AdvanceCase &c)
+{
+    const char *feature = c.feature == Feature::kPrefix     ? "Prefix"
+                          : c.feature == Feature::kWindow   ? "Window"
+                          : c.feature == Feature::kSwapLive ? "SwapLive"
+                                                            : "Tp2";
+    const char *backend =
+        perf::isPaged(c.backend) ? "Paged" : "VAttention";
+    const char *mode = c.mode == SchedulingMode::kPrefillPrioritized
+                           ? "PrefillPrioritized"
+                           : "StallFree";
+    return std::string(feature) + backend + mode;
+}
+
+/** Names the case in test listings (the default prints raw bytes,
+ *  padding included, which differ between builds). */
+void
+PrintTo(const AdvanceCase &c, std::ostream *os)
+{
+    *os << advanceCaseName(c);
+}
+
+EngineConfig
+advanceConfig(const AdvanceCase &c)
+{
+    EngineConfig config;
+    config.model = perf::ModelSpec::yi6B();
+    config.gpu = perf::GpuSpec::a100();
+    config.backend = c.backend;
+    config.kv_budget_override = 1 * GiB;
+    config.scheduler.max_num_seqs = 16;
+    config.scheduler.max_batched_tokens = 4096;
+    config.scheduler.mode = c.mode;
+    config.vattn.max_batch_size = 16;
+    // Small page-groups: growth and driver calls every few hundred
+    // tokens, so decode runs end at many horizons.
+    config.vattn.page_group = PageGroup::k64KB;
+    config.record_iterations = true;
+    switch (c.feature) {
+    case Feature::kPrefix:
+        config.enable_prefix_caching = true;
+        break;
+    case Feature::kWindow:
+        config.model = config.model.withSlidingWindowInterleave(512);
+        break;
+    case Feature::kSwapLive:
+        // A few long requests per replica fit as prompts but not as
+        // decoded contexts: victims swap out mid-decode.
+        config.kv_budget_override =
+            config.model.kvBytesPerTokenPerWorker(1) * 9600;
+        config.preemption_policy = PreemptionPolicy::kSwap;
+        config.host_swap_bytes = 1 * GiB;
+        break;
+    case Feature::kTp2:
+        config.tp_degree = 2;
+        break;
+    }
+    return config;
+}
+
+std::vector<Request>
+advanceTrace(Feature feature)
+{
+    std::vector<Request> trace;
+    switch (feature) {
+    case Feature::kPrefix:
+        trace = sharedSystemPromptTrace(/*n=*/24, /*tenants=*/2,
+                                        /*system_tokens=*/1024,
+                                        /*user_mean=*/128, /*seed=*/3);
+        assignPoissonArrivals(trace, /*qps=*/4.0, /*seed=*/31);
+        break;
+    case Feature::kWindow:
+    case Feature::kSwapLive:
+        // Window: decodes run past the 512-token window. Swap: long
+        // requests arriving in a burst squeeze the pools.
+        trace.resize(feature == Feature::kWindow ? 8 : 14);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            Request &r = trace[i];
+            r.id = static_cast<u64>(i);
+            r.prompt_tokens = feature == Feature::kWindow
+                                  ? 900 + 150 * static_cast<i64>(i)
+                                  : 2000;
+            r.max_new_tokens = 600;
+        }
+        assignPoissonArrivals(
+            trace, feature == Feature::kWindow ? 2.0 : 40.0, /*seed=*/32);
+        break;
+    case Feature::kTp2:
+        trace = openChatTrace(/*n=*/12, /*seed=*/5);
+        assignPoissonArrivals(trace, /*qps=*/6.0, /*seed=*/33);
+        break;
+    }
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const Request &a, const Request &b) {
+                         return a.arrival_ns < b.arrival_ns;
+                     });
+    return trace;
+}
+
+/** What one drive of a set of replicas leaves behind. */
+struct Driven
+{
+    std::vector<RunReport> reports;
+    /** Per-replica, per-rank driver counters (vAttention only). */
+    std::vector<std::vector<cuvmm::DriverCounters>> drivers;
+    u64 decode_run_iterations = 0;
+};
+
+/** Step @p engine to @p horizon either way. */
+void
+advance(Engine &engine, TimeNs horizon, bool use_advance_to)
+{
+    if (use_advance_to) {
+        engine.advanceTo(horizon);
+        return;
+    }
+    while (engine.runActive() && engine.nextEventNs() < horizon) {
+        engine.stepRun();
+    }
+}
+
+/**
+ * Serve @p trace on @p replicas engines: before each arrival every
+ * replica is advanced to it, then (with live routing) one queued or
+ * swapped request migrates from the replica with the longest queue to
+ * an idle one, and the arrival is routed live (or to replica 0).
+ */
+Driven
+drive(const AdvanceCase &c, int replicas, bool use_advance_to)
+{
+    // TP 2 compares every rank's driver, so build the followers too.
+    const ReplicateFollowers replicate;
+    const EngineConfig config = advanceConfig(c);
+    std::vector<std::unique_ptr<Engine>> engines;
+    std::vector<Router::Replica> routed;
+    for (int r = 0; r < replicas; ++r) {
+        engines.push_back(std::make_unique<Engine>(config));
+        routed.push_back({engines.back()->backend().budgetBytes()});
+    }
+    Router router(RoutingPolicy::kJoinShortestQueue, routed);
+    const auto load = [&engines](int r) {
+        return engines[static_cast<std::size_t>(r)]->liveLoad();
+    };
+    const std::vector<Request> trace = advanceTrace(c.feature);
+    for (auto &engine : engines) {
+        engine->beginOnline(trace.size());
+    }
+    for (const Request &request : trace) {
+        for (auto &engine : engines) {
+            advance(*engine, request.arrival_ns, use_advance_to);
+        }
+        if (replicas > 1) {
+            auto by_queue = [&](const auto &a, const auto &b) {
+                return a->liveLoad().queued < b->liveLoad().queued;
+            };
+            Engine &donor =
+                **std::max_element(engines.begin(), engines.end(), by_queue);
+            Engine &receiver =
+                **std::min_element(engines.begin(), engines.end(), by_queue);
+            if (donor.liveLoad().queued > 0 &&
+                receiver.liveLoad().queued == 0 &&
+                !donor.migrateSwappedTo(receiver)) {
+                donor.migrateQueuedTo(receiver);
+            }
+        }
+        const int chosen = router.routeLive(request.arrival_ns, load);
+        EXPECT_TRUE(engines[static_cast<std::size_t>(chosen)]
+                        ->submitOnline(request)
+                        .isOk());
+    }
+    Driven driven;
+    for (auto &engine : engines) {
+        engine->closeOnline();
+        advance(*engine, sim::kNoEventNs, use_advance_to);
+        driven.decode_run_iterations += engine->decodeRunIterations();
+        driven.reports.push_back(engine->endRun());
+        EXPECT_TRUE(engine->auditNow().ok());
+        std::vector<cuvmm::DriverCounters> ranks;
+        if (VAttentionBackend *backend = engine->vattnBackend()) {
+            core::WorkerGroup &group = backend->workerGroup();
+            for (int w = 0; w < group.numWorkers(); ++w) {
+                ranks.push_back(group.driver(w).counters());
+            }
+        }
+        driven.drivers.push_back(std::move(ranks));
+    }
+    return driven;
+}
+
+class AdvanceToEquivalence : public ::testing::TestWithParam<AdvanceCase>
+{
+};
+
+TEST_P(AdvanceToEquivalence, MatchesTheStepRunLoopBitForBit)
+{
+    const AdvanceCase &c = GetParam();
+    const int replicas = c.feature == Feature::kSwapLive ? 2 : 1;
+    const Driven stepped = drive(c, replicas, /*use_advance_to=*/false);
+    const Driven advanced = drive(c, replicas, /*use_advance_to=*/true);
+
+    EXPECT_EQ(stepped.decode_run_iterations, 0u);
+    EXPECT_GT(advanced.decode_run_iterations, 0u)
+        << "advanceTo never ran a decode run";
+    ASSERT_EQ(stepped.reports.size(), advanced.reports.size());
+    u64 swap_outs = 0;
+    u64 migrations = 0;
+    i64 served = 0;
+    for (std::size_t r = 0; r < stepped.reports.size(); ++r) {
+        const RunReport &a = stepped.reports[r];
+        const RunReport &b = advanced.reports[r];
+        expectSameReport(a, b);
+        EXPECT_TRUE(a.iterations == b.iterations) << "replica " << r;
+        EXPECT_EQ(a.comm_ns, b.comm_ns);
+        EXPECT_EQ(a.shed_requests, b.shed_requests);
+        EXPECT_EQ(a.migrations_in, b.migrations_in);
+        EXPECT_EQ(a.migrations_out, b.migrations_out);
+        EXPECT_EQ(a.slo_met_requests, b.slo_met_requests);
+        EXPECT_TRUE(stepped.drivers[r] == advanced.drivers[r])
+            << "replica " << r << ": driver API counts differ";
+        swap_outs += static_cast<u64>(a.swap_outs);
+        migrations += a.migrations_in;
+        served += a.num_requests;
+    }
+    EXPECT_EQ(served,
+              static_cast<i64>(advanceTrace(c.feature).size()));
+    if (c.feature == Feature::kSwapLive) {
+        EXPECT_GT(swap_outs, 0u) << "no request swapped out";
+        EXPECT_GT(migrations, 0u) << "no request migrated";
+    }
+    if (c.feature == Feature::kPrefix) {
+        EXPECT_GT(stepped.reports[0].prefix_hits, 0);
+    }
+    if (!perf::isPaged(c.backend)) {
+        const std::size_t ranks = c.feature == Feature::kTp2 ? 2u : 1u;
+        EXPECT_EQ(stepped.drivers[0].size(), ranks);
+        EXPECT_GT(stepped.drivers[0][0].map, 0u);
+    }
+}
+
+class EmittedTokens : public ::testing::TestWithParam<perf::BackendKind>
+{
+};
+
+TEST_P(EmittedTokens, AreBackedThroughSwapInsAndDecodeRuns)
+{
+    // Every token's KV must be backed when it is emitted, whether the
+    // iteration ensured it or skipped ensure() on the slack. Swap-ins
+    // rejoin the running set with no prefill chunk, so only the forced
+    // ensure after them grows a request that swapped out at a boundary.
+    const AdvanceCase c{Feature::kSwapLive, GetParam(),
+                        SchedulingMode::kStallFreeChunked};
+    Engine engine(advanceConfig(c));
+    i64 checked = 0;
+    StreamCallbacks callbacks;
+    callbacks.on_token = [&](const Request &request) {
+        // The iteration computed the token after contextLen() - 1.
+        const i64 len = request.contextLen() - 1;
+        bool backed = false;
+        if (VAttentionBackend *backend = engine.vattnBackend()) {
+            const core::TpWorker &runtime = backend->runtime();
+            backed = runtime.groupsMapped(request.slot) *
+                         runtime.geometry().tokensPerGroup() >=
+                     len;
+        } else {
+            backed = static_cast<PagedBackend &>(engine.backend())
+                         .runtime()
+                         .ensureIsNoop(request.slot, len);
+        }
+        EXPECT_TRUE(backed) << "request " << request.id << " emitted at "
+                            << len << " tokens of unbacked KV";
+        ++checked;
+    };
+    std::vector<Request> trace = advanceTrace(c.feature);
+    for (Request &request : trace) {
+        request.stream = &callbacks;
+    }
+    const RunReport report = engine.run(trace);
+    EXPECT_GT(report.swap_ins, 0);
+    EXPECT_GT(engine.decodeRunIterations(), 0u);
+    EXPECT_EQ(checked, report.decode_tokens); // every output token
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, EmittedTokens,
+                         ::testing::Values(perf::BackendKind::kFa2Paged,
+                                           perf::BackendKind::kFa2VAttention),
+                         [](const auto &info) {
+                             return perf::isPaged(info.param)
+                                        ? "Paged"
+                                        : "VAttention";
+                         });
+
+std::vector<AdvanceCase>
+advanceCases()
+{
+    std::vector<AdvanceCase> cases;
+    for (const Feature feature : {Feature::kPrefix, Feature::kWindow,
+                                  Feature::kSwapLive, Feature::kTp2}) {
+        for (const perf::BackendKind backend :
+             {perf::BackendKind::kFa2Paged,
+              perf::BackendKind::kFa2VAttention}) {
+            for (const SchedulingMode mode :
+                 {SchedulingMode::kPrefillPrioritized,
+                  SchedulingMode::kStallFreeChunked}) {
+                cases.push_back({feature, backend, mode});
+            }
+        }
+    }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Features, AdvanceToEquivalence,
+                         ::testing::ValuesIn(advanceCases()),
+                         [](const auto &info) {
+                             return advanceCaseName(info.param);
+                         });
 
 } // namespace
 } // namespace vattn::serving
