@@ -862,7 +862,6 @@ Engine::beginOnline(std::size_t expected_requests)
 #endif
     owned_.clear();
     arrivals_.clear();
-    ensure_slack_ = 0;
     run_report_ = RunReport{};
     run_total_ = 0;
     run_finished_ = 0;
