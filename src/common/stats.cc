@@ -46,25 +46,42 @@ void
 Percentiles::append(const Percentiles &other)
 {
     panic_if(&other == this, "Percentiles::append onto itself");
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_ = false;
+    for (const Run &run : other.runs_) {
+        add(run.value, run.count);
+    }
 }
 
 const std::vector<double> &
 Percentiles::sorted() const
 {
     if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
+        std::sort(runs_.begin(), runs_.end(),
+                  [](const Run &a, const Run &b) {
+                      return a.value < b.value;
+                  });
+        std::size_t kept = 0;
+        for (const Run &run : runs_) {
+            if (kept > 0 && sameBits(runs_[kept - 1].value, run.value)) {
+                runs_[kept - 1].count += run.count;
+            } else {
+                runs_[kept++] = run;
+            }
+        }
+        runs_.resize(kept);
+        flat_.clear();
+        flat_.reserve(count_);
+        for (const Run &run : runs_) {
+            flat_.insert(flat_.end(), run.count, run.value);
+        }
         sorted_ = true;
     }
-    return samples_;
+    return flat_;
 }
 
 double
 Percentiles::quantile(double q) const
 {
-    panic_if(samples_.empty(), "Percentiles::quantile with no samples");
+    panic_if(count_ == 0, "Percentiles::quantile with no samples");
     panic_if(q < 0.0 || q > 1.0, "quantile out of range: ", q);
     const auto &s = sorted();
     if (s.size() == 1) {
@@ -80,20 +97,24 @@ Percentiles::quantile(double q) const
 double
 Percentiles::mean() const
 {
-    if (samples_.empty()) {
+    if (count_ == 0) {
         return 0.0;
     }
+    // One addition per sample, in storage order: the same bits as a
+    // store that kept every sample apart.
     double sum = 0;
-    for (double x : samples_) {
-        sum += x;
+    for (const Run &run : runs_) {
+        for (u64 i = 0; i < run.count; ++i) {
+            sum += run.value;
+        }
     }
-    return sum / static_cast<double>(samples_.size());
+    return sum / static_cast<double>(count_);
 }
 
 double
 Percentiles::cdfAt(double x) const
 {
-    if (samples_.empty()) {
+    if (count_ == 0) {
         return 0.0;
     }
     const auto &s = sorted();
@@ -107,7 +128,7 @@ Percentiles::cdfPoints(int num_points) const
 {
     panic_if(num_points < 2, "cdfPoints needs >= 2 points");
     std::vector<std::pair<double, double>> pts;
-    if (samples_.empty()) {
+    if (count_ == 0) {
         return pts;
     }
     pts.reserve(static_cast<std::size_t>(num_points));

@@ -8,6 +8,7 @@
 #ifndef VATTN_COMMON_STATS_HH
 #define VATTN_COMMON_STATS_HH
 
+#include <bit>
 #include <limits>
 #include <string>
 #include <vector>
@@ -43,33 +44,54 @@ class RunningStat
 };
 
 /**
- * Collects raw samples and answers percentile / CDF queries.
- * Samples are sorted lazily on first query.
+ * Collects samples and answers percentile / CDF queries.
+ *
+ * Samples are stored as (value, count) runs in insertion order: add()
+ * merges into the last run when the value is bit-identical, and
+ * add(x, n) adds n copies at once (a decode iteration emits one token
+ * gap for its whole batch). Every query sees the multiset the runs
+ * expand to, exactly as if each sample had been added alone: the runs
+ * are sorted lazily on the first query, mean() sums each value count
+ * times in storage order, and sorted() expands the sorted runs into a
+ * flat vector (built on demand, kept until the next add).
  */
 class Percentiles
 {
   public:
     /** Inline: the engine adds one sample per emitted token. */
+    void add(double x) { add(x, 1); }
+    /** Add @p n samples of value @p x (n == 0 adds nothing). */
     void
-    add(double x)
+    add(double x, u64 n)
     {
-        samples_.push_back(x);
+        if (n == 0) {
+            return;
+        }
+        if (!runs_.empty() && sameBits(runs_.back().value, x)) {
+            runs_.back().count += n;
+        } else {
+            runs_.push_back({x, n});
+        }
+        count_ += n;
         sorted_ = false;
     }
     /** Add every sample of @p other, in @p other's storage order
-     *  (bulk insert; nothing is sorted here — the reader's first
-     *  query sorts once). Quantiles and cdfAt see the union
-     *  multiset, exactly as an add() loop would give. */
+     *  (bulk insert of its runs; nothing is sorted here — the
+     *  reader's first query sorts once). Quantiles and cdfAt see the
+     *  union multiset, exactly as an add() loop would give. */
     void append(const Percentiles &other);
-    u64 count() const { return samples_.size(); }
+    u64 count() const { return count_; }
+    /** Stored (value, count) runs: at most count(). */
+    std::size_t runs() const { return runs_.size(); }
 
-    /** Pre-size the sample store (allocation-free steady-state adds:
-     *  the engine reserves for a whole run's samples up front so the
+    /** Pre-size the store for @p n runs (allocation-free steady-state
+     *  adds: n samples never need more than n runs, so the engine
+     *  reserves for a whole run's samples up front and the
      *  per-iteration hot path never reallocates). */
-    void reserve(std::size_t n) { samples_.reserve(n); }
-    /** Reserved sample slots (the online path grows geometrically at
+    void reserve(std::size_t n) { runs_.reserve(n); }
+    /** Reserved run slots (the online path grows geometrically at
      *  submission time and needs to see where it stands). */
-    std::size_t capacity() const { return samples_.capacity(); }
+    std::size_t capacity() const { return runs_.capacity(); }
 
     /** Value at quantile q in [0, 1] (linear interpolation). */
     double quantile(double q) const;
@@ -88,11 +110,27 @@ class Percentiles
      */
     std::vector<std::pair<double, double>> cdfPoints(int num_points) const;
 
+    /** Every sample, ascending (count() entries). */
     const std::vector<double> &sorted() const;
 
   private:
-    mutable std::vector<double> samples_;
+    struct Run
+    {
+        double value;
+        u64 count;
+    };
+
+    static bool
+    sameBits(double a, double b)
+    {
+        return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
+    }
+
+    mutable std::vector<Run> runs_;
+    u64 count_ = 0;
+    /** runs_ is sorted by value and flat_ is its expansion. */
     mutable bool sorted_ = false;
+    mutable std::vector<double> flat_;
 };
 
 /** Fixed-width bucket histogram over [lo, hi). */

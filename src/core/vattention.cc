@@ -572,12 +572,12 @@ VAttention::matchPrefix(const PrefixKey &key) const
         if (groups == 0 && !tail_candidate) {
             return;
         }
-        // Both parts are bounded by what the slot still has mapped;
-        // the tail needs its own group mapped past the aligned chain.
-        const i64 mapped = allocator_.groupsMapped(slot);
-        groups = std::min(groups, mapped);
+        // No bound by what the slot still has mapped: every unmap
+        // clamps the chain (clampChainToMapped), so the chain, its
+        // tail group included, lies within the slot's intact prefix
+        // groups, as auditInto checks.
         i64 tokens = groups * tpg;
-        if (tail_candidate && mapped > chain_groups) {
+        if (tail_candidate) {
             const u64 prev =
                 groups > 0
                     ? chain.hashes[static_cast<std::size_t>(groups - 1)]

@@ -9,6 +9,7 @@
 #define VATTN_PERF_ITERATION_COST_HH
 
 #include <span>
+#include <vector>
 
 #include "perf/kernel_model.hh"
 #include "perf/overhead_model.hh"
@@ -54,6 +55,55 @@ IterationCost priceIteration(const KernelModel &kernel,
                              BackendKind kind, i64 block_size,
                              bool overlap_comm,
                              const IterationShape &shape);
+
+/**
+ * The sums a decode-only iteration's price depends on — batch size,
+ * total KV, each window class's clamped KV and the paged Block-Table
+ * sizes — kept incrementally while every request of the batch grows by
+ * one token per iteration. Built with clear() and one add() per
+ * request; grow() then costs O(window classes) until some request
+ * reaches a window edge or a block boundary, where it returns false
+ * and the caller rebuilds from the grown lengths.
+ */
+class DecodeBatch
+{
+  public:
+    /** @p block_size: paged block tokens (0: vAttention). */
+    DecodeBatch(const KernelModel &kernel, i64 block_size);
+
+    void clear();
+    /** One request of @p kv_len (> 0) KV tokens. */
+    void add(i64 kv_len);
+    /** Every request grew by one token. False (sums untouched) when
+     *  that crosses a window edge or block boundary: rebuild. */
+    bool grow();
+
+    i64 size() const { return batch_; }
+    i64 totalKv() const { return total_kv_; }
+    std::span<const i64> attended() const { return attended_; }
+    i64 maxBlocks() const { return max_blocks_; }
+    i64 totalBlocks() const { return total_blocks_; }
+
+  private:
+    i64 block_size_;
+    std::vector<i64> windows_; ///< per window class, 0 = full
+    std::vector<i64> attended_;
+    /** Per class: requests still below the window (grow one each). */
+    std::vector<i64> growing_;
+    i64 batch_ = 0;
+    i64 total_kv_ = 0;
+    i64 max_blocks_ = 0;
+    i64 total_blocks_ = 0;
+    /** grow() calls the sums stay exact for. */
+    i64 steps_left_ = 0;
+};
+
+/** priceIteration of a decode-only iteration in which every planned
+ *  decode survived, from @p batch's sums: the same bits as pricing
+ *  its KV lengths, in O(window classes). */
+IterationCost priceDecodes(const KernelModel &kernel,
+                           const OverheadModel &overhead, BackendKind kind,
+                           bool overlap_comm, const DecodeBatch &batch);
 
 } // namespace vattn::perf
 

@@ -215,6 +215,38 @@ KernelModel::prefillAttention(BackendKind kind, i64 q_len,
            kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
 }
 
+template <typename Attended>
+TimeNs
+KernelModel::decodeAttentionOver(BackendKind kind, i64 total_kv,
+                                 Attended attended, int block_size) const
+{
+    if (total_kv <= 0) {
+        return 0;
+    }
+    // Decode attention streams the attended KV once per iteration:
+    // memory bound (§7.2, "memory bound nature of decode attention").
+    // Every layer reads K and V of kv_heads * head_dim * P bytes per
+    // attended token.
+    const double layer_token_bytes =
+        2.0 * model_.kvHeadsPerWorker(tp_) * model_.head_dim *
+        model_.bytes_per_elem;
+    double bytes = 0.0;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+        bytes += static_cast<double>(attended(c)) * layer_token_bytes *
+                 classes_[c].layers;
+    }
+    double seconds = bytes / (gpu_.hbm_bytes_per_s * kDecodeMemEff);
+
+    seconds *= decodeBackendFactor(kind);
+    if (kind == BackendKind::kVllmPaged) {
+        const int bs = block_size > 0 ? block_size
+                                      : defaultBlockSize(kind);
+        seconds *= vllmBlockSizeFactor(bs, total_kv);
+    }
+    return static_cast<TimeNs>(seconds * 1e9) +
+           kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
+}
+
 TimeNs
 KernelModel::decodeAttention(BackendKind kind,
                              std::span<const i64> kv_lens,
@@ -224,40 +256,35 @@ KernelModel::decodeAttention(BackendKind kind,
     for (i64 kv : kv_lens) {
         total += std::max<i64>(kv, 0);
     }
-    if (total <= 0) {
-        return 0;
-    }
-    // Decode attention streams the attended KV once per iteration:
-    // memory bound (§7.2, "memory bound nature of decode attention").
-    // Every layer reads K and V of kv_heads * head_dim * P bytes per
-    // attended token. A full-attention class attends the whole total;
-    // only window classes walk the batch again to clamp each request.
-    const double layer_token_bytes =
-        2.0 * model_.kvHeadsPerWorker(tp_) * model_.head_dim *
-        model_.bytes_per_elem;
-    double bytes = 0.0;
-    for (const ModelSpec::WindowClass &cls : classes_) {
-        i64 attended = total;
-        if (cls.window_tokens > 0) {
-            attended = 0;
-            for (i64 kv : kv_lens) {
-                attended += std::min(std::max<i64>(kv, 0),
-                                     cls.window_tokens);
+    // A full-attention class attends the whole total; only window
+    // classes walk the batch again to clamp each request.
+    return decodeAttentionOver(
+        kind, total,
+        [&](std::size_t c) {
+            const i64 window = classes_[c].window_tokens;
+            if (window <= 0) {
+                return total;
             }
-        }
-        bytes += static_cast<double>(attended) * layer_token_bytes *
-                 cls.layers;
-    }
-    double seconds = bytes / (gpu_.hbm_bytes_per_s * kDecodeMemEff);
+            i64 attended = 0;
+            for (i64 kv : kv_lens) {
+                attended += std::min(std::max<i64>(kv, 0), window);
+            }
+            return attended;
+        },
+        block_size);
+}
 
-    seconds *= decodeBackendFactor(kind);
-    if (kind == BackendKind::kVllmPaged) {
-        const int bs = block_size > 0 ? block_size
-                                      : defaultBlockSize(kind);
-        seconds *= vllmBlockSizeFactor(bs, total);
-    }
-    return static_cast<TimeNs>(seconds * 1e9) +
-           kLaunchNsPerLayer * static_cast<u64>(model_.num_layers);
+TimeNs
+KernelModel::decodeAttention(BackendKind kind, i64 total_kv,
+                             std::span<const i64> attended,
+                             int block_size) const
+{
+    panic_if(attended.size() != classes_.size(),
+             "decodeAttention: ", attended.size(), " attended sums for ",
+             classes_.size(), " window classes");
+    return decodeAttentionOver(
+        kind, total_kv, [&](std::size_t c) { return attended[c]; },
+        block_size);
 }
 
 TimeNs

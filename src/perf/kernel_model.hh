@@ -80,6 +80,24 @@ class KernelModel
                            std::span<const i64> kv_lens,
                            int block_size = 0) const;
 
+    /**
+     * The same price from the batch's sums: @p total_kv is the summed
+     * KV length and @p attended[c] the tokens window class c attends
+     * (windowClasses() order: total_kv for full attention, the sum of
+     * min(kv, window) for a window class). Both overloads evaluate one
+     * expression, so the same integers give the same time.
+     */
+    TimeNs decodeAttention(BackendKind kind, i64 total_kv,
+                           std::span<const i64> attended,
+                           int block_size = 0) const;
+
+    /** The model's window classes, resolved once (full class first). */
+    const std::vector<ModelSpec::WindowClass> &
+    windowClasses() const
+    {
+        return classes_;
+    }
+
     /** Attended key-token units of one window class for a chunk
      *  (q_len == kv_len is a whole prompt); exposed for tests. */
     static double windowedAttendedUnits(i64 q_len, i64 kv_len,
@@ -119,6 +137,11 @@ class KernelModel
 
   private:
     bool isHopper() const;
+    /** Decode attention time once each class's attended tokens are
+     *  known: @p attended(c) gives class c's count. */
+    template <typename Attended>
+    TimeNs decodeAttentionOver(BackendKind kind, i64 total_kv,
+                               Attended attended, int block_size) const;
 
     GpuSpec gpu_;
     ModelSpec model_;

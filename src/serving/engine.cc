@@ -1,6 +1,7 @@
 #include "serving/engine.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "serving/serving_audit.hh"
@@ -54,7 +55,8 @@ Engine::Engine(EngineConfig config)
       overhead_(),
       scheduler_(config_.scheduler),
       composer_(config_.scheduler),
-      block_size_(perf::defaultBlockSize(config_.backend))
+      block_size_(perf::defaultBlockSize(config_.backend)),
+      decode_batch_(kernel_, block_size_)
 {
     const u64 budget = config_.kvBudgetPerWorker();
     // The host tier is only committed when the policy can swap, so the
@@ -452,6 +454,13 @@ Engine::runIteration(const IterationPlan &plan, RunReport &report)
     }
     TimeNs mem_ns = admit(plan, report);
     mem_ns += ensureWithPreemption(plan, report);
+    completeIteration(plan, mem_ns, report);
+}
+
+void
+Engine::completeIteration(const IterationPlan &plan, TimeNs mem_ns,
+                          RunReport &report)
+{
     const perf::IterationCost cost = price(plan);
     if (plan.prefills.empty() && iter_decodes_.empty()) {
         return; // everything got preempted (pathological budget)
@@ -570,13 +579,16 @@ Engine::account(i64 planned_prefills, i64 planned_decodes,
         cost.comm_exposed_ns});
 }
 
+bool
+Engine::complete(const Request *request) const
+{
+    return request->done() ||
+           request->contextLen() >= config_.model.max_context_len;
+}
+
 void
 Engine::emit(RunReport &report)
 {
-    const auto complete = [this](const Request *request) {
-        return request->done() ||
-               request->contextLen() >= config_.model.max_context_len;
-    };
     // A chunk advances prefill progress; the chunk that completes the
     // prompt emits the request's first output token.
     for (const PrefillChunk *chunk : iter_prefills_) {
@@ -706,57 +718,242 @@ Engine::nextEventNs() const
 bool
 Engine::decodeRunnable() const
 {
-    // Exactly the state in which stepRun() would admit, swap in and
-    // shed nothing and compose "every running request decodes", with
-    // ensure() inside the growth horizon.
-    return ensure_slack_ > 0 && !running_.empty() &&
-           running_prefills_ == 0 && !scheduler_.hasWaiting() &&
-           !scheduler_.hasSwapped() &&
-           (arrivals_.empty() || arrivals_.nextTimeNs() > clock_.now());
+    // Exactly the state in which stepRun() would swap in and shed
+    // nothing and compose "every running request decodes".
+    if (running_.empty() || running_prefills_ != 0 ||
+        scheduler_.hasSwapped()) {
+        return false;
+    }
+    const bool arrival_due =
+        !arrivals_.empty() && arrivals_.nextTimeNs() <= clock_.now();
+    if (!scheduler_.hasWaiting() && !arrival_due) {
+        return true;
+    }
+    // Requests wait, but at a full sequence cap neither composer admits
+    // (both check the cap before asking can_admit, and no swapped
+    // request holds a seat), and without shedding nothing else reads
+    // the queue: stepRun() would only move the arrivals into it.
+    return !config_.shed_on_ttft &&
+           static_cast<i64>(running_.size()) >=
+               config_.scheduler.max_num_seqs;
 }
+
+void
+Engine::resetRun()
+{
+    decode_batch_.clear();
+    run_finish_left_ = std::numeric_limits<i64>::max();
+    run_min_tbt_deadline_ = std::numeric_limits<TimeNs>::max();
+    const TimeNs last =
+        iter_decodes_.empty() ? 0 : iter_decodes_.front()->last_token_ns;
+    bool uniform = last != 0;
+    for (const Request *request : iter_decodes_) {
+        const i64 generated = request->generated + run_pending_;
+        const i64 len = request->prefilled_tokens + generated;
+        decode_batch_.add(len);
+        run_finish_left_ = std::min(
+            {run_finish_left_, request->max_new_tokens - generated,
+             config_.model.max_context_len - len});
+        if (request->tbt_deadline_ns > 0 && !request->tbt_violated) {
+            run_min_tbt_deadline_ =
+                std::min(run_min_tbt_deadline_, request->tbt_deadline_ns);
+        }
+        uniform = uniform && request->last_token_ns == last &&
+                  request->last_emit_ns == last &&
+                  (request->stream == nullptr || !request->stream->on_token);
+    }
+    // Pending tokens exist only while uniform, which nothing inside a
+    // run undoes; the survivors' fields are exact only when flushed.
+    if (run_pending_ == 0) {
+        run_uniform_ = uniform;
+        run_last_ns_ = last;
+    }
+}
+
+void
+Engine::flushRun()
+{
+    if (run_pending_ == 0) {
+        return;
+    }
+    for (Request *request : iter_decodes_) {
+        request->generated += run_pending_;
+        request->last_token_ns = run_last_ns_;
+        request->last_emit_ns = run_last_ns_;
+    }
+    run_pending_ = 0;
+}
+
+void
+Engine::emitRun()
+{
+    const i64 finished_before = run_report_.num_requests;
+    if (!run_uniform_) {
+        // Survivors whose last tokens differ, or a stream that wants
+        // every token: the per-request path (nothing is pending).
+        emit(run_report_);
+    } else {
+        // Every survivor emitted its newest token at run_last_ns_, so
+        // each one's gap is the same: one TBT run for the batch.
+        const TimeNs now = clock_.now();
+        const TimeNs gap = now - run_last_ns_;
+        run_report_.tbt_s.add(SimClock::toSeconds(gap),
+                              static_cast<u64>(iter_decodes_.size()));
+        if (gap > run_min_tbt_deadline_) {
+            run_min_tbt_deadline_ = std::numeric_limits<TimeNs>::max();
+            for (Request *request : iter_decodes_) {
+                if (request->tbt_deadline_ns == 0) {
+                    continue;
+                }
+                request->tbt_violated =
+                    request->tbt_violated || gap > request->tbt_deadline_ns;
+                if (!request->tbt_violated) {
+                    run_min_tbt_deadline_ = std::min(
+                        run_min_tbt_deadline_, request->tbt_deadline_ns);
+                }
+            }
+        }
+        ++run_pending_;
+        run_last_ns_ = now;
+        if (--run_finish_left_ > 0) {
+            if (!decode_batch_.grow()) {
+                resetRun(); // a window edge or block boundary
+            }
+            return;
+        }
+        // The first finisher: write back, then finish as emit() does.
+        flushRun();
+        std::vector<Request *> &finished = iter_finished_;
+        finished.clear();
+        for (Request *request : iter_decodes_) {
+            if (complete(request)) {
+                finished.push_back(request);
+            }
+        }
+        for (Request *request : finished) {
+            finishRequest(request, run_report_);
+        }
+    }
+    std::erase_if(iter_decodes_, [](const Request *request) {
+        return request->state != Request::State::kRunning;
+    });
+    resetRun();
+    run_finished_ +=
+        static_cast<std::size_t>(run_report_.num_requests - finished_before);
+}
+
+#if VATTN_AUDIT
+void
+Engine::auditRun(const perf::IterationCost &cost)
+{
+    // The eager shadow of the kept decode-run state: every sum the
+    // run prices and emits from, recomputed from the survivors.
+    panic_if(iter_decodes_ != running_,
+             "decode run: survivors are not the running set");
+    iter_kv_lens_.clear();
+    i64 finish_left = std::numeric_limits<i64>::max();
+    TimeNs min_deadline = std::numeric_limits<TimeNs>::max();
+    for (const Request *request : iter_decodes_) {
+        const i64 generated = request->generated + run_pending_;
+        const i64 len = request->prefilled_tokens + generated;
+        iter_kv_lens_.push_back(len);
+        finish_left = std::min({finish_left,
+                                request->max_new_tokens - generated,
+                                config_.model.max_context_len - len});
+        if (request->tbt_deadline_ns > 0 && !request->tbt_violated) {
+            min_deadline = std::min(min_deadline, request->tbt_deadline_ns);
+        }
+        if (run_uniform_ && run_pending_ == 0) {
+            panic_if(request->last_token_ns != run_last_ns_ ||
+                         request->last_emit_ns != run_last_ns_,
+                     "decode run: request ", request->id,
+                     " last emitted at ", request->last_emit_ns,
+                     " (TBT chain ", request->last_token_ns,
+                     "), the run at ", run_last_ns_);
+            panic_if(request->stream != nullptr &&
+                         request->stream->on_token,
+                     "decode run: a streamed request went lazy");
+        }
+    }
+    const perf::IterationCost want = perf::priceIteration(
+        kernel_, overhead_, config_.backend, block_size_,
+        config_.overlap_comm,
+        {iter_chunks_, iter_kv_lens_, 0,
+         static_cast<i64>(iter_kv_lens_.size())});
+    panic_if(want.attention_ns != cost.attention_ns ||
+                 want.linear_ns != cost.linear_ns ||
+                 want.comm_exposed_ns != cost.comm_exposed_ns ||
+                 want.comm_hidden_ns != cost.comm_hidden_ns ||
+                 want.cpu_ns != cost.cpu_ns,
+             "decode run: kept sums price attention ", cost.attention_ns,
+             " cpu ", cost.cpu_ns, ", the lengths price ", want.attention_ns,
+             " and ", want.cpu_ns);
+    panic_if(finish_left != run_finish_left_,
+             "decode run: first finisher in ", finish_left,
+             " iterations, kept ", run_finish_left_);
+    panic_if(min_deadline != run_min_tbt_deadline_,
+             "decode run: smallest unviolated TBT deadline ", min_deadline,
+             ", kept ", run_min_tbt_deadline_);
+}
+#endif
 
 void
 Engine::runDecodes(TimeNs horizon)
 {
-    // The survivors of every iteration are the running set in order,
-    // so the pricer's inputs are kept in place: finished requests
-    // drop out and every other length grows by the one token emitted.
+    // The survivors of every iteration are the running set in order.
+    // Everything an iteration reads from them is kept as batch-wide
+    // sums (decode_batch_, the first finisher, the smallest unviolated
+    // TBT deadline), rebuilt in O(batch) only at a crossing: a
+    // finisher, a window edge or a block boundary. Once every survivor
+    // emitted at the same instant, per-request token state is kept
+    // lazily (run_pending_) and written back by flushRun() before
+    // anything reads it.
     plan_.clear();
     iter_prefills_.clear();
     iter_chunks_.clear();
     iter_decodes_.assign(running_.begin(), running_.end());
-    iter_kv_lens_.clear();
-    for (const Request *request : running_) {
-        iter_kv_lens_.push_back(request->contextLen());
-    }
+    run_pending_ = 0;
+    resetRun();
     while (decodeRunnable() && clock_.now() < horizon) {
-        const TimeNs mem_ns = skipEnsure(plan_);
-        const i64 decodes = static_cast<i64>(iter_decodes_.size());
-        const perf::IterationCost cost = perf::priceIteration(
-            kernel_, overhead_, config_.backend, block_size_,
-            config_.overlap_comm,
-            {iter_chunks_, iter_kv_lens_, 0, decodes});
-        account(0, decodes, cost, mem_ns, run_report_);
-        ++decode_run_iterations_;
+        admitArrivals(); // only at a full cap can one be due
+        const std::size_t batch = running_.size();
         const i64 finished_before = run_report_.num_requests;
-        emit(run_report_);
-        const i64 finished = run_report_.num_requests - finished_before;
-        run_finished_ += static_cast<std::size_t>(finished);
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < iter_decodes_.size(); ++i) {
-            if (iter_decodes_[i]->state != Request::State::kRunning) {
-                continue; // finished this iteration
-            }
-            iter_decodes_[kept] = iter_decodes_[i];
-            iter_kv_lens_[kept] = iter_kv_lens_[i] + 1;
-            ++kept;
+        const i64 dropped_before = run_report_.dropped_requests;
+        if (ensure_slack_ == 0) {
+            // The slack ran out: the real ensure stepRun() would run,
+            // over the plan it would compose.
+            flushRun();
+            decodePlan();
         }
-        iter_decodes_.resize(kept);
-        iter_kv_lens_.resize(kept);
+        const TimeNs mem_ns = ensureWithPreemption(plan_, run_report_);
+        if (running_.size() != batch) {
+            // It preempted, dropped or swapped: finish the iteration as
+            // stepRun() does and end the run.
+            completeIteration(plan_, mem_ns, run_report_);
+            ++decode_run_iterations_;
+            run_finished_ += static_cast<std::size_t>(
+                (run_report_.num_requests - finished_before) +
+                (run_report_.dropped_requests - dropped_before));
 #if VATTN_AUDIT
+            auditTick();
+#endif
+            return;
+        }
+        const perf::IterationCost cost =
+            perf::priceDecodes(kernel_, overhead_, config_.backend,
+                               config_.overlap_comm, decode_batch_);
+#if VATTN_AUDIT
+        auditRun(cost);
+#endif
+        account(0, decode_batch_.size(), cost, mem_ns, run_report_);
+        ++decode_run_iterations_;
+        emitRun();
+#if VATTN_AUDIT
+        flushRun();
         auditTick();
 #endif
     }
+    flushRun();
 }
 
 void

@@ -29,13 +29,22 @@
  * decode-only iterations. Admission, a prefill chunk, preemption,
  * swap-in, a dropped request and migration force a real ensure().
  *
- * Decode runs. advanceTo(h) has stepRun()'s contract but, while
- * nothing is waiting, swapped or due to arrive, every running request
- * has finished its prefill and the slack lasts, it runs iterations as
- * a tight price -> account -> emit loop: no composer, no admission or
- * swap-in pass, and the pricer's per-request lengths kept in place
- * (finished requests drop out, the rest grow by one token). Engine::run
- * and ServingCluster drive replicas through advanceTo.
+ * Decode runs. advanceTo(h) has stepRun()'s contract but, while every
+ * running request has finished its prefill, nothing is swapped and
+ * nothing waits or is due to arrive (or the running set is at
+ * max_num_seqs with shedding off, so nothing could be admitted), it
+ * runs iterations as a tight ensure -> price -> account -> emit loop
+ * with no composer, admission or swap-in pass. Each iteration costs
+ * O(1) amortized: the pricer reads batch-wide sums kept incrementally
+ * (perf::DecodeBatch), the first finisher and the smallest unviolated
+ * TBT deadline are known ahead, and once every survivor emitted at the
+ * same instant their shared token gap is recorded once per iteration
+ * (Percentiles::add(x, n)) while generated/last_token_ns/last_emit_ns
+ * are kept lazily and written back before anything reads them. Sums
+ * are rebuilt in O(batch) only at a finisher, a window edge or a block
+ * boundary; a real ensure() runs in place when the slack runs out and
+ * ends the run only if it preempted. Engine::run and ServingCluster
+ * drive replicas through advanceTo.
  */
 
 #ifndef VATTN_SERVING_ENGINE_HH
@@ -349,12 +358,27 @@ class Engine
      *  lengths and panic if it did anything. */
     TimeNs skipEnsure(const IterationPlan &plan);
     /** stepRun() would compose a decode-only iteration over the whole
-     *  running set and skip its ensure(): nothing waiting, swapped or
-     *  due, no running request mid-prefill, slack left. O(1). */
+     *  running set and do nothing else: no running request
+     *  mid-prefill, nothing swapped, and nothing waiting or due unless
+     *  the sequence cap is full with shedding off. O(1). */
     bool decodeRunnable() const;
     /** Decode-only iterations while decodeRunnable() and the clock is
      *  below @p horizon (advanceTo's inner loop). */
     void runDecodes(TimeNs horizon);
+    /** Rebuild the decode run's kept state from the survivors
+     *  (iter_decodes_): pricing sums, first finisher, smallest
+     *  unviolated TBT deadline and, when flushed, uniformity. */
+    void resetRun();
+    /** Write the pending lazy tokens back to the survivors. */
+    void flushRun();
+    /** A decode run's emission: one TBT run for a uniform batch, the
+     *  per-request emit() otherwise; finishers leave iter_decodes_. */
+    void emitRun();
+#if VATTN_AUDIT
+    /** Panic unless the kept decode-run state matches a recomputation
+     *  from the survivors and @p cost is what their lengths price. */
+    void auditRun(const perf::IterationCost &cost);
+#endif
     /** Add @p request to the running set (forces the next ensure()). */
     void startRunning(Request *request);
     /** Remove @p request from the running set, if it is there. */
@@ -390,6 +414,12 @@ class Engine
     void recordToken(Request *request, RunReport &report);
     /** Execute one composed iteration (decodes + prefill chunks). */
     void runIteration(const IterationPlan &plan, RunReport &report);
+    /** runIteration() after admission and ensure: price the
+     *  survivors, account and emit. */
+    void completeIteration(const IterationPlan &plan, TimeNs mem_ns,
+                           RunReport &report);
+    /** @p request has emitted its last token. */
+    bool complete(const Request *request) const;
     /** Lease slots for first chunks; returns their allocation ns. */
     TimeNs admit(const IterationPlan &plan, RunReport &report);
     /** Gather the survivors into the iter_* scratch and price them. */
@@ -439,6 +469,21 @@ class Engine
      *  per skip, 0 after anything else touches the running slots. */
     i64 ensure_slack_ = 0;
     u64 decode_run_iterations_ = 0;
+
+    // ---- Decode-run state (runDecodes) -------------------------------
+    /** The survivors' pricing sums. */
+    perf::DecodeBatch decode_batch_;
+    /** Tokens every survivor emitted that flushRun() has not yet added
+     *  to its generated/last_token_ns/last_emit_ns. */
+    i64 run_pending_ = 0;
+    /** Every survivor's newest token was emitted at run_last_ns_ and
+     *  none streams on_token: emission is lazy. */
+    bool run_uniform_ = false;
+    TimeNs run_last_ns_ = 0;
+    /** Iterations until the first survivor completes. */
+    i64 run_finish_left_ = 0;
+    /** Smallest TBT deadline no survivor has violated yet. */
+    TimeNs run_min_tbt_deadline_ = 0;
 
     // ---- Run state (stepRun/endRun) ----------------------------------
     sim::EventQueue<Request *> arrivals_;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -383,6 +384,131 @@ TEST(Percentiles, QueryAfterAppendSeesTheNewSamples)
     EXPECT_DOUBLE_EQ(p.max(), 30.0);
     EXPECT_DOUBLE_EQ(p.cdfAt(10.0), 11.0 / 12.0);
     EXPECT_TRUE(std::is_sorted(p.sorted().begin(), p.sorted().end()));
+}
+
+/** expectSameStore plus what it leaves out: the CDF points and the
+ *  exact bits of mean(). */
+void
+expectSameMultiset(const Percentiles &got, const Percentiles &want)
+{
+    // mean() first: its bits depend on the storage order, which the
+    // queries below sort.
+    EXPECT_EQ(std::bit_cast<u64>(got.mean()), std::bit_cast<u64>(want.mean()));
+    expectSameStore(got, want);
+    if (want.count() > 0) {
+        for (int points : {2, 7, 101}) {
+            EXPECT_EQ(got.cdfPoints(points), want.cdfPoints(points))
+                << points << " points";
+        }
+    }
+    EXPECT_EQ(std::bit_cast<u64>(got.mean()), std::bit_cast<u64>(want.mean()));
+}
+
+TEST(Percentiles, WeightedAddsMatchSingleAdds)
+{
+    // Random mixes of add(x), add(x, n) and append, against a store
+    // built from one add per sample in the same order, and against a
+    // plain vector that is summed in order and sorted where the stores
+    // are. Values repeat often (a small grid), so runs merge both
+    // while adding and while sorting; negative zero sorts with zero
+    // but never merges with it.
+    for (u64 seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        Percentiles weighted;
+        Percentiles single;
+        std::vector<double> plain;
+        const auto value = [&rng] {
+            const double grid[] = {0.0, -0.0, 0.25, 1.0 / 3.0, 7.5, -2.0};
+            return grid[rng.uniformInt(0, 5)];
+        };
+        const auto addSingle = [&](double x) {
+            single.add(x);
+            plain.push_back(x);
+        };
+        for (int op = 0; op < 60; ++op) {
+            switch (rng.uniformInt(0, 3)) {
+              case 0: {
+                const double x = value();
+                weighted.add(x);
+                addSingle(x);
+                break;
+              }
+              case 1: {
+                const double x = value();
+                const auto n = static_cast<u64>(rng.uniformInt(0, 9));
+                weighted.add(x, n);
+                for (u64 i = 0; i < n; ++i) {
+                    addSingle(x);
+                }
+                break;
+              }
+              case 2: {
+                Percentiles part;
+                const i64 n = rng.uniformInt(0, 4);
+                for (i64 i = 0; i < n; ++i) {
+                    const double x = value();
+                    const auto copies = static_cast<u64>(rng.uniformInt(1, 3));
+                    part.add(x, copies);
+                    for (u64 c = 0; c < copies; ++c) {
+                        addSingle(x);
+                    }
+                }
+                weighted.append(part);
+                break;
+              }
+              default:
+                // A query sorts both stores' storage mid-stream.
+                if (!plain.empty()) {
+                    EXPECT_EQ(weighted.median(), single.median());
+                    std::sort(plain.begin(), plain.end());
+                }
+                break;
+            }
+        }
+        SCOPED_TRACE(seed);
+        if (!plain.empty()) {
+            double sum = 0;
+            for (double x : plain) {
+                sum += x;
+            }
+            EXPECT_EQ(std::bit_cast<u64>(weighted.mean()),
+                      std::bit_cast<u64>(sum / static_cast<double>(
+                                                   plain.size())));
+        }
+        expectSameMultiset(weighted, single);
+        std::sort(plain.begin(), plain.end());
+        EXPECT_EQ(weighted.sorted(), plain);
+        EXPECT_LE(weighted.runs(), single.runs());
+    }
+}
+
+TEST(Percentiles, AddingZeroCopiesIsANoOp)
+{
+    Percentiles p;
+    p.add(2.0, 0);
+    EXPECT_EQ(p.count(), 0u);
+    EXPECT_EQ(p.runs(), 0u);
+    EXPECT_TRUE(p.sorted().empty());
+    p.add(1.0);
+    p.add(3.0, 0);
+    EXPECT_EQ(p.count(), 1u);
+    EXPECT_EQ(p.runs(), 1u);
+    EXPECT_EQ(p.sorted(), std::vector<double>{1.0});
+}
+
+TEST(Percentiles, EqualNeighboursShareARun)
+{
+    Percentiles p;
+    p.add(0.5);
+    p.add(0.5, 3);
+    p.add(0.5);
+    p.add(0.25, 2);
+    p.add(0.5);
+    EXPECT_EQ(p.count(), 8u);
+    EXPECT_EQ(p.runs(), 3u);
+    EXPECT_EQ(p.sorted(), (std::vector<double>{0.25, 0.25, 0.5, 0.5, 0.5,
+                                               0.5, 0.5, 0.5}));
+    EXPECT_EQ(p.runs(), 2u); // sorting merged the two 0.5 runs
 }
 
 TEST(Percentiles, AppendOntoItselfPanics)

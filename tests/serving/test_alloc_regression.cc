@@ -13,7 +13,8 @@
  *    vAttention at TP 2 with its default 256-slot table;
  *  - decode runs (Engine::advanceTo, which run() drives) perform zero
  *    heap allocations end to end once a first session has seen the
- *    batch shape, on both backends and in both scheduling modes;
+ *    batch shape, on both backends and in both scheduling modes, also
+ *    at a full sequence cap with requests waiting;
  *  - BatchComposer::composeInto is allocation-free on the second
  *    composition of an identical shape, for both the prefill and the
  *    decode side of both modes.
@@ -55,9 +56,9 @@ steadyConfig(SchedulingMode mode, perf::BackendKind backend)
  *  decode iterations run with no KV growth at all (on the paged
  *  backend, 256-token blocks grow twice per request). */
 std::vector<Request>
-steadyTrace()
+steadyTrace(std::size_t n = 4)
 {
-    std::vector<Request> trace(4);
+    std::vector<Request> trace(n);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         trace[i].id = static_cast<u64>(i);
         trace[i].prompt_tokens = 128;
@@ -207,6 +208,36 @@ expectAllocationFreeDecodeRuns(const EngineConfig &config)
         << toString(config.backend);
     EXPECT_GT(engine.decodeRunIterations() - runs_before, 100u);
     EXPECT_EQ(engine.endRun().num_requests, 4);
+
+    // A third session of six at the cap of four: two wait while the
+    // first four decode. Advancing one iteration at a time, every
+    // iteration that starts and ends with the same requests waiting
+    // (no admission) must be a decode run that allocates nothing.
+    const auto capped = steadyTrace(6);
+    ASSERT_EQ(engine.run(capped).num_requests, 6);
+    engine.beginOnline(capped.size());
+    for (const auto &request : capped) {
+        ASSERT_TRUE(engine.submitOnline(request).isOk());
+    }
+    engine.closeOnline();
+    u64 waiting_runs = 0;
+    while (engine.runActive()) {
+        const i64 queued = engine.liveLoad().queued;
+        const u64 runs = engine.decodeRunIterations();
+        const long long allocs = allocCount();
+        engine.advanceTo(
+            std::max(engine.clock().now(), engine.nextEventNs()) + 1);
+        if (queued > 0 && engine.liveLoad().queued == queued &&
+            engine.decodeRunIterations() > runs) {
+            EXPECT_EQ(allocCount(), allocs)
+                << "a cap-full decode run allocated under "
+                << toString(config.scheduler.mode) << " on "
+                << toString(config.backend);
+            waiting_runs += engine.decodeRunIterations() - runs;
+        }
+    }
+    EXPECT_EQ(engine.endRun().num_requests, 6);
+    EXPECT_GT(waiting_runs, 100u);
 }
 
 TEST_P(SteadyStateDecode, IterationsAreAllocationFree)

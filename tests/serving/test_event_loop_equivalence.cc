@@ -18,10 +18,16 @@
  *    stepRun loop to the same horizons: RunReport, iteration records
  *    and per-rank driver API counts, on both backends and in both
  *    scheduling modes, with prefix caching, a sliding-window model,
- *    swap preemption under live routing and migration, and TP 2.
+ *    swap preemption under live routing and migration, TP 2, TBT
+ *    deadlines violated inside decode runs, and a full sequence cap
+ *    with requests waiting (decode runs continue) or with TTFT
+ *    shedding on (they must not). Cap cases also advance one
+ *    iteration at a time, which counts the decode-run iterations that
+ *    ran while requests waited and must match as well.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -301,7 +307,13 @@ enum class Feature
     kWindow,
     kSwapLive,
     kTp2,
+    kTbtDeadlines,
+    kCapFull,
+    kCapFullShed,
 };
+
+/** The sequence cap of the cap features: below the burst's size. */
+constexpr int kCapSeqs = 4;
 
 struct AdvanceCase
 {
@@ -313,10 +325,16 @@ struct AdvanceCase
 std::string
 advanceCaseName(const AdvanceCase &c)
 {
-    const char *feature = c.feature == Feature::kPrefix     ? "Prefix"
-                          : c.feature == Feature::kWindow   ? "Window"
-                          : c.feature == Feature::kSwapLive ? "SwapLive"
-                                                            : "Tp2";
+    const char *feature = "";
+    switch (c.feature) {
+    case Feature::kPrefix: feature = "Prefix"; break;
+    case Feature::kWindow: feature = "Window"; break;
+    case Feature::kSwapLive: feature = "SwapLive"; break;
+    case Feature::kTp2: feature = "Tp2"; break;
+    case Feature::kTbtDeadlines: feature = "TbtDeadlines"; break;
+    case Feature::kCapFull: feature = "CapFull"; break;
+    case Feature::kCapFullShed: feature = "CapFullShed"; break;
+    }
     const char *backend =
         perf::isPaged(c.backend) ? "Paged" : "VAttention";
     const char *mode = c.mode == SchedulingMode::kPrefillPrioritized
@@ -367,8 +385,32 @@ advanceConfig(const AdvanceCase &c)
     case Feature::kTp2:
         config.tp_degree = 2;
         break;
+    case Feature::kTbtDeadlines:
+        break;
+    case Feature::kCapFull:
+    case Feature::kCapFullShed:
+        config.scheduler.max_num_seqs = kCapSeqs;
+        config.vattn.max_batch_size = kCapSeqs;
+        config.shed_on_ttft = c.feature == Feature::kCapFullShed;
+        break;
     }
     return config;
+}
+
+/** Requests of @p prompt + 37 * i prompt tokens decoding @p decode
+ *  tokens, Poisson at @p qps. */
+std::vector<Request>
+burstTrace(int n, i64 prompt, i64 decode, double qps, u64 seed)
+{
+    std::vector<Request> trace(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        Request &r = trace[i];
+        r.id = static_cast<u64>(i);
+        r.prompt_tokens = prompt + 37 * static_cast<i64>(i);
+        r.max_new_tokens = decode;
+    }
+    assignPoissonArrivals(trace, qps, seed);
+    return trace;
 }
 
 std::vector<Request>
@@ -384,14 +426,15 @@ advanceTrace(Feature feature)
         break;
     case Feature::kWindow:
     case Feature::kSwapLive:
-        // Window: decodes run past the 512-token window. Swap: long
+        // Window: the shorter prompts decode across the 512-token
+        // window edge, the longer ones decode past it. Swap: long
         // requests arriving in a burst squeeze the pools.
         trace.resize(feature == Feature::kWindow ? 8 : 14);
         for (std::size_t i = 0; i < trace.size(); ++i) {
             Request &r = trace[i];
             r.id = static_cast<u64>(i);
             r.prompt_tokens = feature == Feature::kWindow
-                                  ? 900 + 150 * static_cast<i64>(i)
+                                  ? 200 + 150 * static_cast<i64>(i)
                                   : 2000;
             r.max_new_tokens = 600;
         }
@@ -402,6 +445,39 @@ advanceTrace(Feature feature)
         trace = openChatTrace(/*n=*/12, /*seed=*/5);
         assignPoissonArrivals(trace, /*qps=*/6.0, /*seed=*/33);
         break;
+    case Feature::kTbtDeadlines: {
+        // Offline: the prompts prefill together, then one long
+        // decode-only stretch whose iterations lengthen as KV grows.
+        // Deadlines sit at quantiles of the gaps the trace shows
+        // without them (deadlines change no schedule), so all but the
+        // loosest are crossed, inside decode runs. Every third request
+        // has none.
+        trace = burstTrace(10, 200, 500, /*qps=*/1.0, /*seed=*/34);
+        assignOfflineArrivals(trace);
+        Engine pilot(advanceConfig({feature, perf::BackendKind::kFa2Paged,
+                                    SchedulingMode::kStallFreeChunked}));
+        const RunReport gaps = pilot.run(trace);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const double q =
+                std::min(1.0, 0.25 + 0.1 * static_cast<double>(i));
+            trace[i].tbt_deadline_ns =
+                i % 3 == 2 ? 0
+                           : static_cast<TimeNs>(std::llround(
+                                 gaps.tbt_s.quantile(q) * 1e9));
+        }
+        break;
+    }
+    case Feature::kCapFull:
+    case Feature::kCapFullShed:
+        // A burst three times the cap: most requests wait while the
+        // cap decodes. The TTFT deadline sheds some of them when
+        // shedding is on.
+        trace = burstTrace(3 * kCapSeqs, 300, 200, /*qps=*/30.0,
+                           /*seed=*/35);
+        for (Request &r : trace) {
+            r.ttft_deadline_ns = 3'000'000'000;
+        }
+        break;
     }
     std::stable_sort(trace.begin(), trace.end(),
                      [](const Request &a, const Request &b) {
@@ -410,6 +486,16 @@ advanceTrace(Feature feature)
     return trace;
 }
 
+/** How a drive moves its engines to each horizon. */
+enum class Drive
+{
+    kStepRun,   ///< the stepRun() loop
+    kAdvanceTo, ///< one advanceTo(horizon)
+    /** advanceTo() one iteration at a time, noting which decode-run
+     *  iterations ran while requests waited. */
+    kAdvanceByIteration,
+};
+
 /** What one drive of a set of replicas leaves behind. */
 struct Driven
 {
@@ -417,18 +503,38 @@ struct Driven
     /** Per-replica, per-rank driver counters (vAttention only). */
     std::vector<std::vector<cuvmm::DriverCounters>> drivers;
     u64 decode_run_iterations = 0;
+    /** kAdvanceByIteration: decode-run iterations that started with a
+     *  request waiting (a decode run admits nothing, so it waited
+     *  throughout). */
+    u64 waiting_decode_run_iterations = 0;
 };
 
-/** Step @p engine to @p horizon either way. */
+/** Step @p engine to @p horizon the @p how way. */
 void
-advance(Engine &engine, TimeNs horizon, bool use_advance_to)
+advance(Engine &engine, TimeNs horizon, Drive how, Driven &driven)
 {
-    if (use_advance_to) {
+    switch (how) {
+    case Drive::kStepRun:
+        while (engine.runActive() && engine.nextEventNs() < horizon) {
+            engine.stepRun();
+        }
+        return;
+    case Drive::kAdvanceTo:
         engine.advanceTo(horizon);
         return;
-    }
-    while (engine.runActive() && engine.nextEventNs() < horizon) {
-        engine.stepRun();
+    case Drive::kAdvanceByIteration:
+        while (engine.runActive() && engine.nextEventNs() < horizon) {
+            const bool waiting = engine.liveLoad().queued > 0;
+            const u64 before = engine.decodeRunIterations();
+            const TimeNs next =
+                std::max(engine.clock().now(), engine.nextEventNs());
+            engine.advanceTo(std::min(horizon, next + 1));
+            if (waiting) {
+                driven.waiting_decode_run_iterations +=
+                    engine.decodeRunIterations() - before;
+            }
+        }
+        return;
     }
 }
 
@@ -439,7 +545,7 @@ advance(Engine &engine, TimeNs horizon, bool use_advance_to)
  * an idle one, and the arrival is routed live (or to replica 0).
  */
 Driven
-drive(const AdvanceCase &c, int replicas, bool use_advance_to)
+drive(const AdvanceCase &c, int replicas, Drive how)
 {
     // TP 2 compares every rank's driver, so build the followers too.
     const ReplicateFollowers replicate;
@@ -455,12 +561,13 @@ drive(const AdvanceCase &c, int replicas, bool use_advance_to)
         return engines[static_cast<std::size_t>(r)]->liveLoad();
     };
     const std::vector<Request> trace = advanceTrace(c.feature);
+    Driven driven;
     for (auto &engine : engines) {
         engine->beginOnline(trace.size());
     }
     for (const Request &request : trace) {
         for (auto &engine : engines) {
-            advance(*engine, request.arrival_ns, use_advance_to);
+            advance(*engine, request.arrival_ns, how, driven);
         }
         if (replicas > 1) {
             auto by_queue = [&](const auto &a, const auto &b) {
@@ -481,10 +588,9 @@ drive(const AdvanceCase &c, int replicas, bool use_advance_to)
                         ->submitOnline(request)
                         .isOk());
     }
-    Driven driven;
     for (auto &engine : engines) {
         engine->closeOnline();
-        advance(*engine, sim::kNoEventNs, use_advance_to);
+        advance(*engine, sim::kNoEventNs, how, driven);
         driven.decode_run_iterations += engine->decodeRunIterations();
         driven.reports.push_back(engine->endRun());
         EXPECT_TRUE(engine->auditNow().ok());
@@ -508,34 +614,65 @@ TEST_P(AdvanceToEquivalence, MatchesTheStepRunLoopBitForBit)
 {
     const AdvanceCase &c = GetParam();
     const int replicas = c.feature == Feature::kSwapLive ? 2 : 1;
-    const Driven stepped = drive(c, replicas, /*use_advance_to=*/false);
-    const Driven advanced = drive(c, replicas, /*use_advance_to=*/true);
+    const bool cap = c.feature == Feature::kCapFull ||
+                     c.feature == Feature::kCapFullShed;
+    const Driven stepped = drive(c, replicas, Drive::kStepRun);
+    std::vector<Driven> advanced;
+    advanced.push_back(drive(c, replicas, Drive::kAdvanceTo));
+    if (cap) {
+        advanced.push_back(drive(c, replicas, Drive::kAdvanceByIteration));
+    }
 
     EXPECT_EQ(stepped.decode_run_iterations, 0u);
-    EXPECT_GT(advanced.decode_run_iterations, 0u)
-        << "advanceTo never ran a decode run";
-    ASSERT_EQ(stepped.reports.size(), advanced.reports.size());
     u64 swap_outs = 0;
     u64 migrations = 0;
     i64 served = 0;
-    for (std::size_t r = 0; r < stepped.reports.size(); ++r) {
-        const RunReport &a = stepped.reports[r];
-        const RunReport &b = advanced.reports[r];
-        expectSameReport(a, b);
-        EXPECT_TRUE(a.iterations == b.iterations) << "replica " << r;
-        EXPECT_EQ(a.comm_ns, b.comm_ns);
-        EXPECT_EQ(a.shed_requests, b.shed_requests);
-        EXPECT_EQ(a.migrations_in, b.migrations_in);
-        EXPECT_EQ(a.migrations_out, b.migrations_out);
-        EXPECT_EQ(a.slo_met_requests, b.slo_met_requests);
-        EXPECT_TRUE(stepped.drivers[r] == advanced.drivers[r])
-            << "replica " << r << ": driver API counts differ";
+    for (const Driven &b_driven : advanced) {
+        EXPECT_GT(b_driven.decode_run_iterations, 0u)
+            << "advanceTo never ran a decode run";
+        ASSERT_EQ(stepped.reports.size(), b_driven.reports.size());
+        for (std::size_t r = 0; r < stepped.reports.size(); ++r) {
+            const RunReport &a = stepped.reports[r];
+            const RunReport &b = b_driven.reports[r];
+            expectSameReport(a, b);
+            EXPECT_TRUE(a.iterations == b.iterations) << "replica " << r;
+            EXPECT_EQ(a.comm_ns, b.comm_ns);
+            EXPECT_EQ(a.shed_requests, b.shed_requests);
+            EXPECT_EQ(a.migrations_in, b.migrations_in);
+            EXPECT_EQ(a.migrations_out, b.migrations_out);
+            EXPECT_EQ(a.slo_met_requests, b.slo_met_requests);
+            EXPECT_EQ(a.slo_violations_ttft, b.slo_violations_ttft);
+            EXPECT_EQ(a.slo_violations_tbt, b.slo_violations_tbt);
+            EXPECT_TRUE(stepped.drivers[r] == b_driven.drivers[r])
+                << "replica " << r << ": driver API counts differ";
+        }
+    }
+    for (const RunReport &a : stepped.reports) {
         swap_outs += static_cast<u64>(a.swap_outs);
         migrations += a.migrations_in;
-        served += a.num_requests;
+        served += a.num_requests + a.shed_requests;
     }
     EXPECT_EQ(served,
               static_cast<i64>(advanceTrace(c.feature).size()));
+    if (c.feature == Feature::kTbtDeadlines) {
+        const RunReport &a = stepped.reports[0];
+        EXPECT_GT(a.slo_violations_tbt, 0) << "no TBT deadline missed";
+        EXPECT_LT(a.slo_violations_tbt, a.slo_requests)
+            << "every TBT deadline missed";
+    }
+    if (cap) {
+        EXPECT_EQ(stepped.reports[0].preemptions, 0u);
+        EXPECT_EQ(stepped.reports[0].peak_batch, kCapSeqs);
+    }
+    if (c.feature == Feature::kCapFull) {
+        EXPECT_GT(advanced.back().waiting_decode_run_iterations, 0u)
+            << "no decode run while requests waited at the cap";
+    }
+    if (c.feature == Feature::kCapFullShed) {
+        EXPECT_EQ(advanced.back().waiting_decode_run_iterations, 0u)
+            << "a decode run skipped shedding";
+        EXPECT_GT(stepped.reports[0].shed_requests, 0);
+    }
     if (c.feature == Feature::kSwapLive) {
         EXPECT_GT(swap_outs, 0u) << "no request swapped out";
         EXPECT_GT(migrations, 0u) << "no request migrated";
@@ -560,11 +697,20 @@ TEST_P(EmittedTokens, AreBackedThroughSwapInsAndDecodeRuns)
     // iteration ensured it or skipped ensure() on the slack. Swap-ins
     // rejoin the running set with no prefill chunk, so only the forced
     // ensure after them grows a request that swapped out at a boundary.
+    // Only every other request streams its tokens: a decode run over a
+    // mixed batch must still call on_token for each of their tokens,
+    // with the request's fields current.
     const AdvanceCase c{Feature::kSwapLive, GetParam(),
                         SchedulingMode::kStallFreeChunked};
     Engine engine(advanceConfig(c));
     i64 checked = 0;
+    i64 streamed_tokens = 0;
     StreamCallbacks callbacks;
+    callbacks.on_finish = [&](const Request &request) {
+        if (request.state == Request::State::kFinished) {
+            streamed_tokens += request.generated;
+        }
+    };
     callbacks.on_token = [&](const Request &request) {
         // The iteration computed the token after contextLen() - 1.
         const i64 len = request.contextLen() - 1;
@@ -581,16 +727,20 @@ TEST_P(EmittedTokens, AreBackedThroughSwapInsAndDecodeRuns)
         }
         EXPECT_TRUE(backed) << "request " << request.id << " emitted at "
                             << len << " tokens of unbacked KV";
+        EXPECT_EQ(request.last_token_ns, engine.clock().now());
+        EXPECT_EQ(request.last_emit_ns, engine.clock().now());
         ++checked;
     };
     std::vector<Request> trace = advanceTrace(c.feature);
-    for (Request &request : trace) {
-        request.stream = &callbacks;
+    for (std::size_t i = 0; i < trace.size(); i += 2) {
+        trace[i].stream = &callbacks;
     }
     const RunReport report = engine.run(trace);
     EXPECT_GT(report.swap_ins, 0);
     EXPECT_GT(engine.decodeRunIterations(), 0u);
-    EXPECT_EQ(checked, report.decode_tokens); // every output token
+    EXPECT_EQ(checked, streamed_tokens); // every streamed output token
+    EXPECT_GT(streamed_tokens, 0);
+    EXPECT_LT(streamed_tokens, report.decode_tokens);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EmittedTokens,
@@ -606,8 +756,10 @@ std::vector<AdvanceCase>
 advanceCases()
 {
     std::vector<AdvanceCase> cases;
-    for (const Feature feature : {Feature::kPrefix, Feature::kWindow,
-                                  Feature::kSwapLive, Feature::kTp2}) {
+    for (const Feature feature :
+         {Feature::kPrefix, Feature::kWindow, Feature::kSwapLive,
+          Feature::kTp2, Feature::kTbtDeadlines, Feature::kCapFull,
+          Feature::kCapFullShed}) {
         for (const perf::BackendKind backend :
              {perf::BackendKind::kFa2Paged,
               perf::BackendKind::kFa2VAttention}) {
