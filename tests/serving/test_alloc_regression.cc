@@ -209,10 +209,11 @@ expectAllocationFreeDecodeRuns(const EngineConfig &config)
     EXPECT_GT(engine.decodeRunIterations() - runs_before, 100u);
     EXPECT_EQ(engine.endRun().num_requests, 4);
 
-    // A third session of six at the cap of four: two wait while the
-    // first four decode. Advancing one iteration at a time, every
+    // Six requests at the cap of four: two wait while the first four
+    // decode. After a run() of that shape, a session advanced one
+    // iteration at a time must not allocate in any decode-run
     // iteration that starts and ends with the same requests waiting
-    // (no admission) must be a decode run that allocates nothing.
+    // (no admission in between).
     const auto capped = steadyTrace(6);
     ASSERT_EQ(engine.run(capped).num_requests, 6);
     engine.beginOnline(capped.size());
