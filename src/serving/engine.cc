@@ -618,11 +618,19 @@ Engine::emit(RunReport &report)
         }
     }
     // Each decode request produced one token.
-    std::vector<Request *> &finished = iter_finished_;
-    finished.clear();
     for (Request *request : iter_decodes_) {
         ++request->generated;
         recordToken(request, report);
+    }
+    finishCompletedDecodes(report);
+}
+
+void
+Engine::finishCompletedDecodes(RunReport &report)
+{
+    std::vector<Request *> &finished = iter_finished_;
+    finished.clear();
+    for (Request *request : iter_decodes_) {
         if (complete(request)) {
             finished.push_back(request);
         }
@@ -823,16 +831,7 @@ Engine::emitRun()
         }
         // The first finisher: write back, then finish as emit() does.
         flushRun();
-        std::vector<Request *> &finished = iter_finished_;
-        finished.clear();
-        for (Request *request : iter_decodes_) {
-            if (complete(request)) {
-                finished.push_back(request);
-            }
-        }
-        for (Request *request : finished) {
-            finishRequest(request, run_report_);
-        }
+        finishCompletedDecodes(run_report_);
     }
     std::erase_if(iter_decodes_, [](const Request *request) {
         return request->state != Request::State::kRunning;

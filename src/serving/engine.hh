@@ -420,6 +420,8 @@ class Engine
                            RunReport &report);
     /** @p request has emitted its last token. */
     bool complete(const Request *request) const;
+    /** Finish every complete request of iter_decodes_, in order. */
+    void finishCompletedDecodes(RunReport &report);
     /** Lease slots for first chunks; returns their allocation ns. */
     TimeNs admit(const IterationPlan &plan, RunReport &report);
     /** Gather the survivors into the iter_* scratch and price them. */
