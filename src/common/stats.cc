@@ -46,36 +46,34 @@ void
 Percentiles::append(const Percentiles &other)
 {
     panic_if(&other == this, "Percentiles::append onto itself");
-    for (const Run &run : other.runs_) {
-        add(run.value, run.count);
-    }
+    other.forEachRun([this](double value, u64 n) { add(value, n); });
 }
 
 const std::vector<double> &
 Percentiles::sorted() const
 {
     if (!sorted_) {
-        std::sort(runs_.begin(), runs_.end(),
-                  [](const Run &a, const Run &b) {
-                      return a.value < b.value;
-                  });
-        std::size_t kept = 0;
-        for (const Run &run : runs_) {
-            if (kept > 0 && sameBits(runs_[kept - 1].value, run.value)) {
-                runs_[kept - 1].count += run.count;
-            } else {
-                runs_[kept++] = run;
+        // Expand the runs in place, last run first: a run of n takes
+        // at most n words, so the words still to be read always lie
+        // below the samples being written.
+        std::size_t read = store_.size();
+        store_.resize(count_);
+        std::size_t write = count_;
+        while (read > 0) {
+            double value = store_[--read];
+            u64 n = 1;
+            if (isCount(value)) {
+                n = countOf(value);
+                value = store_[--read];
             }
+            write -= n;
+            std::fill_n(store_.begin() + static_cast<std::ptrdiff_t>(write),
+                        n, value);
         }
-        runs_.resize(kept);
-        flat_.clear();
-        flat_.reserve(count_);
-        for (const Run &run : runs_) {
-            flat_.insert(flat_.end(), run.count, run.value);
-        }
+        std::sort(store_.begin(), store_.end());
         sorted_ = true;
     }
-    return flat_;
+    return store_;
 }
 
 double
@@ -103,11 +101,11 @@ Percentiles::mean() const
     // One addition per sample, in storage order: the same bits as a
     // store that kept every sample apart.
     double sum = 0;
-    for (const Run &run : runs_) {
-        for (u64 i = 0; i < run.count; ++i) {
-            sum += run.value;
+    forEachRun([&sum](double value, u64 n) {
+        for (u64 i = 0; i < n; ++i) {
+            sum += value;
         }
-    }
+    });
     return sum / static_cast<double>(count_);
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace vattn
@@ -46,14 +47,17 @@ class RunningStat
 /**
  * Collects samples and answers percentile / CDF queries.
  *
- * Samples are stored as (value, count) runs in insertion order: add()
- * merges into the last run when the value is bit-identical, and
- * add(x, n) adds n copies at once (a decode iteration emits one token
- * gap for its whole batch). Every query sees the multiset the runs
- * expand to, exactly as if each sample had been added alone: the runs
- * are sorted lazily on the first query, mean() sums each value count
- * times in storage order, and sorted() expands the sorted runs into a
- * flat vector (built on demand, kept until the next add).
+ * Samples are stored in insertion order as runs of bit-identical
+ * values: a lone sample is its value, a run of n > 1 is its value
+ * followed by a count word (a NaN bit pattern no arithmetic produces).
+ * add() extends the last run when the value matches, and add(x, n)
+ * adds n copies at once (a decode iteration emits one token gap for
+ * its whole batch). The store never holds more words than samples, so
+ * reserve(n) keeps n samples' worth of adds allocation-free. The first
+ * query expands the runs in place and sorts them, after which the
+ * store is exactly the sorted samples; every query sees the same
+ * multiset, and mean() the same order, as a store that kept each
+ * sample apart.
  */
 class Percentiles
 {
@@ -67,13 +71,26 @@ class Percentiles
         if (n == 0) {
             return;
         }
-        if (!runs_.empty() && sameBits(runs_.back().value, x)) {
-            runs_.back().count += n;
-        } else {
-            runs_.push_back({x, n});
-        }
+        panic_if(isCount(x) || n > kMaxCount,
+                 "Percentiles::add of a reserved NaN or of ", n,
+                 " samples at once");
         count_ += n;
         sorted_ = false;
+        const std::size_t size = store_.size();
+        if (size >= 2 && isCount(store_[size - 1]) &&
+            sameBits(store_[size - 2], x)) {
+            const u64 merged = countOf(store_[size - 1]) + n;
+            panic_if(merged > kMaxCount, "Percentiles run of ", merged,
+                     " samples");
+            store_[size - 1] = countWord(merged);
+        } else if (size >= 1 && sameBits(store_[size - 1], x)) {
+            store_.push_back(countWord(n + 1));
+        } else {
+            store_.push_back(x);
+            if (n > 1) {
+                store_.push_back(countWord(n));
+            }
+        }
     }
     /** Add every sample of @p other, in @p other's storage order
      *  (bulk insert of its runs; nothing is sorted here — the
@@ -81,17 +98,17 @@ class Percentiles
      *  union multiset, exactly as an add() loop would give. */
     void append(const Percentiles &other);
     u64 count() const { return count_; }
-    /** Stored (value, count) runs: at most count(). */
-    std::size_t runs() const { return runs_.size(); }
+    /** Stored words: at most count(), fewer when runs repeat. */
+    std::size_t stored() const { return store_.size(); }
 
-    /** Pre-size the store for @p n runs (allocation-free steady-state
-     *  adds: n samples never need more than n runs, so the engine
-     *  reserves for a whole run's samples up front and the
-     *  per-iteration hot path never reallocates). */
-    void reserve(std::size_t n) { runs_.reserve(n); }
-    /** Reserved run slots (the online path grows geometrically at
+    /** Pre-size the store for @p n samples (allocation-free
+     *  steady-state adds: the engine reserves for a whole run's
+     *  samples up front so the per-iteration hot path never
+     *  reallocates). */
+    void reserve(std::size_t n) { store_.reserve(n); }
+    /** Reserved sample slots (the online path grows geometrically at
      *  submission time and needs to see where it stands). */
-    std::size_t capacity() const { return runs_.capacity(); }
+    std::size_t capacity() const { return store_.capacity(); }
 
     /** Value at quantile q in [0, 1] (linear interpolation). */
     double quantile(double q) const;
@@ -114,23 +131,50 @@ class Percentiles
     const std::vector<double> &sorted() const;
 
   private:
-    struct Run
-    {
-        double value;
-        u64 count;
-    };
+    /** Count words: sign and exponent set, quiet bit clear, a tag bit
+     *  and the count in the low 50 bits (a signalling NaN). */
+    static constexpr u64 kCountTag = 0xFFF4'0000'0000'0000ULL;
+    static constexpr u64 kMaxCount = (u64{1} << 50) - 1;
 
     static bool
     sameBits(double a, double b)
     {
         return std::bit_cast<u64>(a) == std::bit_cast<u64>(b);
     }
+    static bool
+    isCount(double word)
+    {
+        return (std::bit_cast<u64>(word) & ~kMaxCount) == kCountTag;
+    }
+    static u64
+    countOf(double word)
+    {
+        return std::bit_cast<u64>(word) & kMaxCount;
+    }
+    static double
+    countWord(u64 n)
+    {
+        return std::bit_cast<double>(kCountTag | n);
+    }
+    /** Call @p fn(value, count) for each run, in storage order. */
+    template <typename Fn>
+    void
+    forEachRun(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < store_.size(); ++i) {
+            if (i + 1 < store_.size() && isCount(store_[i + 1])) {
+                fn(store_[i], countOf(store_[i + 1]));
+                ++i;
+            } else {
+                fn(store_[i], u64{1});
+            }
+        }
+    }
 
-    mutable std::vector<Run> runs_;
+    mutable std::vector<double> store_;
     u64 count_ = 0;
-    /** runs_ is sorted by value and flat_ is its expansion. */
+    /** store_ holds every sample, ascending, one word each. */
     mutable bool sorted_ = false;
-    mutable std::vector<double> flat_;
 };
 
 /** Fixed-width bucket histogram over [lo, hi). */

@@ -175,14 +175,14 @@ ServingCluster::mergeReports(ClusterReport &report)
         merged.comm_ns += replica.comm_ns;
     }
 
-    // Latency samples: concatenate the per-replica stores' runs, sized
+    // Latency samples: concatenate the raw per-replica stores, sized
     // once. Nothing is sorted here; quantiles read the sorted union
     // multiset, which is the same whatever order the samples arrive
     // in, and the report's reader sorts it once on its first query.
     const auto concat = [&](Percentiles RunReport::*store) {
         std::size_t total = 0;
         for (const RunReport &replica : report.replicas) {
-            total += (replica.*store).runs();
+            total += (replica.*store).count();
         }
         (merged.*store).reserve(total);
         for (const RunReport &replica : report.replicas) {

@@ -475,10 +475,14 @@ TEST(Percentiles, WeightedAddsMatchSingleAdds)
                       std::bit_cast<u64>(sum / static_cast<double>(
                                                    plain.size())));
         }
+        // The same samples in the same order store the same runs,
+        // however they were added, and never more words than samples.
+        EXPECT_EQ(weighted.stored(), single.stored());
+        EXPECT_LE(weighted.stored(), weighted.count());
         expectSameMultiset(weighted, single);
         std::sort(plain.begin(), plain.end());
         EXPECT_EQ(weighted.sorted(), plain);
-        EXPECT_LE(weighted.runs(), single.runs());
+        EXPECT_EQ(weighted.stored(), weighted.count());
     }
 }
 
@@ -487,12 +491,12 @@ TEST(Percentiles, AddingZeroCopiesIsANoOp)
     Percentiles p;
     p.add(2.0, 0);
     EXPECT_EQ(p.count(), 0u);
-    EXPECT_EQ(p.runs(), 0u);
+    EXPECT_EQ(p.stored(), 0u);
     EXPECT_TRUE(p.sorted().empty());
     p.add(1.0);
     p.add(3.0, 0);
     EXPECT_EQ(p.count(), 1u);
-    EXPECT_EQ(p.runs(), 1u);
+    EXPECT_EQ(p.stored(), 1u);
     EXPECT_EQ(p.sorted(), std::vector<double>{1.0});
 }
 
@@ -505,10 +509,31 @@ TEST(Percentiles, EqualNeighboursShareARun)
     p.add(0.25, 2);
     p.add(0.5);
     EXPECT_EQ(p.count(), 8u);
-    EXPECT_EQ(p.runs(), 3u);
+    // Runs of 5 and 2 take a value and a count word each; the last
+    // 0.5 is a lone sample.
+    EXPECT_EQ(p.stored(), 5u);
     EXPECT_EQ(p.sorted(), (std::vector<double>{0.25, 0.25, 0.5, 0.5, 0.5,
                                                0.5, 0.5, 0.5}));
-    EXPECT_EQ(p.runs(), 2u); // sorting merged the two 0.5 runs
+    EXPECT_EQ(p.stored(), 8u); // the first query expands every run
+    // A sample equal to the sorted store's last one joins it in a run.
+    p.add(0.5, 2);
+    EXPECT_EQ(p.stored(), 9u);
+    EXPECT_EQ(p.count(), 10u);
+    EXPECT_EQ(p.max(), 0.5);
+    EXPECT_EQ(p.cdfAt(0.25), 0.2);
+}
+
+TEST(Percentiles, ReservedBitPatternsPanic)
+{
+    // Count words are signalling NaNs with a tag bit: no sample that
+    // arithmetic produces has those bits, so add() refuses them.
+    test::ScopedThrowErrors guard;
+    Percentiles p;
+    const double count_word = std::bit_cast<double>(0xFFF4'0000'0000'0003ULL);
+    EXPECT_THROW(p.add(count_word), SimError);
+    EXPECT_THROW(p.add(1.0, u64{1} << 50), SimError);
+    p.add(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(p.count(), 1u);
 }
 
 TEST(Percentiles, AppendOntoItselfPanics)
