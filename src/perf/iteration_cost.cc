@@ -101,10 +101,10 @@ DecodeBatch::DecodeBatch(const KernelModel &kernel, i64 block_size)
     : block_size_(block_size)
 {
     for (const ModelSpec::WindowClass &cls : kernel.windowClasses()) {
-        windows_.push_back(cls.window_tokens);
+        window_tokens_.push_back(cls.window_tokens);
     }
-    attended_.resize(windows_.size());
-    growing_.resize(windows_.size());
+    attended_.resize(window_tokens_.size());
+    growing_.resize(window_tokens_.size());
 }
 
 void
@@ -125,8 +125,8 @@ DecodeBatch::add(i64 kv_len)
     panic_if(kv_len <= 0, "DecodeBatch::add of an empty context");
     ++batch_;
     total_kv_ += kv_len;
-    for (std::size_t c = 0; c < windows_.size(); ++c) {
-        const i64 window = windows_[c];
+    for (std::size_t c = 0; c < window_tokens_.size(); ++c) {
+        const i64 window = window_tokens_[c];
         if (window <= 0 || kv_len < window) {
             // Attends every token, and keeps doing so for the next
             // window - kv_len tokens.

@@ -86,7 +86,7 @@ class DecodeBatch
 
   private:
     i64 block_size_;
-    std::vector<i64> windows_; ///< per window class, 0 = full
+    std::vector<i64> window_tokens_; ///< per window class, 0 = full
     std::vector<i64> attended_;
     /** Per class: requests still below the window (grow one each). */
     std::vector<i64> growing_;

@@ -751,7 +751,7 @@ Engine::resetRun()
 {
     decode_batch_.clear();
     run_finish_left_ = std::numeric_limits<i64>::max();
-    run_min_tbt_deadline_ = std::numeric_limits<TimeNs>::max();
+    run_min_tbt_deadline_ns_ = std::numeric_limits<TimeNs>::max();
     const TimeNs last =
         iter_decodes_.empty() ? 0 : iter_decodes_.front()->last_token_ns;
     bool uniform = last != 0;
@@ -763,8 +763,8 @@ Engine::resetRun()
             {run_finish_left_, request->max_new_tokens - generated,
              config_.model.max_context_len - len});
         if (request->tbt_deadline_ns > 0 && !request->tbt_violated) {
-            run_min_tbt_deadline_ =
-                std::min(run_min_tbt_deadline_, request->tbt_deadline_ns);
+            run_min_tbt_deadline_ns_ =
+                std::min(run_min_tbt_deadline_ns_, request->tbt_deadline_ns);
         }
         uniform = uniform && request->last_token_ns == last &&
                   request->last_emit_ns == last &&
@@ -807,8 +807,8 @@ Engine::emitRun()
         const TimeNs gap = now - run_last_ns_;
         run_report_.tbt_s.add(SimClock::toSeconds(gap),
                               static_cast<u64>(iter_decodes_.size()));
-        if (gap > run_min_tbt_deadline_) {
-            run_min_tbt_deadline_ = std::numeric_limits<TimeNs>::max();
+        if (gap > run_min_tbt_deadline_ns_) {
+            run_min_tbt_deadline_ns_ = std::numeric_limits<TimeNs>::max();
             for (Request *request : iter_decodes_) {
                 if (request->tbt_deadline_ns == 0) {
                     continue;
@@ -816,8 +816,8 @@ Engine::emitRun()
                 request->tbt_violated =
                     request->tbt_violated || gap > request->tbt_deadline_ns;
                 if (!request->tbt_violated) {
-                    run_min_tbt_deadline_ = std::min(
-                        run_min_tbt_deadline_, request->tbt_deadline_ns);
+                    run_min_tbt_deadline_ns_ = std::min(
+                        run_min_tbt_deadline_ns_, request->tbt_deadline_ns);
                 }
             }
         }
@@ -890,9 +890,9 @@ Engine::auditRun(const perf::IterationCost &cost)
     panic_if(finish_left != run_finish_left_,
              "decode run: first finisher in ", finish_left,
              " iterations, kept ", run_finish_left_);
-    panic_if(min_deadline != run_min_tbt_deadline_,
+    panic_if(min_deadline != run_min_tbt_deadline_ns_,
              "decode run: smallest unviolated TBT deadline ", min_deadline,
-             ", kept ", run_min_tbt_deadline_);
+             ", kept ", run_min_tbt_deadline_ns_);
 }
 #endif
 

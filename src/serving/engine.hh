@@ -485,7 +485,7 @@ class Engine
     /** Iterations until the first survivor completes. */
     i64 run_finish_left_ = 0;
     /** Smallest TBT deadline no survivor has violated yet. */
-    TimeNs run_min_tbt_deadline_ = 0;
+    TimeNs run_min_tbt_deadline_ns_ = 0;
 
     // ---- Run state (stepRun/endRun) ----------------------------------
     sim::EventQueue<Request *> arrivals_;
